@@ -1,0 +1,107 @@
+"""Byte-for-byte comparison of CLI outputs against pinned golden files.
+
+Each case runs one ``naqae`` command in-process and compares its stdout and
+every file it writes with ``tests/golden/<case>.<name>``.  Inputs live in
+``tests/golden/inputs``.  A change that alters a golden must say why.
+
+Regenerate the goldens (only when an output change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from naqae.cli import main
+from naqae.experiments import config_from_json, misspecification_sweep
+from naqae.io import curves_csv, fmt12
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+# case name -> argv.  "{in}" expands to the inputs directory and "{out}" to a
+# scratch directory; every file written under "{out}" must be named
+# "<case>.<suffix>" and is compared with tests/golden/<case>.<suffix>.
+CASES: dict[str, list[str]] = {
+    "simulate_gaussian": ["simulate", "--preset", "A1", "--noise", "gaussian:0.05,0.02",
+                          "--depths", "0..20", "--shots", "4096", "--seed", "42"],
+    "simulate_depol": ["simulate", "--theta", "0.5", "--noise", "depol:0.9",
+                       "--depths", "0,2,4,8", "--shots", "50,60,70,80", "--seed", "3",
+                       "--out", "{out}/simulate_depol.csv"],
+    "simulate_none": ["simulate", "--preset", "A2", "--noise", "none",
+                      "--depths", "0..6", "--shots", "128", "--seed", "4"],
+    "simulate_default_noise": ["simulate", "--preset", "A3",
+                               "--depths", "0..8", "--shots", "100", "--seed", "5"],
+    "fit_all": ["fit", "--input", "{in}/labeled.csv", "--model", "all",
+                "--out", "{out}/fit_all.json", "--table", "{out}/fit_all.table.csv"],
+    "fit_all_stdout": ["fit", "--input", "{in}/labeled.csv"],
+    "fit_all_out_only": ["fit", "--input", "{in}/labeled.csv", "--out", "{out}/fit_all_out_only.json"],
+    "fit_gaussian": ["fit", "--input", "{in}/labeled.csv", "--model", "gaussian"],
+    "fit_zero_mean": ["fit", "--input", "{in}/labeled.csv", "--model", "zero-mean"],
+    "fit_depol": ["fit", "--input", "{in}/labeled.csv", "--model", "depol",
+                  "--out", "{out}/fit_depol.json"],
+    "estimate_naive": ["estimate", "--input", "{in}/labeled.csv"],
+    "estimate_corrected": ["estimate", "--input", "{in}/labeled.csv", "--method", "corrected",
+                           "--p-coh", "0.94", "--out", "{out}/estimate_corrected.json"],
+    "schedule_nearest": ["schedule", "--depths", "0..12", "--base-shots", "20",
+                         "--k-sigma", "0.055"],
+    "schedule_up": ["schedule", "--depths", "0,3,9,27", "--base-shots", "7",
+                    "--k-sigma", "0.13", "--rounding", "up", "--out", "{out}/schedule_up.json"],
+    "experiment_gaussian": ["experiment", "--config", "{in}/config_gaussian.json"],
+    "experiment_depolarizing": ["experiment", "--config", "{in}/config_depolarizing.json",
+                                "--out", "{out}/experiment_depolarizing.csv"],
+    "experiment_none": ["experiment", "--config", "{in}/config_none.json"],
+    "experiment_default_noise": ["experiment", "--config", "{in}/config_default_noise.json"],
+}
+
+
+def run_case(name: str, out_dir: Path) -> dict[str, bytes]:
+    """Run one case; returns golden file name -> bytes (stdout included)."""
+    argv = [a.replace("{in}", str(INPUTS)).replace("{out}", str(out_dir)) for a in CASES[name]]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    if code != 0:
+        raise AssertionError(f"{name}: exit code {code}")
+    outputs = {f"{name}.stdout": stdout.getvalue().encode("utf-8")}
+    for path in sorted(out_dir.iterdir()):
+        if not path.name.startswith(f"{name}."):
+            raise AssertionError(f"{name}: wrote unexpected file {path.name}")
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def sweep_csv() -> bytes:
+    """Curves of the misspecification sweep on the gaussian config, per factor."""
+    doc = json.loads((INPUTS / "config_gaussian.json").read_text(encoding="utf-8"))
+    sweep = misspecification_sweep(config_from_json(doc), factors=(0.5, 2.0))
+    return "".join(f"factor {fmt12(f)}\n{curves_csv(c)}" for f, c in sweep.items()).encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    outputs = run_case(name, tmp_path)
+    pinned = sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
+    assert sorted(outputs) == pinned
+    for file_name, data in outputs.items():
+        assert data == (GOLDEN / file_name).read_bytes(), f"{file_name} differs from its golden"
+
+
+def test_misspecification_sweep_matches_golden():
+    assert sweep_csv() == (GOLDEN / "misspecification_sweep.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            for file_name, data in run_case(case, Path(tmp)).items():
+                (GOLDEN / file_name).write_bytes(data)
+    (GOLDEN / "misspecification_sweep.csv").write_bytes(sweep_csv())
