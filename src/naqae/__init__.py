@@ -25,7 +25,6 @@ from .errors import (
 from .estimation import (
     AmplitudeEstimate,
     CorrectionResult,
-    GridSearchConfig,
     ShotSchedule,
     VarianceBound,
     binomial_std_bound,
@@ -59,6 +58,8 @@ from .models import (
     DepolParams,
     GaussianNoiseParams,
     depol_equivalent,
+    noise_from_dict,
+    noise_from_spec,
     p0_gaussian_quadrature,
     p1_depolarizing,
     p1_gaussian_closed,

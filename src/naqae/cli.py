@@ -23,7 +23,7 @@ from .device import PRESET_THETAS, SimulatedDevice, preset_device, run_depth_swe
 from .errors import NaqaeError
 from .estimation import estimate_amplitude, shot_schedule
 from .fitting import MODEL_KINDS, fit_model, fit_report, points_from_records
-from .models import Amplitude, DepolParams, GaussianNoiseParams
+from .models import _NOISE_SPECS, Amplitude, DepolParams, noise_from_spec
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -41,23 +41,6 @@ def _parse_depths(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"bad depth list {text!r}") from None
-
-
-def _parse_noise(text: str):
-    """Parse --noise: 'gaussian:kmu,ksigma', 'depol:p', or 'none'."""
-    if text == "none":
-        return None
-    kind, _, args = text.partition(":")
-    if kind == "gaussian":
-        parts = args.split(",")
-        if len(parts) != 2:
-            raise ValueError("gaussian noise needs 'gaussian:kmu,ksigma'")
-        return GaussianNoiseParams(k_mu=float(parts[0]), k_sigma=float(parts[1]))
-    if kind == "depol":
-        if not args:
-            raise ValueError("depolarizing noise needs 'depol:p'")
-        return DepolParams(p_coh_tilde=float(args))
-    raise ValueError(f"unknown noise model {text!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -84,7 +67,7 @@ def _workers() -> int:
 def _cmd_simulate(args) -> int:
     if (args.preset is None) == (args.theta is None):
         raise ValueError("give exactly one of --preset or --theta")
-    noise = _parse_noise(args.noise)
+    noise = noise_from_spec(args.noise)
     if args.preset is not None:
         device = preset_device(args.preset, model=noise, seed=args.seed)
     else:
@@ -169,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample a simulated device to a shot CSV")
     p.add_argument("--preset", choices=sorted(PRESET_THETAS))
     p.add_argument("--theta", type=float, help="true angle in radians (alternative to --preset)")
-    p.add_argument("--noise", default="none", help="gaussian:kmu,ksigma | depol:p | none")
+    p.add_argument("--noise", default="none", help=_NOISE_SPECS)
     p.add_argument("--depths", required=True, help="'a..b' inclusive or comma list")
     p.add_argument("--shots", required=True, help="shots per depth (single value or comma list)")
     p.add_argument("--seed", type=int, default=0)
@@ -186,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="maximum-likelihood amplitude estimation")
     p.add_argument("--input", required=True, help="shot CSV path")
     p.add_argument("--method", choices=["naive", "corrected"], default="naive")
-    p.add_argument("--p-coh", type=float, dest="p_coh", help="coherence survival for --method corrected")
+    p.add_argument("--p-coh", type=float, help="coherence survival for --method corrected")
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_estimate)
 

@@ -15,16 +15,11 @@ import numpy as np
 
 from .models import (
     Amplitude,
-    DepolParams,
-    GaussianNoiseParams,
+    NoiseModel,
+    _as_probability,
     _check_depth,
     _p1_noiseless_raw,
-    p1_depolarizing,
-    p1_gaussian_closed,
 )
-
-# None means an ideal, noiseless device.
-NoiseModel = GaussianNoiseParams | DepolParams | None
 
 _MASK64 = (1 << 64) - 1
 
@@ -77,9 +72,7 @@ class SimulatedDevice:
         m = _check_depth(m)
         if self.model is None:
             return float(_p1_noiseless_raw(self.amp.theta, m))
-        if isinstance(self.model, GaussianNoiseParams):
-            return p1_gaussian_closed(self.amp, m, self.model)
-        return p1_depolarizing(self.amp, m, self.model)
+        return _as_probability(float(self.model.p1_raw(self.amp.theta, m)), "SimulatedDevice.p1")
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -99,32 +92,19 @@ def subseed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(words).generate_state(1, dtype=np.uint64)[0])
 
 
-def sample_shots(
-    dev: SimulatedDevice, m: int, shots: int, mode: str = "bernoulli"
-) -> ShotRecord:
+def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:
     """Sample ``shots`` measurement outcomes at depth ``m``.
 
-    The RNG stream is keyed by (device seed, m), so repeated calls with the
-    same arguments return the same tally, and tallies at different depths are
-    independent.
-
-    Args:
-        mode: "bernoulli" draws one uniform per shot (the default; allows a
-            future per-shot extension), "binomial" draws a single binomial
-            variate.  Each mode is deterministic given the seed, but the two
-            modes consume the stream differently and so differ from each other.
+    Draws one uniform per shot from an RNG stream keyed by (device seed, m),
+    so repeated calls with the same arguments return the same tally, and
+    tallies at different depths are independent.
     """
     m = _check_depth(m)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots!r}")
     p1 = dev.p1(m)
     rng = substream(dev.seed, m)
-    if mode == "bernoulli":
-        ones = int(np.count_nonzero(rng.random(shots) < p1))
-    elif mode == "binomial":
-        ones = int(rng.binomial(shots, p1))
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
+    ones = int(np.count_nonzero(rng.random(shots) < p1))
     return ShotRecord(m=m, shots=shots, ones=ones)
 
 
@@ -144,7 +124,6 @@ def run_depth_sweep(
     dev: SimulatedDevice,
     depths: list[int],
     shots_per_depth: list[int],
-    mode: str = "bernoulli",
 ) -> list[ShotRecord]:
     """Sample one ShotRecord per depth.
 
@@ -156,7 +135,4 @@ def run_depth_sweep(
             f"depths and shots_per_depth must have equal length, "
             f"got {len(depths)} and {len(shots_per_depth)}"
         )
-    return [
-        sample_shots(dev, m, shots, mode=mode)
-        for m, shots in zip(depths, shots_per_depth)
-    ]
+    return [sample_shots(dev, m, shots) for m, shots in zip(depths, shots_per_depth)]

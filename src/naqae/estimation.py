@@ -23,6 +23,12 @@ _LOG_GUARD = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Theta search: uniform grid size, golden-section refinement tolerance, and
+# the relative likelihood span at or below which the likelihood is flat.
+_GRID_POINTS = 10_000
+_REFINE_TOL = 1e-10
+_FLAT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ShotSchedule:
@@ -98,19 +104,6 @@ class CorrectionResult(NamedTuple):
     clamped: bool
 
 
-@dataclass(frozen=True)
-class GridSearchConfig:
-    """Theta search parameters: grid density and refinement tolerance."""
-
-    n_points: int = 10_000
-    refine_tol: float = 1e-10
-    flat_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
-
-
 def binomial_std_bound(shots: int) -> float:
     """Largest possible standard deviation of a ``shots``-shot frequency.
 
@@ -173,6 +166,16 @@ def shot_schedule(
     return ShotSchedule(entries=tuple(entries))
 
 
+def _correct(ones: float, total: float, m: int, depol: DepolParams) -> CorrectionResult:
+    """Solve ``ones = p~^m clean + total (1 - p~^m) / 2`` for ``clean`` in [0, total]."""
+    if depol.p_coh_tilde == 0.0:
+        raise ValueError("correction is singular at p_coh_tilde == 0")
+    coherent = depol.p_coh_tilde**m
+    raw = (ones - total * 0.5 * (1.0 - coherent)) / coherent
+    value = min(max(raw, 0.0), total)
+    return CorrectionResult(value=value, raw=raw, clamped=value != raw)
+
+
 def correct_frequency(p1_hat: float, m: int, depol: DepolParams) -> CorrectionResult:
     """Invert the depolarizing channel on an observed outcome-1 frequency.
 
@@ -185,13 +188,7 @@ def correct_frequency(p1_hat: float, m: int, depol: DepolParams) -> CorrectionRe
         ValueError: if ``p_coh_tilde == 0`` (fully depolarized data carries
             no recoverable signal).
     """
-    m = _check_depth(m)
-    if depol.p_coh_tilde == 0.0:
-        raise ValueError("correction is singular at p_coh_tilde == 0")
-    coherent = depol.p_coh_tilde**m
-    raw = (p1_hat - 0.5 * (1.0 - coherent)) / coherent
-    value = min(max(raw, 0.0), 1.0)
-    return CorrectionResult(value=value, raw=raw, clamped=value != raw)
+    return _correct(p1_hat, 1.0, _check_depth(m), depol)
 
 
 def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
@@ -200,12 +197,7 @@ def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
     Applies ``(N1 - N (1 - p~^m) / 2) / p~^m`` and clamps the result into
     [0, shots].  With ``p_coh_tilde == 1`` the count is returned unchanged.
     """
-    if depol.p_coh_tilde == 0.0:
-        raise ValueError("correction is singular at p_coh_tilde == 0")
-    coherent = depol.p_coh_tilde**record.m
-    raw = (record.ones - record.shots * 0.5 * (1.0 - coherent)) / coherent
-    value = min(max(raw, 0.0), float(record.shots))
-    return CorrectionResult(value=value, raw=raw, clamped=value != raw)
+    return _correct(record.ones, float(record.shots), record.m, depol)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -242,7 +234,6 @@ def estimate_amplitude(
     records: list[ShotRecord],
     method: str = "naive",
     depol: DepolParams | None = None,
-    grid: GridSearchConfig = GridSearchConfig(),
 ) -> AmplitudeEstimate:
     """Maximum-likelihood amplitude estimate from multi-depth tallies.
 
@@ -272,18 +263,18 @@ def estimate_amplitude(
     else:
         counts = np.array([r.ones for r in records], dtype=float)
 
-    thetas = np.linspace(0.0, math.pi / 2.0, grid.n_points)
+    thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
     loglik = _log_likelihood(thetas, ms, counts, shots)
     best = int(np.argmax(loglik))  # first maximum = smallest theta
     span = float(loglik.max() - loglik.min())
-    flat = span <= grid.flat_tol * max(1.0, abs(float(loglik.max())))
+    flat = span <= _FLAT_TOL * max(1.0, abs(float(loglik.max())))
 
     def objective(theta: float) -> float:
         return float(_log_likelihood(theta, ms, counts, shots))
 
     lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, grid.n_points - 1)]
-    refined = _golden_max(objective, float(lo), float(hi), grid.refine_tol)
+    hi = thetas[min(best + 1, _GRID_POINTS - 1)]
+    refined = _golden_max(objective, float(lo), float(hi), _REFINE_TOL)
     # Keep the grid point unless refinement strictly improves: the log guard
     # flattens the likelihood near exact-certainty angles, and a tie there
     # must not pull the estimate off the boundary.

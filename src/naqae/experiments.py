@@ -14,20 +14,20 @@ replications.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .device import SimulatedDevice, run_depth_sweep, subseed
-from .estimation import (
-    AmplitudeEstimate,
-    GridSearchConfig,
-    estimate_amplitude,
-    shot_schedule,
+from .estimation import AmplitudeEstimate, estimate_amplitude, shot_schedule
+from .models import (
+    Amplitude,
+    DepolParams,
+    GaussianNoiseParams,
+    depol_equivalent,
+    noise_from_dict,
 )
-from .models import Amplitude, DepolParams, GaussianNoiseParams, depol_equivalent
 
 SETTINGS = ("noisy_a", "noisy_b", "noise_aware", "noiseless")
 
@@ -99,10 +99,7 @@ def _correction_params(config: ExperimentConfig) -> DepolParams:
 
 
 def run_qae_trial(
-    config: ExperimentConfig,
-    setting: str,
-    replication_index: int,
-    grid: GridSearchConfig = GridSearchConfig(),
+    config: ExperimentConfig, setting: str, replication_index: int
 ) -> list[AmplitudeEstimate]:
     """One replication of one setting: an estimate per depth prefix.
 
@@ -129,17 +126,12 @@ def run_qae_trial(
                 records[:prefix],
                 method="corrected" if corrected else "naive",
                 depol=depol,
-                grid=grid,
             )
         )
     return estimates
 
 
-def run_monte_carlo(
-    config: ExperimentConfig,
-    grid: GridSearchConfig = GridSearchConfig(),
-    workers: int = 1,
-) -> list[RmseCurve]:
+def run_monte_carlo(config: ExperimentConfig, workers: int = 1) -> list[RmseCurve]:
     """RMSE curves over replications, two per setting (depth and query axes).
 
     rmse at prefix M is ``sqrt(mean over replications of (a_hat_M - truth_a)^2)``.
@@ -152,7 +144,7 @@ def run_monte_carlo(
 
     def trial_errors(task: tuple[str, int]) -> np.ndarray:
         setting, rep = task
-        estimates = run_qae_trial(config, setting, rep, grid=grid)
+        estimates = run_qae_trial(config, setting, rep)
         return np.array([e.a_hat - config.truth_a for e in estimates])
 
     tasks = [(s, r) for s in config.settings for r in range(config.replications)]
@@ -190,7 +182,6 @@ def run_monte_carlo(
 def misspecification_sweep(
     config: ExperimentConfig,
     factors: tuple[float, ...] = (0.5, 1.0, 2.0),
-    grid: GridSearchConfig = GridSearchConfig(),
     workers: int = 1,
 ) -> dict[float, list[RmseCurve]]:
     """Robustness study: rerun the comparison with k_sigma_assumed scaled.
@@ -201,7 +192,7 @@ def misspecification_sweep(
     out = {}
     for factor in factors:
         scaled = replace(config, k_sigma_assumed=config.k_sigma_assumed * factor)
-        out[float(factor)] = run_monte_carlo(scaled, grid=grid, workers=workers)
+        out[float(factor)] = run_monte_carlo(scaled, workers=workers)
     return out
 
 
@@ -220,32 +211,7 @@ def _device_from_json(doc: dict) -> SimulatedDevice:
         amp = Amplitude(float(doc["theta"]))
     else:
         raise ValueError("device: missing 'preset' or 'theta'")
-
-    noise = doc.get("noise", {"kind": "none"})
-    kind = noise.get("kind")
-    if kind == "none":
-        model = None
-    elif kind == "gaussian":
-        model = GaussianNoiseParams(
-            k_mu=float(noise["k_mu"]), k_sigma=float(noise["k_sigma"])
-        )
-    elif kind == "depolarizing":
-        model = DepolParams(p_coh_tilde=float(noise["p_coh"]))
-    else:
-        raise ValueError(f"device.noise.kind must be gaussian|depolarizing|none, got {kind!r}")
-    return SimulatedDevice(amp=amp, model=model)
-
-
-def _default_k_sigma(device: SimulatedDevice) -> float:
-    # Default to the device's true parameter (assumed known from prior
-    # characterisation); for a depolarizing device use the equivalent rate.
-    if isinstance(device.model, GaussianNoiseParams):
-        return device.model.k_sigma
-    if isinstance(device.model, DepolParams):
-        if device.model.p_coh_tilde == 0.0:
-            raise ValueError("k_sigma_assumed must be given for p_coh == 0")
-        return -math.log(device.model.p_coh_tilde) / 2.0
-    return 0.0
+    return SimulatedDevice(amp=amp, model=noise_from_dict(doc.get("noise", {"kind": "none"})))
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
@@ -257,11 +223,12 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             raise ValueError(f"experiment config: missing field {field!r}")
     device = _device_from_json(doc["device"])
     truth_a = float(doc.get("truth_a", device.amp.a))
-    k_sigma = (
-        float(doc["k_sigma_assumed"])
-        if "k_sigma_assumed" in doc
-        else _default_k_sigma(device)
-    )
+    if "k_sigma_assumed" in doc:
+        k_sigma = float(doc["k_sigma_assumed"])
+    else:
+        # Default to the device's true rate, assumed known from prior
+        # characterisation.
+        k_sigma = 0.0 if device.model is None else device.model.rate()
     settings = tuple(doc.get("settings", SETTINGS))
     return ExperimentConfig(
         device=device,

@@ -27,6 +27,7 @@ from .models import (
     _check_depth,
     _p1_depol_raw,
     _p1_gaussian_raw,
+    depol_equivalent,
 )
 
 MODEL_KINDS = ("gaussian", "gaussian_zero_mean", "depolarizing")
@@ -150,33 +151,17 @@ def _grid_axes(kind: str, cfg: FitSearchConfig):
 
 def _grid_search(kind: str, cfg: FitSearchConfig, ms, y, w):
     """SSE over the full coarse grid; returns starts ordered best-first."""
-    if kind == "gaussian":
-        thetas, k_mus, rates = _grid_axes(kind, cfg)
-        pred = _p1_gaussian_raw(
-            thetas[:, None, None, None],
-            ms[None, None, None, :],
-            k_mus[None, :, None, None],
-            rates[None, None, :, None],
-        )
-        sse = np.einsum("ijkl,l->ijk", (y - pred) ** 2, w)
-        order = np.argsort(sse, axis=None, kind="stable")
-        starts = []
-        for flat in order[: cfg.refine_starts]:
-            i, j, k = np.unravel_index(flat, sse.shape)
-            starts.append(
-                (float(sse[i, j, k]), (float(thetas[i]), float(k_mus[j]), float(rates[k])))
-            )
-        return starts
-    thetas, rates = _grid_axes(kind, cfg)
-    pred = _predict(
-        kind, (thetas[:, None, None], rates[None, :, None]), ms[None, None, :]
-    )
-    sse = np.einsum("ijl,l->ij", (y - pred) ** 2, w)
+    axes = _grid_axes(kind, cfg)
+    # Grid axis i holds packed parameter i; the last axis runs over depths.
+    mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes)]
+    pred = _predict(kind, mesh, ms)
+    letters = "ijk"[: len(axes)]
+    sse = np.einsum(f"{letters}l,l->{letters}", (y - pred) ** 2, w)
     order = np.argsort(sse, axis=None, kind="stable")
     starts = []
     for flat in order[: cfg.refine_starts]:
-        i, j = np.unravel_index(flat, sse.shape)
-        starts.append((float(sse[i, j]), (float(thetas[i]), float(rates[j]))))
+        index = np.unravel_index(flat, sse.shape)
+        starts.append((float(sse[index]), tuple(float(ax[i]) for ax, i in zip(axes, index))))
     return starts
 
 
@@ -259,7 +244,7 @@ def fit_model(
     elif model_kind == "gaussian_zero_mean":
         noise = GaussianNoiseParams(k_mu=0.0, k_sigma=params[1])
     else:
-        noise = DepolParams(p_coh_tilde=math.exp(-2.0 * params[1]))
+        noise = depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=params[1]))
 
     return FitResult(
         model_kind=model_kind,

@@ -18,7 +18,6 @@ from .device import ShotRecord
 from .estimation import AmplitudeEstimate, ShotSchedule
 from .experiments import RmseCurve
 from .fitting import MODEL_KINDS, FitResult
-from .models import GaussianNoiseParams
 
 _HEADERS = (["m", "shots", "ones"], ["m", "shots", "ones", "label"])
 
@@ -125,7 +124,7 @@ def write_shot_csv(
 
 def fit_result_dict(result: FitResult) -> dict:
     """JSON-ready form of one fit result."""
-    out = {
+    return {
         "label": result.label,
         "model": result.model_kind,
         "theta_hat": result.theta_hat,
@@ -133,13 +132,8 @@ def fit_result_dict(result: FitResult) -> dict:
         "r_squared": result.r_squared,
         "converged": result.converged,
         "residuals": list(result.residuals),
+        **result.noise_params.to_dict(),
     }
-    if isinstance(result.noise_params, GaussianNoiseParams):
-        out["k_mu"] = result.noise_params.k_mu
-        out["k_sigma"] = result.noise_params.k_sigma
-    else:
-        out["p_coh"] = result.noise_params.p_coh_tilde
-    return out
 
 
 def report_csv(rows: list[dict]) -> str:

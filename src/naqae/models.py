@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,6 +69,8 @@ class GaussianNoiseParams:
     iterates the accumulated error is Normal(k_mu * m, k_sigma * m).
     """
 
+    kind: ClassVar[str] = "gaussian"
+
     k_mu: float
     k_sigma: float
 
@@ -76,6 +79,18 @@ class GaussianNoiseParams:
             raise ValueError(f"k_mu must be finite, got {self.k_mu!r}")
         if not (self.k_sigma >= 0.0 and math.isfinite(self.k_sigma)):
             raise ValueError(f"k_sigma must be finite and >= 0, got {self.k_sigma!r}")
+
+    def p1_raw(self, theta, m):
+        """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
+        return _p1_gaussian_raw(theta, m, self.k_mu, self.k_sigma)
+
+    def rate(self) -> float:
+        """Decay rate of the coherent signal per iterate: ``k_sigma``."""
+        return self.k_sigma
+
+    def to_dict(self) -> dict:
+        """JSON fields of this model (without ``kind``)."""
+        return {"k_mu": self.k_mu, "k_sigma": self.k_sigma}
 
 
 @dataclass(frozen=True)
@@ -87,6 +102,8 @@ class DepolParams:
     is ``p_coh_tilde ** m`` and the rest is maximally mixed.
     """
 
+    kind: ClassVar[str] = "depolarizing"
+
     p_coh_tilde: float
 
     def __post_init__(self) -> None:
@@ -94,6 +111,65 @@ class DepolParams:
             raise ValueError(
                 f"p_coh_tilde must lie in [0, 1], got {self.p_coh_tilde!r}"
             )
+
+    def p1_raw(self, theta, m):
+        """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
+        return _p1_depol_raw(theta, m, self.p_coh_tilde)
+
+    def rate(self) -> float:
+        """Equivalent zero-mean Gaussian rate ``-ln(p_coh_tilde) / 2``.
+
+        Inverts :func:`depol_equivalent`.
+
+        Raises:
+            ValueError: if ``p_coh_tilde == 0`` (the rate is infinite).
+        """
+        if self.p_coh_tilde == 0.0:
+            raise ValueError("no finite equivalent rate at p_coh_tilde == 0")
+        return -math.log(self.p_coh_tilde) / 2.0
+
+    def to_dict(self) -> dict:
+        """JSON fields of this model (without ``kind``)."""
+        return {"p_coh": self.p_coh_tilde}
+
+
+# None means an ideal, noiseless device.
+NoiseModel = GaussianNoiseParams | DepolParams | None
+
+# The command-line spellings accepted by noise_from_spec.
+_NOISE_SPECS = "gaussian:kmu,ksigma | depol:p | none"
+
+
+def noise_from_spec(text: str) -> NoiseModel:
+    """Parse the CLI spelling: ``gaussian:kmu,ksigma``, ``depol:p`` or ``none``."""
+    if text == "none":
+        return None
+    kind, _, args = text.partition(":")
+    if kind == "gaussian":
+        parts = args.split(",")
+        if len(parts) != 2:
+            raise ValueError("gaussian noise needs 'gaussian:kmu,ksigma'")
+        return GaussianNoiseParams(k_mu=float(parts[0]), k_sigma=float(parts[1]))
+    if kind == "depol":
+        if not args:
+            raise ValueError("depolarizing noise needs 'depol:p'")
+        return DepolParams(p_coh_tilde=float(args))
+    raise ValueError(f"unknown noise model {text!r} (expected {_NOISE_SPECS})")
+
+
+def noise_from_dict(doc: dict) -> NoiseModel:
+    """Parse the JSON spelling: ``{"kind": "gaussian" | "depolarizing" | "none", ...}``.
+
+    The other keys are the :meth:`to_dict` fields of that kind.
+    """
+    kind = doc.get("kind")
+    if kind == GaussianNoiseParams.kind:
+        return GaussianNoiseParams(k_mu=float(doc["k_mu"]), k_sigma=float(doc["k_sigma"]))
+    if kind == DepolParams.kind:
+        return DepolParams(p_coh_tilde=float(doc["p_coh"]))
+    if kind == "none":
+        return None
+    raise ValueError(f"noise.kind must be gaussian|depolarizing|none, got {kind!r}")
 
 
 def _check_depth(m: int) -> int:

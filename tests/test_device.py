@@ -7,7 +7,6 @@ import pytest
 
 from naqae import (
     Amplitude,
-    DepolParams,
     GaussianNoiseParams,
     ShotRecord,
     SimulatedDevice,
@@ -83,16 +82,6 @@ class TestSampling:
     def test_shots_validation(self):
         with pytest.raises(ValueError):
             sample_shots(preset_device("A1"), 0, 0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            sample_shots(preset_device("A1"), 0, 10, mode="quantum")
-
-    def test_binomial_mode_deterministic(self):
-        dev = preset_device("A4", model=DepolParams(0.9), seed=23)
-        a = sample_shots(dev, 6, 1000, mode="binomial")
-        assert a == sample_shots(dev, 6, 1000, mode="binomial")
-        assert 0 <= a.ones <= a.shots
 
 
 class TestDepthSweep:
