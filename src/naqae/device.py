@@ -9,6 +9,7 @@ evaluation order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,17 @@ def run_depth_sweep(
 
     Each depth uses its own (seed, m)-keyed substream, so the result for a
     given depth does not depend on the other entries or their order.
+
+    Raises:
+        ValueError: unequal lengths, or a repeated depth (its substream would
+            repeat the same tally, which is not an independent sample).
     """
     if len(depths) != len(shots_per_depth):
         raise ValueError(
             f"depths and shots_per_depth must have equal length, "
             f"got {len(depths)} and {len(shots_per_depth)}"
         )
+    repeated = sorted(m for m, count in Counter(depths).items() if count > 1)
+    if repeated:
+        raise ValueError(f"depths must be distinct, repeated: {repeated}")
     return [sample_shots(dev, m, shots) for m, shots in zip(depths, shots_per_depth)]

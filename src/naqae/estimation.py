@@ -125,8 +125,8 @@ def worst_case_variance(m: int, n_shots: int, k_sigma: float) -> VarianceBound:
     m = _check_depth(m)
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots!r}")
-    if k_sigma < 0.0:
-        raise ValueError(f"k_sigma must be >= 0, got {k_sigma!r}")
+    if not (k_sigma >= 0.0 and math.isfinite(k_sigma)):
+        raise ValueError(f"k_sigma must be finite and >= 0, got {k_sigma!r}")
     sigma2 = k_sigma * m
     sigma2_tilde = 1.0 / (4.0 * n_shots)
     return VarianceBound(
@@ -150,8 +150,8 @@ def shot_schedule(
     """
     if n_shot_base < 1:
         raise ValueError(f"n_shot_base must be >= 1, got {n_shot_base!r}")
-    if k_sigma < 0.0:
-        raise ValueError(f"k_sigma must be >= 0, got {k_sigma!r}")
+    if not (k_sigma >= 0.0 and math.isfinite(k_sigma)):
+        raise ValueError(f"k_sigma must be finite and >= 0, got {k_sigma!r}")
     if rounding not in ("nearest", "up"):
         raise ValueError(f"rounding must be 'nearest' or 'up', got {rounding!r}")
     entries = []

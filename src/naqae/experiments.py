@@ -14,6 +14,7 @@ replications.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from .models import (
     Amplitude,
     DepolParams,
     GaussianNoiseParams,
+    _json_number,
     depol_equivalent,
     noise_from_dict,
 )
@@ -60,15 +62,15 @@ class ExperimentConfig:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth!r}")
         if self.n_shot_base < 1:
             raise ValueError(f"n_shot_base must be >= 1, got {self.n_shot_base!r}")
-        if self.k_sigma_assumed < 0.0:
+        if not (self.k_sigma_assumed >= 0.0 and math.isfinite(self.k_sigma_assumed)):
             raise ValueError(
-                f"k_sigma_assumed must be >= 0, got {self.k_sigma_assumed!r}"
+                f"k_sigma_assumed must be finite and >= 0, got {self.k_sigma_assumed!r}"
             )
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         unknown = [s for s in self.settings if s not in SETTINGS]
-        if unknown or not self.settings:
-            raise ValueError(f"settings must be a nonempty subset of {SETTINGS}")
+        if unknown or not self.settings or len(set(self.settings)) != len(self.settings):
+            raise ValueError(f"settings must be a nonempty subset of {SETTINGS}, without repeats")
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,29 @@ def misspecification_sweep(
 # ---------------------------------------------------------------------------
 # JSON configuration (schema documented in schemas/experiment-config.schema.json).
 
-def _device_from_json(doc: dict) -> SimulatedDevice:
+_REQUIRED_FIELDS = ("device", "max_depth", "n_shot_base", "replications", "seed")
+_OPTIONAL_FIELDS = ("truth_a", "k_sigma_assumed", "settings")
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer; a float with zero fraction (``2.0``) counts, as in JSON Schema."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _unknown_keys(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown field(s) {unknown}")
+
+
+def _device_from_json(doc) -> SimulatedDevice:
+    if not isinstance(doc, dict):
+        raise ValueError("device must be a JSON object")
+    _unknown_keys(doc, ("preset", "theta", "noise"), "device")
     if "preset" in doc and "theta" in doc:
         raise ValueError("device: give either 'preset' or 'theta', not both")
     if "preset" in doc:
@@ -208,35 +232,42 @@ def _device_from_json(doc: dict) -> SimulatedDevice:
         base = preset_device(str(doc["preset"]))
         amp = base.amp
     elif "theta" in doc:
-        amp = Amplitude(float(doc["theta"]))
+        amp = Amplitude(_json_number(doc["theta"], "device.theta"))
     else:
         raise ValueError("device: missing 'preset' or 'theta'")
     return SimulatedDevice(amp=amp, model=noise_from_dict(doc.get("noise", {"kind": "none"})))
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from its JSON document form."""
+    """Build an ExperimentConfig from its JSON document form.
+
+    Accepts exactly the documents that schemas/experiment-config.schema.json
+    accepts, and also rejects NaN and a default rate that cannot exist.
+    """
     if not isinstance(doc, dict):
         raise ValueError("experiment config must be a JSON object")
-    for field in ("device", "max_depth", "n_shot_base", "replications", "seed"):
+    for field in _REQUIRED_FIELDS:
         if field not in doc:
             raise ValueError(f"experiment config: missing field {field!r}")
+    _unknown_keys(doc, _REQUIRED_FIELDS + _OPTIONAL_FIELDS, "experiment config")
     device = _device_from_json(doc["device"])
-    truth_a = float(doc.get("truth_a", device.amp.a))
+    truth_a = _json_number(doc["truth_a"], "truth_a") if "truth_a" in doc else device.amp.a
     if "k_sigma_assumed" in doc:
-        k_sigma = float(doc["k_sigma_assumed"])
+        k_sigma = _json_number(doc["k_sigma_assumed"], "k_sigma_assumed")
     else:
         # Default to the device's true rate, assumed known from prior
         # characterisation.
         k_sigma = 0.0 if device.model is None else device.model.rate()
-    settings = tuple(doc.get("settings", SETTINGS))
+    settings = doc.get("settings", list(SETTINGS))
+    if not isinstance(settings, list):
+        raise ValueError("settings must be a JSON array")
     return ExperimentConfig(
         device=device,
         truth_a=truth_a,
-        max_depth=int(doc["max_depth"]),
-        n_shot_base=int(doc["n_shot_base"]),
+        max_depth=_json_int(doc["max_depth"], "max_depth"),
+        n_shot_base=_json_int(doc["n_shot_base"], "n_shot_base"),
         k_sigma_assumed=k_sigma,
-        settings=settings,
-        replications=int(doc["replications"]),
-        seed=int(doc["seed"]),
+        settings=tuple(settings),
+        replications=_json_int(doc["replications"], "replications"),
+        seed=_json_int(doc["seed"], "seed"),
     )

@@ -157,19 +157,39 @@ def noise_from_spec(text: str) -> NoiseModel:
     raise ValueError(f"unknown noise model {text!r} (expected {_NOISE_SPECS})")
 
 
+def _json_number(value, name: str) -> float:
+    """A JSON number (booleans excluded) as a finite float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def noise_from_dict(doc: dict) -> NoiseModel:
     """Parse the JSON spelling: ``{"kind": "gaussian" | "depolarizing" | "none", ...}``.
 
-    The other keys are the :meth:`to_dict` fields of that kind.
+    The other keys are exactly the :meth:`to_dict` fields of that kind.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("noise must be a JSON object")
     kind = doc.get("kind")
     if kind == GaussianNoiseParams.kind:
-        return GaussianNoiseParams(k_mu=float(doc["k_mu"]), k_sigma=float(doc["k_sigma"]))
-    if kind == DepolParams.kind:
-        return DepolParams(p_coh_tilde=float(doc["p_coh"]))
-    if kind == "none":
+        cls, keys = GaussianNoiseParams, ("k_mu", "k_sigma")
+    elif kind == DepolParams.kind:
+        cls, keys = DepolParams, ("p_coh",)
+    elif kind == "none":
+        cls, keys = None, ()
+    else:
+        raise ValueError(f"noise.kind must be gaussian|depolarizing|none, got {kind!r}")
+    if set(doc) != {"kind", *keys}:
+        raise ValueError(f"{kind} noise takes exactly the fields {['kind', *keys]}, got {sorted(doc)}")
+    if cls is None:
         return None
-    raise ValueError(f"noise.kind must be gaussian|depolarizing|none, got {kind!r}")
+    return cls(*(_json_number(doc[key], f"noise.{key}") for key in keys))
 
 
 def _check_depth(m: int) -> int:

@@ -36,6 +36,13 @@ class TestSchedule:
         )
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("k_sigma", ["-0.1", "nan", "inf"])
+    def test_bad_k_sigma(self, capsys, k_sigma):
+        code, _, err = run_cli(
+            capsys, "schedule", "--depths", "0..3", "--base-shots", "20", "--k-sigma", k_sigma
+        )
+        assert code == 1 and "k_sigma must be finite and >= 0" in err
+
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "sched.json"
         code, stdout, _ = run_cli(
@@ -88,6 +95,13 @@ class TestSimulate:
             "--depths", "0..2", "--shots", "10",
         )
         assert code == 1 and "error" in err
+
+    def test_repeated_depths(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "0.5", "--depths", "2,2,2", "--shots", "100",
+            "--seed", "3",
+        )
+        assert code == 1 and out == "" and "repeated: [2]" in err
 
     def test_shot_list_length_mismatch(self, capsys):
         code, _, err = run_cli(

@@ -92,6 +92,12 @@ class TestDepthSweep:
         with pytest.raises(ValueError):
             run_depth_sweep(preset_device("A1"), [0, 1], [10])
 
+    def test_repeated_depths_rejected(self):
+        # a repeated depth reuses its (seed, m) substream: the tallies would
+        # be identical copies, not independent samples
+        with pytest.raises(ValueError, match=r"repeated: \[2, 5\]"):
+            run_depth_sweep(preset_device("A1"), [5, 2, 2, 5, 1], [10] * 5)
+
     def test_period_table(self):
         # sin^2((2m+1) pi/6) over m = 0..5 is [1/4, 1, 1/4, 1/4, 1, 1/4]:
         # the certainty entries must be hit exactly, the rest are binomial

@@ -62,6 +62,13 @@ class TestWorstCaseVariance:
         assert vb.total == pytest.approx(vb.sigma2 / 100 + vb.sigma2_tilde, rel=1e-15)
         assert vb.sigma2 >= 0 and vb.sigma2_tilde >= 0 and vb.total >= 0
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            worst_case_variance(2, 0, 0.1)
+        for bad_k_sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                worst_case_variance(2, 10, bad_k_sigma)
+
 
 class TestShotSchedule:
     def test_base20_sequence(self):
@@ -99,8 +106,9 @@ class TestShotSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             shot_schedule([0, 1], 0, 0.1)
-        with pytest.raises(ValueError):
-            shot_schedule([0, 1], 10, -0.1)
+        for bad_k_sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                shot_schedule([0, 1], 10, bad_k_sigma)
         with pytest.raises(ValueError):
             shot_schedule([0, 1], 10, 0.1, rounding="down")
         with pytest.raises(ValueError):

@@ -44,6 +44,8 @@ class TestConfig:
             {"max_depth": -1},
             {"n_shot_base": 0},
             {"k_sigma_assumed": -0.1},
+            {"k_sigma_assumed": math.nan},
+            {"k_sigma_assumed": math.inf},
             {"replications": 0},
             {"settings": ("noisy_a", "bogus")},
             {"settings": ()},
