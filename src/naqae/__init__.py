@@ -31,6 +31,7 @@ from .estimation import (
     correct_counts,
     correct_frequency,
     estimate_amplitude,
+    estimate_prefixes,
     shot_schedule,
     worst_case_variance,
 )

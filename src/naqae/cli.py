@@ -6,9 +6,9 @@ amplitude estimation), ``schedule`` (noise-aware shot counts), and
 ``experiment`` (Monte Carlo RMSE comparison driven by a JSON config).
 
 All randomness is controlled by explicit seeds, so any command rerun with
-identical flags produces byte-identical output.  The environment variable
-``NAQAE_THREADS`` caps worker parallelism for the experiment command
-(0 or unset = auto).
+identical flags produces byte-identical output.  The experiment command
+validates the environment variable ``NAQAE_THREADS`` (a nonnegative
+integer), but the value has no effect: the experiment runs serially.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _workers() -> int:
+def _check_threads_env() -> None:
+    """Reject a malformed ``NAQAE_THREADS``; a valid value has no effect."""
     raw = os.environ.get("NAQAE_THREADS", "0")
     try:
         value = int(raw)
@@ -59,9 +60,6 @@ def _workers() -> int:
         raise ValueError(f"NAQAE_THREADS must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"NAQAE_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
-    return value
 
 
 def _cmd_simulate(args) -> int:
@@ -82,6 +80,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.table is not None and args.model != "all":
+        raise ValueError("--table needs --model all")
     kind_map = {"gaussian": "gaussian", "zero-mean": "gaussian_zero_mean", "depol": "depolarizing"}
     kinds = list(MODEL_KINDS) if args.model == "all" else [kind_map[args.model]]
     grouped = io.read_shot_csv(args.input)
@@ -109,6 +109,8 @@ def _cmd_estimate(args) -> int:
         if args.p_coh is None:
             raise ValueError("--method corrected requires --p-coh")
         depol = DepolParams(p_coh_tilde=args.p_coh)
+    elif args.p_coh is not None:
+        raise ValueError("--p-coh needs --method corrected")
     grouped = io.read_shot_csv(args.input)
     estimates = [
         io.estimate_dict(
@@ -137,7 +139,8 @@ def _cmd_experiment(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     config = experiments.config_from_json(doc)
-    curves = experiments.run_monte_carlo(config, workers=_workers())
+    _check_threads_env()
+    curves = experiments.run_monte_carlo(config)
     _emit(io.curves_csv(curves), args.out)
     return 0
 

@@ -8,9 +8,11 @@ estimator over the noiseless outcome model).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -218,16 +220,102 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _log_likelihood(theta, ms, counts, shots):
-    """Joint binomial log-likelihood at angle(s) theta under the noiseless model.
+@functools.lru_cache(maxsize=4)
+def _log_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The theta grid and its (grid x depth) ``ln p`` and ``ln(1 - p)`` tables.
 
-    The binomial coefficient is omitted (theta-independent), which also makes
-    fractional corrected counts valid.
+    ``p = sin^2((2m+1) theta)`` is kept inside the log guard.  The tables
+    depend only on the depths, so they are built once per depth tuple and
+    shared read-only by every estimate on those depths.
     """
-    theta = np.asarray(theta, dtype=float)
-    p = np.sin(np.multiply.outer(theta, 2.0 * ms + 1.0)) ** 2
+    thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
+    p = np.sin(np.multiply.outer(thetas, 2.0 * np.array(depths, dtype=float) + 1.0)) ** 2
     np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
-    return np.log(p) @ counts + np.log1p(-p) @ (shots - counts)
+    tables = (thetas, np.log(p), np.log1p(-p))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _estimates(
+    records: list[ShotRecord],
+    method: str,
+    depol: DepolParams | None,
+    prefixes: Iterable[int],
+) -> list[AmplitudeEstimate]:
+    """Maximum-likelihood estimates from ``records[:k]`` for each k in ``prefixes``.
+
+    The binomial log-likelihood omits the theta-independent coefficient,
+    which also makes fractional corrected counts valid.
+    """
+    if not records:
+        raise ValueError("records must be nonempty")
+    if method not in ("naive", "corrected"):
+        raise ValueError(f"method must be 'naive' or 'corrected', got {method!r}")
+
+    depths = tuple(r.m for r in records)
+    shots = np.array([r.shots for r in records], dtype=float)
+    if method == "corrected":
+        if depol is None:
+            raise ValueError("corrected estimation requires depolarizing parameters")
+        corrections = [correct_counts(r, depol) for r in records]
+        counts = np.array([c.value for c in corrections])
+        clamped = list(itertools.accumulate(int(c.clamped) for c in corrections))
+    else:
+        counts = np.array([r.ones for r in records], dtype=float)
+        clamped = [0] * len(records)
+    misses = shots - counts
+    ks = 2.0 * np.array(depths, dtype=float) + 1.0
+    thetas, log_p, log_q = _log_tables(depths)
+
+    estimates = []
+    for k in prefixes:
+        ks_k, counts_k, misses_k = ks[:k], counts[:k], misses[:k]
+        loglik = log_p[:, :k] @ counts_k + log_q[:, :k] @ misses_k
+        best = int(np.argmax(loglik))  # first maximum = smallest theta
+        span = float(loglik.max() - loglik.min())
+        flat = span <= _FLAT_TOL * max(1.0, abs(float(loglik.max())))
+
+        def objective(theta: float) -> float:
+            p = np.sin(theta * ks_k) ** 2
+            # np.clip's Python wrapper costs more than the clamp itself here.
+            np.minimum(np.maximum(p, _LOG_GUARD, out=p), 1.0 - _LOG_GUARD, out=p)
+            return float(np.log(p) @ counts_k + np.log1p(-p) @ misses_k)
+
+        lo = thetas[max(best - 1, 0)]
+        hi = thetas[min(best + 1, _GRID_POINTS - 1)]
+        refined = _golden_max(objective, float(lo), float(hi), _REFINE_TOL)
+        # Keep the grid point unless refinement strictly improves: the log
+        # guard flattens the likelihood near exact-certainty angles, and a tie
+        # there must not pull the estimate off the boundary.
+        theta_hat, top = float(thetas[best]), objective(float(thetas[best]))
+        refined_value = objective(refined)
+        if refined_value > top:
+            theta_hat, top = refined, refined_value
+        estimates.append(
+            AmplitudeEstimate(
+                theta_hat=theta_hat,
+                log_likelihood=top,
+                method=method,
+                n_clamped=clamped[k - 1],
+                flat_likelihood=flat,
+            )
+        )
+    return estimates
+
+
+def estimate_prefixes(
+    records: list[ShotRecord],
+    method: str = "naive",
+    depol: DepolParams | None = None,
+) -> list[AmplitudeEstimate]:
+    """One estimate per depth prefix: entry ``k - 1`` is the estimate from ``records[:k]``.
+
+    Equal, field by field, to calling :func:`estimate_amplitude` on each
+    prefix, but each record is corrected once and every prefix reads the
+    same cached likelihood tables (built once per depth tuple).
+    """
+    return _estimates(records, method, depol, range(1, len(records) + 1))
 
 
 def estimate_amplitude(
@@ -240,53 +328,12 @@ def estimate_amplitude(
     Maximizes ``sum_m [h_m ln p_m(theta) + (N_m - h_m) ln(1 - p_m(theta))]``
     with ``p_m(theta) = sin^2((2m+1) theta)`` over theta in [0, pi/2], via a
     uniform grid followed by golden-section refinement of the bracketing
-    interval.  Ties resolve to the smallest theta.
+    interval.  Ties resolve to the smallest theta.  The grid's ``ln p`` and
+    ``ln(1 - p)`` tables are cached per depth tuple, so repeated estimates
+    on the same depths do not rebuild them.
 
     Args:
         method: "naive" uses the tallies as-is; "corrected" first applies
             :func:`correct_counts` with ``depol`` (required, p_coh_tilde > 0).
     """
-    if not records:
-        raise ValueError("records must be nonempty")
-    if method not in ("naive", "corrected"):
-        raise ValueError(f"method must be 'naive' or 'corrected', got {method!r}")
-
-    ms = np.array([r.m for r in records], dtype=float)
-    shots = np.array([r.shots for r in records], dtype=float)
-    n_clamped = 0
-    if method == "corrected":
-        if depol is None:
-            raise ValueError("corrected estimation requires depolarizing parameters")
-        corrections = [correct_counts(r, depol) for r in records]
-        counts = np.array([c.value for c in corrections])
-        n_clamped = sum(c.clamped for c in corrections)
-    else:
-        counts = np.array([r.ones for r in records], dtype=float)
-
-    thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
-    loglik = _log_likelihood(thetas, ms, counts, shots)
-    best = int(np.argmax(loglik))  # first maximum = smallest theta
-    span = float(loglik.max() - loglik.min())
-    flat = span <= _FLAT_TOL * max(1.0, abs(float(loglik.max())))
-
-    def objective(theta: float) -> float:
-        return float(_log_likelihood(theta, ms, counts, shots))
-
-    lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, _GRID_POINTS - 1)]
-    refined = _golden_max(objective, float(lo), float(hi), _REFINE_TOL)
-    # Keep the grid point unless refinement strictly improves: the log guard
-    # flattens the likelihood near exact-certainty angles, and a tie there
-    # must not pull the estimate off the boundary.
-    theta_hat, top = float(thetas[best]), objective(float(thetas[best]))
-    refined_value = objective(refined)
-    if refined_value > top:
-        theta_hat, top = refined, refined_value
-
-    return AmplitudeEstimate(
-        theta_hat=theta_hat,
-        log_likelihood=top,
-        method=method,
-        n_clamped=n_clamped,
-        flat_likelihood=flat,
-    )
+    return _estimates(records, method, depol, (len(records),))[0]

@@ -148,6 +148,15 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--input", "/nonexistent.csv")
         assert code == 1 and "error" in err
 
+    def test_table_needs_model_all(self, gaussian_csv, tmp_path, capsys):
+        table_file = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            capsys, "fit", "--input", str(gaussian_csv), "--model", "depol",
+            "--table", str(table_file),
+        )
+        assert code == 1 and "--table needs --model all" in err
+        assert out == "" and not table_file.exists()
+
 
 class TestEstimate:
     def test_naive(self, gaussian_csv, capsys):
@@ -162,6 +171,13 @@ class TestEstimate:
             capsys, "estimate", "--input", str(gaussian_csv), "--method", "corrected"
         )
         assert code == 1 and "p-coh" in err
+
+    @pytest.mark.parametrize("method", [[], ["--method", "naive"]])
+    def test_p_coh_needs_corrected(self, gaussian_csv, capsys, method):
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(gaussian_csv), *method, "--p-coh", "0.5"
+        )
+        assert code == 1 and "--p-coh needs --method corrected" in err and out == ""
 
     def test_corrected(self, gaussian_csv, tmp_path, capsys):
         out_file = tmp_path / "est.json"

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from naqae import estimation
 from naqae import (
     Amplitude,
+    AmplitudeEstimate,
     DepolParams,
     GaussianNoiseParams,
     ShotRecord,
@@ -17,6 +19,7 @@ from naqae import (
     correct_frequency,
     depol_equivalent,
     estimate_amplitude,
+    estimate_prefixes,
     p1_depolarizing,
     run_depth_sweep,
     shot_schedule,
@@ -229,3 +232,134 @@ class TestEstimateAmplitude:
         records = [ShotRecord(m=10, shots=50, ones=0), ShotRecord(m=0, shots=50, ones=12)]
         est = estimate_amplitude(records, method="corrected", depol=depol)
         assert est.n_clamped == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-call estimator that predates the cached likelihood
+# tables.  It rebuilds the whole grid for every prefix, so it is slow, but the
+# prefix kernel must agree with it exactly, field for field.
+
+
+def _reference_golden_max(f, lo, hi, tol):
+    a, b = lo, hi
+    c = b - estimation._GOLDEN * (b - a)
+    d = a + estimation._GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - estimation._GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + estimation._GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _reference_log_likelihood(theta, ms, counts, shots):
+    theta = np.asarray(theta, dtype=float)
+    p = np.sin(np.multiply.outer(theta, 2.0 * ms + 1.0)) ** 2
+    np.clip(p, estimation._LOG_GUARD, 1.0 - estimation._LOG_GUARD, out=p)
+    return np.log(p) @ counts + np.log1p(-p) @ (shots - counts)
+
+
+def reference_estimate(records, method, depol):
+    ms = np.array([r.m for r in records], dtype=float)
+    shots = np.array([r.shots for r in records], dtype=float)
+    n_clamped = 0
+    if method == "corrected":
+        corrections = [correct_counts(r, depol) for r in records]
+        counts = np.array([c.value for c in corrections])
+        n_clamped = sum(c.clamped for c in corrections)
+    else:
+        counts = np.array([r.ones for r in records], dtype=float)
+
+    n = estimation._GRID_POINTS
+    thetas = np.linspace(0.0, math.pi / 2.0, n)
+    loglik = _reference_log_likelihood(thetas, ms, counts, shots)
+    best = int(np.argmax(loglik))
+    span = float(loglik.max() - loglik.min())
+    flat = span <= estimation._FLAT_TOL * max(1.0, abs(float(loglik.max())))
+
+    def objective(theta):
+        return float(_reference_log_likelihood(theta, ms, counts, shots))
+
+    lo = thetas[max(best - 1, 0)]
+    hi = thetas[min(best + 1, n - 1)]
+    refined = _reference_golden_max(objective, float(lo), float(hi), estimation._REFINE_TOL)
+    theta_hat, top = float(thetas[best]), objective(float(thetas[best]))
+    refined_value = objective(refined)
+    if refined_value > top:
+        theta_hat, top = refined, refined_value
+    return AmplitudeEstimate(
+        theta_hat=theta_hat,
+        log_likelihood=top,
+        method=method,
+        n_clamped=n_clamped,
+        flat_likelihood=flat,
+    )
+
+
+LINEAR_DEPTHS = tuple(range(13))
+EXPONENTIAL_DEPTHS = (0,) + tuple(2**i for i in range(13))  # 0, 1, 2, 4, ..., 4096
+# At m = 4096 this p~^m is about 1e-289, still a normal float, and corrected
+# counts clamp on almost every draw.
+CLAMPING = (
+    [ShotRecord(m=m, shots=5, ones=m % 6) for m in EXPONENTIAL_DEPTHS],
+    "corrected",
+    DepolParams(0.85),
+)
+
+
+class TestPrefixKernel:
+    def test_matches_reference_on_every_prefix(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def datasets(draw):
+            depths = draw(
+                st.one_of(
+                    st.sampled_from([LINEAR_DEPTHS, EXPONENTIAL_DEPTHS]),
+                    st.lists(st.integers(0, 60), min_size=1, max_size=6),
+                )
+            )
+            records = []
+            for m in depths:
+                shots = draw(st.integers(1, 30))
+                records.append(ShotRecord(m=m, shots=shots, ones=draw(st.integers(0, shots))))
+            if draw(st.booleans()):
+                return records, "corrected", DepolParams(draw(st.floats(0.85, 1.0)))
+            return records, "naive", None
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(datasets())
+        @hypothesis.example(CLAMPING)
+        def check(data):
+            records, method, depol = data
+            prefixes = estimate_prefixes(records, method, depol)
+            assert len(prefixes) == len(records)
+            for k, estimate in enumerate(prefixes, start=1):
+                assert estimate == reference_estimate(records[:k], method, depol)
+            assert estimate_amplitude(records, method, depol) == prefixes[-1]
+
+        check()
+
+    def test_clamping_example_clamps(self):
+        estimates = estimate_prefixes(*CLAMPING)
+        assert [e.n_clamped for e in estimates] == sorted(e.n_clamped for e in estimates)
+        assert estimates[-1].n_clamped >= len(EXPONENTIAL_DEPTHS) // 2
+
+    def test_cached_tables_are_shared_and_read_only(self):
+        tables = estimation._log_tables((0, 1, 2))
+        assert all(a is b for a, b in zip(tables, estimation._log_tables((0, 1, 2))))
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            estimate_prefixes([])
+        with pytest.raises(ValueError):
+            estimate_prefixes([ShotRecord(m=0, shots=10, ones=5)], method="corrected")

@@ -98,9 +98,6 @@ class TestMonteCarlo:
     def test_deterministic_curves(self):
         assert run_monte_carlo(A1_GAUSS) == run_monte_carlo(A1_GAUSS)
 
-    def test_workers_do_not_change_result(self):
-        assert run_monte_carlo(A1_GAUSS, workers=4) == run_monte_carlo(A1_GAUSS)
-
     def test_two_axes_per_setting(self):
         curves = run_monte_carlo(A1_GAUSS)
         kinds = {(c.setting, c.x_kind) for c in curves}
