@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,6 +173,11 @@ def _correct(ones: float, total: float, m: int, depol: DepolParams) -> Correctio
     if depol.p_coh_tilde == 0.0:
         raise ValueError("correction is singular at p_coh_tilde == 0")
     coherent = depol.p_coh_tilde**m
+    if coherent == 0.0:
+        raise ValueError(
+            f"correction is singular at depth {m}: p_coh_tilde**m = "
+            f"{depol.p_coh_tilde!r}**{m} underflows to 0"
+        )
     raw = (ones - total * 0.5 * (1.0 - coherent)) / coherent
     value = min(max(raw, 0.0), total)
     return CorrectionResult(value=value, raw=raw, clamped=value != raw)
@@ -188,7 +193,7 @@ def correct_frequency(p1_hat: float, m: int, depol: DepolParams) -> CorrectionRe
 
     Raises:
         ValueError: if ``p_coh_tilde == 0`` (fully depolarized data carries
-            no recoverable signal).
+            no recoverable signal) or ``p_coh_tilde ** m`` underflows to 0.
     """
     return _correct(p1_hat, 1.0, _check_depth(m), depol)
 
@@ -198,26 +203,96 @@ def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
 
     Applies ``(N1 - N (1 - p~^m) / 2) / p~^m`` and clamps the result into
     [0, shots].  With ``p_coh_tilde == 1`` the count is returned unchanged.
+
+    Raises:
+        ValueError: as :func:`correct_frequency`, naming the depth.
     """
     return _correct(record.ones, float(record.shots), record.m, depol)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization on [lo, hi]; ties resolve to smaller x."""
+def _golden_max(lo: float, hi: float, tol: float):
+    """Golden-section maximization on [lo, hi]; ties resolve to smaller x.
+
+    A generator: it yields each point to evaluate, is sent the objective's
+    value there, and returns the maximizer.  :func:`_refine` steps many
+    searches in lockstep this way, each with its own float arithmetic.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = f(d)
+            fd = yield d
     return 0.5 * (a + b)
+
+
+def _objective(ks: np.ndarray, counts: np.ndarray, misses: np.ndarray):
+    """Log-likelihood evaluator for a batch, one dataset per row of ``counts``/``misses``.
+
+    Returns ``(theta, evaluate)``: write row i's angle into ``theta[i]``, and
+    ``evaluate()`` returns every row's log-likelihood there as a list of
+    floats.  The buffers are allocated once, here.  Each row's two sums are
+    BLAS dots of exact length k, the calls a lone dataset makes too, so a
+    row's value does not depend on the other rows; ``einsum``, ``sum`` and
+    zero padding would each add in another order.
+    """
+    rows, k = counts.shape
+    theta = np.empty(rows)
+    angles, p = np.empty((rows, 1, k)), np.empty((rows, 1, k))
+    logs = np.empty((2, rows, 1, k))  # ln p and ln(1 - p)
+    weights = np.stack((counts, misses))[..., None]
+    terms = np.empty((2, rows, 1, 1))
+    total = np.empty(rows)
+    theta_col, log_p, log_q = theta[:, None, None], logs[0], logs[1]
+    first, second, total_col = terms[0], terms[1], total[:, None, None]
+
+    def evaluate() -> list[float]:
+        np.sin(np.multiply(theta_col, ks, angles), p)
+        np.square(p, p)
+        # np.clip's Python wrapper costs more than the clamp itself here.
+        np.minimum(np.maximum(p, _LOG_GUARD, out=p), 1.0 - _LOG_GUARD, out=p)
+        np.log(p, log_p)
+        np.log1p(np.negative(p, p), log_q)
+        np.matmul(logs, weights, terms)
+        np.add(first, second, total_col)
+        return total.tolist()
+
+    return theta, evaluate
+
+
+def _refine(
+    brackets: list[tuple[float, float]], ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> list[float]:
+    """Golden-section maximizer in ``brackets[i]`` of dataset i's likelihood.
+
+    The searches run in lockstep: each step evaluates the next point of
+    every search in one call.  A finished search keeps its row, evaluated at
+    its last point and ignored, until the last one ends.
+    """
+    searches = [_golden_max(lo, hi, _REFINE_TOL) for lo, hi in brackets]
+    sends: list = [search.send for search in searches]
+    results = [0.0] * len(searches)
+    running = len(searches)
+    theta, evaluate = _objective(ks, counts, misses)
+    theta[:] = [next(search) for search in searches]
+    while running:
+        for i, value in enumerate(evaluate()):
+            send = sends[i]
+            if send is not None:
+                try:
+                    theta[i] = send(value)
+                except StopIteration as stop:
+                    results[i], sends[i] = stop.value, None
+                    running -= 1
+    return results
 
 
 @functools.lru_cache(maxsize=4)
@@ -238,84 +313,111 @@ def _log_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _estimates(
-    records: list[ShotRecord],
+    datasets: Sequence[list[ShotRecord]],
     method: str,
     depol: DepolParams | None,
-    prefixes: Iterable[int],
-) -> list[AmplitudeEstimate]:
-    """Maximum-likelihood estimates from ``records[:k]`` for each k in ``prefixes``.
+    last_only: bool,
+) -> list[list[AmplitudeEstimate]]:
+    """Maximum-likelihood estimates from ``datasets[i][:k]`` for every dataset i.
+
+    k runs over every prefix length, or only the full length if ``last_only``.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
     """
-    if not records:
-        raise ValueError("records must be nonempty")
+    if not datasets:
+        raise ValueError("datasets must be nonempty")
+    for records in datasets:
+        if isinstance(records, ShotRecord):
+            raise TypeError("expected a batch of datasets (lists of ShotRecord), got a ShotRecord")
+        if not records:
+            raise ValueError("records must be nonempty")
+    depths = tuple(r.m for r in datasets[0])
+    for i, records in enumerate(datasets[1:], start=1):
+        if tuple(r.m for r in records) != depths:
+            raise ValueError(
+                f"datasets must share one depth tuple: dataset {i} has depths "
+                f"{tuple(r.m for r in records)}, dataset 0 has {depths}"
+            )
     if method not in ("naive", "corrected"):
         raise ValueError(f"method must be 'naive' or 'corrected', got {method!r}")
 
-    depths = tuple(r.m for r in records)
-    shots = np.array([r.shots for r in records], dtype=float)
+    shots = np.array([[r.shots for r in records] for records in datasets], dtype=float)
     if method == "corrected":
         if depol is None:
             raise ValueError("corrected estimation requires depolarizing parameters")
-        corrections = [correct_counts(r, depol) for r in records]
-        counts = np.array([c.value for c in corrections])
-        clamped = list(itertools.accumulate(int(c.clamped) for c in corrections))
+        corrections = [[correct_counts(r, depol) for r in records] for records in datasets]
+        counts = np.array([[c.value for c in row] for row in corrections])
+        clamped = [list(itertools.accumulate(int(c.clamped) for c in row)) for row in corrections]
     else:
-        counts = np.array([r.ones for r in records], dtype=float)
-        clamped = [0] * len(records)
+        counts = np.array([[r.ones for r in records] for records in datasets], dtype=float)
+        clamped = [[0] * len(depths)] * len(datasets)
     misses = shots - counts
     ks = 2.0 * np.array(depths, dtype=float) + 1.0
     thetas, log_p, log_q = _log_tables(depths)
+    rows = len(datasets)
+    prefixes = (len(depths),) if last_only else range(1, len(depths) + 1)
 
-    estimates = []
+    estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
     for k in prefixes:
-        ks_k, counts_k, misses_k = ks[:k], counts[:k], misses[:k]
-        loglik = log_p[:, :k] @ counts_k + log_q[:, :k] @ misses_k
-        best = int(np.argmax(loglik))  # first maximum = smallest theta
-        span = float(loglik.max() - loglik.min())
-        flat = span <= _FLAT_TOL * max(1.0, abs(float(loglik.max())))
-
-        def objective(theta: float) -> float:
-            p = np.sin(theta * ks_k) ** 2
-            # np.clip's Python wrapper costs more than the clamp itself here.
-            np.minimum(np.maximum(p, _LOG_GUARD, out=p), 1.0 - _LOG_GUARD, out=p)
-            return float(np.log(p) @ counts_k + np.log1p(-p) @ misses_k)
-
-        lo = thetas[max(best - 1, 0)]
-        hi = thetas[min(best + 1, _GRID_POINTS - 1)]
-        refined = _golden_max(objective, float(lo), float(hi), _REFINE_TOL)
-        # Keep the grid point unless refinement strictly improves: the log
-        # guard flattens the likelihood near exact-certainty angles, and a tie
-        # there must not pull the estimate off the boundary.
-        theta_hat, top = float(thetas[best]), objective(float(thetas[best]))
-        refined_value = objective(refined)
-        if refined_value > top:
-            theta_hat, top = refined, refined_value
-        estimates.append(
-            AmplitudeEstimate(
-                theta_hat=theta_hat,
-                log_likelihood=top,
-                method=method,
-                n_clamped=clamped[k - 1],
-                flat_likelihood=flat,
+        counts_k, misses_k = counts[:, :k], misses[:, :k]
+        log_p_k, log_q_k = log_p[:, :k], log_q[:, :k]
+        grid_theta, flat, brackets = [], [], []
+        for i in range(rows):
+            loglik = log_p_k @ counts_k[i]
+            loglik += log_q_k @ misses_k[i]
+            best = int(loglik.argmax())  # first maximum = smallest theta
+            top = float(loglik[best])
+            flat.append(top - float(loglik.min()) <= _FLAT_TOL * max(1.0, abs(top)))
+            grid_theta.append(float(thetas[best]))
+            brackets.append(
+                (float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, _GRID_POINTS - 1)]))
             )
+        refined = _refine(brackets, ks[:k], counts_k, misses_k)
+        # The grid point and the refined point of every row, in one call.
+        theta, evaluate = _objective(
+            ks[:k], np.concatenate((counts_k, counts_k)), np.concatenate((misses_k, misses_k))
         )
+        theta[:] = grid_theta + refined
+        values = evaluate()
+        for i in range(rows):
+            theta_hat, top = grid_theta[i], values[i]
+            # Keep the grid point unless refinement strictly improves: the log
+            # guard flattens the likelihood near exact-certainty angles, and a
+            # tie there must not pull the estimate off the boundary.
+            if values[rows + i] > top:
+                theta_hat, top = refined[i], values[rows + i]
+            estimates[i].append(
+                AmplitudeEstimate(
+                    theta_hat=theta_hat,
+                    log_likelihood=top,
+                    method=method,
+                    n_clamped=clamped[i][k - 1],
+                    flat_likelihood=flat[i],
+                )
+            )
     return estimates
 
 
 def estimate_prefixes(
-    records: list[ShotRecord],
+    datasets: Sequence[list[ShotRecord]],
     method: str = "naive",
     depol: DepolParams | None = None,
-) -> list[AmplitudeEstimate]:
-    """One estimate per depth prefix: entry ``k - 1`` is the estimate from ``records[:k]``.
+) -> list[list[AmplitudeEstimate]]:
+    """Every depth-prefix estimate of every dataset in a batch.
 
-    Equal, field by field, to calling :func:`estimate_amplitude` on each
-    prefix, but each record is corrected once and every prefix reads the
-    same cached likelihood tables (built once per depth tuple).
+    The datasets must share one depth tuple.  ``result[i][k - 1]`` is the
+    estimate from ``datasets[i][:k]``, equal field by field to
+    :func:`estimate_amplitude` on that prefix.  Each record is corrected
+    once, every prefix reads the same cached likelihood tables, and the
+    golden-section refinements of all datasets run in lockstep, one numpy
+    evaluation per step for the whole batch.
+
+    Raises:
+        ValueError: on an empty batch, an empty dataset, or datasets whose
+            depths differ.
     """
-    return _estimates(records, method, depol, range(1, len(records) + 1))
+    return _estimates(datasets, method, depol, last_only=False)
 
 
 def estimate_amplitude(
@@ -336,4 +438,4 @@ def estimate_amplitude(
         method: "naive" uses the tallies as-is; "corrected" first applies
             :func:`correct_counts` with ``depol`` (required, p_coh_tilde > 0).
     """
-    return _estimates(records, method, depol, (len(records),))[0]
+    return _estimates([records], method, depol, last_only=True)[0][0]

@@ -19,11 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import SimulatedDevice, run_depth_sweep, subseed
+from .device import ShotRecord, SimulatedDevice, run_depth_sweep, subseed
 # Nothing here calls estimate_amplitude; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it in this module.
 from .estimation import (  # noqa: F401
     AmplitudeEstimate,
+    ShotSchedule,
     estimate_amplitude,
     estimate_prefixes,
     shot_schedule,
@@ -95,7 +96,7 @@ class RmseCurve:
             raise ValueError("points must be x-ordered with rmse >= 0")
 
 
-def _setting_schedule(config: ExperimentConfig, setting: str):
+def _setting_schedule(config: ExperimentConfig, setting: str) -> ShotSchedule:
     depths = list(range(config.max_depth + 1))
     if setting == "noise_aware":
         return shot_schedule(depths, config.n_shot_base, config.k_sigma_assumed)
@@ -104,6 +105,30 @@ def _setting_schedule(config: ExperimentConfig, setting: str):
 
 def _correction_params(config: ExperimentConfig) -> DepolParams:
     return depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=config.k_sigma_assumed))
+
+
+def _trial_records(
+    config: ExperimentConfig, setting: str, schedule: ShotSchedule, replication_index: int
+) -> list[ShotRecord]:
+    """The setting's full sweep m = 0..max_depth for one replication.
+
+    Deterministic given (config.seed, replication_index, setting).
+    """
+    device = replace(
+        config.device,
+        model=None if setting == "noiseless" else config.device.model,
+        seed=subseed(config.seed, replication_index, SETTINGS.index(setting)),
+    )
+    return run_depth_sweep(device, list(schedule.depths), list(schedule.shots))
+
+
+def _estimate_trials(
+    config: ExperimentConfig, setting: str, datasets: list[list[ShotRecord]]
+) -> list[list[AmplitudeEstimate]]:
+    """Every prefix estimate of each dataset, with the setting's method."""
+    corrected = setting in ("noisy_b", "noise_aware")
+    depol = _correction_params(config) if corrected else None
+    return estimate_prefixes(datasets, method="corrected" if corrected else "naive", depol=depol)
 
 
 def run_qae_trial(
@@ -118,16 +143,8 @@ def run_qae_trial(
     if setting not in config.settings:
         raise ValueError(f"setting {setting!r} not in config.settings")
     schedule = _setting_schedule(config, setting)
-    device = replace(
-        config.device,
-        model=None if setting == "noiseless" else config.device.model,
-        seed=subseed(config.seed, replication_index, SETTINGS.index(setting)),
-    )
-    records = run_depth_sweep(device, list(schedule.depths), list(schedule.shots))
-
-    corrected = setting in ("noisy_b", "noise_aware")
-    depol = _correction_params(config) if corrected else None
-    return estimate_prefixes(records, method="corrected" if corrected else "naive", depol=depol)
+    records = _trial_records(config, setting, schedule, replication_index)
+    return _estimate_trials(config, setting, [records])[0]
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
@@ -135,19 +152,24 @@ def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
 
     rmse at prefix M is ``sqrt(mean over replications of (a_hat_M - truth_a)^2)``.
     The query axis is the cumulative oracle-call count
-    ``sum_{m<=M} (2m+1) N_m`` of the setting's schedule.
+    ``sum_{m<=M} (2m+1) N_m`` of the setting's schedule.  Each setting
+    samples every replication first, then estimates them in one batch; the
+    estimates equal :func:`run_qae_trial`'s, replication by replication.
     """
     n_prefixes = config.max_depth + 1
     curves = []
     for setting in config.settings:
+        schedule = _setting_schedule(config, setting)
+        datasets = [
+            _trial_records(config, setting, schedule, rep) for rep in range(config.replications)
+        ]
         errs = np.array(
             [
-                [e.a_hat - config.truth_a for e in run_qae_trial(config, setting, rep)]
-                for rep in range(config.replications)
+                [e.a_hat - config.truth_a for e in trial]
+                for trial in _estimate_trials(config, setting, datasets)
             ]
         )
         rmse = np.sqrt(np.mean(errs**2, axis=0))
-        schedule = _setting_schedule(config, setting)
         queries = np.cumsum(
             [(2 * m + 1) * n for m, n in schedule.entries], dtype=float
         )

@@ -189,6 +189,16 @@ class TestEstimate:
         est = json.loads(out_file.read_text())["estimates"][0]
         assert est["method"] == "corrected"
 
+    def test_corrected_underflow_is_an_error(self, tmp_path, capsys):
+        # 0.5 ** 4096 underflows to 0.0: the correction cannot be inverted
+        csv = tmp_path / "deep.csv"
+        csv.write_text("m,shots,ones\n0,10,5\n4096,10,5\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(csv), "--method", "corrected", "--p-coh", "0.5"
+        )
+        assert code == 1 and out == ""
+        assert "depth 4096" in err and "0.5**4096" in err and "Traceback" not in err
+
 
 class TestExperiment:
     def test_runs_config(self, tmp_path, capsys):

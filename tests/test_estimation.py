@@ -145,6 +145,15 @@ class TestCorrection:
         with pytest.raises(ValueError):
             correct_counts(ShotRecord(m=1, shots=10, ones=5), DepolParams(0.0))
 
+    def test_underflowing_coherence_names_depth(self):
+        # 0.5 ** 4096 underflows to 0.0; p~^m at m = 4096 for p~ = 0.85 does not
+        with pytest.raises(ValueError, match=r"depth 4096.*0\.5\*\*4096"):
+            correct_counts(ShotRecord(m=4096, shots=10, ones=5), DepolParams(0.5))
+        with pytest.raises(ValueError, match="depth 4096"):
+            correct_frequency(0.5, 4096, DepolParams(0.5))
+        got = correct_counts(ShotRecord(m=4096, shots=10, ones=6), DepolParams(0.85))
+        assert got.value == 10.0 and got.clamped
+
     def test_round_trip(self):
         # forward depolarizing map then correction recovers the noiseless
         # frequency; regime chosen so p_coh^m stays away from zero
@@ -318,36 +327,56 @@ class TestPrefixKernel:
         st = hypothesis.strategies
 
         @st.composite
-        def datasets(draw):
+        def batches(draw):
             depths = draw(
                 st.one_of(
                     st.sampled_from([LINEAR_DEPTHS, EXPONENTIAL_DEPTHS]),
                     st.lists(st.integers(0, 60), min_size=1, max_size=6),
                 )
             )
-            records = []
-            for m in depths:
-                shots = draw(st.integers(1, 30))
-                records.append(ShotRecord(m=m, shots=shots, ones=draw(st.integers(0, shots))))
+            batch = []
+            for _ in range(draw(st.integers(1, 4))):  # datasets on the same depths
+                records = []
+                for m in depths:
+                    shots = draw(st.integers(1, 30))
+                    records.append(ShotRecord(m=m, shots=shots, ones=draw(st.integers(0, shots))))
+                batch.append(records)
             if draw(st.booleans()):
-                return records, "corrected", DepolParams(draw(st.floats(0.85, 1.0)))
-            return records, "naive", None
+                return batch, "corrected", DepolParams(draw(st.floats(0.85, 1.0)))
+            return batch, "naive", None
+
+        records, method, depol = CLAMPING
+        flipped = [ShotRecord(m=r.m, shots=r.shots, ones=r.shots - r.ones) for r in records]
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
-        @hypothesis.given(datasets())
-        @hypothesis.example(CLAMPING)
+        @hypothesis.given(batches())
+        @hypothesis.example(([records], method, depol))
+        @hypothesis.example(([records, flipped, records], method, depol))
         def check(data):
-            records, method, depol = data
-            prefixes = estimate_prefixes(records, method, depol)
-            assert len(prefixes) == len(records)
-            for k, estimate in enumerate(prefixes, start=1):
-                assert estimate == reference_estimate(records[:k], method, depol)
-            assert estimate_amplitude(records, method, depol) == prefixes[-1]
+            batch, method, depol = data
+            estimates = estimate_prefixes(batch, method, depol)
+            assert len(estimates) == len(batch)
+            for records, prefixes in zip(batch, estimates):
+                assert len(prefixes) == len(records)
+                for k, estimate in enumerate(prefixes, start=1):
+                    assert estimate == reference_estimate(records[:k], method, depol)
+                assert estimate_amplitude(records, method, depol) == prefixes[-1]
 
         check()
 
+    def test_lanes_finishing_at_different_steps(self):
+        # A maximum on the grid's first point gets a one-step bracket, so its
+        # search ends before that of an interior maximum in the same batch.
+        edge = [ShotRecord(m=0, shots=10, ones=0), ShotRecord(m=1, shots=10, ones=0)]
+        interior = [ShotRecord(m=0, shots=10, ones=3), ShotRecord(m=1, shots=10, ones=9)]
+        batch = [interior, edge, interior]
+        for records, prefixes in zip(batch, estimate_prefixes(batch)):
+            for k, estimate in enumerate(prefixes, start=1):
+                assert estimate == reference_estimate(records[:k], "naive", None)
+
     def test_clamping_example_clamps(self):
-        estimates = estimate_prefixes(*CLAMPING)
+        records, method, depol = CLAMPING
+        (estimates,) = estimate_prefixes([records], method, depol)
         assert [e.n_clamped for e in estimates] == sorted(e.n_clamped for e in estimates)
         assert estimates[-1].n_clamped >= len(EXPONENTIAL_DEPTHS) // 2
 
@@ -359,7 +388,22 @@ class TestPrefixKernel:
                 table[0] = 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        record = ShotRecord(m=0, shots=10, ones=5)
+        with pytest.raises(ValueError, match="datasets must be nonempty"):
             estimate_prefixes([])
+        with pytest.raises(ValueError, match="records must be nonempty"):
+            estimate_prefixes([[record], []])
         with pytest.raises(ValueError):
-            estimate_prefixes([ShotRecord(m=0, shots=10, ones=5)], method="corrected")
+            estimate_prefixes([[record]], method="corrected")
+        mismatch = r"dataset 1 has depths \(0, 2\), dataset 0 has \(0, 1\)"
+        with pytest.raises(ValueError, match=mismatch):
+            estimate_prefixes(
+                [
+                    [record, ShotRecord(m=1, shots=10, ones=5)],
+                    [record, ShotRecord(m=2, shots=10, ones=5)],
+                ]
+            )
+        with pytest.raises(ValueError, match=r"dataset 1 has depths \(0,\)"):
+            estimate_prefixes([[record, ShotRecord(m=1, shots=10, ones=5)], [record]])
+        with pytest.raises(TypeError, match="batch of datasets"):
+            estimate_prefixes([record])

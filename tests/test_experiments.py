@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from naqae import (
@@ -111,6 +112,25 @@ class TestMonteCarlo:
         # flat schedule: cumulative sum of 20 * (2m+1) is 20 * (M+1)^2
         for idx, (x, _) in enumerate(flat.points):
             assert x == 20 * (idx + 1) ** 2
+
+    def test_batch_equals_per_replication_trials(self):
+        # run_monte_carlo estimates all replications of a setting in one batch;
+        # it must give exactly the curves of one run_qae_trial per replication.
+        config = ExperimentConfig(
+            device=SimulatedDevice(amp=Amplitude(0.6), model=GaussianNoiseParams(0.0, 0.04)),
+            truth_a=math.sin(0.6) ** 2, max_depth=5, n_shot_base=12,
+            k_sigma_assumed=0.04, replications=4, seed=9,
+        )
+        expected = {}
+        for setting in config.settings:
+            errs = np.array(
+                [
+                    [e.a_hat - config.truth_a for e in run_qae_trial(config, setting, rep)]
+                    for rep in range(config.replications)
+                ]
+            )
+            expected[setting] = [float(r) for r in np.sqrt(np.mean(errs**2, axis=0))]
+        assert depth_curves(run_monte_carlo(config)) == expected
 
     def test_single_replication_rmse_is_absolute_error(self):
         config = ExperimentConfig(

@@ -72,6 +72,38 @@ class TestShotCsv:
         write_shot_csv(again, read_shot_csv(source))
         assert write_shot_csv(None, read_shot_csv(again)) == normalized
 
+    def test_write_read_round_trip(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # Any text a UTF-8 file can hold, except NUL, which csv cannot read.
+        labels = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+
+        @st.composite
+        def records(draw):
+            depths = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+            out = []
+            for m in depths:  # in drawn order, not sorted
+                shots = draw(st.integers(1, 10**9))
+                out.append(ShotRecord(m=m, shots=shots, ones=draw(st.integers(0, shots))))
+            return out
+
+        one, two = ShotRecord(m=3, shots=5, ones=1), ShotRecord(m=0, shots=2, ones=2)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(st.dictionaries(labels, records(), min_size=1, max_size=4))
+        @hypothesis.example({"": [one, two]})
+        @hypothesis.example({"": [one], 'a,"b"\r\n': [two]})
+        def check(grouped):
+            path = tmp_path / "shots.csv"
+            text = write_shot_csv(path, grouped)
+            expected = {label: sorted(recs, key=lambda r: r.m) for label, recs in grouped.items()}
+            back = read_shot_csv(path)
+            assert back == expected
+            assert list(back) == sorted(grouped)
+            assert write_shot_csv(None, back) == text
+
+        check()
+
     def test_unlabelled_write_omits_column(self):
         text = write_shot_csv(None, [ShotRecord(m=0, shots=5, ones=1)])
         assert text == "m,shots,ones\n0,5,1\n"
