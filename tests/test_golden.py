@@ -46,6 +46,14 @@ CASES: dict[str, list[str]] = {
     "fit_zero_mean": ["fit", "--input", "{in}/labeled.csv", "--model", "zero-mean"],
     "fit_depol": ["fit", "--input", "{in}/labeled.csv", "--model", "depol",
                   "--out", "{out}/fit_depol.json"],
+    # 24 labelled datasets: noiseless, drift, zero-mean, depolarizing and uniform-random
+    # tallies on 4-29 depths with 16-2048 shots, down to the 4-point gaussian minimum.
+    "fit_corpus": ["fit", "--input", "{in}/fit_corpus.csv", "--model", "all",
+                   "--out", "{out}/fit_corpus.json", "--table", "{out}/fit_corpus.table.csv"],
+    # 3 points: the minimum of the two-parameter families (--model all rejects it).
+    "fit_three_points_zero_mean": ["fit", "--input", "{in}/fit_three_points.csv",
+                                   "--model", "zero-mean"],
+    "fit_three_points_depol": ["fit", "--input", "{in}/fit_three_points.csv", "--model", "depol"],
     "estimate_naive": ["estimate", "--input", "{in}/labeled.csv"],
     "estimate_corrected": ["estimate", "--input", "{in}/labeled.csv", "--method", "corrected",
                            "--p-coh", "0.94", "--out", "{out}/estimate_corrected.json"],
