@@ -47,7 +47,6 @@ from .experiments import (
 from .fitting import (
     MODEL_KINDS,
     FitResult,
-    FitSearchConfig,
     FrequencyPoint,
     fit_model,
     fit_report,

@@ -21,8 +21,8 @@ import sys
 from . import experiments, io
 from .device import PRESET_THETAS, SimulatedDevice, preset_device, run_depth_sweep
 from .errors import NaqaeError
-from .estimation import estimate_amplitude, shot_schedule
-from .fitting import MODEL_KINDS, fit_model, fit_report, points_from_records
+from .estimation import METHODS, ROUNDINGS, estimate_amplitude, shot_schedule
+from .fitting import MODEL_KINDS, MODEL_SPELLINGS, fit_model, fit_report, points_from_records
 from .models import _NOISE_SPECS, Amplitude, DepolParams, noise_from_spec
 
 
@@ -82,8 +82,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     if args.table is not None and args.model != "all":
         raise ValueError("--table needs --model all")
-    kind_map = {"gaussian": "gaussian", "zero-mean": "gaussian_zero_mean", "depol": "depolarizing"}
-    kinds = list(MODEL_KINDS) if args.model == "all" else [kind_map[args.model]]
+    kinds = list(MODEL_KINDS) if args.model == "all" else [MODEL_SPELLINGS[args.model]]
     grouped = io.read_shot_csv(args.input)
     results = []
     for label in sorted(grouped):
@@ -164,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit noise models to a shot CSV")
     p.add_argument("--input", required=True, help="shot CSV path")
-    p.add_argument("--model", choices=["gaussian", "zero-mean", "depol", "all"], default="all")
+    p.add_argument("--model", choices=[*MODEL_SPELLINGS, "all"], default="all")
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.add_argument("--table", help="comparison-table CSV path (with --model all)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("estimate", help="maximum-likelihood amplitude estimation")
     p.add_argument("--input", required=True, help="shot CSV path")
-    p.add_argument("--method", choices=["naive", "corrected"], default="naive")
+    p.add_argument("--method", choices=METHODS, default="naive")
     p.add_argument("--p-coh", type=float, help="coherence survival for --method corrected")
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_estimate)
@@ -180,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", required=True, help="'a..b' inclusive or comma list")
     p.add_argument("--base-shots", type=int, required=True, dest="base_shots")
     p.add_argument("--k-sigma", type=float, required=True, dest="k_sigma")
-    p.add_argument("--rounding", choices=["nearest", "up"], default="nearest")
+    p.add_argument("--rounding", choices=ROUNDINGS, default="nearest")
     p.add_argument("--out", help="also write the schedule as JSON")
     p.set_defaults(func=_cmd_schedule)
 

@@ -31,6 +31,10 @@ _GRID_POINTS = 10_000
 _REFINE_TOL = 1e-10
 _FLAT_TOL = 1e-9
 
+# Estimation methods and shot-schedule roundings (also the CLI choices).
+METHODS = ("naive", "corrected")
+ROUNDINGS = ("nearest", "up")
+
 
 @dataclass(frozen=True)
 class ShotSchedule:
@@ -154,8 +158,8 @@ def shot_schedule(
         raise ValueError(f"n_shot_base must be >= 1, got {n_shot_base!r}")
     if not (k_sigma >= 0.0 and math.isfinite(k_sigma)):
         raise ValueError(f"k_sigma must be finite and >= 0, got {k_sigma!r}")
-    if rounding not in ("nearest", "up"):
-        raise ValueError(f"rounding must be 'nearest' or 'up', got {rounding!r}")
+    if rounding not in ROUNDINGS:
+        raise ValueError(f"rounding must be one of {ROUNDINGS}, got {rounding!r}")
     entries = []
     for m in depths:
         m = _check_depth(m)
@@ -339,8 +343,8 @@ def _estimates(
                 f"datasets must share one depth tuple: dataset {i} has depths "
                 f"{tuple(r.m for r in records)}, dataset 0 has {depths}"
             )
-    if method not in ("naive", "corrected"):
-        raise ValueError(f"method must be 'naive' or 'corrected', got {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
     shots = np.array([[r.shots for r in records] for records in datasets], dtype=float)
     if method == "corrected":

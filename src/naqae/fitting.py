@@ -3,18 +3,22 @@
 Fits any of three model families to observed outcome-1 frequencies by
 minimum mean-squared error: the full Gaussian rotation-noise model
 (theta, k_mu, k_sigma), its zero-mean restriction, and the depolarizing
-model.  The depolarizing family is optimized in the rate variable
-``-ln(p_coh_tilde) / 2`` so that it shares the zero-mean family's search
-space (the two are exact reparameterizations of each other).
+model.  Each family is one entry of ``_FAMILIES``: its ``fit --model``
+spelling, its packed parameter names and its p1 function.  The depolarizing
+family is optimized in the rate variable ``-ln(p_coh_tilde) / 2`` so that it
+shares the zero-mean family's search space (the two are exact
+reparameterizations of each other).
 
 The objective is multimodal in theta, so the search is a coarse multi-start
-grid followed by Nelder-Mead simplex refinement of the best starts.
+grid followed by Nelder-Mead simplex refinement of the best starts.  The
+search settings are fixed module constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -30,40 +34,80 @@ from .models import (
     depol_equivalent,
 )
 
-MODEL_KINDS = ("gaussian", "gaussian_zero_mean", "depolarizing")
-
 # SSE differences below this are treated as ties and broken deterministically
 # (smallest theta, then smallest decay rate, then smallest k_mu).
 _TIE_TOL = 1e-12
 
 _HALF_PI = math.pi / 2
 
+# Parameter name -> (coarse-grid axis, Nelder-Mead bound).  ``rate`` is
+# k_sigma for the Gaussian families and -ln(p_coh_tilde)/2 for the
+# depolarizing one; its axis is log-spaced.
+_PARAMS = {
+    "theta": (np.linspace(0.0, _HALF_PI, 64), (0.0, _HALF_PI)),
+    "k_mu": (np.linspace(-0.3, 0.3, 33), (-math.pi, math.pi)),
+    "rate": (np.logspace(math.log10(1e-5), math.log10(0.5), 33), (0.0, np.inf)),
+}
+_REFINE_STARTS = 8
+_NM_MAX_ITER = 500
+_NM_FATOL = 1e-10
+_NM_XATOL = 1e-8
+
+
+def _p1_gaussian(ms, theta, rate, k_mu=0.0):
+    return _p1_gaussian_raw(theta, ms, k_mu, rate)
+
+
+def _p1_depol(ms, theta, rate):
+    return _p1_depol_raw(theta, ms, np.exp(-2.0 * rate))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A fit family: its ``fit --model`` spelling, packed parameters and p1.
+
+    ``p1(ms, **params)`` predicts the outcome-1 frequencies.  ``to_noise``
+    turns the fitted ``k_mu`` (0 when not fitted) and ``rate``, given as
+    Gaussian parameters, into the noise object the family reports.
+    """
+
+    spelling: str
+    params: tuple[str, ...]
+    p1: Callable
+    to_noise: Callable = lambda noise: noise
+
+
+_FAMILIES = {
+    "gaussian": _Family("gaussian", ("theta", "k_mu", "rate"), _p1_gaussian),
+    "gaussian_zero_mean": _Family("zero-mean", ("theta", "rate"), _p1_gaussian),
+    "depolarizing": _Family("depol", ("theta", "rate"), _p1_depol, depol_equivalent),
+}
+MODEL_KINDS = tuple(_FAMILIES)
+# ``fit --model`` spelling -> model kind.
+MODEL_SPELLINGS = {family.spelling: kind for kind, family in _FAMILIES.items()}
+
 
 @dataclass(frozen=True)
 class FrequencyPoint:
-    """One observed outcome-1 frequency at depth ``m``, optionally weighted."""
+    """One observed outcome-1 frequency at depth ``m``."""
 
     m: int
     p1_hat: float
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         _check_depth(self.m)
         if not (0.0 <= self.p1_hat <= 1.0):
             raise ValueError(f"p1_hat must lie in [0, 1], got {self.p1_hat!r}")
-        if not self.weight > 0.0:
-            raise ValueError(f"weight must be > 0, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Fitted parameters and goodness of fit for one model family.
 
-    ``sse`` is the attained (weighted) objective; ``residuals`` are the raw
-    per-point differences observed - predicted, so with the default unit
-    weights ``sse == sum(residuals**2)``.  ``converged`` is False when the
-    simplex refinement hit its iteration cap and the best-so-far point is
-    reported.
+    ``residuals`` are the per-point differences observed - predicted and
+    ``sse`` is the unweighted sum of their squares.  ``converged`` is False
+    when the simplex refinement hit its iteration cap and the best-so-far
+    point is reported.
     """
 
     model_kind: str
@@ -74,21 +118,6 @@ class FitResult:
     residuals: tuple[float, ...]
     converged: bool = True
     label: str = ""
-
-
-@dataclass(frozen=True)
-class FitSearchConfig:
-    """Multi-start grid geometry and simplex refinement settings."""
-
-    theta_points: int = 64
-    k_mu_points: int = 33
-    k_mu_range: tuple[float, float] = (-0.3, 0.3)
-    rate_points: int = 33
-    rate_range: tuple[float, float] = (1e-5, 0.5)  # log-spaced
-    refine_starts: int = 8
-    nm_max_iter: int = 500
-    nm_fatol: float = 1e-10
-    nm_xatol: float = 1e-8
 
 
 def r_squared(observed, predicted) -> float:
@@ -119,84 +148,41 @@ def points_from_records(records: list[ShotRecord]) -> list[FrequencyPoint]:
     return [FrequencyPoint(m=r.m, p1_hat=r.ones / r.shots) for r in records]
 
 
-def _n_free_params(kind: str) -> int:
-    return 3 if kind == "gaussian" else 2
+def _predict(family: _Family, params, ms):
+    """Model predictions at the packed parameter vector (or grid mesh)."""
+    return family.p1(ms, **dict(zip(family.params, params)))
 
 
-def _predict(kind: str, params, ms):
-    """Model predictions at the packed parameter vector.
-
-    Packing: gaussian (theta, k_mu, rate); zero-mean and depolarizing
-    (theta, rate), where rate is k_sigma for the Gaussian families and
-    -ln(p_coh_tilde)/2 for the depolarizing one.
-    """
-    theta = params[0]
-    if kind == "gaussian":
-        return _p1_gaussian_raw(theta, ms, params[1], params[2])
-    if kind == "gaussian_zero_mean":
-        return _p1_gaussian_raw(theta, ms, 0.0, params[1])
-    return _p1_depol_raw(theta, ms, np.exp(-2.0 * params[1]))
-
-
-def _grid_axes(kind: str, cfg: FitSearchConfig):
-    thetas = np.linspace(0.0, _HALF_PI, cfg.theta_points)
-    rates = np.logspace(
-        math.log10(cfg.rate_range[0]), math.log10(cfg.rate_range[1]), cfg.rate_points
-    )
-    if kind == "gaussian":
-        k_mus = np.linspace(cfg.k_mu_range[0], cfg.k_mu_range[1], cfg.k_mu_points)
-        return thetas, k_mus, rates
-    return thetas, rates
-
-
-def _grid_search(kind: str, cfg: FitSearchConfig, ms, y, w):
+def _grid_search(family: _Family, ms, y):
     """SSE over the full coarse grid; returns starts ordered best-first."""
-    axes = _grid_axes(kind, cfg)
+    axes = [_PARAMS[name][0] for name in family.params]
     # Grid axis i holds packed parameter i; the last axis runs over depths.
     mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes)]
-    pred = _predict(kind, mesh, ms)
-    letters = "ijk"[: len(axes)]
-    sse = np.einsum(f"{letters}l,l->{letters}", (y - pred) ** 2, w)
+    residuals = y - _predict(family, mesh, ms)
+    sse = np.einsum("...l,...l->...", residuals, residuals)
     order = np.argsort(sse, axis=None, kind="stable")
     starts = []
-    for flat in order[: cfg.refine_starts]:
+    for flat in order[:_REFINE_STARTS]:
         index = np.unravel_index(flat, sse.shape)
         starts.append((float(sse[index]), tuple(float(ax[i]) for ax, i in zip(axes, index))))
     return starts
 
 
-def _bounds(kind: str):
-    if kind == "gaussian":
-        return [(0.0, _HALF_PI), (-math.pi, math.pi), (0.0, np.inf)]
-    return [(0.0, _HALF_PI), (0.0, np.inf)]
-
-
-def _tie_key(kind: str, params) -> tuple[float, float, float]:
-    # (theta, rate, k_mu): smallest theta, then smallest k_sigma / rate.
-    if kind == "gaussian":
-        return (params[0], params[2], params[1])
-    return (params[0], params[1], 0.0)
-
-
-def fit_model(
-    data: list[FrequencyPoint],
-    model_kind: str,
-    config: FitSearchConfig = FitSearchConfig(),
-    label: str = "",
-) -> FitResult:
+def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> FitResult:
     """MMSE fit of one model family to per-depth frequencies.
 
-    Runs the coarse grid, refines the best ``config.refine_starts`` grid
-    points with bounded Nelder-Mead, and returns the best candidate found
-    (never worse than the best grid point).  Equal-SSE candidates resolve to
-    the smallest theta, then the smallest decay rate.
+    Runs the coarse grid, refines the best ``_REFINE_STARTS`` grid points
+    with bounded Nelder-Mead, and returns the best candidate found (never
+    worse than the best grid point).  Equal-SSE candidates resolve to the
+    smallest theta, then the smallest decay rate, then the smallest k_mu.
 
     Raises:
         ValueError: unknown family, or fewer than (parameter count + 1) points.
     """
-    if model_kind not in MODEL_KINDS:
+    if model_kind not in _FAMILIES:
         raise ValueError(f"unknown model kind {model_kind!r} (known: {MODEL_KINDS})")
-    n_params = _n_free_params(model_kind)
+    family = _FAMILIES[model_kind]
+    n_params = len(family.params)
     if len(data) < n_params + 1:
         raise ValueError(
             f"{model_kind} fit needs at least {n_params + 1} points, got {len(data)}"
@@ -204,12 +190,15 @@ def fit_model(
 
     ms = np.array([pt.m for pt in data], dtype=float)
     y = np.array([pt.p1_hat for pt in data])
-    w = np.array([pt.weight for pt in data])
 
     def objective(params) -> float:
-        return float(np.sum(w * (y - _predict(model_kind, params, ms)) ** 2))
+        return float(np.sum((y - _predict(family, params, ms)) ** 2))
 
-    starts = _grid_search(model_kind, config, ms, y, w)
+    def tie_key(params) -> tuple[float, float, float]:
+        named = dict(zip(family.params, params))
+        return (named["theta"], named["rate"], named.get("k_mu", 0.0))
+
+    starts = _grid_search(family, ms, y)
 
     # Candidates: every refined start plus the raw grid best, so the result
     # can never be worse than the grid.
@@ -219,39 +208,26 @@ def fit_model(
             objective,
             np.asarray(x0),
             method="Nelder-Mead",
-            bounds=_bounds(model_kind),
-            options={
-                "maxiter": config.nm_max_iter,
-                "fatol": config.nm_fatol,
-                "xatol": config.nm_xatol,
-            },
+            bounds=[_PARAMS[name][1] for name in family.params],
+            options={"maxiter": _NM_MAX_ITER, "fatol": _NM_FATOL, "xatol": _NM_XATOL},
         )
         candidates.append((float(res.fun), tuple(float(v) for v in res.x), bool(res.success)))
 
     best_sse = min(c[0] for c in candidates)
     eligible = [c for c in candidates if c[0] <= best_sse + _TIE_TOL]
-    _, params, converged = min(eligible, key=lambda c: _tie_key(model_kind, c[1]))
+    _, params, converged = min(eligible, key=lambda c: tie_key(c[1]))
 
-    predictions = np.asarray(_predict(model_kind, params, ms))
+    predictions = np.asarray(_predict(family, params, ms))
     residuals = y - predictions
-    sse = float(np.sum(w * residuals**2))
-    r2 = r_squared(y, predictions)
-
-    if model_kind == "gaussian":
-        noise: GaussianNoiseParams | DepolParams = GaussianNoiseParams(
-            k_mu=params[1], k_sigma=params[2]
-        )
-    elif model_kind == "gaussian_zero_mean":
-        noise = GaussianNoiseParams(k_mu=0.0, k_sigma=params[1])
-    else:
-        noise = depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=params[1]))
+    named = dict(zip(family.params, params))
+    gaussian = GaussianNoiseParams(k_mu=named.get("k_mu", 0.0), k_sigma=named["rate"])
 
     return FitResult(
         model_kind=model_kind,
-        theta_hat=float(params[0]),
-        noise_params=noise,
-        sse=sse,
-        r_squared=r2,
+        theta_hat=named["theta"],
+        noise_params=family.to_noise(gaussian),
+        sse=float(np.sum(residuals**2)),
+        r_squared=r_squared(y, predictions),
         residuals=tuple(float(r) for r in residuals),
         converged=converged,
         label=label,

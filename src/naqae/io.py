@@ -12,6 +12,7 @@ import csv
 import io as _io
 import json
 import math
+import re
 from pathlib import Path
 
 from .device import ShotRecord
@@ -20,6 +21,8 @@ from .experiments import RmseCurve
 from .fitting import MODEL_KINDS, FitResult
 
 _HEADERS = (["m", "shots", "ones"], ["m", "shots", "ones", "label"])
+# A tally cell: ASCII digits with an optional minus sign, nothing else.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def fmt12(x: float) -> str:
@@ -54,8 +57,9 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
     by depth.
 
     Raises:
-        ValueError: malformed header/row (with line number) or a row whose
-            tallies violate 0 <= ones <= shots.
+        ValueError: malformed header/row (with line number), a tally that is
+            not an ASCII integer ``-?[0-9]+``, or a row whose tallies violate
+            0 <= ones <= shots.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -74,12 +78,9 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
-            try:
-                m, shots, ones = int(row[0]), int(row[1]), int(row[2])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: m, shots, ones must be integers"
-                ) from None
+            if not all(_INTEGER.fullmatch(cell) for cell in row[:3]):
+                raise ValueError(f"{path}: line {lineno}: m, shots, ones must be integers")
+            m, shots, ones = (int(cell) for cell in row[:3])
             label = row[3] if has_label else ""
             if m < 0 or shots < 1 or not (0 <= ones <= shots):
                 raise ValueError(

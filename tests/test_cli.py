@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from naqae.cli import main
+from naqae.cli import build_parser, main
+from naqae.fitting import MODEL_KINDS, MODEL_SPELLINGS
 
 BASE20_SCHEDULE = "20,24,29,33,38,42,46,51,55,60,64,68,73\n"
 
@@ -143,6 +144,13 @@ class TestFit:
         fits = json.loads(out)["fits"]
         assert len(fits) == 1 and fits[0]["model"] == "gaussian_zero_mean"
         assert "k_sigma" in fits[0]
+
+    def test_model_spellings(self):
+        # every family has exactly one --model spelling; the choices are those and "all"
+        assert sorted(MODEL_SPELLINGS.values()) == sorted(MODEL_KINDS)
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (model,) = [a for a in commands.choices["fit"]._actions if a.dest == "model"]
+        assert list(model.choices) == [*MODEL_SPELLINGS, "all"]
 
     def test_missing_input(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--input", "/nonexistent.csv")

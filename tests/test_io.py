@@ -46,10 +46,13 @@ class TestShotCsv:
             read_shot_csv(path)
 
     def test_malformed_row(self, tmp_path):
+        # int() would accept all but the first: underscores, padding, a plus
+        # sign and a non-ASCII digit.
         path = tmp_path / "shots.csv"
-        path.write_text("m,shots,ones\n0,10,2\nx,10,2\n")
-        with pytest.raises(ValueError, match="line 3"):
-            read_shot_csv(path)
+        for row in ("x,10,2", "1_0,10,2", "0, 2_0 ,2", "0,10,+5", "0,10,\u0663"):
+            path.write_text(f"m,shots,ones\n0,10,2\n{row}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="line 3: m, shots, ones must be integers"):
+                read_shot_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "shots.csv"
