@@ -6,16 +6,14 @@ amplitude estimation), ``schedule`` (noise-aware shot counts), and
 ``experiment`` (Monte Carlo RMSE comparison driven by a JSON config).
 
 All randomness is controlled by explicit seeds, so any command rerun with
-identical flags produces byte-identical output.  The experiment command
-validates the environment variable ``NAQAE_THREADS`` (a nonnegative
-integer), but the value has no effect: the experiment runs serially.
+identical flags produces byte-identical output.  Integer arguments take
+plain ASCII integers only, by the shot CSV's rule.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import experiments, io
@@ -26,21 +24,25 @@ from .fitting import MODEL_KINDS, MODEL_SPELLINGS, fit_model, fit_report, points
 from .models import _NOISE_SPECS, Amplitude, DepolParams, noise_from_spec
 
 
+def _parse_integers(text: str, what: str) -> list[int]:
+    """Parse a comma-separated list of plain ASCII integers (``-?[0-9]+``)."""
+    parts = text.split(",")
+    if not all(io._INTEGER.fullmatch(part) for part in parts):
+        raise ValueError(f"bad {what} {text!r}: expected plain integers")
+    return [int(part) for part in parts]
+
+
 def _parse_depths(text: str) -> list[int]:
     """Parse 'a..b' (inclusive) or a comma-separated list of depths."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise ValueError(f"bad depth range {text!r}") from None
+        if not (io._INTEGER.fullmatch(lo) and io._INTEGER.fullmatch(hi)):
+            raise ValueError(f"bad depth range {text!r}: expected plain integers")
+        lo_i, hi_i = int(lo), int(hi)
         if hi_i < lo_i:
             raise ValueError(f"bad depth range {text!r}: end before start")
         return list(range(lo_i, hi_i + 1))
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad depth list {text!r}") from None
+    return _parse_integers(text, "depth list")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -49,17 +51,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _check_threads_env() -> None:
-    """Reject a malformed ``NAQAE_THREADS``; a valid value has no effect."""
-    raw = os.environ.get("NAQAE_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"NAQAE_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"NAQAE_THREADS must be >= 0, got {value}")
 
 
 def _cmd_simulate(args) -> int:
@@ -71,7 +62,7 @@ def _cmd_simulate(args) -> int:
     else:
         device = SimulatedDevice(amp=Amplitude(args.theta), model=noise, seed=args.seed)
     depths = _parse_depths(args.depths)
-    shots = [int(s) for s in args.shots.split(",")]
+    shots = _parse_integers(args.shots, "shot list")
     if len(shots) == 1:
         shots = shots * len(depths)
     records = run_depth_sweep(device, depths, shots)
@@ -138,7 +129,6 @@ def _cmd_experiment(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     config = experiments.config_from_json(doc)
-    _check_threads_env()
     curves = experiments.run_monte_carlo(config)
     _emit(io.curves_csv(curves), args.out)
     return 0

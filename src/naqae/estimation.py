@@ -31,6 +31,12 @@ _GRID_POINTS = 10_000
 _REFINE_TOL = 1e-10
 _FLAT_TOL = 1e-9
 
+# Datasets per grid gemm: an (8 x grid) block stays in cache for the argmax,
+# min and runner-up passes over it (4, 16 and 50 rows measured slower).
+_GRID_CHUNK = 8
+# Unit roundoff u of a double, for the error bound gamma_n = n u / (1 - n u).
+_UNIT_ROUNDOFF = 2.0**-53
+
 # Estimation methods and shot-schedule roundings (also the CLI choices).
 METHODS = ("naive", "corrected")
 ROUNDINGS = ("nearest", "up")
@@ -316,6 +322,73 @@ def _log_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
     return tables
 
 
+def _grid_row(
+    log_p_k: np.ndarray, log_q_k: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> tuple[int, bool]:
+    """Grid argmax and flatness of one dataset's likelihood, from two BLAS gemvs.
+
+    This is the definition the batched grid of :func:`_grid_maxima` is
+    certified against.
+    """
+    loglik = log_p_k @ counts
+    loglik += log_q_k @ misses
+    best = int(loglik.argmax())  # first maximum = smallest theta
+    top = float(loglik[best])
+    return best, top - float(loglik.min()) <= _FLAT_TOL * max(1.0, abs(top))
+
+
+def _grid_maxima(
+    log_p_k: np.ndarray, log_q_k: np.ndarray, counts_k: np.ndarray, misses_k: np.ndarray
+) -> tuple[list[int], list[bool]]:
+    """:func:`_grid_row` of every row of ``counts_k``/``misses_k``, batched.
+
+    The grid of a chunk of rows is one gemm per table, on transposed views of
+    the cached tables.  BLAS sums a gemm in another order than a gemv, so its
+    values may differ in the last bits; a row's result is kept only when a
+    rounding-error certificate proves the gemv gives the same one:
+
+    * Every product ``c ln p`` and ``(N - c) ln(1 - p)`` is <= 0, so any
+      summation order of a grid value L lands within ``gamma_{k+2} |L|`` of
+      the exact sum, and gemm and gemv differ by at most
+      ``delta / 2``, ``delta = 4 gamma_{k+2} max|G|``.
+    * The argmax ``b`` is certified when every other point is below
+      ``G_b - 2 delta``: then ``b`` is the gemv's unique, hence first, maximum.
+    * The flat flag is certified when ``span - _FLAT_TOL max(1, |top|)`` is
+      farther than ``2 delta`` from 0.
+
+    Uncertified rows (near-ties, spans at the flat threshold) and a batch of
+    one run :func:`_grid_row`, so every result equals it exactly.
+    """
+    rows, k = counts_k.shape
+    if rows == 1:
+        best, flat = _grid_row(log_p_k, log_q_k, counts_k[0], misses_k[0])
+        return [best], [flat]
+    n = (k + 2) * _UNIT_ROUNDOFF
+    gamma = n / (1.0 - n)
+    log_p_t, log_q_t = log_p_k.T, log_q_k.T
+    bests: list[int] = []
+    flats: list[bool] = []
+    for start in range(0, rows, _GRID_CHUNK):
+        stop = min(start + _GRID_CHUNK, rows)
+        grid = counts_k[start:stop] @ log_p_t
+        grid += misses_k[start:stop] @ log_q_t
+        best = grid.argmax(axis=1)
+        lanes = np.arange(stop - start)
+        top = grid[lanes, best]
+        low = grid.min(axis=1)
+        delta = 4.0 * gamma * np.abs(low)  # every grid value is <= 0
+        grid[lanes, best] = -np.inf
+        runner_up = grid.max(axis=1)
+        span = top - low
+        threshold = _FLAT_TOL * np.maximum(1.0, np.abs(top))
+        certified = (runner_up < top - 2.0 * delta) & (np.abs(span - threshold) > 2.0 * delta)
+        bests += best.tolist()
+        flats += (span <= threshold).tolist()
+        for row in (start + np.flatnonzero(~certified)).tolist():
+            bests[row], flats[row] = _grid_row(log_p_k, log_q_k, counts_k[row], misses_k[row])
+    return bests, flats
+
+
 def _estimates(
     datasets: Sequence[list[ShotRecord]],
     method: str,
@@ -325,6 +398,9 @@ def _estimates(
     """Maximum-likelihood estimates from ``datasets[i][:k]`` for every dataset i.
 
     k runs over every prefix length, or only the full length if ``last_only``.
+    Each prefix's grid stage is :func:`_grid_maxima` over the whole batch, a
+    certified gemm per chunk of rows with the per-row gemv as its fallback;
+    refinement and the reported values are computed as for a lone dataset.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -365,18 +441,12 @@ def _estimates(
     estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
     for k in prefixes:
         counts_k, misses_k = counts[:, :k], misses[:, :k]
-        log_p_k, log_q_k = log_p[:, :k], log_q[:, :k]
-        grid_theta, flat, brackets = [], [], []
-        for i in range(rows):
-            loglik = log_p_k @ counts_k[i]
-            loglik += log_q_k @ misses_k[i]
-            best = int(loglik.argmax())  # first maximum = smallest theta
-            top = float(loglik[best])
-            flat.append(top - float(loglik.min()) <= _FLAT_TOL * max(1.0, abs(top)))
-            grid_theta.append(float(thetas[best]))
-            brackets.append(
-                (float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, _GRID_POINTS - 1)]))
-            )
+        bests, flat = _grid_maxima(log_p[:, :k], log_q[:, :k], counts_k, misses_k)
+        grid_theta = [float(thetas[best]) for best in bests]
+        brackets = [
+            (float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, _GRID_POINTS - 1)]))
+            for best in bests
+        ]
         refined = _refine(brackets, ks[:k], counts_k, misses_k)
         # The grid point and the refined point of every row, in one call.
         theta, evaluate = _objective(
@@ -415,7 +485,12 @@ def estimate_prefixes(
     :func:`estimate_amplitude` on that prefix.  Each record is corrected
     once, every prefix reads the same cached likelihood tables, and the
     golden-section refinements of all datasets run in lockstep, one numpy
-    evaluation per step for the whole batch.
+    evaluation per step for the whole batch.  A prefix's theta grid is one
+    gemm per table for every 8 datasets; a rounding-error certificate proves
+    that each dataset's grid argmax and flat flag are those of its own gemv,
+    and a dataset it cannot certify (a near-tie between grid points, or a
+    span at the flatness threshold) is redone with that gemv, as is a batch
+    of one.
 
     Raises:
         ValueError: on an empty batch, an empty dataset, or datasets whose

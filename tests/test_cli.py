@@ -37,6 +37,16 @@ class TestSchedule:
         )
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize(
+        "depths", ["1_0..1_2", " 0..2", "0..+2", "٣..5", "0..2,3", " 0,+1", "0,1_0"]
+    )
+    def test_depths_must_be_plain_integers(self, capsys, depths):
+        # int() would take each of these; the shot CSV's rule does not
+        code, out, err = run_cli(
+            capsys, "schedule", "--depths", depths, "--base-shots", "20", "--k-sigma", "0.1"
+        )
+        assert code == 1 and out == "" and "expected plain integers" in err
+
     @pytest.mark.parametrize("k_sigma", ["-0.1", "nan", "inf"])
     def test_bad_k_sigma(self, capsys, k_sigma):
         code, _, err = run_cli(
@@ -103,6 +113,17 @@ class TestSimulate:
             "--seed", "3",
         )
         assert code == 1 and out == "" and "repeated: [2]" in err
+
+    @pytest.mark.parametrize(
+        "depths, shots",
+        [("1_0..1_2", "10"), (" 0,+1", "10"), ("0,1", "1_0"), ("0,1", "٣"), ("0,1", "10, 20")],
+    )
+    def test_integers_must_be_plain(self, capsys, depths, shots):
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "0.5", "--depths", depths, "--shots", shots,
+            "--seed", "1",
+        )
+        assert code == 1 and out == "" and "expected plain integers" in err
 
     def test_shot_list_length_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -239,31 +260,6 @@ class TestExperiment:
         config_path.write_text("{not json")
         code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
         assert code == 1 and "error" in err
-
-    def test_thread_cap_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        config = {
-            "device": {"theta": 0.6, "noise": {"kind": "depolarizing", "p_coh": 0.92}},
-            "max_depth": 3, "n_shot_base": 25, "replications": 4, "seed": 2,
-            "settings": ["noisy_b", "noiseless"],
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        argv = ["experiment", "--config", str(config_path)]
-        monkeypatch.setenv("NAQAE_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("NAQAE_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *argv)
-        assert serial == threaded
-
-    def test_bad_thread_env(self, tmp_path, capsys, monkeypatch):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(
-            {"device": {"theta": 0.5}, "max_depth": 1, "n_shot_base": 5,
-             "replications": 1, "seed": 0}
-        ))
-        monkeypatch.setenv("NAQAE_THREADS", "lots")
-        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
-        assert code == 1 and "NAQAE_THREADS" in err
 
 
 class TestUsageErrors:

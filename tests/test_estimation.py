@@ -310,6 +310,19 @@ def reference_estimate(records, method, depol):
     )
 
 
+def _spy_grid_rows(monkeypatch):
+    """Record the counts of every row the grid stage sends to the per-row gemv."""
+    seen = []
+    real = estimation._grid_row
+
+    def spy(log_p_k, log_q_k, counts, misses):
+        seen.append(counts.tolist())
+        return real(log_p_k, log_q_k, counts, misses)
+
+    monkeypatch.setattr(estimation, "_grid_row", spy)
+    return seen
+
+
 LINEAR_DEPTHS = tuple(range(13))
 EXPONENTIAL_DEPTHS = (0,) + tuple(2**i for i in range(13))  # 0, 1, 2, 4, ..., 4096
 # At m = 4096 this p~^m is about 1e-289, still a normal float, and corrected
@@ -335,7 +348,8 @@ class TestPrefixKernel:
                 )
             )
             batch = []
-            for _ in range(draw(st.integers(1, 4))):  # datasets on the same depths
+            # datasets on the same depths: full gemm chunks and a ragged last one
+            for _ in range(draw(st.integers(1, 20))):
                 records = []
                 for m in depths:
                     shots = draw(st.integers(1, 30))
@@ -373,6 +387,52 @@ class TestPrefixKernel:
         for records, prefixes in zip(batch, estimate_prefixes(batch)):
             for k, estimate in enumerate(prefixes, start=1):
                 assert estimate == reference_estimate(records[:k], "naive", None)
+
+    def test_uncertified_rows_take_the_gemv(self, monkeypatch):
+        # Half the shots ones at every depth: every p_m is 1/2 at theta = pi/4,
+        # the likelihood is symmetric about it, and pi/4 falls between two grid
+        # points whose values tie up to rounding.  The certificate cannot order
+        # them, so that row must take the per-row gemv at every prefix.
+        # The other rows have an odd shot count, so none of them is symmetric.
+        rng = np.random.default_rng(8)
+        batch = [
+            [ShotRecord(m=m, shots=21, ones=int(rng.integers(0, 22))) for m in LINEAR_DEPTHS]
+            for _ in range(11)
+        ]
+        batch[5] = [ShotRecord(m=m, shots=20, ones=10) for m in LINEAR_DEPTHS]
+        seen = _spy_grid_rows(monkeypatch)
+        estimates = estimate_prefixes(batch)
+        assert seen == [[10.0] * k for k in range(1, len(LINEAR_DEPTHS) + 1)]
+        for records, prefixes in zip(batch, estimates):
+            for k, estimate in enumerate(prefixes, start=1):
+                assert estimate == reference_estimate(records[:k], "naive", None)
+        assert estimates[5][-1].theta_hat == pytest.approx(math.pi / 4, abs=1e-9)
+
+    def test_flat_test_in_the_band_takes_the_gemv(self, monkeypatch):
+        # Set the flatness tolerance to one row's own relative span: its flat
+        # test then sits within rounding of the threshold, where only the
+        # gemv may decide it.
+        rng = np.random.default_rng(9)
+        batch = [
+            [ShotRecord(m=m, shots=20, ones=int(rng.integers(0, 21))) for m in LINEAR_DEPTHS]
+            for _ in range(10)
+        ]
+        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
+        _, log_p, log_q = estimation._log_tables(LINEAR_DEPTHS)
+        loglik = log_p @ counts[3] + log_q @ (20.0 - counts[3])
+        top = float(loglik.max())
+        monkeypatch.setattr(
+            estimation, "_FLAT_TOL", (top - float(loglik.min())) / max(1.0, abs(top))
+        )
+        seen = _spy_grid_rows(monkeypatch)
+        bests, flats = estimation._grid_maxima(log_p, log_q, counts, 20.0 - counts)
+        assert seen == [counts[3].tolist()]
+        for row in range(len(batch)):
+            assert (bests[row], flats[row]) == estimation._grid_row(
+                log_p, log_q, counts[row], 20.0 - counts[row]
+            )
+        for records, estimate in zip(batch, [p[-1] for p in estimate_prefixes(batch)]):
+            assert estimate == reference_estimate(records, "naive", None)
 
     def test_clamping_example_clamps(self):
         records, method, depol = CLAMPING

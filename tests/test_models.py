@@ -139,6 +139,24 @@ class TestQuadrature:
             worst = max(worst, gap)
         assert worst <= 1e-9
 
+    def test_closed_form_matches_quadrature_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(
+            theta=st.floats(0.0, math.pi / 2),
+            m=st.integers(0, 100),
+            k_mu=st.floats(-0.2, 0.2),
+            k_sigma=st.floats(0.0, 0.2),
+        )
+        def check(theta, m, k_mu, k_sigma):
+            amp, noise = Amplitude(theta), GaussianNoiseParams(k_mu, k_sigma)
+            closed = p1_gaussian_closed(amp, m, noise)
+            assert p1_gaussian_quadrature(amp, m, noise) == pytest.approx(closed, abs=1e-9)
+
+        check()
+
     def test_outcomes_sum_to_one(self):
         rng = np.random.default_rng(13)
         for theta, m, k_mu, k_sigma in random_tuples(100, rng):
