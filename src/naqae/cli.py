@@ -13,6 +13,7 @@ plain ASCII integers only, by the shot CSV's rule.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,6 +23,13 @@ from .errors import NaqaeError
 from .estimation import METHODS, ROUNDINGS, estimate_amplitude, shot_schedule
 from .fitting import MODEL_KINDS, MODEL_SPELLINGS, fit_model, fit_report, points_from_records
 from .models import _NOISE_SPECS, Amplitude, DepolParams, noise_from_spec
+
+
+def _parse_integer(text: str, what: str) -> int:
+    """Parse one plain ASCII integer (``-?[0-9]+``)."""
+    if not io._INTEGER.fullmatch(text):
+        raise ValueError(f"bad {what} {text!r}: expected plain integers")
+    return int(text)
 
 
 def _parse_integers(text: str, what: str) -> list[int]:
@@ -57,10 +65,11 @@ def _cmd_simulate(args) -> int:
     if (args.preset is None) == (args.theta is None):
         raise ValueError("give exactly one of --preset or --theta")
     noise = noise_from_spec(args.noise)
+    seed = _parse_integer(args.seed, "seed")
     if args.preset is not None:
-        device = preset_device(args.preset, model=noise, seed=args.seed)
+        device = preset_device(args.preset, model=noise, seed=seed)
     else:
-        device = SimulatedDevice(amp=Amplitude(args.theta), model=noise, seed=args.seed)
+        device = SimulatedDevice(amp=Amplitude(args.theta), model=noise, seed=seed)
     depths = _parse_depths(args.depths)
     shots = _parse_integers(args.shots, "shot list")
     if len(shots) == 1:
@@ -117,7 +126,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_schedule(args) -> int:
     schedule = shot_schedule(
-        _parse_depths(args.depths), args.base_shots, args.k_sigma, args.rounding
+        _parse_depths(args.depths),
+        _parse_integer(args.base_shots, "base shot count"),
+        args.k_sigma,
+        args.rounding,
     )
     sys.stdout.write(",".join(str(n) for n in schedule.shots) + "\n")
     if args.out is not None:
@@ -147,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", default="none", help=_NOISE_SPECS)
     p.add_argument("--depths", required=True, help="'a..b' inclusive or comma list")
     p.add_argument("--shots", required=True, help="shots per depth (single value or comma list)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
@@ -167,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="noise-aware shot schedule")
     p.add_argument("--depths", required=True, help="'a..b' inclusive or comma list")
-    p.add_argument("--base-shots", type=int, required=True, dest="base_shots")
+    p.add_argument("--base-shots", required=True, dest="base_shots")
     p.add_argument("--k-sigma", type=float, required=True, dest="k_sigma")
     p.add_argument("--rounding", choices=ROUNDINGS, default="nearest")
     p.add_argument("--out", help="also write the schedule as JSON")
@@ -181,9 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on first use, then kept for the process.
+
+    Parsing leaves a parser unchanged, so one serves every call; building
+    one costs about as much as a short ``estimate``.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NaqaeError, ValueError, OSError, json.JSONDecodeError) as exc:

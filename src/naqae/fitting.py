@@ -12,6 +12,10 @@ reparameterizations of each other).
 The objective is multimodal in theta, so the search is a coarse multi-start
 grid followed by Nelder-Mead simplex refinement of the best starts.  The
 search settings are fixed module constants.
+
+SciPy is imported inside :func:`fit_model`, not at module level: it is most
+of the package's import time and memory, and only a fit needs it, so
+``import naqae`` and the other CLI subcommands never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .device import ShotRecord
 from .errors import DegenerateDataError
@@ -179,6 +182,8 @@ def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> F
     Raises:
         ValueError: unknown family, or fewer than (parameter count + 1) points.
     """
+    from scipy.optimize import minimize
+
     if model_kind not in _FAMILIES:
         raise ValueError(f"unknown model kind {model_kind!r} (known: {MODEL_KINDS})")
     family = _FAMILIES[model_kind]

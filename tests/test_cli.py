@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import naqae
 from naqae.cli import build_parser, main
-from naqae.fitting import MODEL_KINDS, MODEL_SPELLINGS
+from naqae.fitting import MODEL_KINDS, MODEL_SPELLINGS, FrequencyPoint, fit_model
 
 BASE20_SCHEDULE = "20,24,29,33,38,42,46,51,55,60,64,68,73\n"
 
@@ -44,6 +50,13 @@ class TestSchedule:
         # int() would take each of these; the shot CSV's rule does not
         code, out, err = run_cli(
             capsys, "schedule", "--depths", depths, "--base-shots", "20", "--k-sigma", "0.1"
+        )
+        assert code == 1 and out == "" and "expected plain integers" in err
+
+    @pytest.mark.parametrize("base_shots", ["1_0", " 20", "+5", "٣"])
+    def test_base_shots_must_be_plain_integers(self, capsys, base_shots):
+        code, out, err = run_cli(
+            capsys, "schedule", "--depths", "0..2", "--base-shots", base_shots, "--k-sigma", "0.1"
         )
         assert code == 1 and out == "" and "expected plain integers" in err
 
@@ -124,6 +137,20 @@ class TestSimulate:
             "--seed", "1",
         )
         assert code == 1 and out == "" and "expected plain integers" in err
+
+    @pytest.mark.parametrize("seed", ["1_0", " 20", "+5", "٣"])
+    def test_seed_must_be_plain_integers(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "0.5", "--depths", "0..2", "--shots", "10",
+            "--seed", seed,
+        )
+        assert code == 1 and out == "" and "expected plain integers" in err
+
+    def test_negative_seed(self, capsys):
+        argv = ["simulate", "--theta", "0.5", "--depths", "0..5", "--shots", "10"]
+        code, out, _ = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 0 and out.startswith("m,shots,ones\n")
+        assert run_cli(capsys, *argv, "--seed", "1")[1] != out
 
     def test_shot_list_length_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -218,6 +245,20 @@ class TestEstimate:
         est = json.loads(out_file.read_text())["estimates"][0]
         assert est["method"] == "corrected"
 
+    def test_p_coh_does_not_leak_between_calls(self, gaussian_csv, capsys):
+        # main keeps one parser for the process; a flag given to one call
+        # must not reach the next
+        naive = run_cli(capsys, "estimate", "--input", str(gaussian_csv))
+        corrected = run_cli(
+            capsys, "estimate", "--input", str(gaussian_csv), "--method", "corrected",
+            "--p-coh", "0.9",
+        )
+        assert corrected[0] == 0
+        assert json.loads(corrected[1])["estimates"][0]["method"] == "corrected"
+        code, out, err = run_cli(capsys, "estimate", "--input", str(gaussian_csv))
+        assert (code, out, err) == naive
+        assert code == 0 and json.loads(out)["estimates"][0]["method"] == "naive"
+
     def test_corrected_underflow_is_an_error(self, tmp_path, capsys):
         # 0.5 ** 4096 underflows to 0.0: the correction cannot be inverted
         csv = tmp_path / "deep.csv"
@@ -260,6 +301,38 @@ class TestExperiment:
         config_path.write_text("{not json")
         code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
         assert code == 1 and "error" in err
+
+
+class TestParser:
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_cold_import_leaves_scipy_unloaded(self):
+        # Only fit needs SciPy; importing the package and its CLI must not
+        # load it, and the first fit must still load it and fit.
+        points = [(m, 0.5 - 0.45 * math.exp(-0.1 * m) * math.cos(2.2 * (2 * m + 1)))
+                  for m in range(9)]
+        child = (
+            "import json, sys\n"
+            "import naqae, naqae.cli\n"
+            "cold = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "points = [naqae.FrequencyPoint(m, p) for m, p in json.loads(sys.argv[1])]\n"
+            "fit = naqae.fit_model(points, 'gaussian_zero_mean')\n"
+            "print(json.dumps([naqae.__file__, cold, 'scipy.optimize' in sys.modules,\n"
+            "                  fit.theta_hat, fit.sse]))\n"
+        )
+        root = str(Path(naqae.__file__).resolve().parent.parent)
+        inherited = [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([root] + inherited))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(points)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        path, cold, loaded, theta_hat, sse = json.loads(proc.stdout)
+        assert Path(path).resolve() == Path(naqae.__file__).resolve()
+        assert cold == [] and loaded
+        fit = fit_model([FrequencyPoint(m, p) for m, p in points], "gaussian_zero_mean")
+        assert (theta_hat, sse) == (fit.theta_hat, fit.sse)
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 """Tests for schedules, variance bounds, count correction, and the MLE."""
 
+import functools
 import math
 
 import numpy as np
@@ -245,8 +246,9 @@ class TestEstimateAmplitude:
 
 # ---------------------------------------------------------------------------
 # Reference: the per-call estimator that predates the cached likelihood
-# tables.  It rebuilds the whole grid for every prefix, so it is slow, but the
-# prefix kernel must agree with it exactly, field for field.
+# tables.  The prefix kernel must agree with it exactly, field for field.  It
+# memoises its own grid tables per depth tuple and shares nothing with the
+# library's cache.
 
 
 def _reference_golden_max(f, lo, hi, tol):
@@ -266,11 +268,22 @@ def _reference_golden_max(f, lo, hi, tol):
     return 0.5 * (a + b)
 
 
-def _reference_log_likelihood(theta, ms, counts, shots):
-    theta = np.asarray(theta, dtype=float)
+def _reference_log_tables(theta, ms):
     p = np.sin(np.multiply.outer(theta, 2.0 * ms + 1.0)) ** 2
     np.clip(p, estimation._LOG_GUARD, 1.0 - estimation._LOG_GUARD, out=p)
-    return np.log(p) @ counts + np.log1p(-p) @ (shots - counts)
+    return np.log(p), np.log1p(-p)
+
+
+def _reference_log_likelihood(theta, ms, counts, shots):
+    log_p, log_q = _reference_log_tables(np.asarray(theta, dtype=float), ms)
+    return log_p @ counts + log_q @ (shots - counts)
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_grid(depths):
+    """The theta grid and its ln p and ln(1 - p) tables for these depths."""
+    thetas = np.linspace(0.0, math.pi / 2.0, estimation._GRID_POINTS)
+    return (thetas, *_reference_log_tables(thetas, np.array(depths, dtype=float)))
 
 
 def reference_estimate(records, method, depol):
@@ -285,8 +298,8 @@ def reference_estimate(records, method, depol):
         counts = np.array([r.ones for r in records], dtype=float)
 
     n = estimation._GRID_POINTS
-    thetas = np.linspace(0.0, math.pi / 2.0, n)
-    loglik = _reference_log_likelihood(thetas, ms, counts, shots)
+    thetas, log_p, log_q = _reference_grid(tuple(r.m for r in records))
+    loglik = log_p @ counts + log_q @ (shots - counts)
     best = int(np.argmax(loglik))
     span = float(loglik.max() - loglik.min())
     flat = span <= estimation._FLAT_TOL * max(1.0, abs(float(loglik.max())))
