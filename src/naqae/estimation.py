@@ -31,8 +31,9 @@ _GRID_POINTS = 10_000
 _REFINE_TOL = 1e-10
 _FLAT_TOL = 1e-9
 
-# Datasets per grid gemm: an (8 x grid) block stays in cache for the argmax,
-# min and runner-up passes over it (4, 16 and 50 rows measured slower).
+# Datasets per running grid: the (8 x grid) sum and its rank-2 update stay in
+# cache for the add, argmax, min and runner-up passes over them (4, 16, 32
+# and 50 rows measured slower).
 _GRID_CHUNK = 8
 # Unit roundoff u of a double, for the error bound gamma_n = n u / (1 - n u).
 _UNIT_ROUNDOFF = 2.0**-53
@@ -305,21 +306,48 @@ def _refine(
     return results
 
 
+def _fill_log_tables(angles: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> None:
+    """Write ``ln p`` and ``ln(1 - p)``, ``p = sin^2(angles)`` kept inside the log guard.
+
+    Elementwise, so both table layouts below hold the same values bit for bit.
+    """
+    p = np.sin(angles) ** 2
+    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
+    np.log(p, out=log_p)
+    np.log1p(np.negative(p, out=p), out=log_q)
+
+
 @functools.lru_cache(maxsize=4)
 def _log_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The theta grid and its (grid x depth) ``ln p`` and ``ln(1 - p)`` tables.
 
-    ``p = sin^2((2m+1) theta)`` is kept inside the log guard.  The tables
-    depend only on the depths, so they are built once per depth tuple and
-    shared read-only by every estimate on those depths.
+    ``p = sin^2((2m+1) theta)``.  The per-row gemv of a lone dataset reads
+    these.  The tables depend only on the depths, so they are built once per
+    depth tuple and shared read-only by every estimate on those depths.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
-    p = np.sin(np.multiply.outer(thetas, 2.0 * np.array(depths, dtype=float) + 1.0)) ** 2
-    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
-    tables = (thetas, np.log(p), np.log1p(-p))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    tables = np.empty((2, _GRID_POINTS, len(depths)))
+    angles = np.multiply.outer(thetas, 2.0 * np.array(depths, dtype=float) + 1.0)
+    _fill_log_tables(angles, tables[0], tables[1])
+    thetas.flags.writeable = tables.flags.writeable = False
+    return thetas, tables[0], tables[1]
+
+
+@functools.lru_cache(maxsize=4)
+def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The theta grid and a (depth x 2 x grid) table of ``ln p`` and ``ln(1 - p)``.
+
+    ``table[i]`` holds depth i's two rows, ``ln p`` then ``ln(1 - p)``: the
+    contiguous operand of that depth's rank-2 update in :func:`_grid_maxima`.
+    The values are those of :func:`_log_tables`, built directly in this
+    layout, so a batch holds one copy of them.
+    """
+    thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
+    table = np.empty((len(depths), 2, _GRID_POINTS))
+    angles = np.multiply.outer(2.0 * np.array(depths, dtype=float) + 1.0, thetas)
+    _fill_log_tables(angles, table[:, 0], table[:, 1])
+    thetas.flags.writeable = table.flags.writeable = False
+    return thetas, table
 
 
 def _grid_row(
@@ -327,7 +355,7 @@ def _grid_row(
 ) -> tuple[int, bool]:
     """Grid argmax and flatness of one dataset's likelihood, from two BLAS gemvs.
 
-    This is the definition the batched grid of :func:`_grid_maxima` is
+    This is the definition the running sums of :func:`_grid_maxima` are
     certified against.
     """
     loglik = log_p_k @ counts
@@ -338,55 +366,65 @@ def _grid_row(
 
 
 def _grid_maxima(
-    log_p_k: np.ndarray, log_q_k: np.ndarray, counts_k: np.ndarray, misses_k: np.ndarray
-) -> tuple[list[int], list[bool]]:
-    """:func:`_grid_row` of every row of ``counts_k``/``misses_k``, batched.
+    table: np.ndarray, counts: np.ndarray, misses: np.ndarray, prefixes: Sequence[int]
+) -> list[list[tuple[int, bool]]]:
+    """:func:`_grid_row` of every row at every prefix length in ``prefixes`` (increasing).
 
-    The grid of a chunk of rows is one gemm per table, on transposed views of
-    the cached tables.  BLAS sums a gemm in another order than a gemv, so its
-    values may differ in the last bits; a row's result is kept only when a
+    ``result[j][i]`` is row i's grid argmax and flat flag on its first
+    ``prefixes[j]`` depths.  Each chunk of rows keeps one running grid: depth
+    m adds its contribution as one rank-2 product, the rows' ``(counts,
+    misses)`` columns times ``table[m]``, so prefix k costs one update, not
+    a k-column gemm.  That sums in another order than a gemv, so its values
+    may differ in the last bits; a row's result is kept only when a
     rounding-error certificate proves the gemv gives the same one:
 
     * Every product ``c ln p`` and ``(N - c) ln(1 - p)`` is <= 0, so any
-      summation order of a grid value L lands within ``gamma_{k+2} |L|`` of
-      the exact sum, and gemm and gemv differ by at most
-      ``delta / 2``, ``delta = 4 gamma_{k+2} max|G|``.
+      summation order of a grid value L of 2k such terms lands within
+      ``gamma_{2k} |L|`` of the exact sum, and the running sum and the gemv
+      differ by at most ``delta / 2``, ``delta = 4 gamma_{2k} max|G|``.
     * The argmax ``b`` is certified when every other point is below
       ``G_b - 2 delta``: then ``b`` is the gemv's unique, hence first, maximum.
     * The flat flag is certified when ``span - _FLAT_TOL max(1, |top|)`` is
       farther than ``2 delta`` from 0.
 
-    Uncertified rows (near-ties, spans at the flat threshold) and a batch of
-    one run :func:`_grid_row`, so every result equals it exactly.
+    An uncertified row (a near-tie, a span at the flat threshold) runs
+    :func:`_grid_row` at that prefix, on a transient contiguous (grid x k)
+    copy of the table, so every result equals it exactly.  The fallback
+    leaves the running grid alone.
     """
-    rows, k = counts_k.shape
-    if rows == 1:
-        best, flat = _grid_row(log_p_k, log_q_k, counts_k[0], misses_k[0])
-        return [best], [flat]
-    n = (k + 2) * _UNIT_ROUNDOFF
-    gamma = n / (1.0 - n)
-    log_p_t, log_q_t = log_p_k.T, log_q_k.T
-    bests: list[int] = []
-    flats: list[bool] = []
+    rows, points = len(counts), table.shape[2]
+    results: list[list[tuple[int, bool]]] = [[] for _ in prefixes]
+    # Depth m's (counts, misses) columns as one contiguous (rows x 2) block.
+    weights = np.stack((counts.T, misses.T), axis=2)
+    running_block, update_block = np.empty((2, min(rows, _GRID_CHUNK), points))
     for start in range(0, rows, _GRID_CHUNK):
         stop = min(start + _GRID_CHUNK, rows)
-        grid = counts_k[start:stop] @ log_p_t
-        grid += misses_k[start:stop] @ log_q_t
-        best = grid.argmax(axis=1)
+        running, update = running_block[: stop - start], update_block[: stop - start]
+        running.fill(0.0)
         lanes = np.arange(stop - start)
-        top = grid[lanes, best]
-        low = grid.min(axis=1)
-        delta = 4.0 * gamma * np.abs(low)  # every grid value is <= 0
-        grid[lanes, best] = -np.inf
-        runner_up = grid.max(axis=1)
-        span = top - low
-        threshold = _FLAT_TOL * np.maximum(1.0, np.abs(top))
-        certified = (runner_up < top - 2.0 * delta) & (np.abs(span - threshold) > 2.0 * delta)
-        bests += best.tolist()
-        flats += (span <= threshold).tolist()
-        for row in (start + np.flatnonzero(~certified)).tolist():
-            bests[row], flats[row] = _grid_row(log_p_k, log_q_k, counts_k[row], misses_k[row])
-    return bests, flats
+        added = 0
+        for j, k in enumerate(prefixes):
+            for m in range(added, k):
+                np.matmul(weights[m, start:stop], table[m], out=update)
+                running += update
+            added = k
+            n = 2 * k * _UNIT_ROUNDOFF
+            gamma = n / (1.0 - n)
+            best = running.argmax(axis=1)
+            top = running[lanes, best]
+            low = running.min(axis=1)
+            delta = 4.0 * gamma * np.abs(low)  # every grid value is <= 0
+            running[lanes, best] = -np.inf
+            runner_up = running.max(axis=1)
+            running[lanes, best] = top
+            span = top - low
+            threshold = _FLAT_TOL * np.maximum(1.0, np.abs(top))
+            certified = (runner_up < top - 2.0 * delta) & (np.abs(span - threshold) > 2.0 * delta)
+            results[j] += zip(best.tolist(), (span <= threshold).tolist())
+            for row in (start + np.flatnonzero(~certified)).tolist():
+                log_p_k, log_q_k = np.ascontiguousarray(table[:k].transpose(1, 2, 0))
+                results[j][row] = _grid_row(log_p_k, log_q_k, counts[row, :k], misses[row, :k])
+    return results
 
 
 def _estimates(
@@ -398,9 +436,11 @@ def _estimates(
     """Maximum-likelihood estimates from ``datasets[i][:k]`` for every dataset i.
 
     k runs over every prefix length, or only the full length if ``last_only``.
-    Each prefix's grid stage is :func:`_grid_maxima` over the whole batch, a
-    certified gemm per chunk of rows with the per-row gemv as its fallback;
-    refinement and the reported values are computed as for a lone dataset.
+    The grid stage runs first, for every prefix at once: :func:`_grid_maxima`
+    keeps a certified running sum per chunk of rows, one rank-2 update per
+    depth, with the per-row gemv as its fallback; a batch of one runs the
+    gemv.  Refinement then runs prefix by prefix, and the reported values
+    are computed as for a lone dataset.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -434,18 +474,24 @@ def _estimates(
         clamped = [[0] * len(depths)] * len(datasets)
     misses = shots - counts
     ks = 2.0 * np.array(depths, dtype=float) + 1.0
-    thetas, log_p, log_q = _log_tables(depths)
     rows = len(datasets)
-    prefixes = (len(depths),) if last_only else range(1, len(depths) + 1)
+    prefixes = (len(depths),) if last_only else tuple(range(1, len(depths) + 1))
+    if rows == 1:
+        thetas, log_p, log_q = _log_tables(depths)
+        grids = [
+            [_grid_row(log_p[:, :k], log_q[:, :k], counts[0, :k], misses[0, :k])] for k in prefixes
+        ]
+    else:
+        thetas, table = _depth_tables(depths)
+        grids = _grid_maxima(table, counts, misses, prefixes)
 
     estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
-    for k in prefixes:
+    for k, grid in zip(prefixes, grids):
         counts_k, misses_k = counts[:, :k], misses[:, :k]
-        bests, flat = _grid_maxima(log_p[:, :k], log_q[:, :k], counts_k, misses_k)
-        grid_theta = [float(thetas[best]) for best in bests]
+        grid_theta = [float(thetas[best]) for best, _ in grid]
         brackets = [
             (float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, _GRID_POINTS - 1)]))
-            for best in bests
+            for best, _ in grid
         ]
         refined = _refine(brackets, ks[:k], counts_k, misses_k)
         # The grid point and the refined point of every row, in one call.
@@ -467,7 +513,7 @@ def _estimates(
                     log_likelihood=top,
                     method=method,
                     n_clamped=clamped[i][k - 1],
-                    flat_likelihood=flat[i],
+                    flat_likelihood=grid[i][1],
                 )
             )
     return estimates
@@ -485,12 +531,14 @@ def estimate_prefixes(
     :func:`estimate_amplitude` on that prefix.  Each record is corrected
     once, every prefix reads the same cached likelihood tables, and the
     golden-section refinements of all datasets run in lockstep, one numpy
-    evaluation per step for the whole batch.  A prefix's theta grid is one
-    gemm per table for every 8 datasets; a rounding-error certificate proves
-    that each dataset's grid argmax and flat flag are those of its own gemv,
-    and a dataset it cannot certify (a near-tie between grid points, or a
-    span at the flatness threshold) is redone with that gemv, as is a batch
-    of one.
+    evaluation per step for the whole batch.  The theta grids of every 8
+    datasets are one running sum: each depth adds its ``ln p`` and
+    ``ln(1 - p)`` rows, weighted by the datasets' counts, as one rank-2
+    update, and each prefix's grid is the sum so far.  A rounding-error
+    certificate proves that each dataset's grid argmax and flat flag are
+    those of its own gemv, and a dataset it cannot certify at a prefix (a
+    near-tie between grid points, or a span at the flatness threshold) is
+    redone there with that gemv, as is a batch of one.
 
     Raises:
         ValueError: on an empty batch, an empty dataset, or datasets whose

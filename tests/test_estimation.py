@@ -246,25 +246,30 @@ class TestEstimateAmplitude:
 
 # ---------------------------------------------------------------------------
 # Reference: the per-call estimator that predates the cached likelihood
-# tables.  The prefix kernel must agree with it exactly, field for field.  It
-# memoises its own grid tables per depth tuple and shares nothing with the
-# library's cache.
+# tables, run on every prefix of one dataset.  The prefix kernel must agree
+# with it exactly, field for field.  It memoises its own grid tables per
+# depth tuple and shares nothing with the library's cache.  The golden
+# searches of all prefixes step together, so one set of numpy calls
+# evaluates every prefix's objective; each value is still the scalar
+# expression's, element for element and dot for dot.
 
 
-def _reference_golden_max(f, lo, hi, tol):
+def _reference_golden_max(lo, hi, tol):
+    """Golden-section search on [lo, hi]: yields points, is sent values, returns the maximiser."""
     a, b = lo, hi
     c = b - estimation._GOLDEN * (b - a)
     d = a + estimation._GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - estimation._GOLDEN * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + estimation._GOLDEN * (b - a)
-            fd = f(d)
+            fd = yield d
     return 0.5 * (a + b)
 
 
@@ -274,11 +279,6 @@ def _reference_log_tables(theta, ms):
     return np.log(p), np.log1p(-p)
 
 
-def _reference_log_likelihood(theta, ms, counts, shots):
-    log_p, log_q = _reference_log_tables(np.asarray(theta, dtype=float), ms)
-    return log_p @ counts + log_q @ (shots - counts)
-
-
 @functools.lru_cache(maxsize=16)
 def _reference_grid(depths):
     """The theta grid and its ln p and ln(1 - p) tables for these depths."""
@@ -286,41 +286,66 @@ def _reference_grid(depths):
     return (thetas, *_reference_log_tables(thetas, np.array(depths, dtype=float)))
 
 
-def reference_estimate(records, method, depol):
+def reference_prefix_estimates(records, method, depol):
+    """The reference estimate from ``records[:k]`` for every k = 1..len(records)."""
     ms = np.array([r.m for r in records], dtype=float)
     shots = np.array([r.shots for r in records], dtype=float)
-    n_clamped = 0
+    clamped = [0] * len(records)
     if method == "corrected":
         corrections = [correct_counts(r, depol) for r in records]
         counts = np.array([c.value for c in corrections])
-        n_clamped = sum(c.clamped for c in corrections)
+        clamped = [int(c.clamped) for c in corrections]
     else:
         counts = np.array([r.ones for r in records], dtype=float)
+    misses = shots - counts
+    prefixes = range(1, len(records) + 1)
+
+    def objective(points):
+        """Prefix i's log-likelihood at ``points[i]``, for every prefix."""
+        log_p, log_q = _reference_log_tables(np.array(points, dtype=float), ms)
+        return [
+            float(log_p[i, :k] @ counts[:k] + log_q[i, :k] @ misses[:k])
+            for i, k in enumerate(prefixes)
+        ]
 
     n = estimation._GRID_POINTS
-    thetas, log_p, log_q = _reference_grid(tuple(r.m for r in records))
-    loglik = log_p @ counts + log_q @ (shots - counts)
-    best = int(np.argmax(loglik))
-    span = float(loglik.max() - loglik.min())
-    flat = span <= estimation._FLAT_TOL * max(1.0, abs(float(loglik.max())))
+    grid_theta, flats, searches = [], [], []
+    for k in prefixes:
+        thetas, log_p, log_q = _reference_grid(tuple(r.m for r in records[:k]))
+        loglik = log_p @ counts[:k] + log_q @ misses[:k]
+        best = int(np.argmax(loglik))
+        span = float(loglik.max() - loglik.min())
+        flats.append(span <= estimation._FLAT_TOL * max(1.0, abs(float(loglik.max()))))
+        grid_theta.append(float(thetas[best]))
+        lo, hi = float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, n - 1)])
+        searches.append(_reference_golden_max(lo, hi, estimation._REFINE_TOL))
 
-    def objective(theta):
-        return float(_reference_log_likelihood(theta, ms, counts, shots))
+    refined = [None] * len(searches)
+    points = [next(search) for search in searches]
+    while None in refined:
+        for i, value in enumerate(objective(points)):
+            if refined[i] is None:
+                try:
+                    points[i] = searches[i].send(value)
+                except StopIteration as stop:
+                    refined[i] = stop.value
 
-    lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, n - 1)]
-    refined = _reference_golden_max(objective, float(lo), float(hi), estimation._REFINE_TOL)
-    theta_hat, top = float(thetas[best]), objective(float(thetas[best]))
-    refined_value = objective(refined)
-    if refined_value > top:
-        theta_hat, top = refined, refined_value
-    return AmplitudeEstimate(
-        theta_hat=theta_hat,
-        log_likelihood=top,
-        method=method,
-        n_clamped=n_clamped,
-        flat_likelihood=flat,
-    )
+    estimates = []
+    grid_values, refined_values = objective(grid_theta), objective(refined)
+    for i, (top, refined_value) in enumerate(zip(grid_values, refined_values)):
+        theta_hat = grid_theta[i]
+        if refined_value > top:
+            theta_hat, top = refined[i], refined_value
+        estimates.append(
+            AmplitudeEstimate(
+                theta_hat=theta_hat,
+                log_likelihood=top,
+                method=method,
+                n_clamped=sum(clamped[: i + 1]),
+                flat_likelihood=flats[i],
+            )
+        )
+    return estimates
 
 
 def _spy_grid_rows(monkeypatch):
@@ -336,7 +361,26 @@ def _spy_grid_rows(monkeypatch):
     return seen
 
 
+def _running_grids(counts, misses, prefixes=None):
+    """The library's running-sum grid over ``LINEAR_DEPTHS``, every prefix by default."""
+    _, table = estimation._depth_tables(LINEAR_DEPTHS)
+    return estimation._grid_maxima(table, counts, misses, prefixes or _ALL_PREFIXES)
+
+
+def _gemv_grids(counts, misses, prefixes=None):
+    """``_grid_row`` of every row at every prefix, on the (grid x depth) tables."""
+    _, log_p, log_q = estimation._log_tables(LINEAR_DEPTHS)
+    return [
+        [
+            estimation._grid_row(log_p[:, :k], log_q[:, :k], row_counts[:k], row_misses[:k])
+            for row_counts, row_misses in zip(counts, misses)
+        ]
+        for k in prefixes or _ALL_PREFIXES
+    ]
+
+
 LINEAR_DEPTHS = tuple(range(13))
+_ALL_PREFIXES = tuple(range(1, len(LINEAR_DEPTHS) + 1))
 EXPONENTIAL_DEPTHS = (0,) + tuple(2**i for i in range(13))  # 0, 1, 2, 4, ..., 4096
 # At m = 4096 this p~^m is about 1e-289, still a normal float, and corrected
 # counts clamp on almost every draw.
@@ -384,9 +428,7 @@ class TestPrefixKernel:
             estimates = estimate_prefixes(batch, method, depol)
             assert len(estimates) == len(batch)
             for records, prefixes in zip(batch, estimates):
-                assert len(prefixes) == len(records)
-                for k, estimate in enumerate(prefixes, start=1):
-                    assert estimate == reference_estimate(records[:k], method, depol)
+                assert prefixes == reference_prefix_estimates(records, method, depol)
                 assert estimate_amplitude(records, method, depol) == prefixes[-1]
 
         check()
@@ -398,8 +440,7 @@ class TestPrefixKernel:
         interior = [ShotRecord(m=0, shots=10, ones=3), ShotRecord(m=1, shots=10, ones=9)]
         batch = [interior, edge, interior]
         for records, prefixes in zip(batch, estimate_prefixes(batch)):
-            for k, estimate in enumerate(prefixes, start=1):
-                assert estimate == reference_estimate(records[:k], "naive", None)
+            assert prefixes == reference_prefix_estimates(records, "naive", None)
 
     def test_uncertified_rows_take_the_gemv(self, monkeypatch):
         # Half the shots ones at every depth: every p_m is 1/2 at theta = pi/4,
@@ -417,9 +458,11 @@ class TestPrefixKernel:
         estimates = estimate_prefixes(batch)
         assert seen == [[10.0] * k for k in range(1, len(LINEAR_DEPTHS) + 1)]
         for records, prefixes in zip(batch, estimates):
-            for k, estimate in enumerate(prefixes, start=1):
-                assert estimate == reference_estimate(records[:k], "naive", None)
+            assert prefixes == reference_prefix_estimates(records, "naive", None)
         assert estimates[5][-1].theta_hat == pytest.approx(math.pi / 4, abs=1e-9)
+        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
+        misses = np.array([[r.shots for r in records] for records in batch], dtype=float) - counts
+        assert _running_grids(counts, misses) == _gemv_grids(counts, misses)
 
     def test_flat_test_in_the_band_takes_the_gemv(self, monkeypatch):
         # Set the flatness tolerance to one row's own relative span: its flat
@@ -438,14 +481,33 @@ class TestPrefixKernel:
             estimation, "_FLAT_TOL", (top - float(loglik.min())) / max(1.0, abs(top))
         )
         seen = _spy_grid_rows(monkeypatch)
-        bests, flats = estimation._grid_maxima(log_p, log_q, counts, 20.0 - counts)
+        (grid,) = _running_grids(counts, 20.0 - counts, (len(LINEAR_DEPTHS),))
         assert seen == [counts[3].tolist()]
-        for row in range(len(batch)):
-            assert (bests[row], flats[row]) == estimation._grid_row(
-                log_p, log_q, counts[row], 20.0 - counts[row]
-            )
-        for records, estimate in zip(batch, [p[-1] for p in estimate_prefixes(batch)]):
-            assert estimate == reference_estimate(records, "naive", None)
+        assert [grid] == _gemv_grids(counts, 20.0 - counts, (len(LINEAR_DEPTHS),))
+        for records, prefixes in zip(batch, estimate_prefixes(batch)):
+            assert prefixes == reference_prefix_estimates(records, "naive", None)
+
+    def test_fallback_leaves_the_running_grid_alone(self, monkeypatch):
+        # Put one row's flat test in the band at prefix 6 only: that row takes
+        # the gemv there and nowhere else.  Its later prefixes add to the same
+        # running grid, so a fallback that wrote into it would move them.
+        rng = np.random.default_rng(12)
+        batch = [
+            [ShotRecord(m=m, shots=20, ones=int(rng.integers(0, 21))) for m in LINEAR_DEPTHS]
+            for _ in range(10)
+        ]
+        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
+        _, log_p, log_q = estimation._log_tables(LINEAR_DEPTHS)
+        loglik = log_p[:, :6] @ counts[3, :6] + log_q[:, :6] @ (20.0 - counts[3, :6])
+        top = float(loglik.max())
+        monkeypatch.setattr(
+            estimation, "_FLAT_TOL", (top - float(loglik.min())) / max(1.0, abs(top))
+        )
+        seen = _spy_grid_rows(monkeypatch)
+        estimates = estimate_prefixes(batch)
+        assert seen == [counts[3, :6].tolist()]
+        for records, prefixes in zip(batch, estimates):
+            assert prefixes == reference_prefix_estimates(records, "naive", None)
 
     def test_clamping_example_clamps(self):
         records, method, depol = CLAMPING
@@ -454,11 +516,21 @@ class TestPrefixKernel:
         assert estimates[-1].n_clamped >= len(EXPONENTIAL_DEPTHS) // 2
 
     def test_cached_tables_are_shared_and_read_only(self):
-        tables = estimation._log_tables((0, 1, 2))
-        assert all(a is b for a, b in zip(tables, estimation._log_tables((0, 1, 2))))
-        for table in tables:
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+        for build in (estimation._log_tables, estimation._depth_tables):
+            tables = build((0, 1, 2))
+            assert all(a is b for a, b in zip(tables, build((0, 1, 2))))
+            for table in tables:
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
+
+    def test_both_table_layouts_hold_the_same_values(self):
+        for depths in (LINEAR_DEPTHS, EXPONENTIAL_DEPTHS, (7, 3, 60)):
+            thetas, log_p, log_q = estimation._log_tables(depths)
+            depth_thetas, table = estimation._depth_tables(depths)
+            assert table.shape == (len(depths), 2, estimation._GRID_POINTS)
+            assert np.array_equal(depth_thetas, thetas)
+            assert np.array_equal(table[:, 0].T, log_p)
+            assert np.array_equal(table[:, 1].T, log_q)
 
     def test_validation(self):
         record = ShotRecord(m=0, shots=10, ones=5)
