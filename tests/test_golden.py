@@ -57,6 +57,11 @@ CASES: dict[str, list[str]] = {
     "estimate_naive": ["estimate", "--input", "{in}/labeled.csv"],
     "estimate_corrected": ["estimate", "--input", "{in}/labeled.csv", "--method", "corrected",
                            "--p-coh", "0.94", "--out", "{out}/estimate_corrected.json"],
+    # Three labels on depths 0, 1, 2, 4, ..., 4096 at 100 shots: the deep fringes of one
+    # estimate per label (noiseless, depolarizing and gaussian tallies).
+    "estimate_deep_naive": ["estimate", "--input", "{in}/deep.csv"],
+    "estimate_deep_corrected": ["estimate", "--input", "{in}/deep.csv", "--method", "corrected",
+                                "--p-coh", "0.9998"],
     "schedule_nearest": ["schedule", "--depths", "0..12", "--base-shots", "20",
                          "--k-sigma", "0.055"],
     "schedule_up": ["schedule", "--depths", "0,3,9,27", "--base-shots", "7",
