@@ -25,28 +25,32 @@ from .fitting import MODEL_KINDS, MODEL_SPELLINGS, fit_model, fit_report, points
 from .models import _NOISE_SPECS, Amplitude, DepolParams, noise_from_spec
 
 
+_PLAIN = "expected plain integers in the signed 64-bit range"
+
+
 def _parse_integer(text: str, what: str) -> int:
-    """Parse one plain ASCII integer (``-?[0-9]+``)."""
-    if not io._INTEGER.fullmatch(text):
-        raise ValueError(f"bad {what} {text!r}: expected plain integers")
-    return int(text)
+    """Parse one plain ASCII integer (``-?[0-9]+``, signed 64-bit)."""
+    value = io._plain_integer(text)
+    if value is None:
+        raise ValueError(f"bad {what} {text!r}: {_PLAIN}")
+    return value
 
 
 def _parse_integers(text: str, what: str) -> list[int]:
-    """Parse a comma-separated list of plain ASCII integers (``-?[0-9]+``)."""
-    parts = text.split(",")
-    if not all(io._INTEGER.fullmatch(part) for part in parts):
-        raise ValueError(f"bad {what} {text!r}: expected plain integers")
-    return [int(part) for part in parts]
+    """Parse a comma-separated list of plain ASCII integers (``-?[0-9]+``, signed 64-bit)."""
+    values = [io._plain_integer(part) for part in text.split(",")]
+    if None in values:
+        raise ValueError(f"bad {what} {text!r}: {_PLAIN}")
+    return values
 
 
 def _parse_depths(text: str) -> list[int]:
     """Parse 'a..b' (inclusive) or a comma-separated list of depths."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        if not (io._INTEGER.fullmatch(lo) and io._INTEGER.fullmatch(hi)):
-            raise ValueError(f"bad depth range {text!r}: expected plain integers")
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = io._plain_integer(lo), io._plain_integer(hi)
+        if lo_i is None or hi_i is None:
+            raise ValueError(f"bad depth range {text!r}: {_PLAIN}")
         if hi_i < lo_i:
             raise ValueError(f"bad depth range {text!r}: end before start")
         return list(range(lo_i, hi_i + 1))

@@ -306,58 +306,36 @@ def _refine(
     return results
 
 
-def _fill_log_tables(angles: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> None:
-    """Write ``ln p`` and ``ln(1 - p)``, ``p = sin^2(angles)`` kept inside the log guard.
-
-    Elementwise, so both table layouts below hold the same values bit for bit.
-    """
-    p = np.sin(angles) ** 2
-    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
-    np.log(p, out=log_p)
-    np.log1p(np.negative(p, out=p), out=log_q)
-
-
-@functools.lru_cache(maxsize=4)
-def _log_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The theta grid and its (grid x depth) ``ln p`` and ``ln(1 - p)`` tables.
-
-    ``p = sin^2((2m+1) theta)``.  The per-row gemv of a lone dataset reads
-    these.  The tables depend only on the depths, so they are built once per
-    depth tuple and shared read-only by every estimate on those depths.
-    """
-    thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
-    tables = np.empty((2, _GRID_POINTS, len(depths)))
-    angles = np.multiply.outer(thetas, 2.0 * np.array(depths, dtype=float) + 1.0)
-    _fill_log_tables(angles, tables[0], tables[1])
-    thetas.flags.writeable = tables.flags.writeable = False
-    return thetas, tables[0], tables[1]
-
-
 @functools.lru_cache(maxsize=4)
 def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The theta grid and a (depth x 2 x grid) table of ``ln p`` and ``ln(1 - p)``.
 
-    ``table[i]`` holds depth i's two rows, ``ln p`` then ``ln(1 - p)``: the
-    contiguous operand of that depth's rank-2 update in :func:`_grid_maxima`.
-    The values are those of :func:`_log_tables`, built directly in this
-    layout, so a batch holds one copy of them.
+    ``p = sin^2((2m+1) theta)``, kept inside the log guard.  ``table[i]``
+    holds depth i's two rows, ``ln p`` then ``ln(1 - p)``, so the depths
+    between two prefixes are one contiguous operand of :func:`_grid_maxima`.
+    The table depends only on the depths, so it is built once per depth
+    tuple and shared read-only by every estimate on those depths.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
     table = np.empty((len(depths), 2, _GRID_POINTS))
-    angles = np.multiply.outer(2.0 * np.array(depths, dtype=float) + 1.0, thetas)
-    _fill_log_tables(angles, table[:, 0], table[:, 1])
+    p = np.sin(np.multiply.outer(2.0 * np.array(depths, dtype=float) + 1.0, thetas)) ** 2
+    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
+    np.log(p, out=table[:, 0])
+    np.log1p(np.negative(p, out=p), out=table[:, 1])
     thetas.flags.writeable = table.flags.writeable = False
     return thetas, table
 
 
 def _grid_row(
-    log_p_k: np.ndarray, log_q_k: np.ndarray, counts: np.ndarray, misses: np.ndarray
+    table: np.ndarray, k: int, counts: np.ndarray, misses: np.ndarray
 ) -> tuple[int, bool]:
-    """Grid argmax and flatness of one dataset's likelihood, from two BLAS gemvs.
+    """Grid argmax and flatness of one dataset's likelihood on its first ``k`` depths.
 
+    Two BLAS gemvs on a transient contiguous (grid x k) copy of ``table[:k]``.
     This is the definition the running sums of :func:`_grid_maxima` are
-    certified against.
+    certified against, and their fallback where they cannot be.
     """
+    log_p_k, log_q_k = np.ascontiguousarray(table[:k].transpose(1, 2, 0))
     loglik = log_p_k @ counts
     loglik += log_q_k @ misses
     best = int(loglik.argmax())  # first maximum = smallest theta
@@ -371,12 +349,14 @@ def _grid_maxima(
     """:func:`_grid_row` of every row at every prefix length in ``prefixes`` (increasing).
 
     ``result[j][i]`` is row i's grid argmax and flat flag on its first
-    ``prefixes[j]`` depths.  Each chunk of rows keeps one running grid: depth
-    m adds its contribution as one rank-2 product, the rows' ``(counts,
-    misses)`` columns times ``table[m]``, so prefix k costs one update, not
-    a k-column gemm.  That sums in another order than a gemv, so its values
-    may differ in the last bits; a row's result is kept only when a
-    rounding-error certificate proves the gemv gives the same one:
+    ``prefixes[j]`` depths.  Each chunk of rows keeps one running grid: the
+    depths between two requested prefixes add their contribution as one
+    product, the rows' ``(counts, misses)`` pairs on those d depths times
+    ``table``'s 2d rows for them.  With every prefix requested that is one
+    rank-2 update per depth; with only the last, one gemm of inner size 2k.
+    That sums in another order than a gemv, so its values may differ in the
+    last bits; a row's result is kept only when a rounding-error
+    certificate proves the gemv gives the same one:
 
     * Every product ``c ln p`` and ``(N - c) ln(1 - p)`` is <= 0, so any
       summation order of a grid value L of 2k such terms lands within
@@ -388,14 +368,13 @@ def _grid_maxima(
       farther than ``2 delta`` from 0.
 
     An uncertified row (a near-tie, a span at the flat threshold) runs
-    :func:`_grid_row` at that prefix, on a transient contiguous (grid x k)
-    copy of the table, so every result equals it exactly.  The fallback
-    leaves the running grid alone.
+    :func:`_grid_row` at that prefix, so every result equals it exactly.
+    The fallback leaves the running grid alone.
     """
     rows, points = len(counts), table.shape[2]
     results: list[list[tuple[int, bool]]] = [[] for _ in prefixes]
-    # Depth m's (counts, misses) columns as one contiguous (rows x 2) block.
-    weights = np.stack((counts.T, misses.T), axis=2)
+    # Each row's (count, miss) pairs, depth after depth, in table's row order.
+    weights = np.stack((counts, misses), axis=2)
     running_block, update_block = np.empty((2, min(rows, _GRID_CHUNK), points))
     for start in range(0, rows, _GRID_CHUNK):
         stop = min(start + _GRID_CHUNK, rows)
@@ -404,9 +383,12 @@ def _grid_maxima(
         lanes = np.arange(stop - start)
         added = 0
         for j, k in enumerate(prefixes):
-            for m in range(added, k):
-                np.matmul(weights[m, start:stop], table[m], out=update)
-                running += update
+            np.matmul(
+                weights[start:stop, added:k].reshape(stop - start, -1),
+                table[added:k].reshape(-1, points),
+                out=update,
+            )
+            running += update
             added = k
             n = 2 * k * _UNIT_ROUNDOFF
             gamma = n / (1.0 - n)
@@ -422,8 +404,7 @@ def _grid_maxima(
             certified = (runner_up < top - 2.0 * delta) & (np.abs(span - threshold) > 2.0 * delta)
             results[j] += zip(best.tolist(), (span <= threshold).tolist())
             for row in (start + np.flatnonzero(~certified)).tolist():
-                log_p_k, log_q_k = np.ascontiguousarray(table[:k].transpose(1, 2, 0))
-                results[j][row] = _grid_row(log_p_k, log_q_k, counts[row, :k], misses[row, :k])
+                results[j][row] = _grid_row(table, k, counts[row, :k], misses[row, :k])
     return results
 
 
@@ -436,11 +417,11 @@ def _estimates(
     """Maximum-likelihood estimates from ``datasets[i][:k]`` for every dataset i.
 
     k runs over every prefix length, or only the full length if ``last_only``.
-    The grid stage runs first, for every prefix at once: :func:`_grid_maxima`
-    keeps a certified running sum per chunk of rows, one rank-2 update per
-    depth, with the per-row gemv as its fallback; a batch of one runs the
-    gemv.  Refinement then runs prefix by prefix, and the reported values
-    are computed as for a lone dataset.
+    The grid stage runs first, for every prefix at once, on one cached
+    table: :func:`_grid_maxima` keeps a certified running sum per chunk of
+    rows, a batch of one included, with the per-row gemv as its fallback.
+    Refinement then runs prefix by prefix, and the reported values are
+    computed as for a lone dataset.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -476,14 +457,8 @@ def _estimates(
     ks = 2.0 * np.array(depths, dtype=float) + 1.0
     rows = len(datasets)
     prefixes = (len(depths),) if last_only else tuple(range(1, len(depths) + 1))
-    if rows == 1:
-        thetas, log_p, log_q = _log_tables(depths)
-        grids = [
-            [_grid_row(log_p[:, :k], log_q[:, :k], counts[0, :k], misses[0, :k])] for k in prefixes
-        ]
-    else:
-        thetas, table = _depth_tables(depths)
-        grids = _grid_maxima(table, counts, misses, prefixes)
+    thetas, table = _depth_tables(depths)
+    grids = _grid_maxima(table, counts, misses, prefixes)
 
     estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
     for k, grid in zip(prefixes, grids):
@@ -529,7 +504,7 @@ def estimate_prefixes(
     The datasets must share one depth tuple.  ``result[i][k - 1]`` is the
     estimate from ``datasets[i][:k]``, equal field by field to
     :func:`estimate_amplitude` on that prefix.  Each record is corrected
-    once, every prefix reads the same cached likelihood tables, and the
+    once, every prefix reads the same cached likelihood table, and the
     golden-section refinements of all datasets run in lockstep, one numpy
     evaluation per step for the whole batch.  The theta grids of every 8
     datasets are one running sum: each depth adds its ``ln p`` and
@@ -538,7 +513,7 @@ def estimate_prefixes(
     certificate proves that each dataset's grid argmax and flat flag are
     those of its own gemv, and a dataset it cannot certify at a prefix (a
     near-tie between grid points, or a span at the flatness threshold) is
-    redone there with that gemv, as is a batch of one.
+    redone there with that gemv.
 
     Raises:
         ValueError: on an empty batch, an empty dataset, or datasets whose
@@ -558,8 +533,10 @@ def estimate_amplitude(
     with ``p_m(theta) = sin^2((2m+1) theta)`` over theta in [0, pi/2], via a
     uniform grid followed by golden-section refinement of the bracketing
     interval.  Ties resolve to the smallest theta.  The grid's ``ln p`` and
-    ``ln(1 - p)`` tables are cached per depth tuple, so repeated estimates
-    on the same depths do not rebuild them.
+    ``ln(1 - p)`` table is cached per depth tuple, so repeated estimates on
+    the same depths do not rebuild it.  The grid is the path of
+    :func:`estimate_prefixes` with one dataset and one prefix: a single
+    product over all the depths, certified against the per-row gemv.
 
     Args:
         method: "naive" uses the tallies as-is; "corrected" first applies

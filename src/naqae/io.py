@@ -21,8 +21,22 @@ from .experiments import RmseCurve
 from .fitting import MODEL_KINDS, FitResult
 
 _HEADERS = (["m", "shots", "ones"], ["m", "shots", "ones", "label"])
-# A tally cell: ASCII digits with an optional minus sign, nothing else.
-_INTEGER = re.compile(r"-?[0-9]+")
+# A tally cell: ASCII digits with an optional minus sign, nothing else, and a
+# value in the signed 64-bit range (so at most 19 digits after leading zeros).
+_INTEGER = re.compile(r"(-?)0*([0-9]{1,19})")
+
+
+def _plain_integer(text: str) -> int | None:
+    """``text`` as an int if it is a tally cell by the rule above, else None.
+
+    A value past the range could end in an ``OverflowError`` in the float
+    and numpy arithmetic downstream, far from where it entered.
+    """
+    match = _INTEGER.fullmatch(text)
+    if match is None:
+        return None
+    value = int(match[1] + match[2])  # int() refuses over 4300 digits, leading zeros too
+    return value if -(2**63) <= value < 2**63 else None
 
 
 def fmt12(x: float) -> str:
@@ -58,8 +72,8 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
 
     Raises:
         ValueError: malformed header/row (with line number), a tally that is
-            not an ASCII integer ``-?[0-9]+``, or a row whose tallies violate
-            0 <= ones <= shots.
+            not an ASCII integer ``-?[0-9]+`` in the signed 64-bit range, or a
+            row whose tallies violate 0 <= ones <= shots.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -78,9 +92,13 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
-            if not all(_INTEGER.fullmatch(cell) for cell in row[:3]):
-                raise ValueError(f"{path}: line {lineno}: m, shots, ones must be integers")
-            m, shots, ones = (int(cell) for cell in row[:3])
+            tallies = [_plain_integer(cell) for cell in row[:3]]
+            if None in tallies:
+                raise ValueError(
+                    f"{path}: line {lineno}: m, shots, ones must be integers "
+                    "in the signed 64-bit range"
+                )
+            m, shots, ones = tallies
             label = row[3] if has_label else ""
             if m < 0 or shots < 1 or not (0 <= ones <= shots):
                 raise ValueError(

@@ -14,6 +14,9 @@ from naqae.cli import build_parser, main
 from naqae.fitting import MODEL_KINDS, MODEL_SPELLINGS, FrequencyPoint, fit_model
 
 BASE20_SCHEDULE = "20,24,29,33,38,42,46,51,55,60,64,68,73\n"
+# A 400-digit integer: without the signed 64-bit rule it ended in an OverflowError traceback.
+HUGE = "1" + "0" * 399
+OUT_OF_RANGE = "signed 64-bit range"
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +62,12 @@ class TestSchedule:
             capsys, "schedule", "--depths", "0..2", "--base-shots", base_shots, "--k-sigma", "0.1"
         )
         assert code == 1 and out == "" and "expected plain integers" in err
+
+    def test_oversized_depth(self, capsys):
+        code, out, err = run_cli(
+            capsys, "schedule", "--depths", HUGE, "--base-shots", "20", "--k-sigma", "0.1"
+        )
+        assert code == 1 and out == "" and OUT_OF_RANGE in err
 
     @pytest.mark.parametrize("k_sigma", ["-0.1", "nan", "inf"])
     def test_bad_k_sigma(self, capsys, k_sigma):
@@ -146,6 +155,15 @@ class TestSimulate:
         )
         assert code == 1 and out == "" and "expected plain integers" in err
 
+    @pytest.mark.parametrize(
+        "depths", [HUGE, "0.." + HUGE, str(2**63)], ids=["list", "range", "2**63"]
+    )
+    def test_oversized_depth(self, capsys, depths):
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "0.5", "--depths", depths, "--shots", "10"
+        )
+        assert code == 1 and out == "" and OUT_OF_RANGE in err
+
     def test_negative_seed(self, capsys):
         argv = ["simulate", "--theta", "0.5", "--depths", "0..5", "--shots", "10"]
         code, out, _ = run_cli(capsys, *argv, "--seed", "-1")
@@ -204,6 +222,13 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--input", "/nonexistent.csv")
         assert code == 1 and "error" in err
 
+    def test_oversized_depth(self, tmp_path, capsys):
+        csv = tmp_path / "huge.csv"
+        csv.write_text(f"m,shots,ones\n0,10,5\n{HUGE},10,5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--input", str(csv), "--model", "depol")
+        assert code == 1 and out == ""
+        assert err.startswith("naqae: error:") and OUT_OF_RANGE in err
+
     def test_table_needs_model_all(self, gaussian_csv, tmp_path, capsys):
         table_file = tmp_path / "t.csv"
         code, out, err = run_cli(
@@ -258,6 +283,14 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--input", str(gaussian_csv))
         assert (code, out, err) == naive
         assert code == 0 and json.loads(out)["estimates"][0]["method"] == "naive"
+
+    @pytest.mark.parametrize("row", [f"0,{HUGE},5", f"{HUGE},10,5"], ids=["shots", "m"])
+    def test_oversized_integer(self, tmp_path, capsys, row):
+        csv = tmp_path / "huge.csv"
+        csv.write_text(f"m,shots,ones\n{row}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(csv))
+        assert code == 1 and out == ""
+        assert err.startswith("naqae: error:") and OUT_OF_RANGE in err
 
     def test_corrected_underflow_is_an_error(self, tmp_path, capsys):
         # 0.5 ** 4096 underflows to 0.0: the correction cannot be inverted

@@ -353,9 +353,9 @@ def _spy_grid_rows(monkeypatch):
     seen = []
     real = estimation._grid_row
 
-    def spy(log_p_k, log_q_k, counts, misses):
+    def spy(table, k, counts, misses):
         seen.append(counts.tolist())
-        return real(log_p_k, log_q_k, counts, misses)
+        return real(table, k, counts, misses)
 
     monkeypatch.setattr(estimation, "_grid_row", spy)
     return seen
@@ -368,15 +368,24 @@ def _running_grids(counts, misses, prefixes=None):
 
 
 def _gemv_grids(counts, misses, prefixes=None):
-    """``_grid_row`` of every row at every prefix, on the (grid x depth) tables."""
-    _, log_p, log_q = estimation._log_tables(LINEAR_DEPTHS)
+    """``_grid_row`` of every row at every prefix over ``LINEAR_DEPTHS``."""
+    _, table = estimation._depth_tables(LINEAR_DEPTHS)
     return [
         [
-            estimation._grid_row(log_p[:, :k], log_q[:, :k], row_counts[:k], row_misses[:k])
+            estimation._grid_row(table, k, row_counts[:k], row_misses[:k])
             for row_counts, row_misses in zip(counts, misses)
         ]
         for k in prefixes or _ALL_PREFIXES
     ]
+
+
+def _gemv_loglik(counts, misses, k):
+    """One row's grid log-likelihood on ``LINEAR_DEPTHS[:k]``, summed as ``_grid_row`` sums it."""
+    _, table = estimation._depth_tables(LINEAR_DEPTHS)
+    log_p, log_q = np.ascontiguousarray(table[:k].transpose(1, 2, 0))
+    loglik = log_p @ counts[:k]
+    loglik += log_q @ misses[:k]
+    return loglik
 
 
 LINEAR_DEPTHS = tuple(range(13))
@@ -464,6 +473,22 @@ class TestPrefixKernel:
         misses = np.array([[r.shots for r in records] for records in batch], dtype=float) - counts
         assert _running_grids(counts, misses) == _gemv_grids(counts, misses)
 
+    def test_lone_dataset_takes_the_certificate(self, monkeypatch):
+        # A batch of one runs the same certified sum as a larger batch: a
+        # deep random dataset needs no gemv, and the symmetric one of the
+        # test above needs exactly one, at its only prefix.
+        rng = np.random.default_rng(10)
+        deep = [
+            ShotRecord(m=m, shots=100, ones=int(rng.integers(0, 101))) for m in EXPONENTIAL_DEPTHS
+        ]
+        symmetric = [ShotRecord(m=m, shots=20, ones=10) for m in LINEAR_DEPTHS]
+        seen = _spy_grid_rows(monkeypatch)
+        assert estimate_amplitude(deep) == reference_prefix_estimates(deep, "naive", None)[-1]
+        assert seen == []
+        est = estimate_amplitude(symmetric)
+        assert seen == [[10.0] * len(LINEAR_DEPTHS)]
+        assert est == reference_prefix_estimates(symmetric, "naive", None)[-1]
+
     def test_flat_test_in_the_band_takes_the_gemv(self, monkeypatch):
         # Set the flatness tolerance to one row's own relative span: its flat
         # test then sits within rounding of the threshold, where only the
@@ -474,8 +499,7 @@ class TestPrefixKernel:
             for _ in range(10)
         ]
         counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
-        _, log_p, log_q = estimation._log_tables(LINEAR_DEPTHS)
-        loglik = log_p @ counts[3] + log_q @ (20.0 - counts[3])
+        loglik = _gemv_loglik(counts[3], 20.0 - counts[3], len(LINEAR_DEPTHS))
         top = float(loglik.max())
         monkeypatch.setattr(
             estimation, "_FLAT_TOL", (top - float(loglik.min())) / max(1.0, abs(top))
@@ -497,8 +521,7 @@ class TestPrefixKernel:
             for _ in range(10)
         ]
         counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
-        _, log_p, log_q = estimation._log_tables(LINEAR_DEPTHS)
-        loglik = log_p[:, :6] @ counts[3, :6] + log_q[:, :6] @ (20.0 - counts[3, :6])
+        loglik = _gemv_loglik(counts[3], 20.0 - counts[3], 6)
         top = float(loglik.max())
         monkeypatch.setattr(
             estimation, "_FLAT_TOL", (top - float(loglik.min())) / max(1.0, abs(top))
@@ -516,21 +539,12 @@ class TestPrefixKernel:
         assert estimates[-1].n_clamped >= len(EXPONENTIAL_DEPTHS) // 2
 
     def test_cached_tables_are_shared_and_read_only(self):
-        for build in (estimation._log_tables, estimation._depth_tables):
-            tables = build((0, 1, 2))
-            assert all(a is b for a, b in zip(tables, build((0, 1, 2))))
-            for table in tables:
-                with pytest.raises(ValueError):
-                    table[0] = 0.0
-
-    def test_both_table_layouts_hold_the_same_values(self):
-        for depths in (LINEAR_DEPTHS, EXPONENTIAL_DEPTHS, (7, 3, 60)):
-            thetas, log_p, log_q = estimation._log_tables(depths)
-            depth_thetas, table = estimation._depth_tables(depths)
-            assert table.shape == (len(depths), 2, estimation._GRID_POINTS)
-            assert np.array_equal(depth_thetas, thetas)
-            assert np.array_equal(table[:, 0].T, log_p)
-            assert np.array_equal(table[:, 1].T, log_q)
+        tables = estimation._depth_tables((0, 1, 2))
+        assert tables[1].shape == (3, 2, estimation._GRID_POINTS)
+        assert all(a is b for a, b in zip(tables, estimation._depth_tables((0, 1, 2))))
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     def test_validation(self):
         record = ShotRecord(m=0, shots=10, ones=5)

@@ -54,6 +54,17 @@ class TestShotCsv:
             with pytest.raises(ValueError, match="line 3: m, shots, ones must be integers"):
                 read_shot_csv(path)
 
+    def test_integers_outside_int64(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        huge = "1" + "0" * 399
+        for row in (f"0,{huge},2", f"{huge},10,2", f"0,{2**63},2", f"{-(2**63) - 1},10,2"):
+            path.write_text(f"m,shots,ones\n0,10,2\n{row}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="line 3: .* signed 64-bit range"):
+                read_shot_csv(path)
+        # the range's last value stays, and so do more leading zeros than int() parses
+        path.write_text(f"m,shots,ones\n0,{2**63 - 1},{'0' * 5000}7\n", encoding="utf-8")
+        assert read_shot_csv(path)[""] == [ShotRecord(m=0, shots=2**63 - 1, ones=7)]
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "shots.csv"
         path.write_text("depth,shots,ones\n0,10,2\n")
