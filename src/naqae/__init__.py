@@ -60,7 +60,6 @@ from .models import (
     depol_equivalent,
     noise_from_dict,
     noise_from_spec,
-    p0_gaussian_quadrature,
     p1_depolarizing,
     p1_gaussian_closed,
     p1_gaussian_quadrature,

@@ -26,6 +26,8 @@ from .models import _NOISE_SPECS, Amplitude, DepolParams, noise_from_spec
 
 
 _PLAIN = "expected plain integers in the signed 64-bit range"
+# Most depths an 'a..b' range may hold; each is a list entry and an output row.
+_MAX_DEPTHS = 2**20
 
 
 def _parse_integer(text: str, what: str) -> int:
@@ -53,11 +55,17 @@ def _parse_depths(text: str) -> list[int]:
             raise ValueError(f"bad depth range {text!r}: {_PLAIN}")
         if hi_i < lo_i:
             raise ValueError(f"bad depth range {text!r}: end before start")
+        if hi_i - lo_i >= _MAX_DEPTHS:
+            raise ValueError(f"bad depth range {text!r}: more than {_MAX_DEPTHS} depths")
         return list(range(lo_i, hi_i + 1))
     return _parse_integers(text, "depth list")
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or to the file ``out`` with newlines untranslated.
+
+    The only writer of the package's output.
+    """
     if out is None:
         sys.stdout.write(text)
     else:
@@ -79,7 +87,7 @@ def _cmd_simulate(args) -> int:
     if len(shots) == 1:
         shots = shots * len(depths)
     records = run_depth_sweep(device, depths, shots)
-    _emit(io.write_shot_csv(None, records), args.out)
+    _emit(io.write_shot_csv(records), args.out)
     return 0
 
 
@@ -93,16 +101,12 @@ def _cmd_fit(args) -> int:
         points = points_from_records(grouped[label])
         for kind in kinds:
             results.append(fit_model(points, kind, label=label))
-    payload = {"fits": [io.fit_result_dict(r) for r in results]}
-    text = io.dump_json(payload, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(io.dump_json({"fits": [io.fit_result_dict(r) for r in results]}), args.out)
     if args.model == "all":
         table = io.report_csv(fit_report(results))
-        if args.table is not None:
+        # The table goes to --table, or to stdout when the JSON went to --out.
+        if args.table is not None or args.out is not None:
             _emit(table, args.table)
-        elif args.out is not None:
-            sys.stdout.write(table)
     return 0
 
 
@@ -122,9 +126,7 @@ def _cmd_estimate(args) -> int:
         )
         for label in sorted(grouped)
     ]
-    text = io.dump_json({"estimates": estimates}, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    _emit(io.dump_json({"estimates": estimates}), args.out)
     return 0
 
 
@@ -135,9 +137,9 @@ def _cmd_schedule(args) -> int:
         args.k_sigma,
         args.rounding,
     )
-    sys.stdout.write(",".join(str(n) for n in schedule.shots) + "\n")
+    _emit(",".join(str(n) for n in schedule.shots) + "\n", None)
     if args.out is not None:
-        io.dump_json(io.schedule_dict(schedule), args.out)
+        _emit(io.dump_json(io.schedule_dict(schedule)), args.out)
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .device import ShotRecord
-from .models import DepolParams, _check_depth
+from .models import DepolParams, _check_depth, _check_rate
 
 # Probabilities are clamped away from {0, 1} inside logs; exact 0/1 model
 # values are only consistent with data that agrees exactly.
@@ -69,9 +69,6 @@ class ShotSchedule:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -138,8 +135,7 @@ def worst_case_variance(m: int, n_shots: int, k_sigma: float) -> VarianceBound:
     m = _check_depth(m)
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots!r}")
-    if not (k_sigma >= 0.0 and math.isfinite(k_sigma)):
-        raise ValueError(f"k_sigma must be finite and >= 0, got {k_sigma!r}")
+    _check_rate(k_sigma, "k_sigma")
     sigma2 = k_sigma * m
     sigma2_tilde = 1.0 / (4.0 * n_shots)
     return VarianceBound(
@@ -160,17 +156,22 @@ def shot_schedule(
     Scales the per-depth shot count so that the worst-case estimate variance
     stays at the noiseless level ``1 / (4 n_shot_base)``.  ``rounding`` is
     "nearest" (half away from zero) or "up".
+
+    Raises:
+        ValueError: on a count that is not finite or is >= 2**63 (past a
+            signed 64-bit tally), naming its depth.
     """
     if n_shot_base < 1:
         raise ValueError(f"n_shot_base must be >= 1, got {n_shot_base!r}")
-    if not (k_sigma >= 0.0 and math.isfinite(k_sigma)):
-        raise ValueError(f"k_sigma must be finite and >= 0, got {k_sigma!r}")
+    _check_rate(k_sigma, "k_sigma")
     if rounding not in ROUNDINGS:
         raise ValueError(f"rounding must be one of {ROUNDINGS}, got {rounding!r}")
     entries = []
     for m in depths:
         m = _check_depth(m)
         exact = (4.0 * k_sigma * m + 1.0) * n_shot_base
+        if not (math.isfinite(exact) and exact < 2.0**63):
+            raise ValueError(f"shot count at depth {m} must be finite and < 2**63, got {exact!r}")
         if rounding == "nearest":
             n = math.floor(exact + 0.5)  # half rounds up, not to even
         else:
@@ -279,10 +280,8 @@ def _objective(ks: np.ndarray, counts: np.ndarray, misses: np.ndarray):
     return theta, evaluate
 
 
-def _refine(
-    brackets: list[tuple[float, float]], ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
-) -> list[float]:
-    """Golden-section maximizer in ``brackets[i]`` of dataset i's likelihood.
+def _refine(brackets: list[tuple[float, float]], theta: np.ndarray, evaluate) -> list[float]:
+    """Golden-section maximizer in ``brackets[i]`` of row i of an :func:`_objective`.
 
     The searches run in lockstep: each step evaluates the next point of
     every search in one call.  A finished search keeps its row, evaluated at
@@ -292,7 +291,6 @@ def _refine(
     sends: list = [search.send for search in searches]
     results = [0.0] * len(searches)
     running = len(searches)
-    theta, evaluate = _objective(ks, counts, misses)
     theta[:] = [next(search) for search in searches]
     while running:
         for i, value in enumerate(evaluate()):
@@ -420,7 +418,8 @@ def _estimates(
     The grid stage runs first, for every prefix at once, on one cached
     table: :func:`_grid_maxima` keeps a certified running sum per chunk of
     rows, a batch of one included, with the per-row gemv as its fallback.
-    Refinement then runs prefix by prefix, and the reported values are
+    Refinement then runs prefix by prefix on one :func:`_objective` per
+    prefix, which then gives the grid and refined points' values, each row's
     computed as for a lone dataset.
 
     The binomial log-likelihood omits the theta-independent coefficient,
@@ -455,33 +454,29 @@ def _estimates(
         clamped = [[0] * len(depths)] * len(datasets)
     misses = shots - counts
     ks = 2.0 * np.array(depths, dtype=float) + 1.0
-    rows = len(datasets)
     prefixes = (len(depths),) if last_only else tuple(range(1, len(depths) + 1))
     thetas, table = _depth_tables(depths)
     grids = _grid_maxima(table, counts, misses, prefixes)
 
     estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
     for k, grid in zip(prefixes, grids):
-        counts_k, misses_k = counts[:, :k], misses[:, :k]
+        theta, evaluate = _objective(ks[:k], counts[:, :k], misses[:, :k])
         grid_theta = [float(thetas[best]) for best, _ in grid]
         brackets = [
             (float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, _GRID_POINTS - 1)]))
             for best, _ in grid
         ]
-        refined = _refine(brackets, ks[:k], counts_k, misses_k)
-        # The grid point and the refined point of every row, in one call.
-        theta, evaluate = _objective(
-            ks[:k], np.concatenate((counts_k, counts_k)), np.concatenate((misses_k, misses_k))
-        )
-        theta[:] = grid_theta + refined
-        values = evaluate()
-        for i in range(rows):
-            theta_hat, top = grid_theta[i], values[i]
+        refined = _refine(brackets, theta, evaluate)
+        theta[:] = refined
+        refined_values = evaluate()
+        theta[:] = grid_theta
+        for i, top in enumerate(evaluate()):
+            theta_hat = grid_theta[i]
             # Keep the grid point unless refinement strictly improves: the log
             # guard flattens the likelihood near exact-certainty angles, and a
             # tie there must not pull the estimate off the boundary.
-            if values[rows + i] > top:
-                theta_hat, top = refined[i], values[rows + i]
+            if refined_values[i] > top:
+                theta_hat, top = refined[i], refined_values[i]
             estimates[i].append(
                 AmplitudeEstimate(
                     theta_hat=theta_hat,

@@ -14,7 +14,6 @@ replications.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,14 +32,13 @@ from .models import (
     Amplitude,
     DepolParams,
     GaussianNoiseParams,
+    _check_rate,
     _json_number,
     depol_equivalent,
     noise_from_dict,
 )
 
 SETTINGS = ("noisy_a", "noisy_b", "noise_aware", "noiseless")
-
-X_KINDS = ("depth", "queries")
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,7 @@ class ExperimentConfig:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth!r}")
         if self.n_shot_base < 1:
             raise ValueError(f"n_shot_base must be >= 1, got {self.n_shot_base!r}")
-        if not (self.k_sigma_assumed >= 0.0 and math.isfinite(self.k_sigma_assumed)):
-            raise ValueError(
-                f"k_sigma_assumed must be finite and >= 0, got {self.k_sigma_assumed!r}"
-            )
+        _check_rate(self.k_sigma_assumed, "k_sigma_assumed")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         unknown = [s for s in self.settings if s not in SETTINGS]
@@ -89,8 +84,8 @@ class RmseCurve:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.x_kind not in X_KINDS:
-            raise ValueError(f"x_kind must be one of {X_KINDS}, got {self.x_kind!r}")
+        if self.x_kind not in ("depth", "queries"):
+            raise ValueError(f"x_kind must be one of ('depth', 'queries'), got {self.x_kind!r}")
         xs = [x for x, _ in self.points]
         if any(r < 0.0 for _, r in self.points) or xs != sorted(xs):
             raise ValueError("points must be x-ordered with rmse >= 0")

@@ -147,8 +147,8 @@ def r_squared(observed, predicted) -> float:
 
 
 def points_from_records(records: list[ShotRecord]) -> list[FrequencyPoint]:
-    """Convert shot tallies to frequency points via p1_hat = ones / shots."""
-    return [FrequencyPoint(m=r.m, p1_hat=r.ones / r.shots) for r in records]
+    """Convert shot tallies to frequency points at their ``p1_hat = ones / shots``."""
+    return [FrequencyPoint(m=r.m, p1_hat=r.p1_hat) for r in records]
 
 
 def _predict(family: _Family, params, ms):

@@ -4,6 +4,9 @@ The shot CSV carries one tally per row under the header ``m,shots,ones`` with
 an optional trailing ``label`` column (circuit/machine tag).  Rows need not
 be sorted; duplicate depths within one label are merged by summing.  All
 numeric output is serialized with 12 significant digits.
+
+This module reads shot CSVs and renders every output as text; it writes no
+file.  The CLI writes that text to stdout or to an ``--out`` file.
 """
 
 from __future__ import annotations
@@ -55,12 +58,9 @@ def round12(value):
     return value
 
 
-def dump_json(obj, path: str | Path | None) -> str:
-    """Serialize to JSON (12-significant-digit floats); write if path given."""
-    text = json.dumps(round12(obj), indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+def dump_json(obj) -> str:
+    """Render as JSON text (12-significant-digit floats)."""
+    return json.dumps(round12(obj), indent=2) + "\n"
 
 
 def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
@@ -113,10 +113,8 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
     return grouped
 
 
-def write_shot_csv(
-    path: str | Path | None, records: dict[str, list[ShotRecord]] | list[ShotRecord]
-) -> str:
-    """Write records as shot CSV (LF line endings); returns the text.
+def write_shot_csv(records: dict[str, list[ShotRecord]] | list[ShotRecord]) -> str:
+    """Render records as shot CSV text (LF line endings).
 
     A plain list is written unlabeled; a dict keyed by label includes the
     label column unless the only label is the empty string.
@@ -128,17 +126,18 @@ def write_shot_csv(
     with_label = any(label for label in grouped)
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # csv quotes a field holding "\n" but not a bare "\r", which a reader
+    # takes for a line end; such a label is quoted here.
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     writer.writerow(_HEADERS[1] if with_label else _HEADERS[0])
     for label in sorted(grouped):
+        row_writer = quoting if "\r" in label else writer
         for record in sorted(grouped[label], key=lambda r: r.m):
             row = [record.m, record.shots, record.ones]
             if with_label:
                 row.append(label)
-            writer.writerow(row)
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8", newline="")
-    return text
+            row_writer.writerow(row)
+    return buf.getvalue()
 
 
 def fit_result_dict(result: FitResult) -> dict:
@@ -203,17 +202,3 @@ def curves_csv(curves: list[RmseCurve]) -> str:
         for x, rmse in curve.points:
             writer.writerow([curve.setting, curve.x_kind, fmt12(x), fmt12(rmse)])
     return buf.getvalue()
-
-
-__all__ = [
-    "fmt12",
-    "round12",
-    "dump_json",
-    "read_shot_csv",
-    "write_shot_csv",
-    "fit_result_dict",
-    "report_csv",
-    "estimate_dict",
-    "schedule_dict",
-    "curves_csv",
-]

@@ -77,8 +77,7 @@ class GaussianNoiseParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.k_mu):
             raise ValueError(f"k_mu must be finite, got {self.k_mu!r}")
-        if not (self.k_sigma >= 0.0 and math.isfinite(self.k_sigma)):
-            raise ValueError(f"k_sigma must be finite and >= 0, got {self.k_sigma!r}")
+        _check_rate(self.k_sigma, "k_sigma")
 
     def p1_raw(self, theta, m):
         """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
@@ -201,6 +200,12 @@ def _check_depth(m: int) -> int:
     return int(m)
 
 
+def _check_rate(value: float, name: str) -> None:
+    """Validate a noise rate (finite and >= 0)."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _as_probability(p: float, context: str) -> float:
     """Clamp round-off-sized excursions outside [0, 1]; reject anything larger."""
     if p < 0.0:
@@ -276,46 +281,6 @@ def _hermgauss_nodes(n: int):
     return np.polynomial.hermite.hermgauss(n)
 
 
-def _gaussian_outcome_quadrature(
-    amp: Amplitude,
-    m: int,
-    noise: GaussianNoiseParams,
-    tol: float,
-    outcome: int,
-    max_nodes: int,
-) -> float:
-    """Shared quadrature for p(outcome); outcome 1 uses sin^2, outcome 0 cos^2."""
-    m = _check_depth(m)
-    mean = noise.k_mu * m
-    variance = noise.k_sigma * m
-    phase = (2.0 * m + 1.0) * amp.theta
-    trig = np.sin if outcome == 1 else np.cos
-
-    if variance == 0.0:
-        # Zero variance: the error distribution is a point mass at the mean.
-        p = float(trig(phase + mean) ** 2)
-        return _as_probability(p, "gaussian quadrature (degenerate)")
-
-    # Expectation of f(t) for t ~ N(mean, variance) via the substitution
-    # t = mean + sqrt(2 variance) x against the weight exp(-x^2).
-    scale = math.sqrt(2.0 * variance)
-    threshold = max(tol, 1e-15)
-    previous = None
-    n = 16
-    while n <= max_nodes:
-        x, w = _hermgauss_nodes(n)
-        values = trig(phase + mean + scale * x) ** 2
-        estimate = float(w @ values) / math.sqrt(math.pi)
-        if previous is not None and abs(estimate - previous) <= threshold:
-            return _as_probability(estimate, "gaussian quadrature")
-        previous = estimate
-        n *= 2
-    raise QuadratureError(
-        f"quadrature did not converge to {tol!r} within {max_nodes} nodes "
-        f"(theta={amp.theta}, m={m}, k_mu={noise.k_mu}, k_sigma={noise.k_sigma})"
-    )
-
-
 def p1_gaussian_quadrature(
     amp: Amplitude,
     m: int,
@@ -333,18 +298,34 @@ def p1_gaussian_quadrature(
     Raises:
         QuadratureError: no convergence within ``max_nodes`` nodes.
     """
-    return _gaussian_outcome_quadrature(amp, m, noise, tol, 1, max_nodes)
+    m = _check_depth(m)
+    mean = noise.k_mu * m
+    variance = noise.k_sigma * m
+    phase = (2.0 * m + 1.0) * amp.theta
 
+    if variance == 0.0:
+        # Zero variance: the error distribution is a point mass at the mean.
+        p = float(np.sin(phase + mean) ** 2)
+        return _as_probability(p, "gaussian quadrature (degenerate)")
 
-def p0_gaussian_quadrature(
-    amp: Amplitude,
-    m: int,
-    noise: GaussianNoiseParams,
-    tol: float = 1e-10,
-    max_nodes: int = 4096,
-) -> float:
-    """Probability of measuring 0 (cos^2 integrand); complements the p1 oracle."""
-    return _gaussian_outcome_quadrature(amp, m, noise, tol, 0, max_nodes)
+    # Expectation of f(t) for t ~ N(mean, variance) via the substitution
+    # t = mean + sqrt(2 variance) x against the weight exp(-x^2).
+    scale = math.sqrt(2.0 * variance)
+    threshold = max(tol, 1e-15)
+    previous = None
+    n = 16
+    while n <= max_nodes:
+        x, w = _hermgauss_nodes(n)
+        values = np.sin(phase + mean + scale * x) ** 2
+        estimate = float(w @ values) / math.sqrt(math.pi)
+        if previous is not None and abs(estimate - previous) <= threshold:
+            return _as_probability(estimate, "gaussian quadrature")
+        previous = estimate
+        n *= 2
+    raise QuadratureError(
+        f"quadrature did not converge to {tol!r} within {max_nodes} nodes "
+        f"(theta={amp.theta}, m={m}, k_mu={noise.k_mu}, k_sigma={noise.k_sigma})"
+    )
 
 
 def p1_depolarizing(amp: Amplitude, m: int, depol: DepolParams) -> float:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import naqae
+from naqae import cli
 from naqae.cli import build_parser, main
 from naqae.fitting import MODEL_KINDS, MODEL_SPELLINGS, FrequencyPoint, fit_model
 
@@ -68,6 +69,33 @@ class TestSchedule:
             capsys, "schedule", "--depths", HUGE, "--base-shots", "20", "--k-sigma", "0.1"
         )
         assert code == 1 and out == "" and OUT_OF_RANGE in err
+
+    @pytest.mark.parametrize("depths", ["0..9223372036854775806", "5..1048581"])
+    def test_depth_range_capped(self, capsys, depths):
+        # Unbounded, the first range ended in a MemoryError traceback.
+        code, out, err = run_cli(
+            capsys, "schedule", "--depths", depths, "--base-shots", "2", "--k-sigma", "0.1"
+        )
+        assert code == 1 and out == ""
+        assert err == f"naqae: error: bad depth range {depths!r}: more than 1048576 depths\n"
+
+    def test_depth_range_cap_is_inclusive(self):
+        assert len(cli._parse_depths("5..1048580")) == cli._MAX_DEPTHS == 2**20
+
+    @pytest.mark.parametrize(
+        "base_shots, k_sigma, depth",
+        [("9223372036854775807", "0.1", 0), ("2", "1e308", 0), (str(2**62), "0.1", 3)],
+    )
+    def test_shot_counts_past_int64(self, capsys, base_shots, k_sigma, depth):
+        # The first printed 9223372036854775808, a count simulate --shots rejects;
+        # the second ended in "cannot convert float NaN to integer".
+        code, out, err = run_cli(
+            capsys, "schedule", "--depths", "0..3", "--base-shots", base_shots,
+            "--k-sigma", k_sigma,
+        )
+        assert code == 1 and out == ""
+        message = f"naqae: error: shot count at depth {depth} must be finite and < 2**63"
+        assert err.startswith(message)
 
     @pytest.mark.parametrize("k_sigma", ["-0.1", "nan", "inf"])
     def test_bad_k_sigma(self, capsys, k_sigma):
@@ -163,6 +191,16 @@ class TestSimulate:
             capsys, "simulate", "--theta", "0.5", "--depths", depths, "--shots", "10"
         )
         assert code == 1 and out == "" and OUT_OF_RANGE in err
+
+    def test_depth_range_capped(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "0.5", "--depths", "0..9223372036854775806",
+            "--shots", "10",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "naqae: error: bad depth range '0..9223372036854775806': more than 1048576 depths\n"
+        )
 
     def test_negative_seed(self, capsys):
         argv = ["simulate", "--theta", "0.5", "--depths", "0..5", "--shots", "10"]
@@ -328,6 +366,16 @@ class TestExperiment:
         config_path.write_text(json.dumps({"device": {"theta": 0.3}}))
         code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
         assert code == 1 and "missing field" in err
+
+    def test_shot_count_past_int64(self, tmp_path, capsys):
+        config = {"device": {"theta": 0.3}, "max_depth": 3, "n_shot_base": 2**62,
+                  "k_sigma_assumed": 0.1, "settings": ["noise_aware"], "replications": 1,
+                  "seed": 0}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config_path))
+        assert code == 1 and out == ""
+        assert "shot count at depth 3 must be finite and < 2**63" in err
 
     def test_malformed_json(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -118,6 +118,19 @@ class TestShotSchedule:
         with pytest.raises(ValueError):
             shot_schedule([1, 1], 10, 0.1)  # depths must strictly increase
 
+    @pytest.mark.parametrize("rounding", ["nearest", "up"])
+    def test_counts_past_int64_name_their_depth(self, rounding):
+        # (4 * 0.1 * m + 1) * 2**62 reaches 2**63 first at depth 3
+        with pytest.raises(ValueError, match="depth 3 must be finite and < 2\\*\\*63"):
+            shot_schedule([0, 1, 2, 3], 2**62, 0.1, rounding)
+        # 2**63 - 1 rounds up to the float 2**63; 4 * 1e308 overflows, times 0 is NaN
+        with pytest.raises(ValueError, match="depth 0 .* got 9.223372036854776e\\+18"):
+            shot_schedule([0, 1], 2**63 - 1, 0.1, rounding)
+        with pytest.raises(ValueError, match="depth 0 .* got nan"):
+            shot_schedule([0, 1], 2, 1e308, rounding)
+        # the largest double below 2**63 is a count
+        assert shot_schedule([0], 2**63 - 1024, 0.0, rounding).shots == (2**63 - 1024,)
+
     def test_schedule_type_invariants(self):
         with pytest.raises(ValueError):
             ShotSchedule(entries=((0, 5), (0, 6)))

@@ -10,7 +10,6 @@ from naqae import (
     DepolParams,
     GaussianNoiseParams,
     depol_equivalent,
-    p0_gaussian_quadrature,
     p1_depolarizing,
     p1_gaussian_closed,
     p1_gaussian_quadrature,
@@ -158,12 +157,13 @@ class TestQuadrature:
         check()
 
     def test_outcomes_sum_to_one(self):
+        # p(1) = (1 - (p(0) - p(1))) / 2 when p(0) + p(1) = 1.
         rng = np.random.default_rng(13)
         for theta, m, k_mu, k_sigma in random_tuples(100, rng):
             amp, noise = Amplitude(theta), GaussianNoiseParams(k_mu, k_sigma)
-            p0 = p0_gaussian_quadrature(amp, int(m), noise)
-            p1 = p1_gaussian_closed(amp, int(m), noise)
-            assert p0 + p1 == pytest.approx(1.0, abs=1e-9)
+            p1 = p1_gaussian_quadrature(amp, int(m), noise)
+            p_diff = p_diff_gaussian_closed(amp, int(m), noise)
+            assert p1 == pytest.approx((1.0 - p_diff) / 2.0, abs=1e-9)
 
     def test_node_budget_exhaustion(self):
         with pytest.raises(QuadratureError):
