@@ -24,9 +24,7 @@ from .errors import (
 )
 from .estimation import (
     AmplitudeEstimate,
-    CorrectionResult,
     ShotSchedule,
-    VarianceBound,
     binomial_std_bound,
     correct_counts,
     correct_frequency,

@@ -37,6 +37,13 @@ PRESET_THETAS: dict[str, float] = {
 }
 
 
+def _check_tally(value: int, name: str) -> None:
+    """Reject what a shot CSV cannot hold: a float, a bool, or an integer past 64 bits."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and -(2**63) <= int(value) < 2**63):
+        raise ValueError(f"{name} must be an integer in the signed 64-bit range, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Measurement tally for one circuit depth: ``ones`` ones in ``shots`` shots."""
@@ -46,6 +53,8 @@ class ShotRecord:
     ones: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "shots", "ones"):
+            _check_tally(getattr(self, name), name)
         _check_depth(self.m)
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots!r}")
@@ -101,6 +110,7 @@ def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:
     tallies at different depths are independent.
     """
     m = _check_depth(m)
+    _check_tally(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots!r}")
     p1 = dev.p1(m)

@@ -2,8 +2,9 @@
 
 Covers the noise-aware experiment-design side (worst-case variance bound and
 the shot schedule that restores noiseless variance) and the inference side
-(depolarizing count correction plus a grid + golden-section maximum-likelihood
-estimator over the noiseless outcome model).
+(depolarizing count correction plus a maximum-likelihood estimator over the
+noiseless outcome model: a theta grid, then Newton steps inside the concave
+piece of the likelihood that holds the grid maximum).
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .models import DepolParams, _check_depth, _check_rate
 # values are only consistent with data that agrees exactly.
 _LOG_GUARD = 1e-12
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Theta search: uniform grid size, golden-section refinement tolerance, and
-# the relative likelihood span at or below which the likelihood is flat.
+# Theta search: uniform grid size, the Newton step at or below which a
+# refinement has converged, and the relative likelihood span at or below which
+# the likelihood is flat.
 _GRID_POINTS = 10_000
-_REFINE_TOL = 1e-10
+_STEP_TOL = 1e-12
 _FLAT_TOL = 1e-9
 
 # Datasets per running grid: the (8 x grid) sum and its rank-2 update stay in
@@ -222,86 +222,78 @@ def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
     return _correct(record.ones, float(record.shots), record.m, depol)
 
 
-def _golden_max(lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi]; ties resolve to smaller x.
+def _log_likelihood(theta: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Row i's log-likelihood at ``theta[i]``, for every row of ``weights``.
 
-    A generator: it yields each point to evaluate, is sent the objective's
-    value there, and returns the maximizer.  :func:`_refine` steps many
-    searches in lockstep this way, each with its own float arithmetic.
+    ``weights`` stacks the rows' counts and misses, (2 x rows x k x 1).
+    Each row's two sums are BLAS dots of exact length k, the calls a lone
+    dataset makes too, so a row's value does not depend on the other rows;
+    ``einsum``, ``sum`` and zero padding would each add in another order.
     """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = yield c
-    fd = yield d
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = yield d
-    return 0.5 * (a + b)
+    p = np.square(np.sin(np.multiply.outer(theta, ks)))[:, None, :]
+    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
+    terms = np.matmul(np.array((np.log(p), np.log1p(-p))), weights)
+    return (terms[0] + terms[1]).ravel().tolist()
 
 
-def _objective(ks: np.ndarray, counts: np.ndarray, misses: np.ndarray):
-    """Log-likelihood evaluator for a batch, one dataset per row of ``counts``/``misses``.
+def _refine(
+    theta: np.ndarray, lo: np.ndarray, hi: np.ndarray, ks: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Row i's likelihood maximum in ``[lo[i], hi[i]]``, found from its grid maximum ``theta[i]``.
 
-    Returns ``(theta, evaluate)``: write row i's angle into ``theta[i]``, and
-    ``evaluate()`` returns every row's log-likelihood there as a list of
-    floats.  The buffers are allocated once, here.  Each row's two sums are
-    BLAS dots of exact length k, the calls a lone dataset makes too, so a
-    row's value does not depend on the other rows; ``einsum``, ``sum`` and
-    zero padding would each add in another order.
+    With ``k = 2m + 1``, each depth's term ``h ln sin^2(k theta) +
+    (N - h) ln cos^2(k theta)`` has curvature ``C = -2k^2 [h / sin^2(k theta)
+    + (N - h) / cos^2(k theta)] < 0`` and falls to -inf at the zeros of
+    ``sin(k theta)`` if h > 0 and of ``cos(k theta)`` if N - h > 0.  So L is
+    strictly concave between consecutive such zeros, where its score
+    ``S = sum 2k [h cot(k theta) - (N - h) tan(k theta)]`` falls from +inf to
+    -inf through one maximum.  The bracket is cut to the piece that holds the
+    grid point (the one above it, for a grid point on a zero), so the search
+    keeps to the grid point's own peak, never its twin across a zero.
+
+    Each row takes Newton steps ``theta - S / C`` on the exact, guard-free
+    score.  Each evaluation moves the bracket end that S points away from to
+    theta, and a step that does not land strictly inside the bracket
+    bisects it.  A row is done when its step is at most ``_STEP_TOL`` and
+    lands in the closed bracket (tested first: a point that has just become a
+    bracket end takes a zero step), or when its bracket is that narrow.  Only
+    rows still moving are evaluated, and each row's sums are BLAS dots of
+    exact length k, as in :func:`_log_likelihood`.
     """
-    rows, k = counts.shape
-    theta = np.empty(rows)
-    angles, p = np.empty((rows, 1, k)), np.empty((rows, 1, k))
-    logs = np.empty((2, rows, 1, k))  # ln p and ln(1 - p)
-    weights = np.stack((counts, misses))[..., None]
-    terms = np.empty((2, rows, 1, 1))
-    total = np.empty(rows)
-    theta_col, log_p, log_q = theta[:, None, None], logs[0], logs[1]
-    first, second, total_col = terms[0], terms[1], total[:, None, None]
+    # Zeros of sin(k theta) lie at integer x = k theta / pi, of cos(k theta) at
+    # half-integers: the floors are each kind's nearest at or below x.  A sin
+    # zero ends a piece where h > 0, a cos zero where N - h > 0.
+    x = np.multiply.outer(theta, ks) / math.pi
+    zeros = np.array((np.floor(x), np.floor(x - 0.5) + 0.5))
+    ends = weights[..., 0] > 0
+    below = np.where(ends, zeros, -np.inf).max(axis=0) * math.pi / ks
+    above = np.where(ends, zeros + 1.0, np.inf).min(axis=0) * math.pi / ks
+    lo, hi = np.maximum(lo, below.max(axis=1)), np.minimum(hi, above.min(axis=1))
 
-    def evaluate() -> list[float]:
-        np.sin(np.multiply(theta_col, ks, angles), p)
-        np.square(p, p)
-        # np.clip's Python wrapper costs more than the clamp itself here.
-        np.minimum(np.maximum(p, _LOG_GUARD, out=p), 1.0 - _LOG_GUARD, out=p)
-        np.log(p, log_p)
-        np.log1p(np.negative(p, p), log_q)
-        np.matmul(logs, weights, terms)
-        np.add(first, second, total_col)
-        return total.tolist()
-
-    return theta, evaluate
-
-
-def _refine(brackets: list[tuple[float, float]], theta: np.ndarray, evaluate) -> list[float]:
-    """Golden-section maximizer in ``brackets[i]`` of row i of an :func:`_objective`.
-
-    The searches run in lockstep: each step evaluates the next point of
-    every search in one call.  A finished search keeps its row, evaluated at
-    its last point and ignored, until the last one ends.
-    """
-    searches = [_golden_max(lo, hi, _REFINE_TOL) for lo, hi in brackets]
-    sends: list = [search.send for search in searches]
-    results = [0.0] * len(searches)
-    running = len(searches)
-    theta[:] = [next(search) for search in searches]
-    while running:
-        for i, value in enumerate(evaluate()):
-            send = sends[i]
-            if send is not None:
-                try:
-                    theta[i] = send(value)
-                except StopIteration as stop:
-                    results[i], sends[i] = stop.value, None
-                    running -= 1
-    return results
+    theta = theta.copy()
+    two_k, minus_two_k2 = 2.0 * ks, -2.0 * ks * ks
+    rows = np.arange(len(theta))
+    # At theta = 0 every sin(k theta) is 0: the score there is inf, or NaN
+    # where a depth with h = 0 adds 0 * inf, and either step bisects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            t, a, b = theta[rows], lo[rows], hi[rows]
+            angles = np.multiply.outer(t, ks)
+            sin, cos = np.sin(angles), np.cos(angles)
+            # First and second derivatives of ln p and ln(1 - p), per depth.
+            d_p, d_q = two_k * (cos / sin), -two_k * (sin / cos)
+            dd_p, dd_q = minus_two_k2 / (sin * sin), minus_two_k2 / (cos * cos)
+            factors = np.array(((d_p, d_q), (dd_p, dd_q)))[:, :, :, None, :]
+            (score_h, score_m), (curv_h, curv_m) = np.matmul(factors, weights[:, rows])[..., 0, 0]
+            score = score_h + score_m
+            step = score / (curv_h + curv_m)
+            new = t - step
+            a, b = np.where(score > 0.0, t, a), np.where(score < 0.0, t, b)
+            converged = (np.abs(step) <= _STEP_TOL) & (a <= new) & (new <= b)
+            new = np.where(converged | ((a < new) & (new < b)), new, 0.5 * (a + b))
+            theta[rows], lo[rows], hi[rows] = new, a, b
+            rows = rows[~(converged | (b - a <= _STEP_TOL))]
+    return theta
 
 
 @functools.lru_cache(maxsize=4)
@@ -418,9 +410,9 @@ def _estimates(
     The grid stage runs first, for every prefix at once, on one cached
     table: :func:`_grid_maxima` keeps a certified running sum per chunk of
     rows, a batch of one included, with the per-row gemv as its fallback.
-    Refinement then runs prefix by prefix on one :func:`_objective` per
-    prefix, which then gives the grid and refined points' values, each row's
-    computed as for a lone dataset.
+    Refinement then runs prefix by prefix: :func:`_refine` steps every
+    row's Newton search at once, and :func:`_log_likelihood` gives the grid
+    and refined points' values, each row's computed as for a lone dataset.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -460,23 +452,19 @@ def _estimates(
 
     estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
     for k, grid in zip(prefixes, grids):
-        theta, evaluate = _objective(ks[:k], counts[:, :k], misses[:, :k])
-        grid_theta = [float(thetas[best]) for best, _ in grid]
-        brackets = [
-            (float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, _GRID_POINTS - 1)]))
-            for best, _ in grid
-        ]
-        refined = _refine(brackets, theta, evaluate)
-        theta[:] = refined
-        refined_values = evaluate()
-        theta[:] = grid_theta
-        for i, top in enumerate(evaluate()):
-            theta_hat = grid_theta[i]
+        weights = np.array((counts[:, :k], misses[:, :k]))[..., None]
+        best = np.array([b for b, _ in grid])
+        grid_theta = thetas[best]
+        lo, hi = thetas[np.maximum(best - 1, 0)], thetas[np.minimum(best + 1, _GRID_POINTS - 1)]
+        refined = _refine(grid_theta, lo, hi, ks[:k], weights)
+        refined_values = _log_likelihood(refined, ks[:k], weights)
+        for i, top in enumerate(_log_likelihood(grid_theta, ks[:k], weights)):
+            theta_hat = float(grid_theta[i])
             # Keep the grid point unless refinement strictly improves: the log
             # guard flattens the likelihood near exact-certainty angles, and a
             # tie there must not pull the estimate off the boundary.
             if refined_values[i] > top:
-                theta_hat, top = refined[i], refined_values[i]
+                theta_hat, top = float(refined[i]), refined_values[i]
             estimates[i].append(
                 AmplitudeEstimate(
                     theta_hat=theta_hat,
@@ -497,18 +485,14 @@ def estimate_prefixes(
     """Every depth-prefix estimate of every dataset in a batch.
 
     The datasets must share one depth tuple.  ``result[i][k - 1]`` is the
-    estimate from ``datasets[i][:k]``, equal field by field to
-    :func:`estimate_amplitude` on that prefix.  Each record is corrected
-    once, every prefix reads the same cached likelihood table, and the
-    golden-section refinements of all datasets run in lockstep, one numpy
-    evaluation per step for the whole batch.  The theta grids of every 8
-    datasets are one running sum: each depth adds its ``ln p`` and
-    ``ln(1 - p)`` rows, weighted by the datasets' counts, as one rank-2
-    update, and each prefix's grid is the sum so far.  A rounding-error
-    certificate proves that each dataset's grid argmax and flat flag are
-    those of its own gemv, and a dataset it cannot certify at a prefix (a
-    near-tie between grid points, or a span at the flatness threshold) is
-    redone there with that gemv.
+    estimate from ``datasets[i][:k]``, in the caller's record order, which
+    defines the prefixes; it equals :func:`estimate_amplitude` on that
+    prefix field by field when the prefix is in ``(m, shots, ones)`` order.
+    Each record is corrected once, every prefix reads the same cached
+    likelihood table, the theta grids of every 8 datasets are one certified
+    running sum (:func:`_grid_maxima`), and the Newton refinements of all
+    datasets step together, one numpy evaluation per step for the rows
+    still moving.
 
     Raises:
         ValueError: on an empty batch, an empty dataset, or datasets whose
@@ -526,8 +510,12 @@ def estimate_amplitude(
 
     Maximizes ``sum_m [h_m ln p_m(theta) + (N_m - h_m) ln(1 - p_m(theta))]``
     with ``p_m(theta) = sin^2((2m+1) theta)`` over theta in [0, pi/2], via a
-    uniform grid followed by golden-section refinement of the bracketing
-    interval.  Ties resolve to the smallest theta.  The grid's ``ln p`` and
+    uniform grid followed by safeguarded Newton steps on the exact score,
+    inside the grid maximum's bracket cut to the concave piece of the
+    likelihood that holds it (see :func:`_refine`).  The grid point stays
+    unless refinement strictly improves on it.  Ties resolve to the smallest
+    theta.  The records are sorted by ``(m, shots, ones)`` first, so the
+    estimate does not depend on their order.  The grid's ``ln p`` and
     ``ln(1 - p)`` table is cached per depth tuple, so repeated estimates on
     the same depths do not rebuild it.  The grid is the path of
     :func:`estimate_prefixes` with one dataset and one prefix: a single
@@ -537,4 +525,5 @@ def estimate_amplitude(
         method: "naive" uses the tallies as-is; "corrected" first applies
             :func:`correct_counts` with ``depol`` (required, p_coh_tilde > 0).
     """
-    return _estimates([records], method, depol, last_only=True)[0][0]
+    ordered = sorted(records, key=lambda r: (r.m, r.shots, r.ones))
+    return _estimates([ordered], method, depol, last_only=True)[0][0]

@@ -28,6 +28,22 @@ class TestShotRecord:
             ShotRecord(m=0, shots=10, ones=11)
         with pytest.raises(ValueError):
             ShotRecord(m=-1, shots=10, ones=5)
+        # numpy integers are tallies; floats, bools and 64-bit overflow are not
+        assert ShotRecord(m=np.int64(2), shots=np.uint8(10), ones=np.int32(3)).ones == 3
+        for field, bad in [
+            ("m", 2.0),
+            ("shots", 2.5),
+            ("ones", 3.0),
+            ("m", True),
+            ("shots", True),
+            ("ones", False),
+            ("ones", np.float64(1.0)),
+            ("shots", 2**63),
+            ("m", np.uint64(2**63)),
+        ]:
+            fields = {"m": 0, "shots": 10, "ones": 1, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                ShotRecord(**fields)
 
     def test_frequency(self):
         assert ShotRecord(m=2, shots=8, ones=2).p1_hat == 0.25
@@ -82,6 +98,10 @@ class TestSampling:
     def test_shots_validation(self):
         with pytest.raises(ValueError):
             sample_shots(preset_device("A1"), 0, 0)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="^shots must be an integer"):
+                sample_shots(preset_device("A1"), 0, bad)
+        assert sample_shots(preset_device("A1"), 0, np.int64(3)).shots == 3
 
 
 class TestDepthSweep:

@@ -250,6 +250,30 @@ class TestEstimateAmplitude:
             corrected_err.append(abs(corrected.a_hat - 0.25))
         assert np.mean(corrected_err) < np.mean(naive_err)
 
+    def test_record_order_does_not_matter(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def permuted(draw):
+            records = []
+            for m in draw(st.lists(st.integers(0, 60), min_size=1, max_size=6)):
+                shots = draw(st.integers(1, 1000))
+                records.append(ShotRecord(m=m, shots=shots, ones=draw(st.integers(0, shots))))
+            depol = draw(st.one_of(st.none(), st.floats(0.85, 1.0).map(DepolParams)))
+            return records, draw(st.permutations(records)), depol
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(permuted())
+        def check(data):
+            records, shuffled, depol = data
+            method = "naive" if depol is None else "corrected"
+            assert estimate_amplitude(shuffled, method, depol) == estimate_amplitude(
+                records, method, depol
+            )
+
+        check()
+
     def test_clamping_surfaces_on_estimate(self):
         depol = DepolParams(0.8)
         records = [ShotRecord(m=10, shots=50, ones=0), ShotRecord(m=0, shots=50, ones=12)]
@@ -261,29 +285,9 @@ class TestEstimateAmplitude:
 # Reference: the per-call estimator that predates the cached likelihood
 # tables, run on every prefix of one dataset.  The prefix kernel must agree
 # with it exactly, field for field.  It memoises its own grid tables per
-# depth tuple and shares nothing with the library's cache.  The golden
-# searches of all prefixes step together, so one set of numpy calls
-# evaluates every prefix's objective; each value is still the scalar
-# expression's, element for element and dot for dot.
-
-
-def _reference_golden_max(lo, hi, tol):
-    """Golden-section search on [lo, hi]: yields points, is sent values, returns the maximiser."""
-    a, b = lo, hi
-    c = b - estimation._GOLDEN * (b - a)
-    d = a + estimation._GOLDEN * (b - a)
-    fc = yield c
-    fd = yield d
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - estimation._GOLDEN * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + estimation._GOLDEN * (b - a)
-            fd = yield d
-    return 0.5 * (a + b)
+# depth tuple and shares nothing with the library's cache.  Its Newton
+# refinement is a scalar loop per prefix, with the library's expressions
+# element for element and its dots call for call.
 
 
 def _reference_log_tables(theta, ms):
@@ -299,9 +303,50 @@ def _reference_grid(depths):
     return (thetas, *_reference_log_tables(thetas, np.array(depths, dtype=float)))
 
 
-def reference_prefix_estimates(records, method, depol):
-    """The reference estimate from ``records[:k]`` for every k = 1..len(records)."""
+def _reference_piece(theta, lo, hi, ks, counts, misses):
+    """``[lo, hi]`` cut to the concave piece of the likelihood that holds ``theta``."""
+    x = theta * ks / math.pi
+    sin_zero, cos_zero = np.floor(x), np.floor(x - 0.5) + 0.5
+    below = np.maximum(
+        np.where(counts > 0, sin_zero, -np.inf), np.where(misses > 0, cos_zero, -np.inf)
+    )
+    above = np.minimum(
+        np.where(counts > 0, sin_zero + 1.0, np.inf), np.where(misses > 0, cos_zero + 1.0, np.inf)
+    )
+    return max(lo, (below * math.pi / ks).max()), min(hi, (above * math.pi / ks).min())
+
+
+def _reference_newton(theta, lo, hi, ks, counts, misses):
+    """Safeguarded Newton maximiser of one prefix's likelihood in ``[lo, hi]``, from ``theta``."""
+    two_k, minus_two_k2 = 2.0 * ks, -2.0 * ks * ks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            angles = theta * ks
+            sin, cos = np.sin(angles), np.cos(angles)
+            score = (two_k * (cos / sin)) @ counts + (-two_k * (sin / cos)) @ misses
+            curvature = (minus_two_k2 / (sin * sin)) @ counts + (minus_two_k2 / (cos * cos)) @ misses
+            step = score / curvature
+            new = theta - step
+            if score > 0.0:
+                lo = theta
+            if score < 0.0:
+                hi = theta
+            converged = abs(step) <= estimation._STEP_TOL and lo <= new <= hi
+            theta = new if converged or lo < new < hi else 0.5 * (lo + hi)
+            if converged or hi - lo <= estimation._STEP_TOL:
+                return theta
+
+
+def _reference_search(records, method, depol):
+    """Every prefix's grid search of ``records``: its pieces, grid points and flat flags.
+
+    Returns ``(objective, pieces, grid_theta, flats, clamped, (ks, counts, misses))``:
+    ``objective(points)`` is prefix i's log-likelihood at ``points[i]`` for
+    every prefix, and ``pieces[i]`` is prefix i's grid bracket cut to its grid
+    point's piece.
+    """
     ms = np.array([r.m for r in records], dtype=float)
+    ks = 2.0 * ms + 1.0
     shots = np.array([r.shots for r in records], dtype=float)
     clamped = [0] * len(records)
     if method == "corrected":
@@ -314,7 +359,6 @@ def reference_prefix_estimates(records, method, depol):
     prefixes = range(1, len(records) + 1)
 
     def objective(points):
-        """Prefix i's log-likelihood at ``points[i]``, for every prefix."""
         log_p, log_q = _reference_log_tables(np.array(points, dtype=float), ms)
         return [
             float(log_p[i, :k] @ counts[:k] + log_q[i, :k] @ misses[:k])
@@ -322,7 +366,7 @@ def reference_prefix_estimates(records, method, depol):
         ]
 
     n = estimation._GRID_POINTS
-    grid_theta, flats, searches = [], [], []
+    grid_theta, flats, pieces = [], [], []
     for k in prefixes:
         thetas, log_p, log_q = _reference_grid(tuple(r.m for r in records[:k]))
         loglik = log_p @ counts[:k] + log_q @ misses[:k]
@@ -331,18 +375,19 @@ def reference_prefix_estimates(records, method, depol):
         flats.append(span <= estimation._FLAT_TOL * max(1.0, abs(float(loglik.max()))))
         grid_theta.append(float(thetas[best]))
         lo, hi = float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, n - 1)])
-        searches.append(_reference_golden_max(lo, hi, estimation._REFINE_TOL))
+        pieces.append(_reference_piece(grid_theta[-1], lo, hi, ks[:k], counts[:k], misses[:k]))
+    return objective, pieces, grid_theta, flats, clamped, (ks, counts, misses)
 
-    refined = [None] * len(searches)
-    points = [next(search) for search in searches]
-    while None in refined:
-        for i, value in enumerate(objective(points)):
-            if refined[i] is None:
-                try:
-                    points[i] = searches[i].send(value)
-                except StopIteration as stop:
-                    refined[i] = stop.value
 
+def reference_prefix_estimates(records, method, depol):
+    """The reference estimate from ``records[:k]`` for every k = 1..len(records)."""
+    objective, pieces, grid_theta, flats, clamped, (ks, counts, misses) = _reference_search(
+        records, method, depol
+    )
+    refined = [
+        float(_reference_newton(theta, lo, hi, ks[:k], counts[:k], misses[:k]))
+        for k, (theta, (lo, hi)) in enumerate(zip(grid_theta, pieces), start=1)
+    ]
     estimates = []
     grid_values, refined_values = objective(grid_theta), objective(refined)
     for i, (top, refined_value) in enumerate(zip(grid_values, refined_values)):
@@ -359,6 +404,29 @@ def reference_prefix_estimates(records, method, depol):
             )
         )
     return estimates
+
+
+def golden_section_values(records, method, depol, tol=1e-13):
+    """Every prefix's best log-likelihood in its piece, by golden section to ``tol``.
+
+    An independent check on the Newton step: it never evaluates the score,
+    only the guarded likelihood, and its searches all run at once until the
+    widest bracket is ``tol`` wide.
+    """
+    objective, pieces, *_ = _reference_search(records, method, depol)
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.array(pieces).T
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = np.array(objective(c)), np.array(objective(d))
+    while (b - a).max() > tol:
+        left = fc >= fd  # the maximum lies in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, kept_value = np.where(left, c, d), np.where(left, fc, fd)
+        fresh = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
+        fresh_value = np.array(objective(fresh))
+        c, fc = np.where(left, fresh, kept), np.where(left, fresh_value, kept_value)
+        d, fd = np.where(left, kept, fresh), np.where(left, kept_value, fresh_value)
+    return np.maximum(fc, fd).tolist()
 
 
 def _spy_grid_rows(monkeypatch):
@@ -451,16 +519,23 @@ class TestPrefixKernel:
             assert len(estimates) == len(batch)
             for records, prefixes in zip(batch, estimates):
                 assert prefixes == reference_prefix_estimates(records, method, depol)
-                assert estimate_amplitude(records, method, depol) == prefixes[-1]
+                for estimate, best in zip(prefixes, golden_section_values(records, method, depol)):
+                    assert estimate.log_likelihood >= best - 1e-10 * max(1.0, abs(best))
+                ordered = sorted(records, key=lambda r: (r.m, r.shots, r.ones))
+                (ordered,) = estimate_prefixes([ordered], method, depol)
+                assert estimate_amplitude(records, method, depol) == ordered[-1]
 
         check()
 
     def test_lanes_finishing_at_different_steps(self):
-        # A maximum on the grid's first point gets a one-step bracket, so its
-        # search ends before that of an interior maximum in the same batch.
+        # All ones: the grid's last point is the maximum, and its first step
+        # converges.  All zeros: the score at the grid's first point is NaN,
+        # so that row bisects and then converges to 0 in more steps than an
+        # interior maximum takes.  Each row must finish alone.
         edge = [ShotRecord(m=0, shots=10, ones=0), ShotRecord(m=1, shots=10, ones=0)]
+        ones = [ShotRecord(m=0, shots=10, ones=10), ShotRecord(m=1, shots=10, ones=10)]
         interior = [ShotRecord(m=0, shots=10, ones=3), ShotRecord(m=1, shots=10, ones=9)]
-        batch = [interior, edge, interior]
+        batch = [interior, ones, edge, interior]
         for records, prefixes in zip(batch, estimate_prefixes(batch)):
             assert prefixes == reference_prefix_estimates(records, "naive", None)
 

@@ -1,5 +1,6 @@
 """Tests for the shot CSV format and result serialization."""
 
+import numpy as np
 import pytest
 
 from naqae import ShotRecord
@@ -121,6 +122,34 @@ class TestShotCsv:
             assert back == expected
             assert list(back) == sorted(grouped)
             assert write_shot_csv(back) == text
+
+        check()
+
+    def test_every_constructible_record_round_trips(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tallies = st.one_of(
+            st.integers(-1, 2**64),
+            st.integers(0, 2**64 - 1).map(np.uint64),
+            st.integers(-(2**63), 2**63 - 1).map(np.int64),
+            st.integers(0, 20).map(float),
+            st.floats(),
+            st.booleans(),
+        )
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(tallies, tallies, tallies)
+        @hypothesis.example(2.0, 10, 3)
+        @hypothesis.example(0, True, False)
+        @hypothesis.example(0, 2.5, 1)
+        @hypothesis.example(2**63 - 1, 2**63 - 1, 2**63 - 1)
+        def check(m, shots, ones):
+            try:
+                record = ShotRecord(m=m, shots=shots, ones=ones)
+            except ValueError:
+                return
+            path = write_text(tmp_path / "shots.csv", write_shot_csv([record]))
+            assert read_shot_csv(path) == {"": [record]}
 
         check()
 
