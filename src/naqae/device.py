@@ -19,6 +19,8 @@ from .models import (
     NoiseModel,
     _as_probability,
     _check_depth,
+    _check_int64,
+    _check_shots,
     _p1_noiseless_raw,
 )
 
@@ -37,13 +39,6 @@ PRESET_THETAS: dict[str, float] = {
 }
 
 
-def _check_tally(value: int, name: str) -> None:
-    """Reject what a shot CSV cannot hold: a float, a bool, or an integer past 64 bits."""
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integral and -(2**63) <= int(value) < 2**63):
-        raise ValueError(f"{name} must be an integer in the signed 64-bit range, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ShotRecord:
     """Measurement tally for one circuit depth: ``ones`` ones in ``shots`` shots."""
@@ -54,7 +49,7 @@ class ShotRecord:
 
     def __post_init__(self) -> None:
         for name in ("m", "shots", "ones"):
-            _check_tally(getattr(self, name), name)
+            _check_int64(getattr(self, name), name)
         _check_depth(self.m)
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots!r}")
@@ -110,9 +105,7 @@ def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:
     tallies at different depths are independent.
     """
     m = _check_depth(m)
-    _check_tally(shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots!r}")
+    _check_shots(shots, "shots")
     p1 = dev.p1(m)
     rng = substream(dev.seed, m)
     ones = int(np.count_nonzero(rng.random(shots) < p1))

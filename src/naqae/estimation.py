@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .device import ShotRecord
-from .models import DepolParams, _check_depth, _check_rate
+from .models import DepolParams, _check_depth, _check_rate, _check_shots
 
 # Probabilities are clamped away from {0, 1} inside logs; exact 0/1 model
 # values are only consistent with data that agrees exactly.
@@ -31,12 +31,11 @@ _GRID_POINTS = 10_000
 _STEP_TOL = 1e-12
 _FLAT_TOL = 1e-9
 
-# Datasets per running grid: the (8 x grid) sum and its rank-2 update stay in
-# cache for the add, argmax, min and runner-up passes over them (4, 16, 32
-# and 50 rows measured slower).
+# Datasets per running grid: the (8 x grid) sum and its update buffer, 1.3 MB
+# together, stay in a 2 MiB L2 cache across the per-depth multiply and add
+# passes.  One all-prefix grid over 50 datasets x 13 depths took 12-13 ms at 4
+# and 8, 14-19 ms at 16, and 17-35 ms at 1 and 50 (2-vCPU Xeon).
 _GRID_CHUNK = 8
-# Unit roundoff u of a double, for the error bound gamma_n = n u / (1 - n u).
-_UNIT_ROUNDOFF = 2.0**-53
 
 # Estimation methods and shot-schedule roundings (also the CLI choices).
 METHODS = ("naive", "corrected")
@@ -55,8 +54,7 @@ class ShotSchedule:
             _check_depth(m)
             if m <= previous:
                 raise ValueError("schedule depths must be strictly increasing")
-            if n < 1:
-                raise ValueError(f"schedule shot counts must be >= 1, got {n!r}")
+            _check_shots(n, "schedule shot count")
             previous = m
 
     @property
@@ -120,8 +118,7 @@ def binomial_std_bound(shots: int) -> float:
     A Bernoulli variable has variance at most 1/4, so the mean of ``shots``
     i.i.d. outcomes has standard deviation at most ``sqrt(1 / (4 shots))``.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots!r}")
+    _check_shots(shots, "shots")
     return math.sqrt(0.25 / shots)
 
 
@@ -133,8 +130,7 @@ def worst_case_variance(m: int, n_shots: int, k_sigma: float) -> VarianceBound:
     ``(4 k_sigma m + 1) / (4 n)``.
     """
     m = _check_depth(m)
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots!r}")
+    _check_shots(n_shots, "n_shots")
     _check_rate(k_sigma, "k_sigma")
     sigma2 = k_sigma * m
     sigma2_tilde = 1.0 / (4.0 * n_shots)
@@ -158,11 +154,11 @@ def shot_schedule(
     "nearest" (half away from zero) or "up".
 
     Raises:
-        ValueError: on a count that is not finite or is >= 2**63 (past a
-            signed 64-bit tally), naming its depth.
+        ValueError: on an ``n_shot_base`` that is not an integer >= 1, and on
+            a count that is not finite or is >= 2**63 (past a signed 64-bit
+            tally), naming its depth.
     """
-    if n_shot_base < 1:
-        raise ValueError(f"n_shot_base must be >= 1, got {n_shot_base!r}")
+    _check_shots(n_shot_base, "n_shot_base")
     _check_rate(k_sigma, "k_sigma")
     if rounding not in ROUNDINGS:
         raise ValueError(f"rounding must be one of {ROUNDINGS}, got {rounding!r}")
@@ -301,10 +297,9 @@ def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The theta grid and a (depth x 2 x grid) table of ``ln p`` and ``ln(1 - p)``.
 
     ``p = sin^2((2m+1) theta)``, kept inside the log guard.  ``table[i]``
-    holds depth i's two rows, ``ln p`` then ``ln(1 - p)``, so the depths
-    between two prefixes are one contiguous operand of :func:`_grid_maxima`.
-    The table depends only on the depths, so it is built once per depth
-    tuple and shared read-only by every estimate on those depths.
+    holds depth i's two rows, ``ln p`` then ``ln(1 - p)``.  The table
+    depends only on the depths, so it is built once per depth tuple and
+    shared read-only by every estimate on those depths.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
     table = np.empty((len(depths), 2, _GRID_POINTS))
@@ -316,55 +311,22 @@ def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return thetas, table
 
 
-def _grid_row(
-    table: np.ndarray, k: int, counts: np.ndarray, misses: np.ndarray
-) -> tuple[int, bool]:
-    """Grid argmax and flatness of one dataset's likelihood on its first ``k`` depths.
-
-    Two BLAS gemvs on a transient contiguous (grid x k) copy of ``table[:k]``.
-    This is the definition the running sums of :func:`_grid_maxima` are
-    certified against, and their fallback where they cannot be.
-    """
-    log_p_k, log_q_k = np.ascontiguousarray(table[:k].transpose(1, 2, 0))
-    loglik = log_p_k @ counts
-    loglik += log_q_k @ misses
-    best = int(loglik.argmax())  # first maximum = smallest theta
-    top = float(loglik[best])
-    return best, top - float(loglik.min()) <= _FLAT_TOL * max(1.0, abs(top))
-
-
 def _grid_maxima(
     table: np.ndarray, counts: np.ndarray, misses: np.ndarray, prefixes: Sequence[int]
 ) -> list[list[tuple[int, bool]]]:
-    """:func:`_grid_row` of every row at every prefix length in ``prefixes`` (increasing).
+    """Grid argmax and flat flag of every row at every prefix length in ``prefixes`` (increasing).
 
-    ``result[j][i]`` is row i's grid argmax and flat flag on its first
-    ``prefixes[j]`` depths.  Each chunk of rows keeps one running grid: the
-    depths between two requested prefixes add their contribution as one
-    product, the rows' ``(counts, misses)`` pairs on those d depths times
-    ``table``'s 2d rows for them.  With every prefix requested that is one
-    rank-2 update per depth; with only the last, one gemm of inner size 2k.
-    That sums in another order than a gemv, so its values may differ in the
-    last bits; a row's result is kept only when a rounding-error
-    certificate proves the gemv gives the same one:
-
-    * Every product ``c ln p`` and ``(N - c) ln(1 - p)`` is <= 0, so any
-      summation order of a grid value L of 2k such terms lands within
-      ``gamma_{2k} |L|`` of the exact sum, and the running sum and the gemv
-      differ by at most ``delta / 2``, ``delta = 4 gamma_{2k} max|G|``.
-    * The argmax ``b`` is certified when every other point is below
-      ``G_b - 2 delta``: then ``b`` is the gemv's unique, hence first, maximum.
-    * The flat flag is certified when ``span - _FLAT_TOL max(1, |top|)`` is
-      farther than ``2 delta`` from 0.
-
-    An uncertified row (a near-tie, a span at the flat threshold) runs
-    :func:`_grid_row` at that prefix, so every result equals it exactly.
-    The fallback leaves the running grid alone.
+    ``result[j][i]`` is row i's grid argmax (its first maximum, so the
+    smallest theta) and flat flag on its first ``prefixes[j]`` depths.  Each
+    chunk of rows keeps one running grid, to which each depth in turn adds
+    its ``ln p`` row times the rows' counts, then its ``ln(1 - p)`` row times
+    their misses, as elementwise numpy products and sums.  Numpy rounds each
+    element on its own, so a row's grid values depend only on its own data:
+    not on the batch size, the row's place in its chunk or the prefixes
+    asked for.  A lone dataset gets the values it gets in any batch.
     """
     rows, points = len(counts), table.shape[2]
     results: list[list[tuple[int, bool]]] = [[] for _ in prefixes]
-    # Each row's (count, miss) pairs, depth after depth, in table's row order.
-    weights = np.stack((counts, misses), axis=2)
     running_block, update_block = np.empty((2, min(rows, _GRID_CHUNK), points))
     for start in range(0, rows, _GRID_CHUNK):
         stop = min(start + _GRID_CHUNK, rows)
@@ -373,28 +335,14 @@ def _grid_maxima(
         lanes = np.arange(stop - start)
         added = 0
         for j, k in enumerate(prefixes):
-            np.matmul(
-                weights[start:stop, added:k].reshape(stop - start, -1),
-                table[added:k].reshape(-1, points),
-                out=update,
-            )
-            running += update
+            for d in range(added, k):
+                running += np.multiply(counts[start:stop, d, None], table[d, 0], out=update)
+                running += np.multiply(misses[start:stop, d, None], table[d, 1], out=update)
             added = k
-            n = 2 * k * _UNIT_ROUNDOFF
-            gamma = n / (1.0 - n)
             best = running.argmax(axis=1)
             top = running[lanes, best]
-            low = running.min(axis=1)
-            delta = 4.0 * gamma * np.abs(low)  # every grid value is <= 0
-            running[lanes, best] = -np.inf
-            runner_up = running.max(axis=1)
-            running[lanes, best] = top
-            span = top - low
-            threshold = _FLAT_TOL * np.maximum(1.0, np.abs(top))
-            certified = (runner_up < top - 2.0 * delta) & (np.abs(span - threshold) > 2.0 * delta)
-            results[j] += zip(best.tolist(), (span <= threshold).tolist())
-            for row in (start + np.flatnonzero(~certified)).tolist():
-                results[j][row] = _grid_row(table, k, counts[row, :k], misses[row, :k])
+            flat = top - running.min(axis=1) <= _FLAT_TOL * np.maximum(1.0, np.abs(top))
+            results[j] += zip(best.tolist(), flat.tolist())
     return results
 
 
@@ -408,11 +356,11 @@ def _estimates(
 
     k runs over every prefix length, or only the full length if ``last_only``.
     The grid stage runs first, for every prefix at once, on one cached
-    table: :func:`_grid_maxima` keeps a certified running sum per chunk of
-    rows, a batch of one included, with the per-row gemv as its fallback.
-    Refinement then runs prefix by prefix: :func:`_refine` steps every
-    row's Newton search at once, and :func:`_log_likelihood` gives the grid
-    and refined points' values, each row's computed as for a lone dataset.
+    table: :func:`_grid_maxima` keeps an elementwise running sum per chunk
+    of rows, a batch of one included.  Refinement then runs prefix by
+    prefix: :func:`_refine` steps every row's Newton search at once, and
+    :func:`_log_likelihood` gives the grid and refined points' values, each
+    row's computed as for a lone dataset.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -489,10 +437,10 @@ def estimate_prefixes(
     defines the prefixes; it equals :func:`estimate_amplitude` on that
     prefix field by field when the prefix is in ``(m, shots, ones)`` order.
     Each record is corrected once, every prefix reads the same cached
-    likelihood table, the theta grids of every 8 datasets are one certified
-    running sum (:func:`_grid_maxima`), and the Newton refinements of all
-    datasets step together, one numpy evaluation per step for the rows
-    still moving.
+    likelihood table, the theta grids of every 8 datasets are one
+    elementwise running sum (:func:`_grid_maxima`), and the Newton
+    refinements of all datasets step together, one numpy evaluation per
+    step for the rows still moving.
 
     Raises:
         ValueError: on an empty batch, an empty dataset, or datasets whose
@@ -513,13 +461,13 @@ def estimate_amplitude(
     uniform grid followed by safeguarded Newton steps on the exact score,
     inside the grid maximum's bracket cut to the concave piece of the
     likelihood that holds it (see :func:`_refine`).  The grid point stays
-    unless refinement strictly improves on it.  Ties resolve to the smallest
-    theta.  The records are sorted by ``(m, shots, ones)`` first, so the
-    estimate does not depend on their order.  The grid's ``ln p`` and
-    ``ln(1 - p)`` table is cached per depth tuple, so repeated estimates on
-    the same depths do not rebuild it.  The grid is the path of
-    :func:`estimate_prefixes` with one dataset and one prefix: a single
-    product over all the depths, certified against the per-row gemv.
+    unless refinement strictly improves on it.  Ties in the computed grid
+    values resolve to the smallest theta.  The records are sorted by
+    ``(m, shots, ones)`` first, so the estimate does not depend on their
+    order.  The grid's ``ln p`` and ``ln(1 - p)`` table is cached per depth
+    tuple, so repeated estimates on the same depths do not rebuild it.  The grid is the path of
+    :func:`estimate_prefixes` with one dataset and one prefix, and its values
+    are the ones that path computes for the dataset in any batch.
 
     Args:
         method: "naive" uses the tallies as-is; "corrected" first applies

@@ -191,10 +191,23 @@ def noise_from_dict(doc: dict) -> NoiseModel:
     return cls(*(_json_number(doc[key], f"noise.{key}") for key in keys))
 
 
+def _check_int64(value: int, name: str) -> None:
+    """Reject anything but an ``int`` or numpy integer (not a bool) in the signed 64-bit range."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and -(2**63) <= int(value) < 2**63):
+        raise ValueError(f"{name} must be an integer in the signed 64-bit range, got {value!r}")
+
+
+def _check_shots(n: int, name: str) -> None:
+    """Validate a shot count: an integer as :func:`_check_int64` takes it, and >= 1."""
+    _check_int64(n, name)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
+
+
 def _check_depth(m: int) -> int:
     """Validate a Grover-iteration count (nonnegative integer)."""
-    if isinstance(m, bool) or int(m) != m:
-        raise ValueError(f"depth must be an integer, got {m!r}")
+    _check_int64(m, "depth")
     if m < 0:
         raise ValueError(f"depth must be >= 0, got {m!r}")
     return int(m)

@@ -138,6 +138,22 @@ class TestShotSchedule:
             ShotSchedule(entries=((0, 0),))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ShotSchedule(((0, 1.5),)),
+        lambda: ShotSchedule(((0, math.nan),)),
+        lambda: shot_schedule([0], 2.5, 0.1),
+        lambda: worst_case_variance(1, 2.5, 0.1),
+        lambda: binomial_std_bound(2.5),
+    ],
+    ids=["schedule_half", "schedule_nan", "base_half", "variance_half", "bound_half"],
+)
+def test_shot_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be an integer in the signed 64-bit range"):
+        call()
+
+
 class TestCorrection:
     def test_inverts_forward_example(self):
         got = correct_frequency(0.2975, 2, DepolParams(0.9))
@@ -369,7 +385,10 @@ def _reference_search(records, method, depol):
     grid_theta, flats, pieces = [], [], []
     for k in prefixes:
         thetas, log_p, log_q = _reference_grid(tuple(r.m for r in records[:k]))
-        loglik = log_p @ counts[:k] + log_q @ misses[:k]
+        loglik = np.zeros(n)
+        for d in range(k):  # the library's order: depth by depth, counts then misses
+            loglik += counts[d] * log_p[:, d]
+            loglik += misses[d] * log_q[:, d]
         best = int(np.argmax(loglik))
         span = float(loglik.max() - loglik.min())
         flats.append(span <= estimation._FLAT_TOL * max(1.0, abs(float(loglik.max()))))
@@ -429,48 +448,7 @@ def golden_section_values(records, method, depol, tol=1e-13):
     return np.maximum(fc, fd).tolist()
 
 
-def _spy_grid_rows(monkeypatch):
-    """Record the counts of every row the grid stage sends to the per-row gemv."""
-    seen = []
-    real = estimation._grid_row
-
-    def spy(table, k, counts, misses):
-        seen.append(counts.tolist())
-        return real(table, k, counts, misses)
-
-    monkeypatch.setattr(estimation, "_grid_row", spy)
-    return seen
-
-
-def _running_grids(counts, misses, prefixes=None):
-    """The library's running-sum grid over ``LINEAR_DEPTHS``, every prefix by default."""
-    _, table = estimation._depth_tables(LINEAR_DEPTHS)
-    return estimation._grid_maxima(table, counts, misses, prefixes or _ALL_PREFIXES)
-
-
-def _gemv_grids(counts, misses, prefixes=None):
-    """``_grid_row`` of every row at every prefix over ``LINEAR_DEPTHS``."""
-    _, table = estimation._depth_tables(LINEAR_DEPTHS)
-    return [
-        [
-            estimation._grid_row(table, k, row_counts[:k], row_misses[:k])
-            for row_counts, row_misses in zip(counts, misses)
-        ]
-        for k in prefixes or _ALL_PREFIXES
-    ]
-
-
-def _gemv_loglik(counts, misses, k):
-    """One row's grid log-likelihood on ``LINEAR_DEPTHS[:k]``, summed as ``_grid_row`` sums it."""
-    _, table = estimation._depth_tables(LINEAR_DEPTHS)
-    log_p, log_q = np.ascontiguousarray(table[:k].transpose(1, 2, 0))
-    loglik = log_p @ counts[:k]
-    loglik += log_q @ misses[:k]
-    return loglik
-
-
 LINEAR_DEPTHS = tuple(range(13))
-_ALL_PREFIXES = tuple(range(1, len(LINEAR_DEPTHS) + 1))
 EXPONENTIAL_DEPTHS = (0,) + tuple(2**i for i in range(13))  # 0, 1, 2, 4, ..., 4096
 # At m = 4096 this p~^m is about 1e-289, still a normal float, and corrected
 # counts clamp on almost every draw.
@@ -495,7 +473,7 @@ class TestPrefixKernel:
                 )
             )
             batch = []
-            # datasets on the same depths: full gemm chunks and a ragged last one
+            # datasets on the same depths: full chunks and a ragged last one
             for _ in range(draw(st.integers(1, 20))):
                 records = []
                 for m in depths:
@@ -508,11 +486,26 @@ class TestPrefixKernel:
 
         records, method, depol = CLAMPING
         flipped = [ShotRecord(m=r.m, shots=r.shots, ones=r.shots - r.ones) for r in records]
+        # Half the shots ones at every depth: the likelihood is symmetric about
+        # theta = pi/4, which falls between two grid points whose values tie up
+        # to rounding.  The other rows have an odd shot count, so none of them
+        # is symmetric.  Rows 0, 7, 8 and 16 open and close a full chunk, open
+        # the next one and fill a ragged last one.
+        symmetric = [ShotRecord(m=m, shots=20, ones=10) for m in LINEAR_DEPTHS]
+        rng = np.random.default_rng(8)
+        seventeen = [
+            [ShotRecord(m=m, shots=21, ones=int(rng.integers(0, 22))) for m in LINEAR_DEPTHS]
+            for _ in range(17)
+        ]
+        for row in (0, 7, 8, 16):
+            seventeen[row] = symmetric
+        assert estimate_amplitude(symmetric).theta_hat == pytest.approx(math.pi / 4, abs=1e-9)
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
         @hypothesis.given(batches())
         @hypothesis.example(([records], method, depol))
         @hypothesis.example(([records, flipped, records], method, depol))
+        @hypothesis.example((seventeen, "naive", None))
         def check(data):
             batch, method, depol = data
             estimates = estimate_prefixes(batch, method, depol)
@@ -537,87 +530,6 @@ class TestPrefixKernel:
         interior = [ShotRecord(m=0, shots=10, ones=3), ShotRecord(m=1, shots=10, ones=9)]
         batch = [interior, ones, edge, interior]
         for records, prefixes in zip(batch, estimate_prefixes(batch)):
-            assert prefixes == reference_prefix_estimates(records, "naive", None)
-
-    def test_uncertified_rows_take_the_gemv(self, monkeypatch):
-        # Half the shots ones at every depth: every p_m is 1/2 at theta = pi/4,
-        # the likelihood is symmetric about it, and pi/4 falls between two grid
-        # points whose values tie up to rounding.  The certificate cannot order
-        # them, so that row must take the per-row gemv at every prefix.
-        # The other rows have an odd shot count, so none of them is symmetric.
-        rng = np.random.default_rng(8)
-        batch = [
-            [ShotRecord(m=m, shots=21, ones=int(rng.integers(0, 22))) for m in LINEAR_DEPTHS]
-            for _ in range(11)
-        ]
-        batch[5] = [ShotRecord(m=m, shots=20, ones=10) for m in LINEAR_DEPTHS]
-        seen = _spy_grid_rows(monkeypatch)
-        estimates = estimate_prefixes(batch)
-        assert seen == [[10.0] * k for k in range(1, len(LINEAR_DEPTHS) + 1)]
-        for records, prefixes in zip(batch, estimates):
-            assert prefixes == reference_prefix_estimates(records, "naive", None)
-        assert estimates[5][-1].theta_hat == pytest.approx(math.pi / 4, abs=1e-9)
-        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
-        misses = np.array([[r.shots for r in records] for records in batch], dtype=float) - counts
-        assert _running_grids(counts, misses) == _gemv_grids(counts, misses)
-
-    def test_lone_dataset_takes_the_certificate(self, monkeypatch):
-        # A batch of one runs the same certified sum as a larger batch: a
-        # deep random dataset needs no gemv, and the symmetric one of the
-        # test above needs exactly one, at its only prefix.
-        rng = np.random.default_rng(10)
-        deep = [
-            ShotRecord(m=m, shots=100, ones=int(rng.integers(0, 101))) for m in EXPONENTIAL_DEPTHS
-        ]
-        symmetric = [ShotRecord(m=m, shots=20, ones=10) for m in LINEAR_DEPTHS]
-        seen = _spy_grid_rows(monkeypatch)
-        assert estimate_amplitude(deep) == reference_prefix_estimates(deep, "naive", None)[-1]
-        assert seen == []
-        est = estimate_amplitude(symmetric)
-        assert seen == [[10.0] * len(LINEAR_DEPTHS)]
-        assert est == reference_prefix_estimates(symmetric, "naive", None)[-1]
-
-    def test_flat_test_in_the_band_takes_the_gemv(self, monkeypatch):
-        # Set the flatness tolerance to one row's own relative span: its flat
-        # test then sits within rounding of the threshold, where only the
-        # gemv may decide it.
-        rng = np.random.default_rng(9)
-        batch = [
-            [ShotRecord(m=m, shots=20, ones=int(rng.integers(0, 21))) for m in LINEAR_DEPTHS]
-            for _ in range(10)
-        ]
-        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
-        loglik = _gemv_loglik(counts[3], 20.0 - counts[3], len(LINEAR_DEPTHS))
-        top = float(loglik.max())
-        monkeypatch.setattr(
-            estimation, "_FLAT_TOL", (top - float(loglik.min())) / max(1.0, abs(top))
-        )
-        seen = _spy_grid_rows(monkeypatch)
-        (grid,) = _running_grids(counts, 20.0 - counts, (len(LINEAR_DEPTHS),))
-        assert seen == [counts[3].tolist()]
-        assert [grid] == _gemv_grids(counts, 20.0 - counts, (len(LINEAR_DEPTHS),))
-        for records, prefixes in zip(batch, estimate_prefixes(batch)):
-            assert prefixes == reference_prefix_estimates(records, "naive", None)
-
-    def test_fallback_leaves_the_running_grid_alone(self, monkeypatch):
-        # Put one row's flat test in the band at prefix 6 only: that row takes
-        # the gemv there and nowhere else.  Its later prefixes add to the same
-        # running grid, so a fallback that wrote into it would move them.
-        rng = np.random.default_rng(12)
-        batch = [
-            [ShotRecord(m=m, shots=20, ones=int(rng.integers(0, 21))) for m in LINEAR_DEPTHS]
-            for _ in range(10)
-        ]
-        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
-        loglik = _gemv_loglik(counts[3], 20.0 - counts[3], 6)
-        top = float(loglik.max())
-        monkeypatch.setattr(
-            estimation, "_FLAT_TOL", (top - float(loglik.min())) / max(1.0, abs(top))
-        )
-        seen = _spy_grid_rows(monkeypatch)
-        estimates = estimate_prefixes(batch)
-        assert seen == [counts[3, :6].tolist()]
-        for records, prefixes in zip(batch, estimates):
             assert prefixes == reference_prefix_estimates(records, "naive", None)
 
     def test_clamping_example_clamps(self):

@@ -16,7 +16,7 @@ from naqae import (
     p_diff_gaussian_closed,
 )
 from naqae.errors import InternalConsistencyError, QuadratureError
-from naqae.models import _as_probability
+from naqae.models import _as_probability, _check_depth
 
 A1 = Amplitude(math.pi / 6)
 NOISELESS = GaussianNoiseParams(k_mu=0.0, k_sigma=0.0)
@@ -67,6 +67,12 @@ class TestClosedForm:
             p1_gaussian_closed(A1, -1, NOISELESS)
         with pytest.raises(ValueError):
             p1_gaussian_closed(A1, 2.5, NOISELESS)
+        assert type(_check_depth(np.int64(3))) is int
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan, 1e300, 2.0, True, None, "3", 2**63])
+    def test_depth_must_be_a_64_bit_integer(self, m):
+        with pytest.raises(ValueError, match="^depth must be an integer in the signed 64-bit"):
+            _check_depth(m)
 
 
 class TestPDiff:
