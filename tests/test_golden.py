@@ -38,6 +38,14 @@ CASES: dict[str, list[str]] = {
                       "--depths", "0..6", "--shots", "128", "--seed", "4"],
     "simulate_default_noise": ["simulate", "--preset", "A3",
                                "--depths", "0..8", "--shots", "100", "--seed", "5"],
+    # Seeds and depths of one and two 32-bit words: -1 is the unsigned seed 2**64 - 1,
+    # and depths 2**32 - 1 and 2**32 sit on either side of the word boundary.
+    "simulate_wide_seeds": ["simulate", "--theta", "0.7", "--noise", "gaussian:0.02,0.04",
+                            "--depths", "0,1,5,4294967295,4294967296", "--shots", "257",
+                            "--seed", "-1"],
+    "simulate_wide_seeds_33bit": ["simulate", "--preset", "A4", "--noise", "none",
+                                  "--depths", "0,2,7,4294967296", "--shots", "300",
+                                  "--seed", "6000000007"],
     "fit_all": ["fit", "--input", "{in}/labeled.csv", "--model", "all",
                 "--out", "{out}/fit_all.json", "--table", "{out}/fit_all.table.csv"],
     "fit_all_stdout": ["fit", "--input", "{in}/labeled.csv"],
@@ -71,6 +79,10 @@ CASES: dict[str, list[str]] = {
                                 "--out", "{out}/experiment_depolarizing.csv"],
     "experiment_none": ["experiment", "--config", "{in}/config_none.json"],
     "experiment_default_noise": ["experiment", "--config", "{in}/config_default_noise.json"],
+    # The benchmark's criterion-9 run at seed 1: 2600 sampled records.
+    "experiment_criterion9": ["experiment", "--config", "{in}/config_criterion9.json"],
+    # A negative seed: replication seeds come from 4-word SeedSequence entropy.
+    "experiment_wide_seed": ["experiment", "--config", "{in}/config_wide_seed.json"],
 }
 
 
