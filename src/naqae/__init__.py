@@ -13,6 +13,7 @@ from .device import (
     preset_device,
     run_depth_sweep,
     sample_shots,
+    sample_sweeps,
     subseed,
     substream,
 )

@@ -1,15 +1,24 @@
 """Seeded stochastic simulation of a noisy amplitude estimation device.
 
 A device is an immutable value object (true angle, noise model, seed); all
-randomness flows through counter-based Philox substreams keyed by the seed
-and the circuit depth, so sampling is fully deterministic and independent of
+randomness flows through counter-based Philox streams keyed by the seed and
+the circuit depth, so sampling is fully deterministic and independent of
 evaluation order.
+
+The key of the (seed, *path) stream is numpy's
+``SeedSequence([seed, *path]).generate_state(2, np.uint64)``.  Its 32-bit
+hash-and-mix is ported to numpy arrays here, so :func:`sample_sweeps` derives
+the keys of every (seed, depth) record at once and draws them all from one
+``Philox`` re-keyed per record, instead of building a ``SeedSequence``,
+``Philox`` and ``Generator`` per record.  Uniforms are counted in chunks of
+``2**20`` from the same stream, so memory does not grow with the shot count.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +33,17 @@ from .models import (
     _p1_noiseless_raw,
 )
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Uniforms drawn per rng.random call: bounds a sample's memory at 9 MB.
+_CHUNK = 2**20
 
 # Angles of the bundled state-preparation presets.  A1/A5 share theta = pi/6
 # (so that depths m = 1, 4, 7, ... measure 1 with certainty when noiseless),
@@ -37,6 +56,14 @@ PRESET_THETAS: dict[str, float] = {
     "A4": 1.0,
     "A5": math.pi / 6,
 }
+
+
+def _check_seed(value: int, name: str) -> int:
+    """An integer (``int`` or numpy integer, not bool) in [-2**63, 2**64), as unsigned 64-bit."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and -(2**63) <= int(value) < 2**64):
+        raise ValueError(f"{name} must be an integer in [-2**63, 2**64), got {value!r}")
+    return int(value) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -66,11 +93,18 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class SimulatedDevice:
-    """A simulated device: true amplitude angle, noise model, and RNG seed."""
+    """A simulated device: true amplitude angle, noise model, and RNG seed.
+
+    The seed is any integer in [-2**63, 2**64); a negative seed is used as
+    its unsigned 64-bit representation.
+    """
 
     amp: Amplitude
     model: NoiseModel = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_seed(self.seed, "seed")
 
     def p1(self, m: int) -> float:
         """Model probability of measuring 1 at depth ``m``."""
@@ -80,36 +114,182 @@ class SimulatedDevice:
         return _as_probability(float(self.model.p1_raw(self.amp.theta, m)), "SimulatedDevice.p1")
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic Philox substream for (seed, *path).
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for k = 0..count: a SeedSequence hash's constants."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)
 
-    Philox is a counter-based generator, so streams for distinct paths are
-    independent and may be consumed concurrently.  Negative seeds are mapped
-    to their unsigned 64-bit representation.
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of column j of ``values`` with constants consts[j], consts[j + 1]."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> 16)
+
+
+def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(2, np.uint64)`` of each row of uint32 ``words``.
+
+    Rows have at least 4 words.  The hash constants do not depend on the
+    data, so every row is hashed at once, and so is each run of hashmix
+    calls that SeedSequence makes with one source word.
     """
-    words = [int(w) & _MASK64 for w in (seed, *path)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+    length = words.shape[1]
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * length)
+    pool = _hashmix(words[:, :_POOL_SIZE], consts[:_POOL_SIZE + 1])
+    at = _POOL_SIZE
+    # Mix every pool word into every other one, then any entropy past the pool.
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], consts[at:at + _POOL_SIZE]))
+        at += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, length):
+        pool = _mix(pool, _hashmix(words[:, [src]], consts[at:at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, 4)).astype(np.uint64)
+    # generate_state reads its 32-bit words as little-endian uint64 pairs
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _philox_keys(*columns) -> np.ndarray:
+    """``SeedSequence(row).generate_state(2, np.uint64)`` for each row, as an (n, 2) array.
+
+    ``columns`` are unsigned 64-bit integers, broadcast against each other;
+    row i is the entropy ``[c[i] for c in columns]``.  As SeedSequence does,
+    each value becomes one 32-bit word below 2**32 and two from there on.
+    Entropy shorter than the pool hashes like zero words, so such rows are
+    zero-padded to 4 words and share one group; longer rows are grouped by
+    length.
+    """
+    columns = np.broadcast_arrays(*(np.asarray(c, np.uint64) for c in columns))
+    columns = [np.ravel(c) for c in columns]
+    n = columns[0].size
+    wide = [c > _MASK32 for c in columns]
+    lengths = np.maximum(sum(1 + w.astype(np.intp) for w in wide), _POOL_SIZE)
+    words = np.zeros((n, int(lengths.max(initial=_POOL_SIZE))), np.uint32)
+    rows = np.arange(n)
+    at = np.zeros(n, np.intp)
+    for column, high in zip(columns, wide):
+        words[rows, at] = column & _MASK32
+        at += 1
+        words[rows[high], at[high]] = column[high] >> 32
+        at += high
+    keys = np.empty((n, 2), np.uint64)
+    for length in set(lengths.tolist()):
+        group = lengths == length
+        keys[group] = _seed_sequence_keys(words[group, :length])
+    return keys
+
+
+def _subseeds(*columns) -> np.ndarray:
+    """:func:`subseed` of each row of ``columns``, read as :func:`_philox_keys` reads them."""
+    return _philox_keys(*columns)[:, 0]
+
+
+def _path_words(seed: int, path: tuple[int, ...]) -> list[int]:
+    return [_check_seed(seed, "seed")] + [_check_seed(w, "path word") for w in path]
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Deterministic Philox stream for (seed, *path).
+
+    Its key is ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``.
+    Philox is a counter-based generator, so streams for distinct paths are
+    independent and may be consumed concurrently.  Negative seeds and path
+    words are mapped to their unsigned 64-bit representation.
+
+    Raises:
+        ValueError: a seed or path word that is not an integer in
+            [-2**63, 2**64).
+    """
+    return np.random.Generator(np.random.Philox(key=_philox_keys(*_path_words(seed, path))[0]))
 
 
 def subseed(seed: int, *path: int) -> int:
-    """Derive a child 64-bit seed for (seed, *path), stable across runs."""
-    words = [int(w) & _MASK64 for w in (seed, *path)]
-    return int(np.random.SeedSequence(words).generate_state(1, dtype=np.uint64)[0])
+    """Derive a child 64-bit seed for (seed, *path), stable across runs.
+
+    It is the first word of :func:`substream`'s key, which equals
+    ``SeedSequence([seed, *path]).generate_state(1, np.uint64)[0]``.
+    """
+    return int(_subseeds(*_path_words(seed, path))[0])
+
+
+def _count_ones(rng: np.random.Generator, shots: int, p1: float) -> int:
+    """Uniforms below ``p1`` among the next ``shots`` of ``rng``, drawn ``_CHUNK`` at a time."""
+    ones = 0
+    for start in range(0, shots, _CHUNK):
+        ones += int(np.count_nonzero(rng.random(min(_CHUNK, shots - start)) < p1))
+    return ones
+
+
+def sample_sweeps(
+    dev: SimulatedDevice,
+    seeds: Sequence[int],
+    depths: Sequence[int],
+    shots_per_depth: Sequence[int],
+) -> list[list[ShotRecord]]:
+    """One depth sweep of ``dev`` per seed in ``seeds`` (``dev.seed`` is not used).
+
+    Record (seed, m) counts the uniforms below ``dev.p1(m)`` among the first
+    ``shots`` of the :func:`substream` ``(seed, m)``, so it does not depend
+    on the other seeds, the other depths or their order.  Every key is
+    derived in one batch, and one ``Philox`` is re-keyed per record with its
+    counter and buffer cleared.
+
+    Raises:
+        ValueError: unequal lengths, a repeated depth (its stream would
+            repeat the same tally, which is not an independent sample), an
+            invalid depth, shot count or seed.
+    """
+    if len(depths) != len(shots_per_depth):
+        raise ValueError(
+            f"depths and shots_per_depth must have equal length, "
+            f"got {len(depths)} and {len(shots_per_depth)}"
+        )
+    repeated = sorted(m for m, count in Counter(depths).items() if count > 1)
+    if repeated:
+        raise ValueError(f"depths must be distinct, repeated: {repeated}")
+    depths = [_check_depth(m) for m in depths]
+    for n in shots_per_depth:
+        _check_shots(n, "shots")
+    shots = [int(n) for n in shots_per_depth]
+    seed_words = np.array([_check_seed(s, "seed") for s in seeds], np.uint64)
+    # SimulatedDevice.p1 once per depth.  One array call would square with a
+    # multiply where the scalar path calls pow; the two differ in the last bit
+    # on about one depth in a thousand, and such a bit can move a tally.
+    p1 = [dev.p1(m) for m in depths]
+    keys = _philox_keys(seed_words[:, None], np.array(depths, np.uint64))
+
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    # A fresh Philox state: counter 0, empty buffer.  Only the key changes.
+    state = bit_generator.state
+    sweeps = []
+    for row_keys in keys.reshape(len(seeds), len(depths), 2).tolist():
+        sweep = []
+        for m, n, p, key in zip(depths, shots, p1, row_keys):
+            state["state"]["key"] = key
+            bit_generator.state = state
+            sweep.append(ShotRecord(m=m, shots=n, ones=_count_ones(rng, n, p)))
+        sweeps.append(sweep)
+    return sweeps
 
 
 def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:
     """Sample ``shots`` measurement outcomes at depth ``m``.
 
-    Draws one uniform per shot from an RNG stream keyed by (device seed, m),
-    so repeated calls with the same arguments return the same tally, and
+    The one-record case of :func:`sample_sweeps`, keyed by (device seed, m):
+    repeated calls with the same arguments return the same tally, and
     tallies at different depths are independent.
     """
-    m = _check_depth(m)
-    _check_shots(shots, "shots")
-    p1 = dev.p1(m)
-    rng = substream(dev.seed, m)
-    ones = int(np.count_nonzero(rng.random(shots) < p1))
-    return ShotRecord(m=m, shots=shots, ones=ones)
+    return sample_sweeps(dev, [dev.seed], [m], [shots])[0][0]
 
 
 def preset_device(
@@ -129,21 +309,12 @@ def run_depth_sweep(
     depths: list[int],
     shots_per_depth: list[int],
 ) -> list[ShotRecord]:
-    """Sample one ShotRecord per depth.
+    """Sample one ShotRecord per depth: the one-seed case of :func:`sample_sweeps`.
 
-    Each depth uses its own (seed, m)-keyed substream, so the result for a
+    Each depth uses its own (seed, m)-keyed stream, so the result for a
     given depth does not depend on the other entries or their order.
 
     Raises:
-        ValueError: unequal lengths, or a repeated depth (its substream would
-            repeat the same tally, which is not an independent sample).
+        ValueError: as :func:`sample_sweeps`.
     """
-    if len(depths) != len(shots_per_depth):
-        raise ValueError(
-            f"depths and shots_per_depth must have equal length, "
-            f"got {len(depths)} and {len(shots_per_depth)}"
-        )
-    repeated = sorted(m for m, count in Counter(depths).items() if count > 1)
-    if repeated:
-        raise ValueError(f"depths must be distinct, repeated: {repeated}")
-    return [sample_shots(dev, m, shots) for m, shots in zip(depths, shots_per_depth)]
+    return sample_sweeps(dev, [dev.seed], depths, shots_per_depth)[0]

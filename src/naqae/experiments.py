@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import ShotRecord, SimulatedDevice, run_depth_sweep, subseed
+from .device import ShotRecord, SimulatedDevice, _check_seed, _subseeds, sample_sweeps
 # Nothing here calls estimate_amplitude; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it in this module.
 from .estimation import (  # noqa: F401
@@ -32,7 +32,9 @@ from .models import (
     Amplitude,
     DepolParams,
     GaussianNoiseParams,
+    _check_int64,
     _check_rate,
+    _check_shots,
     _json_number,
     depol_equivalent,
     noise_from_dict,
@@ -63,13 +65,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.truth_a <= 1.0):
             raise ValueError(f"truth_a must lie in [0, 1], got {self.truth_a!r}")
+        _check_int64(self.max_depth, "max_depth")
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth!r}")
-        if self.n_shot_base < 1:
-            raise ValueError(f"n_shot_base must be >= 1, got {self.n_shot_base!r}")
+        _check_shots(self.n_shot_base, "n_shot_base")
         _check_rate(self.k_sigma_assumed, "k_sigma_assumed")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications!r}")
+        _check_shots(self.replications, "replications")
+        _check_seed(self.seed, "seed")
         unknown = [s for s in self.settings if s not in SETTINGS]
         if unknown or not self.settings or len(set(self.settings)) != len(self.settings):
             raise ValueError(f"settings must be a nonempty subset of {SETTINGS}, without repeats")
@@ -103,18 +105,20 @@ def _correction_params(config: ExperimentConfig) -> DepolParams:
 
 
 def _trial_records(
-    config: ExperimentConfig, setting: str, schedule: ShotSchedule, replication_index: int
-) -> list[ShotRecord]:
-    """The setting's full sweep m = 0..max_depth for one replication.
+    config: ExperimentConfig, setting: str, schedule: ShotSchedule, replications: range
+) -> list[list[ShotRecord]]:
+    """The setting's full sweep m = 0..max_depth for each replication index, in one batch.
 
-    Deterministic given (config.seed, replication_index, setting).
+    Replication r samples with seed ``subseed(config.seed, r, setting index)``,
+    so its sweep is deterministic given (config.seed, r, setting) and does
+    not depend on the other replications.
     """
     device = replace(
-        config.device,
-        model=None if setting == "noiseless" else config.device.model,
-        seed=subseed(config.seed, replication_index, SETTINGS.index(setting)),
+        config.device, model=None if setting == "noiseless" else config.device.model
     )
-    return run_depth_sweep(device, list(schedule.depths), list(schedule.shots))
+    reps = [_check_seed(r, "replication_index") for r in replications]
+    seeds = _subseeds(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
+    return sample_sweeps(device, seeds.tolist(), schedule.depths, schedule.shots)
 
 
 def _estimate_trials(
@@ -138,8 +142,8 @@ def run_qae_trial(
     if setting not in config.settings:
         raise ValueError(f"setting {setting!r} not in config.settings")
     schedule = _setting_schedule(config, setting)
-    records = _trial_records(config, setting, schedule, replication_index)
-    return _estimate_trials(config, setting, [records])[0]
+    records = _trial_records(config, setting, schedule, [replication_index])
+    return _estimate_trials(config, setting, records)[0]
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
@@ -155,9 +159,7 @@ def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
     curves = []
     for setting in config.settings:
         schedule = _setting_schedule(config, setting)
-        datasets = [
-            _trial_records(config, setting, schedule, rep) for rep in range(config.replications)
-        ]
+        datasets = _trial_records(config, setting, schedule, range(config.replications))
         errs = np.array(
             [
                 [e.a_hat - config.truth_a for e in trial]

@@ -193,7 +193,10 @@ def noise_from_dict(doc: dict) -> NoiseModel:
 
 def _check_int64(value: int, name: str) -> None:
     """Reject anything but an ``int`` or numpy integer (not a bool) in the signed 64-bit range."""
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # A plain int is the common case, so it is tested first.
+    integral = type(value) is int or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    )
     if not (integral and -(2**63) <= int(value) < 2**63):
         raise ValueError(f"{name} must be an integer in the signed 64-bit range, got {value!r}")
 

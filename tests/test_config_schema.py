@@ -34,6 +34,8 @@ GOOD = {
     "theta_upper_bound": with_device(theta=math.pi / 2),
     "integral_float": {**BASE, "max_depth": 2.0, "n_shot_base": 5.0},
     "negative_seed": {**BASE, "seed": -7},
+    "lowest_seed": {**BASE, "seed": -(2**63)},
+    "highest_seed": {**BASE, "seed": 2**64 - 1},
     "integer_k_mu": with_device(theta=0.5, noise={"kind": "gaussian", "k_mu": 0, "k_sigma": 1}),
 }
 
@@ -47,6 +49,11 @@ BAD = {
     "fractional_depth": {**BASE, "max_depth": 2.7},
     "string_shots": {**BASE, "n_shot_base": "5"},
     "boolean_seed": {**BASE, "seed": True},
+    "seed_past_uint64": {**BASE, "seed": 2**64},
+    "seed_below_int64": {**BASE, "seed": -(2**63) - 1},
+    "shots_past_int64": {**BASE, "n_shot_base": 2**63},
+    "depth_past_int64": {**BASE, "max_depth": 2**63},
+    "replications_past_int64": {**BASE, "replications": 2**63},
     "boolean_truth": {**BASE, "truth_a": True},
     "duplicate_settings": {**BASE, "settings": ["noisy_a", "noisy_a"]},
     "unknown_setting": {**BASE, "settings": ["noisy_c"]},

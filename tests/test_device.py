@@ -1,12 +1,14 @@
 """Tests for the seeded device simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from naqae import (
     Amplitude,
+    DepolParams,
     GaussianNoiseParams,
     ShotRecord,
     SimulatedDevice,
@@ -14,9 +16,24 @@ from naqae import (
     preset_device,
     run_depth_sweep,
     sample_shots,
+    sample_sweeps,
     subseed,
     substream,
 )
+from naqae.device import _CHUNK, _philox_keys
+
+MASK64 = 2**64 - 1
+
+
+def seed_sequence_key(*words):
+    """numpy's own key for the entropy ``words`` (negatives as unsigned 64-bit)."""
+    return np.random.SeedSequence([w & MASK64 for w in words]).generate_state(2, np.uint64)
+
+
+def numpy_stream(*words):
+    """The reference stream: one SeedSequence, Philox and Generator per path."""
+    seed_seq = np.random.SeedSequence([w & MASK64 for w in words])
+    return np.random.Generator(np.random.Philox(seed_seq))
 
 
 class TestShotRecord:
@@ -185,3 +202,124 @@ class TestSubstreams:
     def test_subseed_is_uint64(self):
         s = subseed(123, 4, 5)
         assert 0 <= s < 2**64
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(2.0), True, 2**64, 2**64 + 5,
+                                     -(2**63) - 1, "3", None])
+    def test_device_seed_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            SimulatedDevice(amp=Amplitude(0.5), seed=bad)
+
+    @pytest.mark.parametrize("seed", [0, -1, -(2**63), 2**63, 2**64 - 1, np.uint64(2**64 - 1),
+                                      np.int32(-5)])
+    def test_device_seed_range(self, seed):
+        dev = SimulatedDevice(amp=Amplitude(0.5), seed=seed)
+        expected = int(np.count_nonzero(numpy_stream(int(seed), 3).random(50) < dev.p1(3)))
+        assert sample_shots(dev, 3, 50).ones == expected
+
+    def test_negative_seed_is_its_unsigned_representation(self):
+        a = SimulatedDevice(amp=Amplitude(0.5), seed=-1)
+        b = SimulatedDevice(amp=Amplitude(0.5), seed=2**64 - 1)
+        assert run_depth_sweep(a, [0, 4], [300, 300]) == run_depth_sweep(b, [0, 4], [300, 300])
+
+    @pytest.mark.parametrize("bad", [2**64 + 5, 1.5, True, -(2**63) - 1])
+    def test_substream_words_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            subseed(bad, 1)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            substream(bad, 1)
+        with pytest.raises(ValueError, match="^path word must be an integer"):
+            subseed(5, bad)
+
+
+class TestSeedHash:
+    def test_known_layouts(self):
+        cases = [(0,), (0, 0), (2**32 - 1, 0), (2**32, 0), (-1, 2**32 - 1), (-(2**63), 7, 3),
+                 (2**64 - 1, 2**64 - 1, 2**32), (5, 1, 2, 3, 4), (-7, 2**40, 2**33, 1, 2**64 - 1)]
+        for words in cases:
+            key = _philox_keys(*[w & MASK64 for w in words])[0]
+            assert np.array_equal(key, seed_sequence_key(*words)), words
+            assert subseed(*words) == int(seed_sequence_key(*words)[0])
+            assert np.array_equal(substream(*words).random(9), numpy_stream(*words).random(9))
+
+    def test_vectorised_hash_equals_seed_sequence(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        edges = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+        words = st.one_of(edges, st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+        seeds = st.one_of(edges, st.integers(-(2**63), -1), st.integers(-(2**63), 2**64 - 1))
+        # Rows of one call share their arity but not their 32-bit word layout.
+        batches = st.integers(1, 4).flatmap(
+            lambda k: st.lists(st.tuples(seeds, st.tuples(*[words] * k)), min_size=1, max_size=6)
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(batches)
+        @hypothesis.example([(-1, (2**32 - 1,)), (0, (2**32,)), (2**32, (0,)), (-5, (3,))])
+        def check(rows):
+            paths = [list(column) for column in zip(*(path for _, path in rows))]
+            keys = _philox_keys([seed & MASK64 for seed, _ in rows], *paths)
+            for (seed, path), key in zip(rows, keys):
+                assert np.array_equal(key, seed_sequence_key(seed, *path)), (seed, path)
+
+        check()
+
+
+class TestSampleSweeps:
+    def test_each_seed_is_its_own_depth_sweep(self):
+        dev = preset_device("A3", model=DepolParams(0.93))
+        seeds = [0, -1, 2**32, 17, 2**64 - 1]
+        depths, shots = [0, 3, 1, 9], [40, 70, 25, 90]
+        sweeps = sample_sweeps(dev, seeds, depths, shots)
+        for seed, sweep in zip(seeds, sweeps):
+            alone = SimulatedDevice(dev.amp, dev.model, seed)
+            assert sweep == run_depth_sweep(alone, depths, shots)
+
+    def test_records_equal_per_record_substreams(self):
+        dev = preset_device("A1", model=GaussianNoiseParams(0.01, 0.05), seed=0)
+        seeds = [3, 2**40 + 1, -9]
+        for seed, sweep in zip(seeds, sample_sweeps(dev, seeds, range(8), [33] * 8)):
+            for rec in sweep:
+                draws = numpy_stream(seed, rec.m).random(rec.shots)
+                assert rec.ones == int(np.count_nonzero(draws < dev.p1(rec.m)))
+
+    def test_empty_batches(self):
+        dev = preset_device("A1")
+        assert sample_sweeps(dev, [], [0, 1], [5, 5]) == []
+        assert sample_sweeps(dev, [1, 2], [], []) == [[], []]
+
+    def test_validation(self):
+        dev = preset_device("A1")
+        with pytest.raises(ValueError, match="equal length"):
+            sample_sweeps(dev, [1], [0, 1], [10])
+        with pytest.raises(ValueError, match=r"repeated: \[2\]"):
+            sample_sweeps(dev, [1], [2, 2], [10, 10])
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            sample_sweeps(dev, [1, 0.5], [0], [10])
+        with pytest.raises(ValueError, match="^shots must be an integer"):
+            sample_sweeps(dev, [1], [0], [2.0])
+        with pytest.raises(ValueError, match="^depth must be >= 0"):
+            sample_sweeps(dev, [1], [-1], [10])
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("shots", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_chunks_equal_one_full_draw(self, shots):
+        dev = SimulatedDevice(amp=Amplitude(0.7), model=GaussianNoiseParams(0.0, 0.01), seed=23)
+        full = numpy_stream(23, 4).random(shots) < dev.p1(4)
+        assert sample_shots(dev, 4, shots).ones == int(np.count_nonzero(full))
+        # noiseless A1 measures 1 with certainty at m = 1: every shot is drawn
+        assert sample_shots(preset_device("A1", seed=23), 1, shots).ones == shots
+
+    def test_memory_does_not_grow_with_shots(self):
+        # One float per shot would be 32 MiB for 2**22 shots; the chunks
+        # hold at most 2**20 floats and their comparison at a time.
+        dev = SimulatedDevice(amp=Amplitude(0.7), seed=29)
+        tracemalloc.start()
+        try:
+            sample_shots(dev, 2, 2**22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -1,22 +1,26 @@
 """Tests for the Monte Carlo comparison harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from naqae import (
+    SETTINGS,
     Amplitude,
     DepolParams,
     ExperimentConfig,
     GaussianNoiseParams,
     RmseCurve,
+    ShotRecord,
     SimulatedDevice,
     config_from_json,
     misspecification_sweep,
     run_monte_carlo,
     run_qae_trial,
 )
+from naqae.experiments import _setting_schedule, _trial_records
 
 A1_GAUSS = ExperimentConfig(
     device=SimulatedDevice(amp=Amplitude(math.pi / 6), model=GaussianNoiseParams(0.0, 0.055)),
@@ -53,6 +57,26 @@ class TestConfig:
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**{**good, **bad})
+
+    @pytest.mark.parametrize("field", ["max_depth", "n_shot_base", "replications"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0), 2**63])
+    def test_counts_must_be_int64_integers(self, field, bad):
+        dev = SimulatedDevice(amp=Amplitude(0.5))
+        good = dict(device=dev, truth_a=0.2, max_depth=3, n_shot_base=10,
+                    k_sigma_assumed=0.0, replications=1, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ExperimentConfig(**{**good, field: bad})
+        assert getattr(ExperimentConfig(**{**good, field: np.int64(2)}), field) == 2
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, 2**64, 2**64 + 5, -(2**63) - 1, "7"])
+    def test_seed_must_be_an_integer(self, bad):
+        dev = SimulatedDevice(amp=Amplitude(0.5))
+        good = dict(device=dev, truth_a=0.2, max_depth=3, n_shot_base=10,
+                    k_sigma_assumed=0.0, replications=1)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            ExperimentConfig(**good, seed=bad)
+        for seed in (-(2**63), 2**64 - 1, np.uint64(2**64 - 1), np.int8(-3)):
+            ExperimentConfig(**good, seed=seed)
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -131,6 +155,29 @@ class TestMonteCarlo:
             )
             expected[setting] = [float(r) for r in np.sqrt(np.mean(errs**2, axis=0))]
         assert depth_curves(run_monte_carlo(config)) == expected
+
+    def test_batch_sample_equals_per_record_substreams(self):
+        # Every replication's sweep is sampled in one batch; record (rep, m)
+        # must count the uniforms below p1 among the first N_m of the stream
+        # that numpy's SeedSequence gives the path (replication seed, m).
+        config = replace(A1_GAUSS, max_depth=6, replications=5, seed=-3)
+        for setting in config.settings:
+            schedule = _setting_schedule(config, setting)
+            datasets = _trial_records(config, setting, schedule, range(config.replications))
+            model = None if setting == "noiseless" else config.device.model
+            device = replace(config.device, model=model)
+            for rep, records in enumerate(datasets):
+                seed_seq = np.random.SeedSequence(
+                    [config.seed % 2**64, rep, SETTINGS.index(setting)]
+                )
+                seed = int(seed_seq.generate_state(1, np.uint64)[0])
+                expected = []
+                for m, n in schedule.entries:
+                    philox = np.random.Philox(np.random.SeedSequence([seed, m]))
+                    stream = np.random.Generator(philox)
+                    ones = int(np.count_nonzero(stream.random(n) < device.p1(m)))
+                    expected.append(ShotRecord(m=m, shots=n, ones=ones))
+                assert records == expected, (setting, rep)
 
     def test_single_replication_rmse_is_absolute_error(self):
         config = ExperimentConfig(
