@@ -9,9 +9,8 @@ The key of the (seed, *path) stream is numpy's
 ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``.  Its 32-bit
 hash-and-mix is ported to numpy arrays here, so :func:`sample_sweeps` derives
 the keys of every (seed, depth) record at once and draws them all from one
-``Philox`` re-keyed per record, instead of building a ``SeedSequence``,
-``Philox`` and ``Generator`` per record.  Uniforms are counted in chunks of
-``2**20`` from the same stream, so memory does not grow with the shot count.
+``Philox`` re-keyed per record.  Uniforms are counted in chunks of ``2**20``
+from the same stream, so memory does not grow with the shot count.
 """
 
 from __future__ import annotations
@@ -142,6 +141,7 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
     calls that SeedSequence makes with one source word.
     """
     length = words.shape[1]
+    # SeedSequence makes 4 * length hashmix calls for ``length`` >= 4 words.
     consts = _hash_consts(_INIT_A, _MULT_A, 4 * length)
     pool = _hashmix(words[:, :_POOL_SIZE], consts[:_POOL_SIZE + 1])
     at = _POOL_SIZE
