@@ -26,7 +26,6 @@ from .errors import (
 from .estimation import (
     AmplitudeEstimate,
     ShotSchedule,
-    binomial_std_bound,
     correct_counts,
     correct_frequency,
     estimate_amplitude,

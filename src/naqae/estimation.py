@@ -112,16 +112,6 @@ class CorrectionResult(NamedTuple):
     clamped: bool
 
 
-def binomial_std_bound(shots: int) -> float:
-    """Largest possible standard deviation of a ``shots``-shot frequency.
-
-    A Bernoulli variable has variance at most 1/4, so the mean of ``shots``
-    i.i.d. outcomes has standard deviation at most ``sqrt(1 / (4 shots))``.
-    """
-    _check_shots(shots, "shots")
-    return math.sqrt(0.25 / shots)
-
-
 def worst_case_variance(m: int, n_shots: int, k_sigma: float) -> VarianceBound:
     """Worst-case variance of the depth-``m`` amplitude estimate.
 
@@ -218,22 +208,29 @@ def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
     return _correct(record.ones, float(record.shots), record.m, depol)
 
 
-def _log_likelihood(theta: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> list[float]:
-    """Row i's log-likelihood at ``theta[i]``, for every row of ``weights``.
+def _log_likelihood(
+    theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> list[float]:
+    """Row i's log-likelihood at ``theta[i]``, on row i of ``counts`` and ``misses``.
 
-    ``weights`` stacks the rows' counts and misses, (2 x rows x k x 1).
-    Each row's two sums are BLAS dots of exact length k, the calls a lone
-    dataset makes too, so a row's value does not depend on the other rows;
-    ``einsum``, ``sum`` and zero padding would each add in another order.
+    Each depth in turn adds its ``counts * ln p``, then its ``misses *
+    ln(1 - p)``, to one running sum per row: the order of
+    :func:`_grid_maxima`, so at a grid point this is the grid's own value,
+    bit for bit, and a row's value does not depend on the other rows.
     """
-    p = np.square(np.sin(np.multiply.outer(theta, ks)))[:, None, :]
+    p = np.square(np.sin(np.multiply.outer(theta, ks)))
     np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
-    terms = np.matmul(np.array((np.log(p), np.log1p(-p))), weights)
-    return (terms[0] + terms[1]).ravel().tolist()
+    terms = np.stack((counts * np.log(p), misses * np.log1p(-p)), axis=2)
+    return np.add.accumulate(terms.reshape(len(theta), -1), axis=1)[:, -1].tolist()
 
 
 def _refine(
-    theta: np.ndarray, lo: np.ndarray, hi: np.ndarray, ks: np.ndarray, weights: np.ndarray
+    theta: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    ks: np.ndarray,
+    counts: np.ndarray,
+    misses: np.ndarray,
 ) -> np.ndarray:
     """Row i's likelihood maximum in ``[lo[i], hi[i]]``, found from its grid maximum ``theta[i]``.
 
@@ -253,15 +250,15 @@ def _refine(
     bisects it.  A row is done when its step is at most ``_STEP_TOL`` and
     lands in the closed bracket (tested first: a point that has just become a
     bracket end takes a zero step), or when its bracket is that narrow.  Only
-    rows still moving are evaluated, and each row's sums are BLAS dots of
-    exact length k, as in :func:`_log_likelihood`.
+    rows still moving are evaluated, each summing its depths' terms in depth
+    order, so a row's steps do not depend on the other rows.
     """
     # Zeros of sin(k theta) lie at integer x = k theta / pi, of cos(k theta) at
     # half-integers: the floors are each kind's nearest at or below x.  A sin
     # zero ends a piece where h > 0, a cos zero where N - h > 0.
     x = np.multiply.outer(theta, ks) / math.pi
     zeros = np.array((np.floor(x), np.floor(x - 0.5) + 0.5))
-    ends = weights[..., 0] > 0
+    ends = np.array((counts > 0, misses > 0))
     below = np.where(ends, zeros, -np.inf).max(axis=0) * math.pi / ks
     above = np.where(ends, zeros + 1.0, np.inf).min(axis=0) * math.pi / ks
     lo, hi = np.maximum(lo, below.max(axis=1)), np.minimum(hi, above.min(axis=1))
@@ -274,15 +271,15 @@ def _refine(
     with np.errstate(divide="ignore", invalid="ignore"):
         while rows.size:
             t, a, b = theta[rows], lo[rows], hi[rows]
+            h, n_h = counts[rows], misses[rows]
             angles = np.multiply.outer(t, ks)
             sin, cos = np.sin(angles), np.cos(angles)
-            # First and second derivatives of ln p and ln(1 - p), per depth.
-            d_p, d_q = two_k * (cos / sin), -two_k * (sin / cos)
-            dd_p, dd_q = minus_two_k2 / (sin * sin), minus_two_k2 / (cos * cos)
-            factors = np.array(((d_p, d_q), (dd_p, dd_q)))[:, :, :, None, :]
-            (score_h, score_m), (curv_h, curv_m) = np.matmul(factors, weights[:, rows])[..., 0, 0]
-            score = score_h + score_m
-            step = score / (curv_h + curv_m)
+            # Each depth's score and curvature: the first and second
+            # derivatives of ln p times h plus those of ln(1 - p) times N - h.
+            score_terms = two_k * (cos / sin) * h + -two_k * (sin / cos) * n_h
+            curv_terms = minus_two_k2 / (sin * sin) * h + minus_two_k2 / (cos * cos) * n_h
+            score = np.add.accumulate(score_terms, axis=1)[:, -1]
+            step = score / np.add.accumulate(curv_terms, axis=1)[:, -1]
             new = t - step
             a, b = np.where(score > 0.0, t, a), np.where(score < 0.0, t, b)
             converged = (np.abs(step) <= _STEP_TOL) & (a <= new) & (new <= b)
@@ -313,20 +310,20 @@ def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _grid_maxima(
     table: np.ndarray, counts: np.ndarray, misses: np.ndarray, prefixes: Sequence[int]
-) -> list[list[tuple[int, bool]]]:
-    """Grid argmax and flat flag of every row at every prefix length in ``prefixes`` (increasing).
+) -> list[list[tuple[int, float, bool]]]:
+    """Grid maximum of every row at every prefix length in ``prefixes`` (increasing).
 
     ``result[j][i]`` is row i's grid argmax (its first maximum, so the
-    smallest theta) and flat flag on its first ``prefixes[j]`` depths.  Each
-    chunk of rows keeps one running grid, to which each depth in turn adds
-    its ``ln p`` row times the rows' counts, then its ``ln(1 - p)`` row times
-    their misses, as elementwise numpy products and sums.  Numpy rounds each
-    element on its own, so a row's grid values depend only on its own data:
-    not on the batch size, the row's place in its chunk or the prefixes
-    asked for.  A lone dataset gets the values it gets in any batch.
+    smallest theta), its log-likelihood there and its flat flag, on its
+    first ``prefixes[j]`` depths.  Each chunk of rows keeps one running
+    grid, to which each depth in turn adds its ``ln p`` row times the rows'
+    counts, then its ``ln(1 - p)`` row times their misses, as elementwise
+    numpy products and sums.  Numpy rounds each element on its own, so a
+    row's grid values depend only on its own data: not on the batch size,
+    the row's place in its chunk or the prefixes asked for.
     """
     rows, points = len(counts), table.shape[2]
-    results: list[list[tuple[int, bool]]] = [[] for _ in prefixes]
+    results: list[list[tuple[int, float, bool]]] = [[] for _ in prefixes]
     running_block, update_block = np.empty((2, min(rows, _GRID_CHUNK), points))
     for start in range(0, rows, _GRID_CHUNK):
         stop = min(start + _GRID_CHUNK, rows)
@@ -342,7 +339,7 @@ def _grid_maxima(
             best = running.argmax(axis=1)
             top = running[lanes, best]
             flat = top - running.min(axis=1) <= _FLAT_TOL * np.maximum(1.0, np.abs(top))
-            results[j] += zip(best.tolist(), flat.tolist())
+            results[j] += zip(best.tolist(), top.tolist(), flat.tolist())
     return results
 
 
@@ -357,10 +354,10 @@ def _estimates(
     k runs over every prefix length, or only the full length if ``last_only``.
     The grid stage runs first, for every prefix at once, on one cached
     table: :func:`_grid_maxima` keeps an elementwise running sum per chunk
-    of rows, a batch of one included.  Refinement then runs prefix by
-    prefix: :func:`_refine` steps every row's Newton search at once, and
-    :func:`_log_likelihood` gives the grid and refined points' values, each
-    row's computed as for a lone dataset.
+    of rows, a batch of one included, and gives each grid maximum's value.
+    Refinement then runs prefix by prefix: :func:`_refine` steps every row's
+    Newton search at once, and :func:`_log_likelihood` gives the refined
+    points' values, summed in the grid's order.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -400,13 +397,12 @@ def _estimates(
 
     estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
     for k, grid in zip(prefixes, grids):
-        weights = np.array((counts[:, :k], misses[:, :k]))[..., None]
-        best = np.array([b for b, _ in grid])
+        best = np.array([b for b, _, _ in grid])
         grid_theta = thetas[best]
         lo, hi = thetas[np.maximum(best - 1, 0)], thetas[np.minimum(best + 1, _GRID_POINTS - 1)]
-        refined = _refine(grid_theta, lo, hi, ks[:k], weights)
-        refined_values = _log_likelihood(refined, ks[:k], weights)
-        for i, top in enumerate(_log_likelihood(grid_theta, ks[:k], weights)):
+        refined = _refine(grid_theta, lo, hi, ks[:k], counts[:, :k], misses[:, :k])
+        refined_values = _log_likelihood(refined, ks[:k], counts[:, :k], misses[:, :k])
+        for i, (_, top, flat) in enumerate(grid):
             theta_hat = float(grid_theta[i])
             # Keep the grid point unless refinement strictly improves: the log
             # guard flattens the likelihood near exact-certainty angles, and a
@@ -419,7 +415,7 @@ def _estimates(
                     log_likelihood=top,
                     method=method,
                     n_clamped=clamped[i][k - 1],
-                    flat_likelihood=grid[i][1],
+                    flat_likelihood=flat,
                 )
             )
     return estimates
@@ -464,10 +460,10 @@ def estimate_amplitude(
     unless refinement strictly improves on it.  Ties in the computed grid
     values resolve to the smallest theta.  The records are sorted by
     ``(m, shots, ones)`` first, so the estimate does not depend on their
-    order.  The grid's ``ln p`` and ``ln(1 - p)`` table is cached per depth
-    tuple, so repeated estimates on the same depths do not rebuild it.  The grid is the path of
-    :func:`estimate_prefixes` with one dataset and one prefix, and its values
-    are the ones that path computes for the dataset in any batch.
+    order.  Every log-likelihood value is summed depth by depth, in depth
+    order, and the grid maximum's value is reused.  This is the path of
+    :func:`estimate_prefixes` with one dataset and one prefix, so the result
+    is the one that path gives the dataset in any batch.
 
     Args:
         method: "naive" uses the tallies as-is; "corrected" first applies

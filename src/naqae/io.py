@@ -72,8 +72,9 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
 
     Raises:
         ValueError: malformed header/row (with line number), a tally that is
-            not an ASCII integer ``-?[0-9]+`` in the signed 64-bit range, or a
-            row whose tallies violate 0 <= ones <= shots.
+            not an ASCII integer ``-?[0-9]+`` in the signed 64-bit range, a
+            row whose tallies violate 0 <= ones <= shots, or duplicate rows
+            whose merged shots pass that range.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -107,6 +108,11 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
             bucket = merged.setdefault((label, m), [0, 0])
             bucket[0] += shots
             bucket[1] += ones
+            if bucket[0] >= 2**63:  # ones <= shots, so the merged ones fit too
+                raise ValueError(
+                    f"{path}: line {lineno}: merged shots of label {label!r} at depth {m} "
+                    f"pass the signed 64-bit range: {bucket[0]}"
+                )
     grouped: dict[str, list[ShotRecord]] = {}
     for (label, m), (shots, ones) in sorted(merged.items()):
         grouped.setdefault(label, []).append(ShotRecord(m=m, shots=shots, ones=ones))
@@ -119,10 +125,7 @@ def write_shot_csv(records: dict[str, list[ShotRecord]] | list[ShotRecord]) -> s
     A plain list is written unlabeled; a dict keyed by label includes the
     label column unless the only label is the empty string.
     """
-    if isinstance(records, list):
-        grouped = {"": records}
-    else:
-        grouped = records
+    grouped = {"": records} if isinstance(records, list) else records
     with_label = any(label for label in grouped)
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -17,7 +17,6 @@ from naqae import (
     ExperimentConfig,
     GaussianNoiseParams,
     SimulatedDevice,
-    binomial_std_bound,
     correct_frequency,
     depol_equivalent,
     fit_model,
@@ -93,9 +92,9 @@ def test_criterion_03_zero_depth_and_decay_limits():
 
 
 def test_criterion_04_binomial_bound():
-    printed = f"{binomial_std_bound(8192):.3g}"
+    printed = f"{math.sqrt(worst_case_variance(0, 8192, 0.0).total):.3g}"
     assert printed == "0.00552"
-    _report(4, f"binomial_std_bound(8192) prints as {printed}")
+    _report(4, f"sqrt(worst_case_variance(0, 8192, 0.0).total) prints as {printed}")
 
 
 def test_criterion_05_schedule_reproduction():

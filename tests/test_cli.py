@@ -322,7 +322,11 @@ class TestEstimate:
         assert (code, out, err) == naive
         assert code == 0 and json.loads(out)["estimates"][0]["method"] == "naive"
 
-    @pytest.mark.parametrize("row", [f"0,{HUGE},5", f"{HUGE},10,5"], ids=["shots", "m"])
+    @pytest.mark.parametrize(
+        "row",
+        [f"0,{HUGE},5", f"{HUGE},10,5", f"0,{2**63 - 1},1\n0,{2**63 - 1},1"],
+        ids=["shots", "m", "merged_shots"],
+    )
     def test_oversized_integer(self, tmp_path, capsys, row):
         csv = tmp_path / "huge.csv"
         csv.write_text(f"m,shots,ones\n{row}\n", encoding="utf-8")

@@ -44,7 +44,7 @@ class TestShotCsv:
 
     def test_rows_sorted_by_depth(self, tmp_path):
         path = tmp_path / "shots.csv"
-        path.write_text("m,shots,ones\n5,10,1\n0,10,2\n3,10,3\n")
+        path.write_text("m,shots,ones\n5,10,1\n0,10,2\n\n3,10,3\n")  # blank rows are skipped
         assert [r.m for r in read_shot_csv(path)[""]] == [0, 3, 5]
 
     def test_ones_exceeding_shots(self, tmp_path):
@@ -61,6 +61,9 @@ class TestShotCsv:
             path.write_text(f"m,shots,ones\n0,10,2\n{row}\n", encoding="utf-8")
             with pytest.raises(ValueError, match="line 3: m, shots, ones must be integers"):
                 read_shot_csv(path)
+        path.write_text("m,shots,ones\n0,10,2\n0,10\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: expected 3 fields"):
+            read_shot_csv(path)
 
     def test_integers_outside_int64(self, tmp_path):
         path = tmp_path / "shots.csv"
@@ -69,6 +72,10 @@ class TestShotCsv:
             path.write_text(f"m,shots,ones\n0,10,2\n{row}\n", encoding="utf-8")
             with pytest.raises(ValueError, match="line 3: .* signed 64-bit range"):
                 read_shot_csv(path)
+        # duplicate rows merge into one tally, which must stay in the range too
+        path.write_text(f"m,shots,ones,label\n4,{2**62},1,a\n4,{2**62},1,a\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: merged shots of label 'a' at depth 4"):
+            read_shot_csv(path)
         # the range's last value stays, and so do more leading zeros than int() parses
         path.write_text(f"m,shots,ones\n0,{2**63 - 1},{'0' * 5000}7\n", encoding="utf-8")
         assert read_shot_csv(path)[""] == [ShotRecord(m=0, shots=2**63 - 1, ones=7)]
