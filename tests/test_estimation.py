@@ -30,6 +30,16 @@ from naqae import (
 BASE20_SCHEDULE = (20, 24, 29, 33, 38, 42, 46, 51, 55, 60, 64, 68, 73)
 
 
+class TestBinomialBound:
+    # the binomial bound is worst_case_variance's noiseless case: sigma2_tilde = 1 / (4 n)
+    def test_reference_shot_count(self):
+        assert f"{math.sqrt(worst_case_variance(0, 8192, 0.0).sigma2_tilde):.3g}" == "0.00552"
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            worst_case_variance(0, 0, 0.0)
+
+
 class TestWorstCaseVariance:
     def test_zero_depth(self):
         vb = worst_case_variance(0, 20, 0.3)
@@ -136,8 +146,9 @@ class TestShotSchedule:
         lambda: ShotSchedule(((0, math.nan),)),
         lambda: shot_schedule([0], 2.5, 0.1),
         lambda: worst_case_variance(1, 2.5, 0.1),
+        lambda: worst_case_variance(0, 2.5, 0.0),
     ],
-    ids=["schedule_half", "schedule_nan", "base_half", "variance_half"],
+    ids=["schedule_half", "schedule_nan", "base_half", "variance_half", "bound_half"],
 )
 def test_shot_counts_must_be_integers(call):
     with pytest.raises(ValueError, match="must be an integer in the signed 64-bit range"):
