@@ -14,8 +14,6 @@ from .device import (
     run_depth_sweep,
     sample_shots,
     sample_sweeps,
-    subseed,
-    substream,
 )
 from .errors import (
     DegenerateDataError,

@@ -5,12 +5,12 @@ randomness flows through counter-based Philox streams keyed by the seed and
 the circuit depth, so sampling is fully deterministic and independent of
 evaluation order.
 
-The key of the (seed, *path) stream is numpy's
-``SeedSequence([seed, *path]).generate_state(2, np.uint64)``.  Its 32-bit
-hash-and-mix is ported to numpy arrays here, so :func:`sample_sweeps` derives
-the keys of every (seed, depth) record at once and draws them all from one
-``Philox`` re-keyed per record.  Uniforms are counted in chunks of ``2**20``
-from the same stream, so memory does not grow with the shot count.
+Every key is ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``,
+computed by :func:`_philox_keys`, a numpy-array port of SeedSequence's 32-bit
+hash-and-mix.  So :func:`sample_sweeps` derives the keys of every (seed,
+depth) record at once and draws them all from one ``Philox`` re-keyed per
+record.  Uniforms are counted in chunks of ``2**20`` from the same stream, so
+memory does not grow with the shot count.
 """
 
 from __future__ import annotations
@@ -188,39 +188,6 @@ def _philox_keys(*columns) -> np.ndarray:
     return keys
 
 
-def _subseeds(*columns) -> np.ndarray:
-    """:func:`subseed` of each row of ``columns``, read as :func:`_philox_keys` reads them."""
-    return _philox_keys(*columns)[:, 0]
-
-
-def _path_words(seed: int, path: tuple[int, ...]) -> list[int]:
-    return [_check_seed(seed, "seed")] + [_check_seed(w, "path word") for w in path]
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic Philox stream for (seed, *path).
-
-    Its key is ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``.
-    Philox is a counter-based generator, so streams for distinct paths are
-    independent and may be consumed concurrently.  Negative seeds and path
-    words are mapped to their unsigned 64-bit representation.
-
-    Raises:
-        ValueError: a seed or path word that is not an integer in
-            [-2**63, 2**64).
-    """
-    return np.random.Generator(np.random.Philox(key=_philox_keys(*_path_words(seed, path))[0]))
-
-
-def subseed(seed: int, *path: int) -> int:
-    """Derive a child 64-bit seed for (seed, *path), stable across runs.
-
-    It is the first word of :func:`substream`'s key, which equals
-    ``SeedSequence([seed, *path]).generate_state(1, np.uint64)[0]``.
-    """
-    return int(_subseeds(*_path_words(seed, path))[0])
-
-
 def _count_ones(rng: np.random.Generator, shots: int, p1: float) -> int:
     """Uniforms below ``p1`` among the next ``shots`` of ``rng``, drawn ``_CHUNK`` at a time."""
     ones = 0
@@ -238,10 +205,10 @@ def sample_sweeps(
     """One depth sweep of ``dev`` per seed in ``seeds`` (``dev.seed`` is not used).
 
     Record (seed, m) counts the uniforms below ``dev.p1(m)`` among the first
-    ``shots`` of the :func:`substream` ``(seed, m)``, so it does not depend
-    on the other seeds, the other depths or their order.  Every key is
-    derived in one batch, and one ``Philox`` is re-keyed per record with its
-    counter and buffer cleared.
+    ``shots`` of the Philox stream keyed by :func:`_philox_keys` of (seed, m),
+    so it does not depend on the other seeds, the other depths or their
+    order.  Every key is derived in one batch, and one ``Philox`` is re-keyed
+    per record with its counter and buffer cleared.
 
     Raises:
         ValueError: unequal lengths, a repeated depth (its stream would

@@ -208,6 +208,13 @@ def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
     return _correct(record.ones, float(record.shots), record.m, depol)
 
 
+def _log_terms(theta: np.ndarray, ks: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """``ln p`` and ``ln(1 - p)``, ``p = sin^2(k theta)`` over theta x ks inside the log guard."""
+    p = np.square(np.sin(np.multiply.outer(theta, ks)))
+    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
+    return np.log(p), np.log1p(np.negative(p, out=p), out=p)
+
+
 def _log_likelihood(
     theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
 ) -> list[float]:
@@ -218,9 +225,8 @@ def _log_likelihood(
     :func:`_grid_maxima`, so at a grid point this is the grid's own value,
     bit for bit, and a row's value does not depend on the other rows.
     """
-    p = np.square(np.sin(np.multiply.outer(theta, ks)))
-    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
-    terms = np.stack((counts * np.log(p), misses * np.log1p(-p)), axis=2)
+    log_p, log_q = _log_terms(theta, ks)
+    terms = np.stack((counts * log_p, misses * log_q), axis=2)
     return np.add.accumulate(terms.reshape(len(theta), -1), axis=1)[:, -1].tolist()
 
 
@@ -293,17 +299,15 @@ def _refine(
 def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The theta grid and a (depth x 2 x grid) table of ``ln p`` and ``ln(1 - p)``.
 
-    ``p = sin^2((2m+1) theta)``, kept inside the log guard.  ``table[i]``
-    holds depth i's two rows, ``ln p`` then ``ln(1 - p)``.  The table
-    depends only on the depths, so it is built once per depth tuple and
-    shared read-only by every estimate on those depths.
+    ``table[i]`` holds depth i's two rows, ``ln p`` then ``ln(1 - p)`` of
+    :func:`_log_terms`, filled one depth at a time (no depth x grid
+    temporary).  The table depends only on the depths, so it is built once
+    per depth tuple and shared read-only by every estimate on those depths.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
     table = np.empty((len(depths), 2, _GRID_POINTS))
-    p = np.sin(np.multiply.outer(2.0 * np.array(depths, dtype=float) + 1.0, thetas)) ** 2
-    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
-    np.log(p, out=table[:, 0])
-    np.log1p(np.negative(p, out=p), out=table[:, 1])
+    for row, m in zip(table, depths):
+        row[:] = _log_terms(thetas, 2.0 * m + 1.0)
     thetas.flags.writeable = table.flags.writeable = False
     return thetas, table
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import ShotRecord, SimulatedDevice, _check_seed, _subseeds, sample_sweeps
+from .device import ShotRecord, SimulatedDevice, _check_seed, _philox_keys, sample_sweeps
 # Nothing here calls estimate_amplitude; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it in this module.
 from .estimation import (  # noqa: F401
@@ -109,16 +109,17 @@ def _trial_records(
 ) -> list[list[ShotRecord]]:
     """The setting's full sweep m = 0..max_depth for each replication index, in one batch.
 
-    Replication r samples with seed ``subseed(config.seed, r, setting index)``,
-    so its sweep is deterministic given (config.seed, r, setting) and does
-    not depend on the other replications.
+    Replication r's seed is the first word of :func:`_philox_keys`'s
+    ``SeedSequence([config.seed, r, setting index])`` key, so its sweep is
+    deterministic given (config.seed, r, setting) and does not depend on
+    the other replications.
     """
     device = replace(
         config.device, model=None if setting == "noiseless" else config.device.model
     )
     reps = [_check_seed(r, "replication_index") for r in replications]
-    seeds = _subseeds(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
-    return sample_sweeps(device, seeds.tolist(), schedule.depths, schedule.shots)
+    keys = _philox_keys(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
+    return sample_sweeps(device, keys[:, 0].tolist(), schedule.depths, schedule.shots)
 
 
 def _estimate_trials(

@@ -18,12 +18,20 @@ BASE20_SCHEDULE = "20,24,29,33,38,42,46,51,55,60,64,68,73\n"
 # A 400-digit integer: without the signed 64-bit rule it ended in an OverflowError traceback.
 HUGE = "1" + "0" * 399
 OUT_OF_RANGE = "signed 64-bit range"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """This process's environment, with the imported naqae first on PYTHONPATH."""
+    root = str(Path(naqae.__file__).resolve().parent.parent)
+    inherited = [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([root] + inherited))
 
 
 class TestSchedule:
@@ -406,18 +414,38 @@ class TestParser:
             "print(json.dumps([naqae.__file__, cold, 'scipy.optimize' in sys.modules,\n"
             "                  fit.theta_hat, fit.sse]))\n"
         )
-        root = str(Path(naqae.__file__).resolve().parent.parent)
-        inherited = [p for p in [os.environ.get("PYTHONPATH")] if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([root] + inherited))
         proc = subprocess.run(
             [sys.executable, "-c", child, json.dumps(points)],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+            env=child_env(), capture_output=True, text=True, timeout=120, check=True,
         )
         path, cold, loaded, theta_hat, sse = json.loads(proc.stdout)
         assert Path(path).resolve() == Path(naqae.__file__).resolve()
         assert cold == [] and loaded
         fit = fit_model([FrequencyPoint(m, p) for m, p in points], "gaussian_zero_mean")
         assert (theta_hat, sse) == (fit.theta_hat, fit.sse)
+
+    def test_module_runs_the_console_script_commands(self, tmp_path):
+        # The console script's commands, run as ``python -m naqae.cli`` in a
+        # fresh process: through the ``__main__`` guard, stdout and an --out
+        # file must match their goldens byte for byte.
+        def naqae_cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "naqae.cli", *argv],
+                env=child_env(), capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+
+        schedule = naqae_cli("schedule", "--depths", "0..12", "--base-shots", "20",
+                             "--k-sigma", "0.055")
+        assert schedule == (GOLDEN / "schedule_nearest.stdout").read_text()
+        out = tmp_path / "s.csv"
+        simulate = naqae_cli("simulate", "--theta", "0.5", "--noise", "depol:0.9",
+                             "--depths", "0,2,4,8", "--shots", "50,60,70,80", "--seed", "3",
+                             "--out", str(out))
+        assert simulate == ""
+        assert out.read_bytes() == (GOLDEN / "simulate_depol.csv").read_bytes()
+        config = GOLDEN / "inputs" / "config_gaussian.json"
+        experiment = naqae_cli("experiment", "--config", str(config))
+        assert experiment == (GOLDEN / "experiment_gaussian.stdout").read_text()
 
 
 class TestUsageErrors:

@@ -17,8 +17,6 @@ from naqae import (
     run_depth_sweep,
     sample_shots,
     sample_sweeps,
-    subseed,
-    substream,
 )
 from naqae.device import _CHUNK, _philox_keys
 
@@ -130,7 +128,7 @@ class TestDepthSweep:
             run_depth_sweep(preset_device("A1"), [0, 1], [10])
 
     def test_repeated_depths_rejected(self):
-        # a repeated depth reuses its (seed, m) substream: the tallies would
+        # a repeated depth reuses its (seed, m) stream: the tallies would
         # be identical copies, not independent samples
         with pytest.raises(ValueError, match=r"repeated: \[2, 5\]"):
             run_depth_sweep(preset_device("A1"), [5, 2, 2, 5, 1], [10] * 5)
@@ -155,7 +153,7 @@ class TestDepthSweep:
         assert all(r.ones == r.shots for r in records)
 
     def test_order_independence(self):
-        # per-depth substreams are keyed by m, so order cannot matter
+        # per-depth streams are keyed by m, so order cannot matter
         dev = preset_device("A3", model=GaussianNoiseParams(0.0, 0.02), seed=37)
         forward = run_depth_sweep(dev, list(range(8)), [100] * 8)
         backward = run_depth_sweep(dev, list(range(7, -1, -1)), [100] * 8)
@@ -184,26 +182,6 @@ class TestStatisticalSoundness:
         assert abs(mean - p) <= 5 * se
 
 
-class TestSubstreams:
-    def test_substream_deterministic(self):
-        a = substream(42, 1, 2).random(5)
-        b = substream(42, 1, 2).random(5)
-        assert np.array_equal(a, b)
-
-    def test_substream_path_sensitivity(self):
-        a = substream(42, 1, 2).random(5)
-        b = substream(42, 2, 1).random(5)
-        assert not np.array_equal(a, b)
-
-    def test_negative_seed_accepted(self):
-        assert substream(-1, 0).random() == substream(-1, 0).random()
-        assert subseed(-5, 3) == subseed(-5, 3)
-
-    def test_subseed_is_uint64(self):
-        s = subseed(123, 4, 5)
-        assert 0 <= s < 2**64
-
-
 class TestSeeds:
     @pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(2.0), True, 2**64, 2**64 + 5,
                                      -(2**63) - 1, "3", None])
@@ -223,15 +201,6 @@ class TestSeeds:
         b = SimulatedDevice(amp=Amplitude(0.5), seed=2**64 - 1)
         assert run_depth_sweep(a, [0, 4], [300, 300]) == run_depth_sweep(b, [0, 4], [300, 300])
 
-    @pytest.mark.parametrize("bad", [2**64 + 5, 1.5, True, -(2**63) - 1])
-    def test_substream_words_must_be_integers(self, bad):
-        with pytest.raises(ValueError, match="^seed must be an integer"):
-            subseed(bad, 1)
-        with pytest.raises(ValueError, match="^seed must be an integer"):
-            substream(bad, 1)
-        with pytest.raises(ValueError, match="^path word must be an integer"):
-            subseed(5, bad)
-
 
 class TestSeedHash:
     def test_known_layouts(self):
@@ -240,8 +209,8 @@ class TestSeedHash:
         for words in cases:
             key = _philox_keys(*[w & MASK64 for w in words])[0]
             assert np.array_equal(key, seed_sequence_key(*words)), words
-            assert subseed(*words) == int(seed_sequence_key(*words)[0])
-            assert np.array_equal(substream(*words).random(9), numpy_stream(*words).random(9))
+            stream = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(stream.random(9), numpy_stream(*words).random(9)), words
 
     def test_vectorised_hash_equals_seed_sequence(self):
         hypothesis = pytest.importorskip("hypothesis")

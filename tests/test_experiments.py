@@ -106,6 +106,14 @@ class TestTrials:
         with pytest.raises(ValueError):
             run_qae_trial(config, "noisy_a", 0)
 
+    @pytest.mark.parametrize("bad", [1.5, True, 2**64, -(2**63) - 1])
+    def test_replication_index_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^replication_index must be an integer"):
+            run_qae_trial(A1_GAUSS, "noisy_a", bad)
+
+    def test_negative_replication_index_accepted(self):
+        assert len(run_qae_trial(A1_GAUSS, "noisy_a", -1)) == A1_GAUSS.max_depth + 1
+
     def test_methods_per_setting(self):
         assert run_qae_trial(A1_GAUSS, "noisy_a", 0)[0].method == "naive"
         assert run_qae_trial(A1_GAUSS, "noisy_b", 0)[0].method == "corrected"
