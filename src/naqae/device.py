@@ -7,10 +7,11 @@ evaluation order.
 
 Every key is ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``,
 computed by :func:`_philox_keys`, a numpy-array port of SeedSequence's 32-bit
-hash-and-mix.  So :func:`sample_sweeps` derives the keys of every (seed,
-depth) record at once and draws them all from one ``Philox`` re-keyed per
-record.  Uniforms are counted in chunks of ``2**20`` from the same stream, so
-memory does not grow with the shot count.
+hash-and-mix.  So :func:`_sample_tallies` derives the keys of every (seed,
+depth) tally at once and draws them all from one ``Philox`` re-keyed per
+tally; :func:`sample_sweeps` wraps its array in ``ShotRecord``s.  Uniforms
+are counted in chunks of ``2**20`` from the same stream, so memory does not
+grow with the shot count.
 """
 
 from __future__ import annotations
@@ -196,37 +197,26 @@ def _count_ones(rng: np.random.Generator, shots: int, p1: float) -> int:
     return ones
 
 
-def sample_sweeps(
-    dev: SimulatedDevice,
-    seeds: Sequence[int],
-    depths: Sequence[int],
-    shots_per_depth: Sequence[int],
-) -> list[list[ShotRecord]]:
-    """One depth sweep of ``dev`` per seed in ``seeds`` (``dev.seed`` is not used).
+def _sample_tallies(
+    dev: SimulatedDevice, seeds: Sequence[int], depths: Sequence[int], shots: Sequence[int]
+) -> np.ndarray:
+    """The ones tallies of :func:`sample_sweeps` as a (seeds x depths) int64 array.
 
-    Record (seed, m) counts the uniforms below ``dev.p1(m)`` among the first
-    ``shots`` of the Philox stream keyed by :func:`_philox_keys` of (seed, m),
-    so it does not depend on the other seeds, the other depths or their
-    order.  Every key is derived in one batch, and one ``Philox`` is re-keyed
-    per record with its counter and buffer cleared.
-
-    Raises:
-        ValueError: unequal lengths, a repeated depth (its stream would
-            repeat the same tally, which is not an independent sample), an
-            invalid depth, shot count or seed.
+    The arguments are checked once per batch, every key comes from one
+    :func:`_philox_keys` call, and one ``Philox`` is re-keyed per tally.
     """
-    if len(depths) != len(shots_per_depth):
+    if len(depths) != len(shots):
         raise ValueError(
             f"depths and shots_per_depth must have equal length, "
-            f"got {len(depths)} and {len(shots_per_depth)}"
+            f"got {len(depths)} and {len(shots)}"
         )
     repeated = sorted(m for m, count in Counter(depths).items() if count > 1)
     if repeated:
         raise ValueError(f"depths must be distinct, repeated: {repeated}")
     depths = [_check_depth(m) for m in depths]
-    for n in shots_per_depth:
+    for n in shots:
         _check_shots(n, "shots")
-    shots = [int(n) for n in shots_per_depth]
+    shots = [int(n) for n in shots]
     seed_words = np.array([_check_seed(s, "seed") for s in seeds], np.uint64)
     # SimulatedDevice.p1 once per depth.  One array call would square with a
     # multiply where the scalar path calls pow; the two differ in the last bit
@@ -238,15 +228,37 @@ def sample_sweeps(
     rng = np.random.Generator(bit_generator)
     # A fresh Philox state: counter 0, empty buffer.  Only the key changes.
     state = bit_generator.state
-    sweeps = []
-    for row_keys in keys.reshape(len(seeds), len(depths), 2).tolist():
-        sweep = []
-        for m, n, p, key in zip(depths, shots, p1, row_keys):
-            state["state"]["key"] = key
-            bit_generator.state = state
-            sweep.append(ShotRecord(m=m, shots=n, ones=_count_ones(rng, n, p)))
-        sweeps.append(sweep)
-    return sweeps
+    ones = []
+    # keys run seed by seed, each over every depth
+    for key, n, p in zip(keys.tolist(), shots * len(seeds), p1 * len(seeds)):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        ones.append(_count_ones(rng, n, p))
+    return np.array(ones, np.int64).reshape(len(seeds), len(depths))
+
+
+def sample_sweeps(
+    dev: SimulatedDevice,
+    seeds: Sequence[int],
+    depths: Sequence[int],
+    shots_per_depth: Sequence[int],
+) -> list[list[ShotRecord]]:
+    """One depth sweep of ``dev`` per seed in ``seeds`` (``dev.seed`` is not used).
+
+    Record (seed, m) counts the uniforms below ``dev.p1(m)`` among the first
+    ``shots`` of the Philox stream keyed by :func:`_philox_keys` of (seed, m),
+    so it does not depend on the other seeds, the other depths or their
+    order.  The tallies come from :func:`_sample_tallies`, the array core
+    that the Monte Carlo harness calls directly; this wrapper builds records.
+
+    Raises:
+        ValueError: unequal lengths, a repeated depth (its stream would
+            repeat the same tally, which is not an independent sample), an
+            invalid depth, shot count or seed.
+    """
+    ones = _sample_tallies(dev, seeds, depths, shots_per_depth).tolist()
+    entries = [(int(m), int(n)) for m, n in zip(depths, shots_per_depth)]
+    return [[ShotRecord(m, n, h) for (m, n), h in zip(entries, row)] for row in ones]
 
 
 def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:

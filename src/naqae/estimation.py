@@ -10,7 +10,6 @@ piece of the likelihood that holds the grid maximum).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -166,18 +165,21 @@ def shot_schedule(
     return ShotSchedule(entries=tuple(entries))
 
 
-def _correct(ones: float, total: float, m: int, depol: DepolParams) -> CorrectionResult:
-    """Solve ``ones = p~^m clean + total (1 - p~^m) / 2`` for ``clean`` in [0, total]."""
+def _correct(ones, total, depths: Sequence[int], depol: DepolParams) -> CorrectionResult:
+    """Solve ``ones = p~^m clean + total (1 - p~^m) / 2`` for ``clean`` in [0, total], per depth."""
     if depol.p_coh_tilde == 0.0:
         raise ValueError("correction is singular at p_coh_tilde == 0")
-    coherent = depol.p_coh_tilde**m
-    if coherent == 0.0:
+    coherent = [depol.p_coh_tilde**m for m in depths]  # Python's pow, as numpy's may differ
+    if 0.0 in coherent:
+        m = depths[coherent.index(0.0)]
         raise ValueError(
             f"correction is singular at depth {m}: p_coh_tilde**m = "
             f"{depol.p_coh_tilde!r}**{m} underflows to 0"
         )
-    raw = (ones - total * 0.5 * (1.0 - coherent)) / coherent
-    value = min(max(raw, 0.0), total)
+    with np.errstate(over="ignore"):  # to +-inf, as Python's float division does
+        raw = (ones - total * 0.5 * (1.0 - np.array(coherent))) / coherent
+    # Python's min(max(raw, 0.0), total), signed zeros included
+    value = np.where(raw < 0.0, 0.0, np.where(total < raw, total, raw))
     return CorrectionResult(value=value, raw=raw, clamped=value != raw)
 
 
@@ -193,7 +195,7 @@ def correct_frequency(p1_hat: float, m: int, depol: DepolParams) -> CorrectionRe
         ValueError: if ``p_coh_tilde == 0`` (fully depolarized data carries
             no recoverable signal) or ``p_coh_tilde ** m`` underflows to 0.
     """
-    return _correct(p1_hat, 1.0, _check_depth(m), depol)
+    return CorrectionResult(*(x.item() for x in _correct(p1_hat, 1.0, [_check_depth(m)], depol)))
 
 
 def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
@@ -205,7 +207,8 @@ def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
     Raises:
         ValueError: as :func:`correct_frequency`, naming the depth.
     """
-    return _correct(record.ones, float(record.shots), record.m, depol)
+    result = _correct(record.ones, float(record.shots), [record.m], depol)
+    return CorrectionResult(*(x.item() for x in result))
 
 
 def _log_terms(theta: np.ndarray, ks: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +220,7 @@ def _log_terms(theta: np.ndarray, ks: np.ndarray | float) -> tuple[np.ndarray, n
 
 def _log_likelihood(
     theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """Row i's log-likelihood at ``theta[i]``, on row i of ``counts`` and ``misses``.
 
     Each depth in turn adds its ``counts * ln p``, then its ``misses *
@@ -227,7 +230,7 @@ def _log_likelihood(
     """
     log_p, log_q = _log_terms(theta, ks)
     terms = np.stack((counts * log_p, misses * log_q), axis=2)
-    return np.add.accumulate(terms.reshape(len(theta), -1), axis=1)[:, -1].tolist()
+    return np.add.accumulate(terms.reshape(len(theta), -1), axis=1)[:, -1]
 
 
 def _refine(
@@ -314,20 +317,20 @@ def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _grid_maxima(
     table: np.ndarray, counts: np.ndarray, misses: np.ndarray, prefixes: Sequence[int]
-) -> list[list[tuple[int, float, bool]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid maximum of every row at every prefix length in ``prefixes`` (increasing).
 
-    ``result[j][i]`` is row i's grid argmax (its first maximum, so the
-    smallest theta), its log-likelihood there and its flat flag, on its
-    first ``prefixes[j]`` depths.  Each chunk of rows keeps one running
-    grid, to which each depth in turn adds its ``ln p`` row times the rows'
-    counts, then its ``ln(1 - p)`` row times their misses, as elementwise
-    numpy products and sums.  Numpy rounds each element on its own, so a
-    row's grid values depend only on its own data: not on the batch size,
-    the row's place in its chunk or the prefixes asked for.
+    Arrays ``best``, ``top``, ``flat``: ``[j, i]`` is row i's grid argmax (its
+    first maximum, so the smallest theta), its log-likelihood there and its
+    flat flag, on its first ``prefixes[j]`` depths.  Each chunk of rows keeps
+    one running grid, to which each depth in turn adds its ``ln p`` row times
+    the rows' counts, then its ``ln(1 - p)`` row times their misses, as
+    elementwise numpy products and sums.  Numpy rounds each element on its
+    own, so a row's grid values depend only on its own data: not on the batch
+    size, the row's place in its chunk or the prefixes asked for.
     """
     rows, points = len(counts), table.shape[2]
-    results: list[list[tuple[int, float, bool]]] = [[] for _ in prefixes]
+    best, top, flat = (np.empty((len(prefixes), rows), t) for t in (np.intp, float, bool))
     running_block, update_block = np.empty((2, min(rows, _GRID_CHUNK), points))
     for start in range(0, rows, _GRID_CHUNK):
         stop = min(start + _GRID_CHUNK, rows)
@@ -340,32 +343,68 @@ def _grid_maxima(
                 running += np.multiply(counts[start:stop, d, None], table[d, 0], out=update)
                 running += np.multiply(misses[start:stop, d, None], table[d, 1], out=update)
             added = k
-            best = running.argmax(axis=1)
-            top = running[lanes, best]
-            flat = top - running.min(axis=1) <= _FLAT_TOL * np.maximum(1.0, np.abs(top))
-            results[j] += zip(best.tolist(), top.tolist(), flat.tolist())
-    return results
+            b = running.argmax(axis=1, out=best[j, start:stop])
+            t = top[j, start:stop] = running[lanes, b]
+            flat[j, start:stop] = t - running.min(axis=1) <= _FLAT_TOL * np.maximum(1.0, np.abs(t))
+    return best, top, flat
 
 
 def _estimates(
-    datasets: Sequence[list[ShotRecord]],
-    method: str,
-    depol: DepolParams | None,
-    last_only: bool,
-) -> list[list[AmplitudeEstimate]]:
-    """Maximum-likelihood estimates from ``datasets[i][:k]`` for every dataset i.
+    depths: tuple[int, ...], shots, ones, method: str, depol: DepolParams | None, last_only: bool
+) -> tuple[np.ndarray, ...]:
+    """Maximum-likelihood estimates from the first k tallies of each row of ``ones``.
 
-    k runs over every prefix length, or only the full length if ``last_only``.
-    The grid stage runs first, for every prefix at once, on one cached
-    table: :func:`_grid_maxima` keeps an elementwise running sum per chunk
-    of rows, a batch of one included, and gives each grid maximum's value.
-    Refinement then runs prefix by prefix: :func:`_refine` steps every row's
-    Newton search at once, and :func:`_log_likelihood` gives the refined
-    points' values, summed in the grid's order.
+    The estimator's array core: ``ones`` is (datasets x depths) and ``shots``
+    broadcasts against it.  k runs over every prefix length, or only the full
+    length if ``last_only``.  Returns ``theta_hat``, the log-likelihood there,
+    the clamp count and the flat flag as (datasets x prefixes) arrays.  The
+    grid stage runs first, for every prefix at once, on one cached table:
+    :func:`_grid_maxima`, whose maxima come with their values.  Refinement
+    then runs prefix by prefix: :func:`_refine` steps every row's Newton
+    search at once, and :func:`_log_likelihood` gives the refined values,
+    summed in the grid's order.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
     """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    shots = np.asarray(shots, dtype=float)
+    if method == "corrected":
+        if depol is None:
+            raise ValueError("corrected estimation requires depolarizing parameters")
+        counts, _, clamped = _correct(ones, shots, depths, depol)
+    else:
+        counts, clamped = np.asarray(ones, dtype=float), np.zeros(np.shape(ones), bool)
+    misses = shots - counts
+    ks = 2.0 * np.array(depths, dtype=float) + 1.0
+    prefixes = (len(depths),) if last_only else tuple(range(1, len(depths) + 1))
+    thetas, table = _depth_tables(depths)
+    best, top, flat = _grid_maxima(table, counts, misses, prefixes)
+    theta_hat = thetas[best]
+    lo, hi = thetas[np.maximum(best - 1, 0)], thetas[np.minimum(best + 1, _GRID_POINTS - 1)]
+    for j, k in enumerate(prefixes):
+        refined = _refine(theta_hat[j], lo[j], hi[j], ks[:k], counts[:, :k], misses[:, :k])
+        refined_values = _log_likelihood(refined, ks[:k], counts[:, :k], misses[:, :k])
+        # Keep the grid point unless refinement strictly improves: the log
+        # guard flattens the likelihood near exact-certainty angles, and a
+        # tie there must not pull the estimate off the boundary.
+        better = refined_values > top[j]
+        np.copyto(theta_hat[j], refined, where=better)
+        np.copyto(top[j], refined_values, where=better)
+    # Running clamp counts at the last or at every prefix
+    n_clamped = np.add.accumulate(clamped, axis=1, dtype=int)[:, -len(prefixes):]
+    return theta_hat.T, top.T, n_clamped, flat.T
+
+
+def _as_estimates(method: str, arrays) -> list[list[AmplitudeEstimate]]:
+    """The arrays of :func:`_estimates` as one list of estimates per dataset."""
+    rows = zip(*(a.tolist() for a in arrays))
+    return [[AmplitudeEstimate(t, v, method, c, f) for t, v, c, f in zip(*row)] for row in rows]
+
+
+def _record_arrays(datasets: Sequence[list[ShotRecord]]) -> tuple:
+    """A checked batch of record lists as the ``(depths, shots, ones)`` of :func:`_estimates`."""
     if not datasets:
         raise ValueError("datasets must be nonempty")
     for records in datasets:
@@ -380,49 +419,8 @@ def _estimates(
                 f"datasets must share one depth tuple: dataset {i} has depths "
                 f"{tuple(r.m for r in records)}, dataset 0 has {depths}"
             )
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-
     shots = np.array([[r.shots for r in records] for records in datasets], dtype=float)
-    if method == "corrected":
-        if depol is None:
-            raise ValueError("corrected estimation requires depolarizing parameters")
-        corrections = [[correct_counts(r, depol) for r in records] for records in datasets]
-        counts = np.array([[c.value for c in row] for row in corrections])
-        clamped = [list(itertools.accumulate(int(c.clamped) for c in row)) for row in corrections]
-    else:
-        counts = np.array([[r.ones for r in records] for records in datasets], dtype=float)
-        clamped = [[0] * len(depths)] * len(datasets)
-    misses = shots - counts
-    ks = 2.0 * np.array(depths, dtype=float) + 1.0
-    prefixes = (len(depths),) if last_only else tuple(range(1, len(depths) + 1))
-    thetas, table = _depth_tables(depths)
-    grids = _grid_maxima(table, counts, misses, prefixes)
-
-    estimates: list[list[AmplitudeEstimate]] = [[] for _ in datasets]
-    for k, grid in zip(prefixes, grids):
-        best = np.array([b for b, _, _ in grid])
-        grid_theta = thetas[best]
-        lo, hi = thetas[np.maximum(best - 1, 0)], thetas[np.minimum(best + 1, _GRID_POINTS - 1)]
-        refined = _refine(grid_theta, lo, hi, ks[:k], counts[:, :k], misses[:, :k])
-        refined_values = _log_likelihood(refined, ks[:k], counts[:, :k], misses[:, :k])
-        for i, (_, top, flat) in enumerate(grid):
-            theta_hat = float(grid_theta[i])
-            # Keep the grid point unless refinement strictly improves: the log
-            # guard flattens the likelihood near exact-certainty angles, and a
-            # tie there must not pull the estimate off the boundary.
-            if refined_values[i] > top:
-                theta_hat, top = float(refined[i]), refined_values[i]
-            estimates[i].append(
-                AmplitudeEstimate(
-                    theta_hat=theta_hat,
-                    log_likelihood=top,
-                    method=method,
-                    n_clamped=clamped[i][k - 1],
-                    flat_likelihood=flat,
-                )
-            )
-    return estimates
+    return depths, shots, np.array([[r.ones for r in records] for records in datasets], dtype=float)
 
 
 def estimate_prefixes(
@@ -436,7 +434,8 @@ def estimate_prefixes(
     estimate from ``datasets[i][:k]``, in the caller's record order, which
     defines the prefixes; it equals :func:`estimate_amplitude` on that
     prefix field by field when the prefix is in ``(m, shots, ones)`` order.
-    Each record is corrected once, every prefix reads the same cached
+    The records become arrays once, for the array core :func:`_estimates`,
+    and are corrected in one pass; every prefix reads the same cached
     likelihood table, the theta grids of every 8 datasets are one
     elementwise running sum (:func:`_grid_maxima`), and the Newton
     refinements of all datasets step together, one numpy evaluation per
@@ -446,7 +445,7 @@ def estimate_prefixes(
         ValueError: on an empty batch, an empty dataset, or datasets whose
             depths differ.
     """
-    return _estimates(datasets, method, depol, last_only=False)
+    return _as_estimates(method, _estimates(*_record_arrays(datasets), method, depol, False))
 
 
 def estimate_amplitude(
@@ -471,7 +470,9 @@ def estimate_amplitude(
 
     Args:
         method: "naive" uses the tallies as-is; "corrected" first applies
-            :func:`correct_counts` with ``depol`` (required, p_coh_tilde > 0).
+            :func:`correct_counts`' correction with ``depol`` (required,
+            p_coh_tilde > 0).
     """
     ordered = sorted(records, key=lambda r: (r.m, r.shots, r.ones))
-    return _estimates([ordered], method, depol, last_only=True)[0][0]
+    arrays = _estimates(*_record_arrays([ordered]), method, depol, last_only=True)
+    return _as_estimates(method, arrays)[0][0]

@@ -14,18 +14,20 @@ replications.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import ShotRecord, SimulatedDevice, _check_seed, _philox_keys, sample_sweeps
+from .device import SimulatedDevice, _check_seed, _philox_keys, _sample_tallies
 # Nothing here calls estimate_amplitude; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it in this module.
 from .estimation import (  # noqa: F401
     AmplitudeEstimate,
     ShotSchedule,
+    _as_estimates,
+    _estimates,
     estimate_amplitude,
-    estimate_prefixes,
     shot_schedule,
 )
 from .models import (
@@ -106,8 +108,8 @@ def _correction_params(config: ExperimentConfig) -> DepolParams:
 
 def _trial_records(
     config: ExperimentConfig, setting: str, schedule: ShotSchedule, replications: range
-) -> list[list[ShotRecord]]:
-    """The setting's full sweep m = 0..max_depth for each replication index, in one batch.
+) -> np.ndarray:
+    """The setting's ones tallies at m = 0..max_depth, (replications x depths), in one batch.
 
     Replication r's seed is the first word of :func:`_philox_keys`'s
     ``SeedSequence([config.seed, r, setting index])`` key, so its sweep is
@@ -119,16 +121,17 @@ def _trial_records(
     )
     reps = [_check_seed(r, "replication_index") for r in replications]
     keys = _philox_keys(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
-    return sample_sweeps(device, keys[:, 0].tolist(), schedule.depths, schedule.shots)
+    return _sample_tallies(device, keys[:, 0].tolist(), schedule.depths, schedule.shots)
 
 
 def _estimate_trials(
-    config: ExperimentConfig, setting: str, datasets: list[list[ShotRecord]]
-) -> list[list[AmplitudeEstimate]]:
-    """Every prefix estimate of each dataset, with the setting's method."""
+    config: ExperimentConfig, setting: str, schedule: ShotSchedule, ones: np.ndarray
+) -> tuple[str, tuple[np.ndarray, ...]]:
+    """The setting's method and :func:`_estimates` of every prefix of each row of ``ones``."""
     corrected = setting in ("noisy_b", "noise_aware")
     depol = _correction_params(config) if corrected else None
-    return estimate_prefixes(datasets, method="corrected" if corrected else "naive", depol=depol)
+    method = "corrected" if corrected else "naive"
+    return method, _estimates(schedule.depths, schedule.shots, ones, method, depol, False)
 
 
 def run_qae_trial(
@@ -143,8 +146,8 @@ def run_qae_trial(
     if setting not in config.settings:
         raise ValueError(f"setting {setting!r} not in config.settings")
     schedule = _setting_schedule(config, setting)
-    records = _trial_records(config, setting, schedule, [replication_index])
-    return _estimate_trials(config, setting, records)[0]
+    ones = _trial_records(config, setting, schedule, [replication_index])
+    return _as_estimates(*_estimate_trials(config, setting, schedule, ones))[0]
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
@@ -153,19 +156,18 @@ def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
     rmse at prefix M is ``sqrt(mean over replications of (a_hat_M - truth_a)^2)``.
     The query axis is the cumulative oracle-call count
     ``sum_{m<=M} (2m+1) N_m`` of the setting's schedule.  Each setting
-    samples every replication first, then estimates them in one batch; the
-    estimates equal :func:`run_qae_trial`'s, replication by replication.
+    samples every replication first, then estimates them in one batch, as
+    arrays from tallies to RMSE; ``a_hat`` is :attr:`AmplitudeEstimate.a_hat`'s
+    ``math.sin(theta_hat) ** 2``, so the estimates equal :func:`run_qae_trial`'s.
     """
     n_prefixes = config.max_depth + 1
     curves = []
     for setting in config.settings:
         schedule = _setting_schedule(config, setting)
-        datasets = _trial_records(config, setting, schedule, range(config.replications))
+        ones = _trial_records(config, setting, schedule, range(config.replications))
+        _, (theta_hat, *_) = _estimate_trials(config, setting, schedule, ones)
         errs = np.array(
-            [
-                [e.a_hat - config.truth_a for e in trial]
-                for trial in _estimate_trials(config, setting, datasets)
-            ]
+            [[math.sin(t) ** 2 - config.truth_a for t in row] for row in theta_hat.tolist()]
         )
         rmse = np.sqrt(np.mean(errs**2, axis=0))
         queries = np.cumsum(

@@ -19,6 +19,7 @@ from naqae import (
     SimulatedDevice,
     correct_frequency,
     depol_equivalent,
+    estimate_amplitude,
     fit_model,
     p1_depolarizing,
     p1_gaussian_closed,
@@ -27,6 +28,7 @@ from naqae import (
     points_from_records,
     run_depth_sweep,
     run_monte_carlo,
+    sample_sweeps,
     shot_schedule,
     worst_case_variance,
 )
@@ -240,3 +242,22 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
             outputs.append((stdout, files))
         assert outputs[0] == outputs[1], f"{name} output not byte-identical"
     _report(11, "all five CLI commands rerun byte-identically")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_criterion_12_cramer_rao_bound():
+    # 200 naive sweeps of a noiseless device from the library's own sampler,
+    # depths 0, 1, 2, 4, ..., 4096 at 100 shots each: the theta RMSE of the
+    # maximum-likelihood estimates must lie within 20% of the Cramer-Rao
+    # bound 1 / sqrt(sum 4 N k^2), k = 2m + 1.  The fixed theta grid is too
+    # coarse for these fringes, so today the RMSE is about 3e-3.
+    theta = 0.721
+    depths = [0] + [2**i for i in range(13)]
+    shots = [100] * len(depths)
+    bound = 1.0 / math.sqrt(sum(4 * n * (2 * m + 1) ** 2 for m, n in zip(depths, shots)))
+    assert bound == pytest.approx(5.28e-6, rel=1e-3)
+    sweeps = sample_sweeps(SimulatedDevice(amp=Amplitude(theta)), range(200), depths, shots)
+    errors = np.array([estimate_amplitude(records).theta_hat - theta for records in sweeps])
+    rmse = math.sqrt(np.mean(errors**2))
+    assert abs(rmse - bound) <= 0.2 * bound, f"theta RMSE {rmse:.3g} against bound {bound:.3g}"
+    _report(12, f"theta RMSE {rmse:.3g} within 20% of the Cramer-Rao bound {bound:.3g}")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import json
 import math
 import os
@@ -446,6 +447,25 @@ class TestParser:
         config = GOLDEN / "inputs" / "config_gaussian.json"
         experiment = naqae_cli("experiment", "--config", str(config))
         assert experiment == (GOLDEN / "experiment_gaussian.stdout").read_text()
+        # Records read from a CSV, corrected as one array, estimated and
+        # written back as JSON: the record edge and the vectorised correction.
+        out = tmp_path / "estimate.json"
+        estimate = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "labeled.csv"),
+                             "--method", "corrected", "--p-coh", "0.94", "--out", str(out))
+        assert estimate == ""
+        assert out.read_bytes() == (GOLDEN / "estimate_corrected.json").read_bytes()
+
+    def test_console_script_entry_point_is_cli_main(self):
+        # pyproject.toml's [project.scripts] entry must name, by import, the
+        # main that these tests run in-process.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        entry = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["naqae"]
+        module_name, _, attribute = entry.partition(":")
+        target = importlib.import_module(module_name)
+        for name in attribute.split("."):
+            target = getattr(target, name)
+        assert target is main
 
 
 class TestUsageErrors:

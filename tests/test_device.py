@@ -18,7 +18,7 @@ from naqae import (
     sample_shots,
     sample_sweeps,
 )
-from naqae.device import _CHUNK, _philox_keys
+from naqae.device import _CHUNK, _philox_keys, _sample_tallies
 
 MASK64 = 2**64 - 1
 
@@ -252,6 +252,34 @@ class TestSampleSweeps:
             for rec in sweep:
                 draws = numpy_stream(seed, rec.m).random(rec.shots)
                 assert rec.ones == int(np.count_nonzero(draws < dev.p1(rec.m)))
+
+    def test_tallies_equal_the_records(self):
+        # The array core's (seeds x depths) tallies are the records' ones, in
+        # seed and depth order, and the records carry the depths and shots.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(
+            seeds=st.lists(st.integers(-(2**63), 2**64 - 1), max_size=4),
+            entries=st.lists(
+                st.tuples(st.integers(0, 300), st.integers(1, 400)),
+                max_size=6, unique_by=lambda entry: entry[0],
+            ),
+            theta=st.floats(0.0, math.pi / 2),
+            noisy=st.booleans(),
+        )
+        def check(seeds, entries, theta, noisy):
+            dev = SimulatedDevice(Amplitude(theta), DepolParams(0.9) if noisy else None)
+            depths, shots = [m for m, _ in entries], [n for _, n in entries]
+            tallies = _sample_tallies(dev, seeds, depths, shots)
+            assert tallies.dtype == np.int64 and tallies.shape == (len(seeds), len(depths))
+            sweeps = sample_sweeps(dev, seeds, depths, shots)
+            assert tallies.tolist() == [[r.ones for r in sweep] for sweep in sweeps]
+            for sweep in sweeps:
+                assert [(r.m, r.shots) for r in sweep] == entries
+
+        check()
 
     def test_empty_batches(self):
         dev = preset_device("A1")

@@ -544,6 +544,58 @@ class TestPrefixKernel:
 
         check()
 
+    def test_array_core_equals_the_record_api(self):
+        # The core takes the arrays the Monte Carlo harness gives it: int64
+        # ones, and shots per dataset or one shot count per depth.  Its
+        # arrays must be estimate_prefixes' fields value for value, and with
+        # last_only those of the last prefix.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def batches(draw):
+            depths = draw(
+                st.one_of(
+                    st.sampled_from([LINEAR_DEPTHS, EXPONENTIAL_DEPTHS]),
+                    st.lists(st.integers(0, 400), min_size=1, max_size=6, unique=True).map(tuple),
+                )
+            )
+            rows, top = draw(st.integers(1, 10)), draw(st.sampled_from([30, 10**6, 10**17]))
+            per_depth = draw(st.booleans())
+            row_shots = st.lists(st.integers(1, top), min_size=len(depths), max_size=len(depths))
+            shots = np.array([draw(row_shots)] * rows if per_depth else
+                             [draw(row_shots) for _ in range(rows)])
+            ones = np.array([[draw(st.integers(0, n)) for n in row] for row in shots.tolist()])
+            if draw(st.booleans()):
+                depol = DepolParams(draw(st.floats(0.85, 1.0)))
+                return depths, shots, ones, per_depth, "corrected", depol
+            return depths, shots, ones, per_depth, "naive", None
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(batches())
+        @hypothesis.example(
+            (EXPONENTIAL_DEPTHS, np.array([[r.shots for r in CLAMPING[0]]]),
+             np.array([[r.ones for r in CLAMPING[0]]]), False, *CLAMPING[1:])
+        )
+        def check(data):
+            depths, shots, ones, per_depth, method, depol = data
+            assert ones.dtype == np.int64
+            records = [
+                [ShotRecord(m, n, h) for m, n, h in zip(depths, shots_row, ones_row)]
+                for shots_row, ones_row in zip(shots.tolist(), ones.tolist())
+            ]
+            core_shots = tuple(shots[0].tolist()) if per_depth else shots
+            arrays = estimation._estimates(depths, core_shots, ones, method, depol, False)
+            expected = estimate_prefixes(records, method, depol)
+            fields = ("theta_hat", "log_likelihood", "n_clamped", "flat_likelihood")
+            for name, array in zip(fields, arrays):
+                assert array.tolist() == [[getattr(e, name) for e in row] for row in expected]
+            assert estimation._as_estimates(method, arrays) == expected
+            last = estimation._estimates(depths, core_shots, ones, method, depol, True)
+            assert estimation._as_estimates(method, last) == [[row[-1]] for row in expected]
+
+        check()
+
     def test_lanes_finishing_at_different_steps(self):
         # All ones: the grid's last point is the maximum, and its first step
         # converges.  All zeros: the score at the grid's first point is NaN,
@@ -569,12 +621,12 @@ class TestPrefixKernel:
         thetas, table = estimation._depth_tables(depths)
         ks = 2.0 * np.array(depths) + 1.0
         prefixes = range(1, len(depths) + 1)
-        for k, grid in zip(prefixes, estimation._grid_maxima(table, counts, misses, prefixes)):
-            best, values, _ = zip(*grid)
-            at_grid = thetas[list(best)]
-            assert list(values) == estimation._log_likelihood(
+        best, values, _ = estimation._grid_maxima(table, counts, misses, prefixes)
+        for j, k in enumerate(prefixes):
+            at_grid = thetas[best[j]]
+            assert values[j].tolist() == estimation._log_likelihood(
                 at_grid, ks[:k], counts[:, :k], misses[:, :k]
-            )
+            ).tolist()
 
     def test_clamping_example_clamps(self):
         records, method, depol = CLAMPING

@@ -13,7 +13,6 @@ from naqae import (
     ExperimentConfig,
     GaussianNoiseParams,
     RmseCurve,
-    ShotRecord,
     SimulatedDevice,
     config_from_json,
     misspecification_sweep,
@@ -165,16 +164,18 @@ class TestMonteCarlo:
         assert depth_curves(run_monte_carlo(config)) == expected
 
     def test_batch_sample_equals_per_record_substreams(self):
-        # Every replication's sweep is sampled in one batch; record (rep, m)
-        # must count the uniforms below p1 among the first N_m of the stream
-        # that numpy's SeedSequence gives the path (replication seed, m).
+        # Every replication's sweep is sampled in one batch, as a (replications
+        # x depths) tally array; tally (rep, m) must count the uniforms below
+        # p1 among the first N_m of the stream that numpy's SeedSequence gives
+        # the path (replication seed, m).
         config = replace(A1_GAUSS, max_depth=6, replications=5, seed=-3)
         for setting in config.settings:
             schedule = _setting_schedule(config, setting)
-            datasets = _trial_records(config, setting, schedule, range(config.replications))
+            tallies = _trial_records(config, setting, schedule, range(config.replications))
+            assert tallies.shape == (config.replications, len(schedule.entries))
             model = None if setting == "noiseless" else config.device.model
             device = replace(config.device, model=model)
-            for rep, records in enumerate(datasets):
+            for rep, row in enumerate(tallies.tolist()):
                 seed_seq = np.random.SeedSequence(
                     [config.seed % 2**64, rep, SETTINGS.index(setting)]
                 )
@@ -183,9 +184,8 @@ class TestMonteCarlo:
                 for m, n in schedule.entries:
                     philox = np.random.Philox(np.random.SeedSequence([seed, m]))
                     stream = np.random.Generator(philox)
-                    ones = int(np.count_nonzero(stream.random(n) < device.p1(m)))
-                    expected.append(ShotRecord(m=m, shots=n, ones=ones))
-                assert records == expected, (setting, rep)
+                    expected.append(int(np.count_nonzero(stream.random(n) < device.p1(m))))
+                assert row == expected, (setting, rep)
 
     def test_single_replication_rmse_is_absolute_error(self):
         config = ExperimentConfig(
