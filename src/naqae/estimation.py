@@ -3,8 +3,9 @@
 Covers the noise-aware experiment-design side (worst-case variance bound and
 the shot schedule that restores noiseless variance) and the inference side
 (depolarizing count correction plus a maximum-likelihood estimator over the
-noiseless outcome model: a theta grid, then Newton steps inside the concave
-piece of the likelihood that holds the grid maximum).
+noiseless outcome model: the global maximum of the log-guarded likelihood,
+found by bounding the concave pieces between the zeros of its sin and cos
+factors and refining by Newton steps only the pieces that can hold it).
 """
 
 from __future__ import annotations
@@ -23,18 +24,45 @@ from .models import DepolParams, _check_depth, _check_rate, _check_shots
 # values are only consistent with data that agrees exactly.
 _LOG_GUARD = 1e-12
 
-# Theta search: uniform grid size, the Newton step at or below which a
-# refinement has converged, and the relative likelihood span at or below which
-# the likelihood is flat.
-_GRID_POINTS = 10_000
-_STEP_TOL = 1e-12
-_FLAT_TOL = 1e-9
+# Half-width, in units of pi / k, of the window around each zero of sin(k theta)
+# or cos(k theta) where p = sin^2(k theta) lies outside the log guard.
+_WINDOW = math.asin(math.sqrt(_LOG_GUARD)) / math.pi
 
-# Datasets per running grid: the (8 x grid) sum and its update buffer, 1.3 MB
-# together, stay in a 2 MiB L2 cache across the per-depth multiply and add
-# passes.  One all-prefix grid over 50 datasets x 13 depths took 12-13 ms at 4
-# and 8, 14-19 ms at 16, and 17-35 ms at 1 and 50 (2-vCPU Xeon).
-_GRID_CHUNK = 8
+# The Newton step at or below which a refinement has converged.
+_STEP_TOL = 1e-12
+
+# Theta search (see _estimates).  Level 0 is the longest depth prefix with at
+# most this many zeros in [0, pi/2], k + 1 per depth: depths 0..64 of the
+# exponential schedule 0, 1, 2, 4, ..., 4096, and 0..21 of a linear one.
+# Prefixes past it are searched row by row: a criterion-9 experiment run to
+# max_depth 20 and 30 took 0.90 and 3.84 s at 256, 0.18 and 1.37 s here,
+# 0.14 and 0.37 s at 1024 and 0.11 and 0.27 s at 2048 (the grid: 0.11 and
+# 0.19 s).  Lone deep estimates on the exponential schedule took 0.7-1.1 ms
+# from 256 to 2048 and 1.4 ms at 128, but its larger table raised deep_mlae's
+# peak RSS by 1.3 MiB at 2048 (2 shared vCPUs).
+_ZERO_BUDGET = 512
+
+# Depths with more zeros than this in [0, pi/2] are refused: the search may
+# have to cut at every one of them.  Deep tables stay under 10 MB.
+_ZERO_LIMIT = 2**20
+
+# Deep search (see _deep_maximum): window edges of the deeper depths in one
+# cell of a level-0 piece at most, and in the cells cut in one step.  Deep
+# calls took 0.96 ms at 64 and 256, 0.98 at 32 and 256, 1.00 at 32 and 128,
+# 1.04 at 64 and 512, and 1.20 at 128 and 256 (as above).
+_CELL_EDGES = 64
+_SPLIT_EDGES = 256
+
+# Concave pieces gathered over prefixes before their Newton refinements run
+# together.  A criterion-9 setting (50 sweeps on depths 0..12) took 14.4,
+# 12.2 and 10.8 ms at 128, 256 and 512, and its run's peak RSS rose by about
+# 0.0, 0.2 and 0.6 MiB.
+_REFINE_ROWS = 256
+
+# Relative slack of every bound comparison, so that rounding in a bound never
+# drops the piece that holds the maximum.  Slacks from 0 to 1e-6 refined the
+# same pieces on deep and criterion-9 data; 1e-3 refined 1% more.
+_BOUND_SLACK = 1e-9
 
 # Estimation methods and shot-schedule roundings (also the CLI choices).
 METHODS = ("naive", "corrected")
@@ -87,8 +115,9 @@ class AmplitudeEstimate:
     """Result of maximum-likelihood amplitude estimation.
 
     ``n_clamped`` counts depths whose corrected counts had to be clamped into
-    range; ``flat_likelihood`` is set when the likelihood carries essentially
-    no information about theta.
+    range.  ``flat_likelihood`` is always false: with at least one shot the
+    likelihood is never flat in theta, as its values at 0, pi/4 and pi/2 are
+    never all equal.  It stays for the readers of the ``estimate`` JSON key.
     """
 
     theta_hat: float
@@ -211,142 +240,353 @@ def correct_counts(record: ShotRecord, depol: DepolParams) -> CorrectionResult:
     return CorrectionResult(*(x.item() for x in result))
 
 
-def _log_terms(theta: np.ndarray, ks: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """``ln p`` and ``ln(1 - p)``, ``p = sin^2(k theta)`` over theta x ks inside the log guard."""
-    p = np.square(np.sin(np.multiply.outer(theta, ks)))
-    np.clip(p, _LOG_GUARD, 1.0 - _LOG_GUARD, out=p)
-    return np.log(p), np.log1p(np.negative(p, out=p), out=p)
-
-
 def _log_likelihood(
     theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
 ) -> np.ndarray:
     """Row i's log-likelihood at ``theta[i]``, on row i of ``counts`` and ``misses``.
 
-    Each depth in turn adds its ``counts * ln p``, then its ``misses *
-    ln(1 - p)``, to one running sum per row: the order of
-    :func:`_grid_maxima`, so at a grid point this is the grid's own value,
-    bit for bit, and a row's value does not depend on the other rows.
+    With ``p = sin^2(k theta)`` held inside the log guard, each depth in turn
+    adds its ``counts * ln p``, then its ``misses * ln(1 - p)``, to one
+    running sum per row, so a row's value does not depend on the other rows.
     """
-    log_p, log_q = _log_terms(theta, ks)
-    terms = np.stack((counts * log_p, misses * log_q), axis=2)
+    p = np.square(np.sin(np.multiply.outer(theta, ks)))
+    np.minimum(np.maximum(p, _LOG_GUARD, out=p), 1.0 - _LOG_GUARD, out=p)
+    terms = np.empty(p.shape + (2,))
+    np.multiply(counts, np.log(p), out=terms[..., 0])
+    np.multiply(misses, np.log1p(np.negative(p, out=p), out=p), out=terms[..., 1])
     return np.add.accumulate(terms.reshape(len(theta), -1), axis=1)[:, -1]
 
 
-def _refine(
-    theta: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    ks: np.ndarray,
-    counts: np.ndarray,
-    misses: np.ndarray,
-) -> np.ndarray:
-    """Row i's likelihood maximum in ``[lo[i], hi[i]]``, found from its grid maximum ``theta[i]``.
+def _angles(theta: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``sin``, ``cos`` and ``p = sin^2`` of ``k theta`` over theta x ks, and where p is inside the log guard."""
+    angles = np.multiply.outer(theta, ks)
+    sin, cos = np.sin(angles), np.cos(angles)
+    p = sin * sin
+    return sin, cos, p, (p >= _LOG_GUARD) & (p <= 1.0 - _LOG_GUARD)
 
-    With ``k = 2m + 1``, each depth's term ``h ln sin^2(k theta) +
-    (N - h) ln cos^2(k theta)`` has curvature ``C = -2k^2 [h / sin^2(k theta)
-    + (N - h) / cos^2(k theta)] < 0`` and falls to -inf at the zeros of
-    ``sin(k theta)`` if h > 0 and of ``cos(k theta)`` if N - h > 0.  So L is
-    strictly concave between consecutive such zeros, where its score
-    ``S = sum 2k [h cot(k theta) - (N - h) tan(k theta)]`` falls from +inf to
-    -inf through one maximum.  The bracket is cut to the piece that holds the
-    grid point (the one above it, for a grid point on a zero), so the search
-    keeps to the grid point's own peak, never its twin across a zero.
 
-    Each row takes Newton steps ``theta - S / C`` on the exact, guard-free
-    score.  Each evaluation moves the bracket end that S points away from to
-    theta, and a step that does not land strictly inside the bracket
-    bisects it.  A row is done when its step is at most ``_STEP_TOL`` and
-    lands in the closed bracket (tested first: a point that has just become a
-    bracket end takes a zero step), or when its bracket is that narrow.  Only
-    rows still moving are evaluated, each summing its depths' terms in depth
-    order, so a row's steps do not depend on the other rows.
+def _factors(theta: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Guarded ``ln p``, ``ln(1 - p)``, ``2k cot(k theta)`` and ``2k tan(k theta)`` over theta x ks.
+
+    The two score factors are 0 where p lies outside the log guard, as is
+    the fifth array (1 inside the guard), since the term is constant there.
     """
-    # Zeros of sin(k theta) lie at integer x = k theta / pi, of cos(k theta) at
-    # half-integers: the floors are each kind's nearest at or below x.  A sin
-    # zero ends a piece where h > 0, a cos zero where N - h > 0.
-    x = np.multiply.outer(theta, ks) / math.pi
-    zeros = np.array((np.floor(x), np.floor(x - 0.5) + 0.5))
-    ends = np.array((counts > 0, misses > 0))
-    below = np.where(ends, zeros, -np.inf).max(axis=0) * math.pi / ks
-    above = np.where(ends, zeros + 1.0, np.inf).min(axis=0) * math.pi / ks
-    lo, hi = np.maximum(lo, below.max(axis=1)), np.minimum(hi, above.min(axis=1))
+    sin, cos, p, live = _angles(theta, ks)
+    np.minimum(np.maximum(p, _LOG_GUARD, out=p), 1.0 - _LOG_GUARD, out=p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked where sin or cos is 0
+        cot, tan = (np.where(live, 2.0 * ks * ratio, 0.0) for ratio in (cos / sin, sin / cos))
+    return np.log(p), np.log1p(-p), cot, tan, live.astype(float)
 
-    theta = theta.copy()
-    two_k, minus_two_k2 = 2.0 * ks, -2.0 * ks * ks
-    rows = np.arange(len(theta))
-    # At theta = 0 every sin(k theta) is 0: the score there is inf, or NaN
-    # where a depth with h = 0 adds 0 * inf, and either step bisects.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while rows.size:
-            t, a, b = theta[rows], lo[rows], hi[rows]
-            h, n_h = counts[rows], misses[rows]
-            angles = np.multiply.outer(t, ks)
-            sin, cos = np.sin(angles), np.cos(angles)
-            # Each depth's score and curvature: the first and second
-            # derivatives of ln p times h plus those of ln(1 - p) times N - h.
-            score_terms = two_k * (cos / sin) * h + -two_k * (sin / cos) * n_h
-            curv_terms = minus_two_k2 / (sin * sin) * h + minus_two_k2 / (cos * cos) * n_h
-            score = np.add.accumulate(score_terms, axis=1)[:, -1]
-            step = score / np.add.accumulate(curv_terms, axis=1)[:, -1]
-            new = t - step
-            a, b = np.where(score > 0.0, t, a), np.where(score < 0.0, t, b)
-            converged = (np.abs(step) <= _STEP_TOL) & (a <= new) & (new <= b)
-            new = np.where(converged | ((a < new) & (new < b)), new, 0.5 * (a + b))
-            theta[rows], lo[rows], hi[rows] = new, a, b
-            rows = rows[~(converged | (b - a <= _STEP_TOL))]
-    return theta
+
+def _derivatives(
+    theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row i's score and curvature at ``theta[i]``, and its score with every term's slope.
+
+    With ``p = sin^2(k theta)``, a depth adds ``2k sin cos (h / p - (N - h) /
+    (1 - p))`` to the score and ``-2k^2 (h / p + (N - h) / (1 - p))`` to the
+    curvature, p and 1 - p kept at or above the log guard.  The first two
+    sums are the guarded likelihood's: a depth whose p lies outside the
+    guard has a constant term there and adds nothing.  Each sums over the
+    depths in order.
+    """
+    sin, cos, p, live = _angles(theta, ks)
+    ones = counts / np.maximum(p, _LOG_GUARD)
+    zeros = misses / np.maximum(cos * cos, _LOG_GUARD)
+    terms = np.empty((3,) + p.shape)
+    np.multiply(2.0 * ks * (sin * cos), ones - zeros, out=terms[2])
+    np.multiply(terms[2], live, out=terms[0])
+    np.multiply(-2.0 * ks * ks * live, ones + zeros, out=terms[1])
+    score, curvature, slopes = np.add.accumulate(terms, axis=2)[..., -1]
+    return score, curvature, slopes
+
+
+def _theta(u, ks):
+    """The angle ``u pi / k`` of a position ``u`` in units of pi / k: the one rounding of every piece end."""
+    return u * math.pi / ks
+
+
+def _split(lo: np.ndarray, hi: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the pieces of the cells ``[lo[i], hi[i]]`` cut at every window edge of ``ks``.
+
+    The cells are disjoint and in increasing order.  Each depth's zeros of
+    sin and cos lie at the multiples of 1/2 in units of pi / k, and the edges
+    of their guard windows ``_WINDOW`` to either side.
+    """
+    u_lo, u_hi = np.multiply.outer(ks, lo) / math.pi, np.multiply.outer(ks, hi) / math.pi
+    first = np.ceil(2.0 * (u_lo - _WINDOW)).ravel()
+    count = np.maximum(np.floor(2.0 * (u_hi + _WINDOW)).ravel() - first + 1.0, 0.0).astype(np.intp)
+    zeros = 0.5 * (np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum()))
+    k = np.repeat(np.repeat(ks, len(lo)), count)
+    edges = np.concatenate((_theta(zeros - _WINDOW, k), _theta(zeros + _WINDOW, k), lo, hi))
+    cell = np.searchsorted(lo, edges, side="right") - 1
+    edges = np.unique(edges[(cell >= 0) & (edges <= hi[cell])])
+    starts, ends = edges[:-1], edges[1:]
+    inside = ends <= hi[np.searchsorted(lo, starts, side="right") - 1]  # not a gap between cells
+    return starts[inside], ends[inside]
+
+
+def _edge_density(ks: np.ndarray) -> float:
+    """Window edges per radian of the depths ``ks``: two around each of 2k / pi zeros."""
+    return 4.0 * float(np.sum(ks)) / math.pi
+
+
+def _level0_length(depths: Sequence[int]) -> int:
+    """Length of the longest prefix of ``depths`` with at most ``_ZERO_BUDGET`` zeros."""
+    zeros = 0
+    for length, m in enumerate(depths):
+        zeros += 2 * m + 2
+        if zeros > _ZERO_BUDGET:
+            return length
+    return len(depths)
 
 
 @functools.lru_cache(maxsize=4)
-def _depth_tables(depths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The theta grid and a (depth x 2 x grid) table of ``ln p`` and ``ln(1 - p)``.
+def _piece_table(depths: tuple[int, ...]) -> tuple:
+    """Level 0 of ``depths``, its pieces of [0, pi/2] and their midpoint terms.
 
-    ``table[i]`` holds depth i's two rows, ``ln p`` then ``ln(1 - p)`` of
-    :func:`_log_terms`, filled one depth at a time (no depth x grid
-    temporary).  The table depends only on the depths, so it is built once
-    per depth tuple and shared read-only by every estimate on those depths.
+    Returns the level-0 length, the ``edges`` of the consecutive pieces,
+    their ``mids`` and ``halves`` (half-widths), then :func:`_factors` of the
+    level-0 depths at the midpoints as (depth x piece) arrays.  The pieces
+    are cut at every window edge of the level-0 depths, so a depth outside
+    the log guard at a midpoint is so on the whole piece, where its term is
+    constant.  A piece that holds more than ``_CELL_EDGES`` window edges of
+    the deeper depths is cut again into equal cells.  The table depends
+    only on the depths, so it is built once per depth tuple and shared
+    read-only by every estimate on those depths.
     """
-    thetas = np.linspace(0.0, math.pi / 2.0, _GRID_POINTS)
-    table = np.empty((len(depths), 2, _GRID_POINTS))
-    for row, m in zip(table, depths):
-        row[:] = _log_terms(thetas, 2.0 * m + 1.0)
-    thetas.flags.writeable = table.flags.writeable = False
-    return thetas, table
+    level0 = _level0_length(depths)
+    ks = 2.0 * np.array(depths, dtype=float) + 1.0
+    starts, ends = _split(np.array([0.0]), np.array([math.pi / 2.0]), ks[:level0])
+    widths = ends - starts
+    cuts = np.maximum(np.ceil(widths * _edge_density(ks[level0:]) / _CELL_EDGES), 1).astype(np.intp)
+    piece = np.repeat(np.arange(len(widths)), cuts)
+    cell = np.arange(len(piece)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+    edges = np.append(starts[piece] + cell * (widths / cuts)[piece], ends[-1])
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    table = (edges, mids, halves, *(factor.T.copy() for factor in _factors(mids, ks[:level0])))
+    for array in table:
+        array.flags.writeable = False
+    return (level0, *table)
 
 
-def _grid_maxima(
-    table: np.ndarray, counts: np.ndarray, misses: np.ndarray, prefixes: Sequence[int]
+def _piece(
+    theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the concave piece of row i's guarded likelihood that holds ``theta[i]``.
+
+    Depth by depth, a zero of sin ends a piece where h > 0 and a zero of cos
+    where N - h > 0, each through its guard window: theta lies between the
+    windows of the zeros at and above its floor, or inside one of them.  The
+    row's piece is the intersection of its depths' intervals and [0, pi/2].
+    """
+    u = np.multiply.outer(theta, ks) / math.pi
+    below = np.array((np.floor(u), np.floor(u - 0.5) + 0.5))  # sin and cos zeros at or below
+    offset = u - below
+    left, right = offset < _WINDOW, offset > 1.0 - _WINDOW
+    lo_u = np.where(left, below - _WINDOW, np.where(right, below + 1.0 - _WINDOW, below + _WINDOW))
+    hi_u = np.where(left, below + _WINDOW, np.where(right, below + 1.0 + _WINDOW, below + 1.0 - _WINDOW))
+    ends = np.array((counts > 0, misses > 0))
+    lo = np.where(ends, _theta(lo_u, ks), 0.0).max(axis=(0, 2))
+    hi = np.where(ends, _theta(hi_u, ks), math.pi / 2.0).min(axis=(0, 2))
+    return np.maximum(lo, 0.0), np.minimum(hi, math.pi / 2.0)
+
+
+def _refine(
+    lo: np.ndarray, hi: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> np.ndarray:
+    """Row i's guarded likelihood maximum in its concave piece ``[lo[i], hi[i]]``.
+
+    Each row starts at the centre of its piece and takes Newton steps
+    ``theta - S / C`` on the guarded score S and curvature C
+    (:func:`_derivatives`).  Each evaluation moves to theta the bracket end
+    that S points away from; where S is 0, the end that the score with every
+    term's slope points away from, so that a flat stretch is crossed toward
+    the unguarded likelihood's maximum, and the upper end where that is 0
+    too.  A step that does not land strictly inside the bracket bisects it.
+    A row is done when its step is at most ``_STEP_TOL`` and lands in the
+    closed bracket (tested first: a point that has just become a bracket end
+    takes a zero step), or when its bracket is that narrow.  Only rows still
+    moving are evaluated, so a row's steps do not depend on the other rows.
+    """
+    theta = 0.5 * (lo + hi)
+    rows, t, a, b = np.arange(len(theta)), theta.copy(), lo, hi
+    while rows.size:
+        score, curvature, slopes = _derivatives(t, ks, counts, misses)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where every term is constant
+            step = score / curvature
+        new = t - step
+        up = np.where(score != 0.0, score, slopes) > 0.0
+        a, b = np.where(up, t, a), np.where(up, b, t)
+        converged = (np.abs(step) <= _STEP_TOL) & (a <= new) & (new <= b)
+        t = np.where(converged | ((a < new) & (new < b)), new, 0.5 * (a + b))
+        done = converged | (b - a <= _STEP_TOL)
+        if done.any():
+            theta[rows[done]] = t[done]
+            rows, t, a, b, counts, misses = (x[~done] for x in (rows, t, a, b, counts, misses))
+    return theta
+
+
+def _refine_row(lo: float, hi: float, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray) -> float:
+    """:func:`_refine` for one row, in Python floats: the same steps, sums and rules.
+
+    A deep search refines one piece of one row (:func:`_deep_maximum`), where
+    numpy's fixed cost per call outweighs its work: about 0.1 against 0.34 ms
+    a call on the exponential schedule's 14 depths.
+    """
+    t, a, b = 0.5 * (lo + hi), lo, hi
+    depths = list(zip(ks.tolist(), counts.tolist(), misses.tolist()))
+    while True:
+        score = curvature = slopes = 0.0
+        for k, h, n in depths:
+            sin, cos = math.sin(k * t), math.cos(k * t)
+            p = sin * sin
+            ones, zeros = h / max(p, _LOG_GUARD), n / max(cos * cos, _LOG_GUARD)
+            slope = 2.0 * k * (sin * cos) * (ones - zeros)
+            slopes += slope
+            if _LOG_GUARD <= p <= 1.0 - _LOG_GUARD:
+                score += slope
+                curvature += -2.0 * k * k * (ones + zeros)
+        step = score / curvature if curvature else math.nan  # 0 / 0 where every term is constant
+        new = t - step
+        if (score if score != 0.0 else slopes) > 0.0:
+            a = t
+        else:
+            b = t
+        converged = abs(step) <= _STEP_TOL and a <= new <= b
+        t = new if converged or a < new < b else 0.5 * (a + b)
+        if converged or b - a <= _STEP_TOL:
+            return t
+
+
+def _pieces(
+    groups: np.ndarray, points: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid maximum of every row at every prefix length in ``prefixes`` (increasing).
+    """The distinct concave pieces that hold each group's candidate ``points``.
 
-    Arrays ``best``, ``top``, ``flat``: ``[j, i]`` is row i's grid argmax (its
-    first maximum, so the smallest theta), its log-likelihood there and its
-    flat flag, on its first ``prefixes[j]`` depths.  Each chunk of rows keeps
-    one running grid, to which each depth in turn adds its ``ln p`` row times
-    the rows' counts, then its ``ln(1 - p)`` row times their misses, as
-    elementwise numpy products and sums.  Numpy rounds each element on its
-    own, so a row's grid values depend only on its own data: not on the batch
-    size, the row's place in its chunk or the prefixes asked for.
+    Candidate i lies in group ``groups[i]`` and has its own ``counts[i]`` and
+    ``misses[i]``.  Returns, in (group, theta) order, the index of one
+    candidate per distinct piece of its group, and that piece's ends.
     """
-    rows, points = len(counts), table.shape[2]
-    best, top, flat = (np.empty((len(prefixes), rows), t) for t in (np.intp, float, bool))
-    running_block, update_block = np.empty((2, min(rows, _GRID_CHUNK), points))
-    for start in range(0, rows, _GRID_CHUNK):
-        stop = min(start + _GRID_CHUNK, rows)
-        running, update = running_block[: stop - start], update_block[: stop - start]
-        running.fill(0.0)
-        lanes = np.arange(stop - start)
-        added = 0
-        for j, k in enumerate(prefixes):
-            for d in range(added, k):
-                running += np.multiply(counts[start:stop, d, None], table[d, 0], out=update)
-                running += np.multiply(misses[start:stop, d, None], table[d, 1], out=update)
-            added = k
-            b = running.argmax(axis=1, out=best[j, start:stop])
-            t = top[j, start:stop] = running[lanes, b]
-            flat[j, start:stop] = t - running.min(axis=1) <= _FLAT_TOL * np.maximum(1.0, np.abs(t))
-    return best, top, flat
+    lo, hi = _piece(points, ks, counts, misses)
+    order = np.lexsort((lo, groups))
+    fresh = np.ones(len(order), bool)
+    fresh[1:] = (groups[order[1:]] != groups[order[:-1]]) | (lo[order[1:]] != lo[order[:-1]])
+    keep = order[fresh]
+    return keep, lo[keep], hi[keep]
+
+
+def _piece_maxima(
+    groups: np.ndarray, lo: np.ndarray, hi: np.ndarray, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each group's best maximum over its concave pieces ``[lo[i], hi[i]]`` (see :func:`_pieces`).
+
+    Row i has its own ``counts[i]`` and ``misses[i]``, 0 on depths it does
+    not use, and the rows come in (group, theta) order.  Each piece is
+    refined once from its own centre (:func:`_refine`) and valued by
+    :func:`_log_likelihood`, and each group keeps its best value, at the
+    smallest theta on a tie.  Returns the groups in increasing order, with
+    their theta and value.
+    """
+    theta = _refine(lo, hi, ks, counts, misses)
+    values = _log_likelihood(theta, ks, counts, misses)
+    # Each group's best value, then its first piece (in theta order) with that value
+    first = np.ones(len(groups), bool)
+    first[1:] = groups[1:] != groups[:-1]
+    top = np.maximum.reduceat(values, np.flatnonzero(first))
+    winners = np.flatnonzero(values == np.repeat(top, np.diff(np.append(np.flatnonzero(first), len(groups)))))
+    winners = winners[np.append(True, groups[winners[1:]] != groups[winners[:-1]])]
+    return groups[winners], theta[winners], values[winners]
+
+
+def _peak(value, slope, curvature, lo, hi):
+    """The maximum of ``value + slope t - curvature t^2`` over t in [lo, hi], curvature >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat bound: +-inf, or NaN where level
+        t = np.fmin(np.fmax(slope / (2.0 * curvature), lo), hi)
+    return value + t * (slope - curvature * t)
+
+
+def _curvatures(ks: np.ndarray, counts: np.ndarray, misses: np.ndarray) -> np.ndarray:
+    """Half the least curvature of each depth's term, per row, where p is inside the log guard.
+
+    There a term's curvature ``-2k^2 [h / sin^2 + (N - h) / cos^2]`` is at most
+    ``-2k^2 (sqrt(h) + sqrt(N - h))^2``; outside the guard it is constant.
+    """
+    return ks**2 * (np.sqrt(counts) + np.sqrt(misses)) ** 2
+
+
+def _below(best: float | np.ndarray):
+    """The value a bound must reach to stay in the search: ``best`` less its slack."""
+    return best - _BOUND_SLACK * np.abs(best)
+
+
+def _deep_maximum(
+    value: np.ndarray,
+    score: np.ndarray,
+    table: tuple,
+    ks: np.ndarray,
+    counts: np.ndarray,
+    misses: np.ndarray,
+) -> tuple[float, float]:
+    """One row's maximum ``(theta, value)`` on depths ``ks``, past its level-0 depths.
+
+    ``value`` and ``score`` are the row's likelihood and guarded score on
+    the level-0 depths of ``table`` at the midpoints x of its pieces.  On a
+    piece every level-0 term is concave with curvature at most
+    ``-2k^2 (sqrt(h) + sqrt(N - h))^2`` (:func:`_curvatures`), or constant,
+    so the level-0 likelihood lies under ``value + score (t - x) - c (t -
+    x)^2``, c half the sum of those bounds; each deeper term lies under its
+    saturated value ``h ln(h/N) + (N - h) ln(1 - h/N)``.  Their sum bounds
+    the likelihood on the piece.  The pieces around the best bound are cut
+    first at the deeper depths' window edges (:func:`_split`), about
+    ``_SPLIT_EDGES`` edges' worth, and the concave piece of the sub-piece of
+    best bound is refined (:func:`_refine_row`): its maximum is the best
+    value found.  Every other piece whose bound reaches it is cut too,
+    ``_SPLIT_EDGES`` edges at a time, and the sub-pieces whose bound still
+    reaches it are refined with it (:func:`_piece_maxima`).
+    """
+    level0, edges, mids, halves, live = table[0], table[1], table[2], table[3], table[-1]
+    deeper, h, n = ks[level0:], counts[level0:], misses[level0:]
+    tiny = np.finfo(float).tiny  # 0 ln 0 = 0
+    saturated = h @ np.log(np.maximum(h, tiny) / (h + n)) + n @ np.log(np.maximum(n, tiny) / (h + n))
+    curvature = _curvatures(ks[:level0], counts[:level0], misses[:level0]) @ live
+    bound = _peak(value, score, curvature, -halves, halves) + saturated
+    group = max(1, int(_SPLIT_EDGES / (2.0 * halves.max() * _edge_density(deeper))))
+    points, bounds = [], []
+
+    def cut(lo, hi):
+        starts, ends = _split(lo, hi, deeper)
+        at, cell = 0.5 * (starts + ends), np.searchsorted(edges, starts, side="right") - 1
+        # The deeper terms under their tangent at the midpoint, the level-0
+        # ones under their curvature bound
+        log_p, log_q, cot, tan, _ = _factors(at, deeper)
+        x = mids[cell]
+        bound = log_p @ h + log_q @ n + np.abs(cot @ h - tan @ n) * (0.5 * (ends - starts))
+        points.append(at)
+        bounds.append(bound + _peak(value[cell], score[cell], curvature[cell], starts - x, ends - x))
+
+    first = max(0, min(int(np.argmax(bound)) - group // 2, len(bound) - group))
+    cut(edges[first : first + group], edges[first + 1 : first + group + 1])
+    row = (counts[None], misses[None])
+    best = points[0][np.argmax(bounds[0])]
+    lo, hi = _piece(np.array([best]), ks, *row)
+    theta = np.array([_refine_row(lo[0], hi[0], ks, counts, misses)])
+    top = _log_likelihood(theta, ks, *row)[0]
+    reach = bound >= _below(top)
+    reach[first : first + group] = False
+    rest = np.flatnonzero(reach)
+    for start in range(0, len(rest), group):
+        cells = rest[start : start + group]
+        cut(edges[cells], edges[cells + 1])
+    points, bounds = np.concatenate(points), np.concatenate(bounds)
+    others = points[(bounds >= _below(top)) & ((points < lo) | (points > hi))]
+    if not len(others):
+        return theta[0], top
+    both = np.append(best, others)
+    rows = (np.broadcast_to(counts, (len(both), len(ks))), np.broadcast_to(misses, (len(both), len(ks))))
+    keep, lo, hi = _pieces(np.zeros(len(both), np.intp), both, ks, *rows)
+    _, theta, top = _piece_maxima(np.zeros(len(keep), np.intp), lo, hi, ks, *(a[keep] for a in rows))
+    return theta[0], top[0]
 
 
 def _estimates(
@@ -356,13 +596,33 @@ def _estimates(
 
     The estimator's array core: ``ones`` is (datasets x depths) and ``shots``
     broadcasts against it.  k runs over every prefix length, or only the full
-    length if ``last_only``.  Returns ``theta_hat``, the log-likelihood there,
-    the clamp count and the flat flag as (datasets x prefixes) arrays.  The
-    grid stage runs first, for every prefix at once, on one cached table:
-    :func:`_grid_maxima`, whose maxima come with their values.  Refinement
-    then runs prefix by prefix: :func:`_refine` steps every row's Newton
-    search at once, and :func:`_log_likelihood` gives the refined values,
-    summed in the grid's order.
+    length if ``last_only``.  Returns ``theta_hat``, the log-likelihood there
+    and the clamp count as (datasets x prefixes) arrays.
+
+    Each estimate is the global maximum of the guarded likelihood.  With
+    ``k = 2m + 1``, a depth's term ``h ln p + (N - h) ln(1 - p)``, ``p =
+    sin^2(k theta)``, has curvature ``-2k^2 [h / sin^2(k theta) + (N - h) /
+    cos^2(k theta)] < 0`` and falls toward -inf at the zeros of sin (if
+    h > 0) and of cos (if N - h > 0).  The guard holds p in [1e-12,
+    1 - 1e-12], which makes the term constant in a window ``asin(1e-6) / k``
+    to either side of each zero.  So, cut at the edges of those windows,
+    [0, pi/2] falls into pieces on each of which every term is concave, and
+    so is their sum L.  On a piece [a, b], L lies under its tangent at the
+    midpoint x: ``L <= L(x) + |S(x)| (b - a) / 2``, S the guarded score,
+    and under a parabola through it with the least curvature of its terms
+    (:func:`_curvatures`, :func:`_peak`).  Every piece whose bound reaches
+    the best value found is refined (:func:`_piece_maxima`), and no other
+    piece can hold a higher value.
+
+    The pieces are cut for the whole batch at every window edge of both
+    kinds of every depth, so each lies inside a concave piece of every row,
+    and their midpoint terms are one cached table (:func:`_piece_table`).
+    Its depths are level 0, the longest prefix with at most
+    ``_ZERO_BUDGET`` zeros, and each prefix up to it takes its values and
+    scores from the table in one product.  A longer prefix adds, row by
+    row, deeper depths whose zeros are too many to enumerate over [0, pi/2];
+    since no term exceeds its saturated value, only the parts of level-0
+    pieces that can still win are cut at them (:func:`_deep_maximum`).
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -377,30 +637,63 @@ def _estimates(
     else:
         counts, clamped = np.asarray(ones, dtype=float), np.zeros(np.shape(ones), bool)
     misses = shots - counts
+    zeros = sum(2 * m + 2 for m in depths)
+    if zeros > _ZERO_LIMIT:
+        raise ValueError(
+            f"depths with {zeros} zeros of sin and cos in [0, pi/2] are past the theta "
+            f"search's limit of {_ZERO_LIMIT} (sum of 2m + 2 over the depths)"
+        )
     ks = 2.0 * np.array(depths, dtype=float) + 1.0
     prefixes = (len(depths),) if last_only else tuple(range(1, len(depths) + 1))
-    thetas, table = _depth_tables(depths)
-    best, top, flat = _grid_maxima(table, counts, misses, prefixes)
-    theta_hat = thetas[best]
-    lo, hi = thetas[np.maximum(best - 1, 0)], thetas[np.minimum(best + 1, _GRID_POINTS - 1)]
+    table = _piece_table(tuple(depths))
+    level0, _, mids, halves, log_p, log_q, cot, tan, live = table
+    rows, width = counts.shape
+    theta_hat, top = np.empty((2, len(prefixes) * rows))
+    pending = []
+
+    def refine_pending():
+        # The pieces of several prefixes at once, each with the counts of its own prefix
+        js, lanes, lo, hi = (np.concatenate(parts) for parts in zip(*pending))
+        used = np.arange(width) < np.array(prefixes)[js, None]
+        groups, theta, value = _piece_maxima(
+            js * rows + lanes, lo, hi, ks,
+            np.where(used, counts[lanes], 0.0), np.where(used, misses[lanes], 0.0),
+        )
+        theta_hat[groups], top[groups] = theta, value
+        pending.clear()
+
     for j, k in enumerate(prefixes):
-        refined = _refine(theta_hat[j], lo[j], hi[j], ks[:k], counts[:, :k], misses[:, :k])
-        refined_values = _log_likelihood(refined, ks[:k], counts[:, :k], misses[:, :k])
-        # Keep the grid point unless refinement strictly improves: the log
-        # guard flattens the likelihood near exact-certainty angles, and a
-        # tie there must not pull the estimate off the boundary.
-        better = refined_values > top[j]
-        np.copyto(theta_hat[j], refined, where=better)
-        np.copyto(top[j], refined_values, where=better)
+        d = min(k, level0)
+        h, n = counts[:, :d], misses[:, :d]
+        value, score = h @ log_p[:d] + n @ log_q[:d], h @ cot[:d] - n @ tan[:d]
+        if k > level0:
+            for i in range(rows):
+                theta_hat[j * rows + i], top[j * rows + i] = _deep_maximum(
+                    value[i], score[i], table, ks[:k], counts[i, :k], misses[i, :k]
+                )
+            continue
+        # The tangent bound first, then the curvature bound on the pieces it keeps
+        least = _below(value.max(axis=1))
+        lanes, cols = np.divmod(
+            np.flatnonzero(value + np.abs(score) * halves >= least[:, None]), len(mids)
+        )
+        curvature = np.einsum("ij,ji->i", _curvatures(ks[:d], h, n)[lanes], live[:d, cols])
+        bound = _peak(value[lanes, cols], score[lanes, cols], curvature, -halves[cols], halves[cols])
+        lanes, points = lanes[bound >= least[lanes]], mids[cols[bound >= least[lanes]]]
+        keep, lo, hi = _pieces(lanes, points, ks[:k], counts[lanes, :k], misses[lanes, :k])
+        pending.append((np.full(len(keep), j), lanes[keep], lo, hi))
+        if sum(len(part[1]) for part in pending) >= _REFINE_ROWS or k == min(prefixes[-1], level0):
+            refine_pending()
+    theta_hat, top = theta_hat.reshape(len(prefixes), rows), top.reshape(len(prefixes), rows)
     # Running clamp counts at the last or at every prefix
     n_clamped = np.add.accumulate(clamped, axis=1, dtype=int)[:, -len(prefixes):]
-    return theta_hat.T, top.T, n_clamped, flat.T
+    return theta_hat.T, top.T, n_clamped
 
 
 def _as_estimates(method: str, arrays) -> list[list[AmplitudeEstimate]]:
     """The arrays of :func:`_estimates` as one list of estimates per dataset."""
     rows = zip(*(a.tolist() for a in arrays))
-    return [[AmplitudeEstimate(t, v, method, c, f) for t, v, c, f in zip(*row)] for row in rows]
+    return [[AmplitudeEstimate(t, v, method, c) for t, v, c in zip(*row)] for row in rows]
 
 
 def _record_arrays(datasets: Sequence[list[ShotRecord]]) -> tuple:
@@ -435,11 +728,10 @@ def estimate_prefixes(
     defines the prefixes; it equals :func:`estimate_amplitude` on that
     prefix field by field when the prefix is in ``(m, shots, ones)`` order.
     The records become arrays once, for the array core :func:`_estimates`,
-    and are corrected in one pass; every prefix reads the same cached
-    likelihood table, the theta grids of every 8 datasets are one
-    elementwise running sum (:func:`_grid_maxima`), and the Newton
-    refinements of all datasets step together, one numpy evaluation per
-    step for the rows still moving.
+    and are corrected in one pass.  Every prefix up to level 0 bounds its
+    pieces from one cached table, and the Newton refinements of several
+    prefixes step together, one numpy evaluation per step for the rows
+    still moving; each deeper prefix is searched row by row.
 
     Raises:
         ValueError: on an empty batch, an empty dataset, or datasets whose
@@ -456,15 +748,16 @@ def estimate_amplitude(
     """Maximum-likelihood amplitude estimate from multi-depth tallies.
 
     Maximizes ``sum_m [h_m ln p_m(theta) + (N_m - h_m) ln(1 - p_m(theta))]``
-    with ``p_m(theta) = sin^2((2m+1) theta)`` over theta in [0, pi/2], via a
-    uniform grid followed by safeguarded Newton steps on the exact score,
-    inside the grid maximum's bracket cut to the concave piece of the
-    likelihood that holds it (see :func:`_refine`).  The grid point stays
-    unless refinement strictly improves on it.  Ties in the computed grid
-    values resolve to the smallest theta.  The records are sorted by
-    ``(m, shots, ones)`` first, so the estimate does not depend on their
-    order.  Every log-likelihood value is summed depth by depth, in depth
-    order, and the grid maximum's value is reused.  This is the path of
+    with ``p_m(theta) = sin^2((2m+1) theta)``, each p held within the log
+    guard [1e-12, 1 - 1e-12], over theta in [0, pi/2].  The estimate is the
+    global maximum of this printed, guarded likelihood: the zeros of the
+    sin and cos factors, widened to their guard windows, cut [0, pi/2] into
+    pieces on which it is concave, and a bound on each piece leaves only
+    the pieces that can hold the maximum to safeguarded Newton steps (see
+    :func:`_estimates`).  Ties in the computed values resolve to the
+    smallest theta.  The records are sorted by ``(m, shots, ones)`` first,
+    so the estimate does not depend on their order.  Every log-likelihood
+    value is summed depth by depth, in depth order.  This is the path of
     :func:`estimate_prefixes` with one dataset and one prefix, so the result
     is the one that path gives the dataset in any batch.
 

@@ -244,13 +244,12 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     _report(11, "all five CLI commands rerun byte-identically")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 def test_criterion_12_cramer_rao_bound():
     # 200 naive sweeps of a noiseless device from the library's own sampler,
     # depths 0, 1, 2, 4, ..., 4096 at 100 shots each: the theta RMSE of the
     # maximum-likelihood estimates must lie within 20% of the Cramer-Rao
-    # bound 1 / sqrt(sum 4 N k^2), k = 2m + 1.  The fixed theta grid is too
-    # coarse for these fringes, so today the RMSE is about 3e-3.
+    # bound 1 / sqrt(sum 4 N k^2), k = 2m + 1.  A fixed 10,000-point theta
+    # grid is too coarse for these fringes and gave an RMSE of about 3e-3.
     theta = 0.721
     depths = [0] + [2**i for i in range(13)]
     shots = [100] * len(depths)

@@ -454,6 +454,9 @@ class TestParser:
                              "--method", "corrected", "--p-coh", "0.94", "--out", str(out))
         assert estimate == ""
         assert out.read_bytes() == (GOLDEN / "estimate_corrected.json").read_bytes()
+        # Depths 0, 1, 2, 4, ..., 4096: the piece search past level 0.
+        deep = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "deep.csv"))
+        assert deep == (GOLDEN / "estimate_deep_naive.stdout").read_text()
 
     def test_console_script_entry_point_is_cli_main(self):
         # pyproject.toml's [project.scripts] entry must name, by import, the

@@ -22,6 +22,7 @@ from naqae import (
     estimate_prefixes,
     p1_depolarizing,
     run_depth_sweep,
+    sample_sweeps,
     shot_schedule,
     worst_case_variance,
 )
@@ -297,179 +298,135 @@ class TestEstimateAmplitude:
         est = estimate_amplitude(records, method="corrected", depol=depol)
         assert est.n_clamped == 1
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_depths_past_the_search_limit(self):
+        # 2m + 2 zeros per depth: 2 + 2,000,002 is past 2**20, 2 + 1,000,002 is not
+        records = [ShotRecord(m=0, shots=10, ones=2), ShotRecord(m=10**6, shots=10, ones=7)]
+        with pytest.raises(ValueError, match="2000004 zeros .* limit of 1048576"):
+            estimate_amplitude(records)
+        records[1] = ShotRecord(m=500_000, shots=10, ones=7)
+        assert estimate_amplitude(records).n_clamped == 0
+
     def test_piece_split_by_a_zero_inside_the_grid_bracket(self):
-        # The sin zero of depth 91 at 42 pi / 183 lies in the grid maximum's
-        # bracket and splits its peak; the search keeps to the lower half,
-        # L = -43,530,557.24 at 0.7210273, while the higher one reaches
-        # -43,522,235.50 at 0.72100013.
+        # The sin zero of depth 91 at 42 pi / 183 splits the peak near 0.721:
+        # the lower half reaches L = -43,530,557.24 at 0.7210273, the higher
+        # one -43,522,235.50 at 0.72100013.  A 10,000-point grid, refined
+        # inside its maximum's bracket, kept the lower half.
         depths, shots, ones = (45, 57, 91, 100), (20, 1, 10**8, 10**8), (3, 1, 1461, 15722826)
         records = [ShotRecord(m=m, shots=n, ones=h) for m, n, h in zip(depths, shots, ones)]
         estimate = estimate_amplitude(records)
         thetas = np.linspace(0.7209, 0.7211, 200_001)
-        p = np.sin(np.multiply.outer(thetas, 2.0 * np.array(depths) + 1.0)) ** 2
-        np.clip(p, estimation._LOG_GUARD, 1.0 - estimation._LOG_GUARD, out=p)
-        best = (np.log(p) @ np.array(ones) + np.log1p(-p) @ np.subtract(shots, ones)).max()
+        best = guarded_log_likelihood(thetas, depths, ones, np.subtract(shots, ones)).max()
         assert estimate.log_likelihood >= best - 1e-9 * abs(best)
+
+    def test_maximum_inside_a_guard_window(self):
+        # Depth 17 corrects to 0 ones of 10^8, so its term is about -10^8
+        # sin^2(35 theta) and the maximum lies within a guard window of one
+        # of its sin zeros, where p < 1e-12 and the guarded term is constant
+        # while depth 161's term still slopes.  Newton on the guard-free score
+        # stops at the exact zero instead (-7.4377 at 0.718 in the grid's
+        # search).  The reference scans every window densely.
+        depths, shots, ones = (17, 161), (10**8, 20), (1040942, 3)
+        records = [ShotRecord(m=m, shots=n, ones=h) for m, n, h in zip(depths, shots, ones)]
+        depol = DepolParams(0.998646)
+        estimate = estimate_amplitude(records, method="corrected", depol=depol)
+        assert estimate.n_clamped == 1
+        counts = np.array([correct_counts(r, depol).value for r in records])
+        half_width = math.asin(1e-6) / 35
+        centres = np.arange(18) * math.pi / 35  # the sin zeros of depth 17 in [0, pi/2]
+        thetas = np.add.outer(centres, np.linspace(-half_width, half_width, 20_001)).ravel()
+        thetas = thetas[(thetas >= 0.0) & (thetas <= math.pi / 2)]
+        values = guarded_log_likelihood(thetas, depths, counts, np.subtract(shots, counts))
+        best = values.max()
+        assert best == pytest.approx(-4.7991456, rel=1e-7)
+        assert thetas[values.argmax()] == pytest.approx(0.3590392, abs=1e-7)
+        assert estimate.log_likelihood >= best - 1e-9 * abs(best)
+        assert abs(35 * estimate.theta_hat - 4 * math.pi) <= math.asin(1e-6)
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-call estimator that predates the cached likelihood
-# tables, run on every prefix of one dataset.  The prefix kernel must agree
-# with it exactly, field for field.  It memoises its own grid tables per
-# depth tuple and shares nothing with the library's cache.  Its objective
-# and its Newton refinement are scalar loops per prefix, with the library's
-# expressions element for element, summed in the library's two orders: the
-# log-likelihood adds each depth's count term, then its miss term; the score
-# and curvature add each depth's two terms, then sum over the depths.
+# Reference: a dense-grid maximiser of the guarded likelihood, independent of
+# the estimator's piece search.  It puts points_per_fringe points in every
+# period pi / k of the deepest term, takes every grid local maximum within a
+# curvature margin of the grid maximum, and refines each by golden section on
+# the guarded likelihood alone (no score).  The margin is four times the most
+# the log-likelihood can drop over half a grid step near a peak, 0.5 I (h/2)^2,
+# with I the Fisher information sum 4 N k^2.
 
 
-def _reference_log_tables(theta, ms):
-    p = np.sin(np.multiply.outer(theta, 2.0 * ms + 1.0)) ** 2
+def guarded_log_likelihood(thetas, depths, counts, misses):
+    """The guarded log-likelihood at each of ``thetas``."""
+    p = np.sin(np.multiply.outer(thetas, 2.0 * np.array(depths, dtype=float) + 1.0)) ** 2
     np.clip(p, estimation._LOG_GUARD, 1.0 - estimation._LOG_GUARD, out=p)
-    return np.log(p), np.log1p(-p)
+    return np.log(p) @ np.asarray(counts, dtype=float) + np.log1p(-p) @ np.asarray(misses, dtype=float)
 
 
-@functools.lru_cache(maxsize=16)
-def _reference_grid(depths):
-    """The theta grid and its ln p and ln(1 - p) tables for these depths."""
-    thetas = np.linspace(0.0, math.pi / 2.0, estimation._GRID_POINTS)
-    return (thetas, *_reference_log_tables(thetas, np.array(depths, dtype=float)))
+def dense_mle(depths, counts, misses, points_per_fringe=32, tol=1e-13):
+    """The global maximum ``(theta, value)`` of each row's guarded likelihood, on one grid."""
+    ks = 2.0 * np.array(depths, dtype=float) + 1.0
+    thetas = np.linspace(0.0, math.pi / 2.0, int(points_per_fringe * ks.max() / 2.0) + 1)
+    p = np.sin(np.multiply.outer(thetas, ks)) ** 2
+    np.clip(p, estimation._LOG_GUARD, 1.0 - estimation._LOG_GUARD, out=p)
+    log_p, log_q = np.log(p), np.log1p(-p)
+    del p
+    step = thetas[1] - thetas[0]
+    maxima = []
+    for h, n in zip(np.asarray(counts, dtype=float), np.asarray(misses, dtype=float)):
+        margin = 4.0 * 0.5 * float(np.sum(4.0 * (h + n) * ks**2)) * (step / 2.0) ** 2
+        grid = log_p @ h + log_q @ n
+        peak = np.ones(len(grid), dtype=bool)
+        peak[1:] &= grid[1:] >= grid[:-1]
+        peak[:-1] &= grid[:-1] >= grid[1:]
+        at = np.flatnonzero(peak & (grid >= grid.max() - margin))
+        a, b = thetas[np.maximum(at - 1, 0)], thetas[np.minimum(at + 1, len(thetas) - 1)]
+
+        def objective(points):
+            return guarded_log_likelihood(points, depths, h, n)
+
+        ratio = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        fc, fd = objective(c), objective(d)
+        while (b - a).max() > tol:
+            left = fc >= fd  # the maximum lies in [a, d], else in [c, b]
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            kept, kept_value = np.where(left, c, d), np.where(left, fc, fd)
+            fresh = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
+            fresh_value = objective(fresh)
+            c, fc = np.where(left, fresh, kept), np.where(left, fresh_value, kept_value)
+            d, fd = np.where(left, kept, fresh), np.where(left, kept_value, fresh_value)
+        theta = np.where(fc >= fd, c, d)
+        values = objective(theta)
+        maxima.append((float(theta[values.argmax()]), float(values.max())))
+    return maxima
 
 
-def _reference_piece(theta, lo, hi, ks, counts, misses):
-    """``[lo, hi]`` cut to the concave piece of the likelihood that holds ``theta``."""
-    x = theta * ks / math.pi
-    sin_zero, cos_zero = np.floor(x), np.floor(x - 0.5) + 0.5
-    below = np.maximum(
-        np.where(counts > 0, sin_zero, -np.inf), np.where(misses > 0, cos_zero, -np.inf)
-    )
-    above = np.minimum(
-        np.where(counts > 0, sin_zero + 1.0, np.inf), np.where(misses > 0, cos_zero + 1.0, np.inf)
-    )
-    return max(lo, (below * math.pi / ks).max()), min(hi, (above * math.pi / ks).min())
+def assert_global_maxima(batch, estimates, method, depol):
+    """Each prefix estimate is the dense oracle's maximum and the lone estimate of that prefix.
 
-
-def _reference_newton(theta, lo, hi, ks, counts, misses):
-    """Safeguarded Newton maximiser of one prefix's likelihood in ``[lo, hi]``, from ``theta``."""
-    two_k, minus_two_k2 = 2.0 * ks, -2.0 * ks * ks
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            angles = theta * ks
-            sin, cos = np.sin(angles), np.cos(angles)
-            score = curvature = 0.0
-            for k2, k2k, s, c, h, n_h in zip(two_k, minus_two_k2, sin, cos, counts, misses):
-                score += k2 * (c / s) * h + -k2 * (s / c) * n_h
-                curvature += k2k / (s * s) * h + k2k / (c * c) * n_h
-            step = score / curvature
-            new = theta - step
-            if score > 0.0:
-                lo = theta
-            if score < 0.0:
-                hi = theta
-            converged = abs(step) <= estimation._STEP_TOL and lo <= new <= hi
-            theta = new if converged or lo < new < hi else 0.5 * (lo + hi)
-            if converged or hi - lo <= estimation._STEP_TOL:
-                return theta
-
-
-def _reference_search(records, method, depol):
-    """Every prefix's grid search of ``records``: its pieces, grid points and flat flags.
-
-    Returns ``(objective, pieces, grid_theta, flats, clamped, (ks, counts, misses))``:
-    ``objective(points)`` is prefix i's log-likelihood at ``points[i]`` for
-    every prefix, and ``pieces[i]`` is prefix i's grid bracket cut to its grid
-    point's piece.
+    ``estimates`` is ``estimate_prefixes(batch, method, depol)``.  An
+    estimate's value must be the guarded likelihood at its theta and reach
+    the oracle's maximum within 1e-9 relative.  The oracle may trail it: a
+    peak narrower than its margin assumes, as clamped corrected counts
+    make, can fall between its grid points.  Where a prefix is in ``(m, shots, ones)`` order,
+    ``estimate_amplitude`` on it must give the same estimate.
     """
-    ms = np.array([r.m for r in records], dtype=float)
-    ks = 2.0 * ms + 1.0
-    shots = np.array([r.shots for r in records], dtype=float)
-    clamped = [0] * len(records)
+    depths = [r.m for r in batch[0]]
+    shots = np.array([[r.shots for r in records] for records in batch], dtype=float)
     if method == "corrected":
-        corrections = [correct_counts(r, depol) for r in records]
-        counts = np.array([c.value for c in corrections])
-        clamped = [int(c.clamped) for c in corrections]
+        counts = np.array([[correct_counts(r, depol).value for r in records] for records in batch])
     else:
-        counts = np.array([r.ones for r in records], dtype=float)
+        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
     misses = shots - counts
-    prefixes = range(1, len(records) + 1)
-
-    def objective(points):
-        log_p, log_q = _reference_log_tables(np.array(points, dtype=float), ms)
-        values = []
-        for i, k in enumerate(prefixes):
-            total = 0.0
-            for d in range(k):
-                total += counts[d] * log_p[i, d]
-                total += misses[d] * log_q[i, d]
-            values.append(float(total))
-        return values
-
-    n = estimation._GRID_POINTS
-    grid_theta, flats, pieces = [], [], []
-    for k in prefixes:
-        thetas, log_p, log_q = _reference_grid(tuple(r.m for r in records[:k]))
-        loglik = np.zeros(n)
-        for d in range(k):  # the library's order: depth by depth, counts then misses
-            loglik += counts[d] * log_p[:, d]
-            loglik += misses[d] * log_q[:, d]
-        best = int(np.argmax(loglik))
-        span = float(loglik.max() - loglik.min())
-        flats.append(span <= estimation._FLAT_TOL * max(1.0, abs(float(loglik.max()))))
-        grid_theta.append(float(thetas[best]))
-        lo, hi = float(thetas[max(best - 1, 0)]), float(thetas[min(best + 1, n - 1)])
-        pieces.append(_reference_piece(grid_theta[-1], lo, hi, ks[:k], counts[:k], misses[:k]))
-    return objective, pieces, grid_theta, flats, clamped, (ks, counts, misses)
-
-
-def reference_prefix_estimates(records, method, depol):
-    """The reference estimate from ``records[:k]`` for every k = 1..len(records)."""
-    objective, pieces, grid_theta, flats, clamped, (ks, counts, misses) = _reference_search(
-        records, method, depol
-    )
-    refined = [
-        float(_reference_newton(theta, lo, hi, ks[:k], counts[:k], misses[:k]))
-        for k, (theta, (lo, hi)) in enumerate(zip(grid_theta, pieces), start=1)
-    ]
-    estimates = []
-    grid_values, refined_values = objective(grid_theta), objective(refined)
-    for i, (top, refined_value) in enumerate(zip(grid_values, refined_values)):
-        theta_hat = grid_theta[i]
-        if refined_value > top:
-            theta_hat, top = refined[i], refined_value
-        estimates.append(
-            AmplitudeEstimate(
-                theta_hat=theta_hat,
-                log_likelihood=top,
-                method=method,
-                n_clamped=sum(clamped[: i + 1]),
-                flat_likelihood=flats[i],
-            )
-        )
-    return estimates
-
-
-def golden_section_values(records, method, depol, tol=1e-13):
-    """Every prefix's best log-likelihood in its piece, by golden section to ``tol``.
-
-    An independent check on the Newton step: it never evaluates the score,
-    only the guarded likelihood, and its searches all run at once until the
-    widest bracket is ``tol`` wide.
-    """
-    objective, pieces, *_ = _reference_search(records, method, depol)
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(pieces).T
-    c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc, fd = np.array(objective(c)), np.array(objective(d))
-    while (b - a).max() > tol:
-        left = fc >= fd  # the maximum lies in [a, d], else in [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, kept_value = np.where(left, c, d), np.where(left, fc, fd)
-        fresh = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
-        fresh_value = np.array(objective(fresh))
-        c, fc = np.where(left, fresh, kept), np.where(left, fresh_value, kept_value)
-        d, fd = np.where(left, kept, fresh), np.where(left, kept_value, fresh_value)
-    return np.maximum(fc, fd).tolist()
+    for k in range(1, len(depths) + 1):
+        oracle = dense_mle(depths[:k], counts[:, :k], misses[:, :k])
+        for i, (records, (_, best)) in enumerate(zip(batch, oracle)):
+            estimate = estimates[i][k - 1]
+            value = guarded_log_likelihood(
+                np.array([estimate.theta_hat]), depths[:k], counts[i, :k], misses[i, :k]
+            )[0]
+            assert estimate.log_likelihood == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert estimate.log_likelihood >= best - 1e-9 * max(1.0, abs(best)), (k, estimate, best)
+            if records[:k] == sorted(records[:k], key=lambda r: (r.m, r.shots, r.ones)):
+                assert estimate_amplitude(records[:k], method, depol) == estimate
 
 
 LINEAR_DEPTHS = tuple(range(13))
@@ -483,8 +440,41 @@ CLAMPING = (
 )
 
 
+def sampled_batch(theta, depths, shots, seeds, depol=None):
+    """Noiseless or depolarized sweeps at ``theta``, one per seed."""
+    device = SimulatedDevice(amp=Amplitude(theta), model=depol)
+    return sample_sweeps(device, seeds, list(depths), list(shots))
+
+
 class TestPrefixKernel:
     def test_matches_reference_on_every_prefix(self):
+        # Every prefix of every dataset against the dense oracle.  Deep: the
+        # deep_mlae sweeps, whose prefixes pass level 0.  Criterion 9: flat
+        # and scheduled shots at sigma = 0.055, on depths 0..12.  Near ties:
+        # one to three shots on depths 0..3, with many modes of equal or
+        # almost equal height, and the half-ones sweep symmetric about pi/4.
+        gaussian = depol_equivalent(GaussianNoiseParams(0.0, 0.055))
+        sched = shot_schedule(list(LINEAR_DEPTHS), 20, 0.055)
+        deep_depol = DepolParams(math.exp(-2e-4))
+        deep = sampled_batch(0.721, EXPONENTIAL_DEPTHS, [100] * 14, range(6), deep_depol)
+        rng = np.random.default_rng(21)
+        near_ties = [
+            [ShotRecord(m=m, shots=n, ones=int(rng.integers(0, n + 1)))
+             for m, n in zip(range(4), rng.integers(1, 4, 4).tolist())]
+            for _ in range(24)
+        ] + [[ShotRecord(m=m, shots=2, ones=1) for m in range(4)]]
+        cases = [
+            (deep, "naive", None),
+            (deep, "corrected", deep_depol),
+            (sampled_batch(math.pi / 6, LINEAR_DEPTHS, [20] * 13, range(12), gaussian), "naive", None),
+            (sampled_batch(math.pi / 6, sched.depths, sched.shots, range(12), gaussian),
+             "corrected", gaussian),
+            (near_ties, "naive", None),
+        ]
+        for batch, method, depol in cases:
+            assert_global_maxima(batch, estimate_prefixes(batch, method, depol), method, depol)
+
+    def test_random_batches_match_the_lone_estimates(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -497,8 +487,7 @@ class TestPrefixKernel:
                 )
             )
             batch = []
-            # datasets on the same depths: full chunks and a ragged last one
-            for _ in range(draw(st.integers(1, 20))):
+            for _ in range(draw(st.integers(1, 6))):
                 records = []
                 for m in depths:
                     shots = draw(st.integers(1, 30))
@@ -511,10 +500,8 @@ class TestPrefixKernel:
         records, method, depol = CLAMPING
         flipped = [ShotRecord(m=r.m, shots=r.shots, ones=r.shots - r.ones) for r in records]
         # Half the shots ones at every depth: the likelihood is symmetric about
-        # theta = pi/4, which falls between two grid points whose values tie up
-        # to rounding.  The other rows have an odd shot count, so none of them
-        # is symmetric.  Rows 0, 7, 8 and 16 open and close a full chunk, open
-        # the next one and fill a ragged last one.
+        # theta = pi/4, its maximum.  The other rows have an odd shot count,
+        # so none of them is symmetric.
         symmetric = [ShotRecord(m=m, shots=20, ones=10) for m in LINEAR_DEPTHS]
         rng = np.random.default_rng(8)
         seventeen = [
@@ -534,10 +521,8 @@ class TestPrefixKernel:
             batch, method, depol = data
             estimates = estimate_prefixes(batch, method, depol)
             assert len(estimates) == len(batch)
-            for records, prefixes in zip(batch, estimates):
-                assert prefixes == reference_prefix_estimates(records, method, depol)
-                for estimate, best in zip(prefixes, golden_section_values(records, method, depol)):
-                    assert estimate.log_likelihood >= best - 1e-10 * max(1.0, abs(best))
+            assert_global_maxima(batch, estimates, method, depol)
+            for records in batch:
                 ordered = sorted(records, key=lambda r: (r.m, r.shots, r.ones))
                 (ordered,) = estimate_prefixes([ordered], method, depol)
                 assert estimate_amplitude(records, method, depol) == ordered[-1]
@@ -571,11 +556,19 @@ class TestPrefixKernel:
                 return depths, shots, ones, per_depth, "corrected", depol
             return depths, shots, ones, per_depth, "naive", None
 
+        # Deep sweeps at theta = 0.721: the prefixes past depth 64 leave level 0.
+        deep = np.array([[r.ones for r in records] for records in sampled_batch(
+            0.721, EXPONENTIAL_DEPTHS, [100] * 14, range(4))])
+        assert estimation._level0_length(EXPONENTIAL_DEPTHS) == 8
+
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
         @hypothesis.given(batches())
         @hypothesis.example(
             (EXPONENTIAL_DEPTHS, np.array([[r.shots for r in CLAMPING[0]]]),
              np.array([[r.ones for r in CLAMPING[0]]]), False, *CLAMPING[1:])
+        )
+        @hypothesis.example(
+            (EXPONENTIAL_DEPTHS, np.full((4, 14), 100), deep, True, "naive", None)
         )
         def check(data):
             depths, shots, ones, per_depth, method, depol = data
@@ -587,7 +580,8 @@ class TestPrefixKernel:
             core_shots = tuple(shots[0].tolist()) if per_depth else shots
             arrays = estimation._estimates(depths, core_shots, ones, method, depol, False)
             expected = estimate_prefixes(records, method, depol)
-            fields = ("theta_hat", "log_likelihood", "n_clamped", "flat_likelihood")
+            fields = ("theta_hat", "log_likelihood", "n_clamped")
+            assert len(arrays) == len(fields)
             for name, array in zip(fields, arrays):
                 assert array.tolist() == [[getattr(e, name) for e in row] for row in expected]
             assert estimation._as_estimates(method, arrays) == expected
@@ -597,35 +591,35 @@ class TestPrefixKernel:
         check()
 
     def test_lanes_finishing_at_different_steps(self):
-        # All ones: the grid's last point is the maximum, and its first step
-        # converges.  All zeros: the score at the grid's first point is NaN,
-        # so that row bisects and then converges to 0 in more steps than an
-        # interior maximum takes.  Each row must finish alone.
+        # All ones: Newton climbs to the guard window below pi/2, then crosses
+        # its flat stretch by bisection.  All zeros: the same toward 0, in more
+        # steps than an interior maximum takes.  Each row must finish alone,
+        # as the lone estimate of each of its prefixes.
         edge = [ShotRecord(m=0, shots=10, ones=0), ShotRecord(m=1, shots=10, ones=0)]
         ones = [ShotRecord(m=0, shots=10, ones=10), ShotRecord(m=1, shots=10, ones=10)]
         interior = [ShotRecord(m=0, shots=10, ones=3), ShotRecord(m=1, shots=10, ones=9)]
         batch = [interior, ones, edge, interior]
-        for records, prefixes in zip(batch, estimate_prefixes(batch)):
-            assert prefixes == reference_prefix_estimates(records, "naive", None)
+        assert_global_maxima(batch, estimate_prefixes(batch), "naive", None)
+        (ones_prefixes, edge_prefixes) = estimate_prefixes([ones, edge])
+        assert [e.theta_hat for e in ones_prefixes] == pytest.approx([math.pi / 2] * 2, abs=1e-12)
+        assert [e.theta_hat for e in edge_prefixes] == pytest.approx([0.0] * 2, abs=1e-12)
 
     @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
-    def test_grid_maximum_value_is_the_likelihood_there(self, fractional):
-        # The grid and _log_likelihood add the same terms in the same order,
-        # so the grid's value at its maximum is the likelihood there, bit for bit.
+    def test_estimate_value_is_the_likelihood_there(self, fractional):
+        # Every returned value is _log_likelihood at the returned theta, summed
+        # in its one order, bit for bit, on deep and shallow prefixes alike.
         rng = np.random.default_rng(14)
-        depths = tuple(sorted({int(m) for m in rng.integers(0, 5001, 9)} | {0}))
-        shots = rng.integers(1, 10**6, (11, len(depths))).astype(float)
+        depths = tuple(sorted({int(m) for m in rng.integers(0, 301, 9)} | {0}))
+        shots = rng.integers(1, 10**6, (5, len(depths))).astype(float)
         counts = rng.random(shots.shape) * shots
         counts = counts if fractional else np.floor(counts)
-        misses = shots - counts
-        thetas, table = estimation._depth_tables(depths)
         ks = 2.0 * np.array(depths) + 1.0
-        prefixes = range(1, len(depths) + 1)
-        best, values, _ = estimation._grid_maxima(table, counts, misses, prefixes)
-        for j, k in enumerate(prefixes):
-            at_grid = thetas[best[j]]
-            assert values[j].tolist() == estimation._log_likelihood(
-                at_grid, ks[:k], counts[:, :k], misses[:, :k]
+        assert 0 < estimation._level0_length(depths) < len(depths)
+        theta_hat, values, _ = estimation._estimates(depths, shots, counts, "naive", None, False)
+        for j in range(len(depths)):
+            k = j + 1
+            assert values[:, j].tolist() == estimation._log_likelihood(
+                theta_hat[:, j], ks[:k], counts[:, :k], shots[:, :k] - counts[:, :k]
             ).tolist()
 
     def test_clamping_example_clamps(self):
@@ -635,9 +629,12 @@ class TestPrefixKernel:
         assert estimates[-1].n_clamped >= len(EXPONENTIAL_DEPTHS) // 2
 
     def test_cached_tables_are_shared_and_read_only(self):
-        tables = estimation._depth_tables((0, 1, 2))
-        assert tables[1].shape == (3, 2, estimation._GRID_POINTS)
-        assert all(a is b for a, b in zip(tables, estimation._depth_tables((0, 1, 2))))
+        level0, *tables = estimation._piece_table((0, 1, 2))
+        edges, mids = tables[:2]
+        assert level0 == 3
+        assert edges[0] == 0.0 and edges[-1] == math.pi / 2 and np.all(np.diff(edges) > 0)
+        assert tables[3].shape == (3, len(mids))
+        assert all(a is b for a, b in zip(tables, estimation._piece_table((0, 1, 2))[1:]))
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
