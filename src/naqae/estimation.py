@@ -33,23 +33,22 @@ _STEP_TOL = 1e-12
 
 # Theta search (see _estimates).  Level 0 is the longest depth prefix with at
 # most this many zeros in [0, pi/2], k + 1 per depth: depths 0..64 of the
-# exponential schedule 0, 1, 2, 4, ..., 4096, and 0..21 of a linear one.
-# Prefixes past it are searched row by row: a criterion-9 experiment run to
-# max_depth 20 and 30 took 0.90 and 3.84 s at 256, 0.18 and 1.37 s here,
-# 0.14 and 0.37 s at 1024 and 0.11 and 0.27 s at 2048 (the grid: 0.11 and
-# 0.19 s).  Lone deep estimates on the exponential schedule took 0.7-1.1 ms
-# from 256 to 2048 and 1.4 ms at 128, but its larger table raised deep_mlae's
-# peak RSS by 1.3 MiB at 2048 (2 shared vCPUs).
+# exponential schedule 0, 1, 2, 4, ..., 4096, and 0..21 of a linear one.  A
+# criterion-9 experiment (50 replications) run to max_depth 20 and 30 took
+# 0.13 and 0.55 s here, 0.23 and 0.81 s at 256, and 0.18 and 0.42 s at 1024
+# and 2048 (medians of 5).  Lone deep estimates on the exponential schedule
+# took 0.7-1.1 ms from 256 to 2048 and 1.4 ms at 128, but its larger table
+# raised deep_mlae's peak RSS by 1.3 MiB at 2048 (2 shared vCPUs).
 _ZERO_BUDGET = 512
 
 # Depths with more zeros than this in [0, pi/2] are refused: the search may
 # have to cut at every one of them.  Deep tables stay under 10 MB.
 _ZERO_LIMIT = 2**20
 
-# Deep search (see _deep_maximum): window edges of the deeper depths in one
-# cell of a level-0 piece at most, and in the cells cut in one step.  Deep
-# calls took 0.96 ms at 64 and 256, 0.98 at 32 and 256, 1.00 at 32 and 128,
-# 1.04 at 64 and 512, and 1.20 at 128 and 256 (as above).
+# Deep search (see _deep_step): window edges of the deeper depths in one
+# cell of a level-0 piece at most, and in the cells cut in one step.  Lone
+# deep estimates took as long at 64 and 512 as at 64 and 256, 6% longer at
+# 32 and 256, 21% at 128 and 256, and 6 times as long at 64 and 128.
 _CELL_EDGES = 64
 _SPLIT_EDGES = 256
 
@@ -430,23 +429,24 @@ def _refine(
 def _refine_row(lo: float, hi: float, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray) -> float:
     """:func:`_refine` for one row, in Python floats: the same steps, sums and rules.
 
-    A deep search refines one piece of one row (:func:`_deep_maximum`), where
-    numpy's fixed cost per call outweighs its work: about 0.1 against 0.34 ms
-    a call on the exponential schedule's 14 depths.
+    A deep step refines one piece of each row (:func:`_deep_step`), where
+    numpy's fixed cost per call outweighs its work: about 27 against 260 us
+    a row on the exponential schedule's 14 depths.
     """
     t, a, b = 0.5 * (lo + hi), lo, hi
-    depths = list(zip(ks.tolist(), counts.tolist(), misses.tolist()))
+    depths = zip(ks.tolist(), counts.tolist(), misses.tolist())
+    depths = [(k, 2.0 * k, -2.0 * k * k, h, n) for k, h, n in depths]
     while True:
         score = curvature = slopes = 0.0
-        for k, h, n in depths:
+        for k, slope_k, curvature_k, h, n in depths:
             sin, cos = math.sin(k * t), math.cos(k * t)
-            p = sin * sin
-            ones, zeros = h / max(p, _LOG_GUARD), n / max(cos * cos, _LOG_GUARD)
-            slope = 2.0 * k * (sin * cos) * (ones - zeros)
+            p, q = sin * sin, cos * cos
+            ones, zeros = h / (p if p > _LOG_GUARD else _LOG_GUARD), n / (q if q > _LOG_GUARD else _LOG_GUARD)
+            slope = slope_k * (sin * cos) * (ones - zeros)
             slopes += slope
             if _LOG_GUARD <= p <= 1.0 - _LOG_GUARD:
                 score += slope
-                curvature += -2.0 * k * k * (ones + zeros)
+                curvature += curvature_k * (ones + zeros)
         step = score / curvature if curvature else math.nan  # 0 / 0 where every term is constant
         new = t - step
         if (score if score != 0.0 else slopes) > 0.0:
@@ -520,73 +520,69 @@ def _below(best: float | np.ndarray):
     return best - _BOUND_SLACK * np.abs(best)
 
 
-def _deep_maximum(
-    value: np.ndarray,
-    score: np.ndarray,
-    table: tuple,
-    ks: np.ndarray,
-    counts: np.ndarray,
-    misses: np.ndarray,
-) -> tuple[float, float]:
-    """One row's maximum ``(theta, value)`` on depths ``ks``, past its level-0 depths.
+def _deep_step(
+    value: np.ndarray, score: np.ndarray, table: tuple, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Each row's best value found on depths ``ks`` past level 0, and the rows and points that may beat it.
 
-    ``value`` and ``score`` are the row's likelihood and guarded score on
-    the level-0 depths of ``table`` at the midpoints x of its pieces.  On a
-    piece every level-0 term is concave with curvature at most
-    ``-2k^2 (sqrt(h) + sqrt(N - h))^2`` (:func:`_curvatures`), or constant,
-    so the level-0 likelihood lies under ``value + score (t - x) - c (t -
-    x)^2``, c half the sum of those bounds; each deeper term lies under its
-    saturated value ``h ln(h/N) + (N - h) ln(1 - h/N)``.  Their sum bounds
-    the likelihood on the piece.  The pieces around the best bound are cut
-    first at the deeper depths' window edges (:func:`_split`), about
-    ``_SPLIT_EDGES`` edges' worth, and the concave piece of the sub-piece of
-    best bound is refined (:func:`_refine_row`): its maximum is the best
-    value found.  Every other piece whose bound reaches it is cut too,
-    ``_SPLIT_EDGES`` edges at a time, and the sub-pieces whose bound still
-    reaches it are refined with it (:func:`_piece_maxima`).
+    ``value`` and ``score`` are each row's likelihood and guarded score on
+    the level-0 depths of ``table`` at its cell midpoints x.  On a cell each
+    level-0 term is concave with curvature at most ``-2k^2 (sqrt(h) +
+    sqrt(N - h))^2`` (:func:`_curvatures`), or constant, so their sum lies
+    under ``value + score (t - x) - c (t - x)^2``, c half the sum of those
+    bounds; each deeper term lies under its saturated value ``h ln(h/N) +
+    (N - h) ln(1 - h/N)``.  The cells around each row's best bound, about
+    ``_SPLIT_EDGES`` deeper window edges, are cut at them (:func:`_split`),
+    where the deeper terms lie under such a parabola too, and the concave
+    piece of the row's best sub-piece is refined (:func:`_refine_row`).
+    The other cells whose bound reaches that value are cut as well, and
+    each sub-piece whose bound still reaches it is a candidate.  A cell is
+    cut once for all the rows that need it, and a row keeps its own cells.
     """
     level0, edges, mids, halves, live = table[0], table[1], table[2], table[3], table[-1]
-    deeper, h, n = ks[level0:], counts[level0:], misses[level0:]
-    tiny = np.finfo(float).tiny  # 0 ln 0 = 0
-    saturated = h @ np.log(np.maximum(h, tiny) / (h + n)) + n @ np.log(np.maximum(n, tiny) / (h + n))
-    curvature = _curvatures(ks[:level0], counts[:level0], misses[:level0]) @ live
-    bound = _peak(value, score, curvature, -halves, halves) + saturated
+    deeper, h, n = ks[level0:], counts[:, level0:], misses[:, level0:]
+    shots, tiny = h + n, np.finfo(float).tiny  # 0 ln 0 = 0
+    saturated = sum(a * np.log(np.maximum(a, tiny) / shots) for a in (h, n)).sum(axis=1)
+    curvature = _curvatures(ks[:level0], counts[:, :level0], misses[:, :level0]) @ live
+    bound = _peak(value, score, curvature, -halves, halves) + saturated[:, None]
     group = max(1, int(_SPLIT_EDGES / (2.0 * halves.max() * _edge_density(deeper))))
-    points, bounds = [], []
+    deep_curvature = _curvatures(deeper, h, n)
+    parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))]
 
-    def cut(lo, hi):
-        starts, ends = _split(lo, hi, deeper)
-        at, cell = 0.5 * (starts + ends), np.searchsorted(edges, starts, side="right") - 1
-        # The deeper terms under their tangent at the midpoint, the level-0
-        # ones under their curvature bound
-        log_p, log_q, cot, tan, _ = _factors(at, deeper)
-        x = mids[cell]
-        bound = log_p @ h + log_q @ n + np.abs(cot @ h - tan @ n) * (0.5 * (ends - starts))
-        points.append(at)
-        bounds.append(bound + _peak(value[cell], score[cell], curvature[cell], starts - x, ends - x))
+    def cut(own, floor):
+        # Adds the row, midpoint and bound of each sub-piece of the cells a
+        # row owns whose bound reaches the row's floor; returns all added so far
+        cells = np.flatnonzero(own.any(axis=0))
+        for start in range(0, len(cells), group):
+            chunk = cells[start : start + group]
+            starts, ends = _split(edges[chunk], edges[chunk + 1], deeper)
+            at, cell = 0.5 * (starts + ends), np.searchsorted(edges, starts, side="right") - 1
+            log_p, log_q, cot, tan, inside = _factors(at, deeper)
+            # The level-0 parabola, centred at the midpoint, plus the deeper terms' own
+            x, c = at - mids[cell], curvature[:, cell]
+            slope = score[:, cell] - c * x
+            level = value[:, cell] + x * slope + h @ log_p.T + n @ log_q.T
+            slope = slope - c * x + h @ cot.T - n @ tan.T
+            ceiling = _peak(level, slope, c + deep_curvature @ inside.T, starts - at, ends - at)
+            lanes, subs = np.nonzero(own[:, cell] & (ceiling >= floor))
+            parts.append((lanes, at[subs], ceiling[lanes, subs]))
+        return (np.concatenate(part) for part in zip(*parts))
 
-    first = max(0, min(int(np.argmax(bound)) - group // 2, len(bound) - group))
-    cut(edges[first : first + group], edges[first + 1 : first + group + 1])
-    row = (counts[None], misses[None])
-    best = points[0][np.argmax(bounds[0])]
-    lo, hi = _piece(np.array([best]), ks, *row)
-    theta = np.array([_refine_row(lo[0], hi[0], ks, counts, misses)])
-    top = _log_likelihood(theta, ks, *row)[0]
-    reach = bound >= _below(top)
-    reach[first : first + group] = False
-    rest = np.flatnonzero(reach)
-    for start in range(0, len(rest), group):
-        cells = rest[start : start + group]
-        cut(edges[cells], edges[cells + 1])
-    points, bounds = np.concatenate(points), np.concatenate(bounds)
-    others = points[(bounds >= _below(top)) & ((points < lo) | (points > hi))]
-    if not len(others):
-        return theta[0], top
-    both = np.append(best, others)
-    rows = (np.broadcast_to(counts, (len(both), len(ks))), np.broadcast_to(misses, (len(both), len(ks))))
-    keep, lo, hi = _pieces(np.zeros(len(both), np.intp), both, ks, *rows)
-    _, theta, top = _piece_maxima(np.zeros(len(keep), np.intp), lo, hi, ks, *(a[keep] for a in rows))
-    return theta[0], top[0]
+    first = np.maximum(np.minimum(bound.argmax(axis=1) - group // 2, len(mids) - group), 0)[:, None]
+    window = (np.arange(len(mids)) >= first) & (np.arange(len(mids)) < first + group)
+    lanes, points, bounds = cut(window, -np.inf)
+    order = np.lexsort((-bounds, lanes))  # each row's first sub-piece of best bound
+    best = points[order[np.searchsorted(lanes[order], np.arange(len(bound)))]]
+    lo, hi = _piece(best, ks, counts, misses)
+    rows = zip(lo.tolist(), hi.tolist(), counts, misses)
+    theta = np.array([_refine_row(a, b, ks, ones, zeros) for a, b, ones, zeros in rows])
+    top = _log_likelihood(theta, ks, counts, misses)
+    least = _below(top)
+    lanes, points, bounds = cut((bound >= least[:, None]) & ~window, least[:, None])
+    others = (bounds >= least[lanes]) & ((points < lo[lanes]) | (points > hi[lanes]))
+    lanes, points = lanes[others], points[others]
+    rivals = np.flatnonzero(np.bincount(lanes, minlength=len(bound)))
+    return theta, top, np.concatenate((rivals, lanes)), np.concatenate((best[rivals], points))
 
 
 def _estimates(
@@ -619,10 +615,12 @@ def _estimates(
     and their midpoint terms are one cached table (:func:`_piece_table`).
     Its depths are level 0, the longest prefix with at most
     ``_ZERO_BUDGET`` zeros, and each prefix up to it takes its values and
-    scores from the table in one product.  A longer prefix adds, row by
-    row, deeper depths whose zeros are too many to enumerate over [0, pi/2];
-    since no term exceeds its saturated value, only the parts of level-0
-    pieces that can still win are cut at them (:func:`_deep_maximum`).
+    scores from the table in one product.  A longer prefix adds deeper
+    depths whose zeros are too many to enumerate over [0, pi/2]; since no
+    term exceeds its saturated value, only the parts of level-0 pieces that
+    can still win are cut at them, once for the whole batch
+    (:func:`_deep_step`).  Either way the pieces that can still win join
+    the refinements of the prefixes before them.
 
     The binomial log-likelihood omits the theta-independent coefficient,
     which also makes fractional corrected counts valid.
@@ -648,7 +646,7 @@ def _estimates(
     table = _piece_table(tuple(depths))
     level0, _, mids, halves, log_p, log_q, cot, tan, live = table
     rows, width = counts.shape
-    theta_hat, top = np.empty((2, len(prefixes) * rows))
+    theta_hat, top = np.empty((2, len(prefixes), rows))
     pending = []
 
     def refine_pending():
@@ -659,32 +657,32 @@ def _estimates(
             js * rows + lanes, lo, hi, ks,
             np.where(used, counts[lanes], 0.0), np.where(used, misses[lanes], 0.0),
         )
-        theta_hat[groups], top[groups] = theta, value
+        theta_hat.flat[groups], top.flat[groups] = theta, value
         pending.clear()
 
     for j, k in enumerate(prefixes):
         d = min(k, level0)
         h, n = counts[:, :d], misses[:, :d]
         value, score = h @ log_p[:d] + n @ log_q[:d], h @ cot[:d] - n @ tan[:d]
-        if k > level0:
-            for i in range(rows):
-                theta_hat[j * rows + i], top[j * rows + i] = _deep_maximum(
-                    value[i], score[i], table, ks[:k], counts[i, :k], misses[i, :k]
-                )
-            continue
-        # The tangent bound first, then the curvature bound on the pieces it keeps
-        least = _below(value.max(axis=1))
-        lanes, cols = np.divmod(
-            np.flatnonzero(value + np.abs(score) * halves >= least[:, None]), len(mids)
-        )
-        curvature = np.einsum("ij,ji->i", _curvatures(ks[:d], h, n)[lanes], live[:d, cols])
-        bound = _peak(value[lanes, cols], score[lanes, cols], curvature, -halves[cols], halves[cols])
-        lanes, points = lanes[bound >= least[lanes]], mids[cols[bound >= least[lanes]]]
-        keep, lo, hi = _pieces(lanes, points, ks[:k], counts[lanes, :k], misses[lanes, :k])
-        pending.append((np.full(len(keep), j), lanes[keep], lo, hi))
-        if sum(len(part[1]) for part in pending) >= _REFINE_ROWS or k == min(prefixes[-1], level0):
+        if k > level0:  # each row's refined piece stands unless a candidate beats it
+            theta_hat[j], top[j], lanes, points = _deep_step(
+                value, score, table, ks[:k], counts[:, :k], misses[:, :k]
+            )
+        else:
+            # The tangent bound first, then the curvature bound on the pieces it keeps
+            least = _below(value.max(axis=1))
+            lanes, cols = np.divmod(
+                np.flatnonzero(value + np.abs(score) * halves >= least[:, None]), len(mids)
+            )
+            curvature = np.einsum("ij,ji->i", _curvatures(ks[:d], h, n)[lanes], live[:d, cols])
+            bound = _peak(value[lanes, cols], score[lanes, cols], curvature, -halves[cols], halves[cols])
+            lanes, points = lanes[bound >= least[lanes]], mids[cols[bound >= least[lanes]]]
+        if len(lanes):
+            keep, lo, hi = _pieces(lanes, points, ks[:k], counts[lanes, :k], misses[lanes, :k])
+            pending.append((np.full(len(keep), j), lanes[keep], lo, hi))
+        waiting = sum(len(part[1]) for part in pending)
+        if waiting >= _REFINE_ROWS or (waiting and k == prefixes[-1]):
             refine_pending()
-    theta_hat, top = theta_hat.reshape(len(prefixes), rows), top.reshape(len(prefixes), rows)
     # Running clamp counts at the last or at every prefix
     n_clamped = np.add.accumulate(clamped, axis=1, dtype=int)[:, -len(prefixes):]
     return theta_hat.T, top.T, n_clamped
@@ -731,7 +729,8 @@ def estimate_prefixes(
     and are corrected in one pass.  Every prefix up to level 0 bounds its
     pieces from one cached table, and the Newton refinements of several
     prefixes step together, one numpy evaluation per step for the rows
-    still moving; each deeper prefix is searched row by row.
+    still moving; each deeper prefix cuts what can still win once for the
+    whole batch.
 
     Raises:
         ValueError: on an empty batch, an empty dataset, or datasets whose

@@ -457,6 +457,10 @@ class TestParser:
         # Depths 0, 1, 2, 4, ..., 4096: the piece search past level 0.
         deep = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "deep.csv"))
         assert deep == (GOLDEN / "estimate_deep_naive.stdout").read_text()
+        # Depths 0..26: a batch of sweeps searched past level 0.
+        config = GOLDEN / "inputs" / "config_past_level0.json"
+        experiment = naqae_cli("experiment", "--config", str(config))
+        assert experiment == (GOLDEN / "experiment_past_level0.stdout").read_text()
 
     def test_console_script_entry_point_is_cli_main(self):
         # pyproject.toml's [project.scripts] entry must name, by import, the

@@ -450,11 +450,15 @@ class TestPrefixKernel:
     def test_matches_reference_on_every_prefix(self):
         # Every prefix of every dataset against the dense oracle.  Deep: the
         # deep_mlae sweeps, whose prefixes pass level 0.  Criterion 9: flat
-        # and scheduled shots at sigma = 0.055, on depths 0..12.  Near ties:
+        # and scheduled shots at sigma = 0.055, on depths 0..12, and a batch
+        # of scheduled sweeps on depths 0..26, past level 0.  Near ties:
         # one to three shots on depths 0..3, with many modes of equal or
         # almost equal height, and the half-ones sweep symmetric about pi/4.
         gaussian = depol_equivalent(GaussianNoiseParams(0.0, 0.055))
         sched = shot_schedule(list(LINEAR_DEPTHS), 20, 0.055)
+        # Depths 0..26 on the paper schedule: prefixes past depth 21 leave level 0.
+        long_sched = shot_schedule(list(range(27)), 20, 0.055)
+        assert estimation._level0_length(long_sched.depths) == 22
         deep_depol = DepolParams(math.exp(-2e-4))
         deep = sampled_batch(0.721, EXPONENTIAL_DEPTHS, [100] * 14, range(6), deep_depol)
         rng = np.random.default_rng(21)
@@ -468,6 +472,8 @@ class TestPrefixKernel:
             (deep, "corrected", deep_depol),
             (sampled_batch(math.pi / 6, LINEAR_DEPTHS, [20] * 13, range(12), gaussian), "naive", None),
             (sampled_batch(math.pi / 6, sched.depths, sched.shots, range(12), gaussian),
+             "corrected", gaussian),
+            (sampled_batch(math.pi / 6, long_sched.depths, long_sched.shots, range(8), gaussian),
              "corrected", gaussian),
             (near_ties, "naive", None),
         ]
@@ -603,6 +609,34 @@ class TestPrefixKernel:
         (ones_prefixes, edge_prefixes) = estimate_prefixes([ones, edge])
         assert [e.theta_hat for e in ones_prefixes] == pytest.approx([math.pi / 2] * 2, abs=1e-12)
         assert [e.theta_hat for e in edge_prefixes] == pytest.approx([0.0] * 2, abs=1e-12)
+
+    def test_one_row_refine_is_the_batch_refine(self):
+        # A deep estimate is _refine_row's theta when no other piece reaches
+        # its value, and _refine's when one does, so the two must agree bit
+        # for bit: on the pieces of random exponential and linear rows, with
+        # integer and fractional counts, and on the guard-window case of
+        # TestEstimateAmplitude, whose corrected counts clamp.
+        rng = np.random.default_rng(18)
+        cases = []
+        for depths in (EXPONENTIAL_DEPTHS, tuple(range(27))):
+            shots = rng.integers(1, 200, (24, len(depths))).astype(float)
+            for counts in (np.floor(rng.random(shots.shape) * (shots + 1)), rng.random(shots.shape) * shots):
+                cases.append((depths, counts, shots - counts, rng.random(24) * math.pi / 2))
+        depths, shots, ones = (17, 161), (10**8, 20), (1040942, 3)
+        depol = DepolParams(0.998646)
+        records = [ShotRecord(m=m, shots=n, ones=h) for m, n, h in zip(depths, shots, ones)]
+        counts = [correct_counts(r, depol) for r in records]
+        assert counts[0].clamped
+        counts = np.array([[c.value for c in counts]] * 19)
+        # The sin zeros of depth 17 in [0, pi/2], and the maximum in the window of one of them
+        thetas = np.append(np.arange(18) * math.pi / 35, 0.3590392)
+        cases.append((depths, counts, np.array(shots) - counts, thetas))
+        for depths, counts, misses, thetas in cases:
+            ks = 2.0 * np.array(depths, dtype=float) + 1.0
+            lo, hi = estimation._piece(thetas, ks, counts, misses)
+            rows = zip(lo.tolist(), hi.tolist(), counts, misses)
+            one_by_one = [estimation._refine_row(a, b, ks, h, n) for a, b, h, n in rows]
+            assert one_by_one == estimation._refine(lo, hi, ks, counts, misses).tolist()
 
     @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
     def test_estimate_value_is_the_likelihood_there(self, fractional):

@@ -83,6 +83,8 @@ CASES: dict[str, list[str]] = {
     "experiment_criterion9": ["experiment", "--config", "{in}/config_criterion9.json"],
     # A negative seed: replication seeds come from 4-word SeedSequence entropy.
     "experiment_wide_seed": ["experiment", "--config", "{in}/config_wide_seed.json"],
+    # Depths 0..26 past level 0 (0..21): prefixes 22-26 search 6 rows per setting.
+    "experiment_past_level0": ["experiment", "--config", "{in}/config_past_level0.json"],
 }
 
 
