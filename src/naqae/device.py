@@ -45,6 +45,12 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Uniforms drawn per rng.random call: bounds a sample's memory at 9 MB.
 _CHUNK = 2**20
 
+# Most uniforms one batch may draw (shots summed over depths and seeds).  The
+# sampler takes 7.0-7.5 ns a draw (2**24 and 2**26 shots at one depth, one
+# shared Xeon vCPU), so 2**40 draws is about 2 hours; a count past it would
+# run for days to centuries, so it is refused before drawing.
+_MAX_DRAWS = 2**40
+
 # Angles of the bundled state-preparation presets.  A1/A5 share theta = pi/6
 # (so that depths m = 1, 4, 7, ... measure 1 with certainty when noiseless),
 # A2 uses pi/3 (measuring 0 at those depths), A3 and A4 use 1/2 and 1 radian
@@ -218,6 +224,11 @@ def _sample_tallies(
         _check_shots(n, "shots")
     shots = [int(n) for n in shots]
     seed_words = np.array([_check_seed(s, "seed") for s in seeds], np.uint64)
+    draws = sum(shots) * len(seeds)
+    if draws > _MAX_DRAWS:
+        raise ValueError(
+            f"a batch may draw at most 2**40 shots over its depths and seeds, got {draws}"
+        )
     # SimulatedDevice.p1 once per depth.  One array call would square with a
     # multiply where the scalar path calls pow; the two differ in the last bit
     # on about one depth in a thousand, and such a bit can move a tally.
@@ -254,7 +265,8 @@ def sample_sweeps(
     Raises:
         ValueError: unequal lengths, a repeated depth (its stream would
             repeat the same tally, which is not an independent sample), an
-            invalid depth, shot count or seed.
+            invalid depth, shot count or seed, or more than 2**40 shots in
+            all.
     """
     ones = _sample_tallies(dev, seeds, depths, shots_per_depth).tolist()
     entries = [(int(m), int(n)) for m, n in zip(depths, shots_per_depth)]

@@ -13,15 +13,26 @@ The objective is multimodal in theta, so the search is a coarse multi-start
 grid followed by Nelder-Mead simplex refinement of the best starts.  The
 search settings are fixed module constants.
 
-SciPy is imported inside :func:`fit_model`, not at module level: it is most
-of the package's import time and memory, and only a fit needs it, so
-``import naqae`` and the other CLI subcommands never load it.
+The grid is evaluated one theta slab at a time, so its temporaries stay in
+cache.  The refinement runs every start of a family in lockstep: each start
+is a :func:`_nelder_mead` generator that yields its next trial point and
+receives that point's SSE, and one :func:`_predict` call per round scores the
+points of all live starts as a (starts x depths) array.  The simplex
+arithmetic is SciPy's ``minimize(method="Nelder-Mead", bounds=...)``
+(non-adaptive), step for step and in the same float order: the same initial
+simplex, reflected into the bounds; every trial point clipped as
+``np.clip`` clips it; the centroid summed row by row; the vertices ordered by
+``np.argsort``, so ties break alike; and the same stopping test.  Each batch
+SSE is bit-identical to the one-point objective's, so every start ends where
+SciPy's would, without SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -157,18 +168,128 @@ def _predict(family: _Family, params, ms):
 
 
 def _grid_search(family: _Family, ms, y):
-    """SSE over the full coarse grid; returns starts ordered best-first."""
+    """SSE over the full coarse grid; returns starts ordered best-first.
+
+    One theta slab at a time: each grid point's SSE has the same bits as in
+    a whole-mesh evaluation, with temporaries a 64th of the size.
+    """
     axes = [_PARAMS[name][0] for name in family.params]
-    # Grid axis i holds packed parameter i; the last axis runs over depths.
-    mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes)]
-    residuals = y - _predict(family, mesh, ms)
-    sse = np.einsum("...l,...l->...", residuals, residuals)
+    # Slab axis i holds packed parameter i + 1; the last axis runs over depths.
+    mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes[1:], 1)]
+    sse = np.empty([len(ax) for ax in axes])
+    for i, theta in enumerate(axes[0]):
+        residuals = y - _predict(family, [theta, *mesh], ms)
+        sse[i] = np.einsum("...l,...l->...", residuals, residuals)
     order = np.argsort(sse, axis=None, kind="stable")
     starts = []
     for flat in order[:_REFINE_STARTS]:
         index = np.unravel_index(flat, sse.shape)
         starts.append((float(sse[index]), tuple(float(ax[i]) for ax, i in zip(axes, index))))
     return starts
+
+
+def _clip(point, lower, upper):
+    """``np.clip(point, lower, upper)`` in Python floats, signed zeros included."""
+    clipped = [v if v > lo else lo for v, lo in zip(point, lower)]
+    return [v if v < hi else hi for v, hi in zip(clipped, upper)]
+
+
+def _nelder_mead(x0, lower, upper):
+    """SciPy's bounded Nelder-Mead from ``x0``, as a generator.
+
+    Yields each trial point (a list of floats) and receives its SSE; returns
+    ``(sse, point tuple, converged)``, where ``converged`` is False when the run hit
+    ``_NM_MAX_ITER``.  Every step is ``scipy.optimize._minimize_neldermead``'s
+    with ``adaptive=False``, in its float order.  Its coefficients (rho = 1,
+    chi = 2, psi = sigma = 1/2) and its initial steps (5%, or 0.00025 for a
+    zero coordinate) are folded into the literals below; the folding is
+    exact, so each point has SciPy's bits.
+    """
+    n = len(x0)
+    x0 = _clip(x0, lower, upper)
+    sim = [x0]
+    for k in range(n):
+        vertex = list(x0)
+        vertex[k] = 1.05 * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    # Reflect any vertex past an upper bound back inside, then clip.
+    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(vertex, upper)], lower, upper)
+           for vertex in sim]
+    fsim = []
+    for vertex in sim:
+        fsim.append((yield vertex))
+
+    def order():
+        # SciPy sorts the vertices twice after the first evaluations, once per
+        # step after; np.argsort is not stable, so each sort is kept.
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    sim, fsim = order()
+    sim, fsim = order()
+    iterations = 1
+    while iterations < _NM_MAX_ITER:
+        best = sim[0]
+        # SciPy's test, max(|x_j - x_0|) <= xatol and max(|f_0 - f_j|) <= fatol,
+        # with the cheaper half first; a NaN fails it, as under np.max.
+        if all(abs(fsim[0] - f) <= _NM_FATOL for f in fsim[1:]) and all(
+            abs(v - b) <= _NM_XATOL for vertex in sim[1:] for v, b in zip(vertex, best)
+        ):
+            break
+        # Rows added left to right, as np.add.reduce adds them (the builtin
+        # sum compensates its float sums from Python 3.12 on).
+        xbar = [reduce(add, column) / n for column in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = _clip([2 * b - w for b, w in zip(xbar, worst)], lower, upper)
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = _clip([3 * b - 2 * w for b, w in zip(xbar, worst)], lower, upper)
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            if outside:
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+            else:
+                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+            xc = _clip(xc, lower, upper)
+            fxc = yield xc
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = _clip([b + 0.5 * (v - b) for v, b in zip(sim[j], best)],
+                                   lower, upper)
+                    fsim[j] = yield sim[j]
+        iterations += 1
+        sim, fsim = order()
+    return fsim[0], tuple(sim[0]), iterations < _NM_MAX_ITER
+
+
+def _refine(family: _Family, ms, y, starts):
+    """:func:`_nelder_mead` from every start in lockstep; one result per start.
+
+    Each round scores the pending trial points of all live starts with one
+    :func:`_predict` on a (starts x depths) array.
+    """
+    lower, upper = zip(*(_PARAMS[name][1] for name in family.params))
+    runs = [_nelder_mead(x0, lower, upper) for x0 in starts]
+    results = [None] * len(runs)
+    # start index -> its trial point awaiting an SSE
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        params = np.array(list(pending.values())).T[:, :, None]
+        sse = np.sum((y - _predict(family, params, ms)) ** 2, axis=1).tolist()
+        for i, value in zip(list(pending), sse):
+            try:
+                pending[i] = runs[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del pending[i]
+    return results
 
 
 def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> FitResult:
@@ -182,8 +303,6 @@ def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> F
     Raises:
         ValueError: unknown family, or fewer than (parameter count + 1) points.
     """
-    from scipy.optimize import minimize
-
     if model_kind not in _FAMILIES:
         raise ValueError(f"unknown model kind {model_kind!r} (known: {MODEL_KINDS})")
     family = _FAMILIES[model_kind]
@@ -196,9 +315,6 @@ def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> F
     ms = np.array([pt.m for pt in data], dtype=float)
     y = np.array([pt.p1_hat for pt in data])
 
-    def objective(params) -> float:
-        return float(np.sum((y - _predict(family, params, ms)) ** 2))
-
     def tie_key(params) -> tuple[float, float, float]:
         named = dict(zip(family.params, params))
         return (named["theta"], named["rate"], named.get("k_mu", 0.0))
@@ -208,15 +324,7 @@ def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> F
     # Candidates: every refined start plus the raw grid best, so the result
     # can never be worse than the grid.
     candidates = [(starts[0][0], starts[0][1], True)]
-    for _, x0 in starts:
-        res = minimize(
-            objective,
-            np.asarray(x0),
-            method="Nelder-Mead",
-            bounds=[_PARAMS[name][1] for name in family.params],
-            options={"maxiter": _NM_MAX_ITER, "fatol": _NM_FATOL, "xatol": _NM_XATOL},
-        )
-        candidates.append((float(res.fun), tuple(float(v) for v in res.x), bool(res.success)))
+    candidates += _refine(family, ms, y, [x0 for _, x0 in starts])
 
     best_sse = min(c[0] for c in candidates)
     eligible = [c for c in candidates if c[0] <= best_sse + _TIE_TOL]

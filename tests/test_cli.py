@@ -152,6 +152,15 @@ class TestSimulate:
         assert code == 0
         assert out_file.read_text().startswith("m,shots,ones\n")
 
+    def test_shots_past_the_draw_limit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "0.5", "--depths", "0",
+            "--shots", "9223372036854775807",
+        )
+        assert (code, out) == (1, "")
+        assert err == ("naqae: error: a batch may draw at most 2**40 shots over its "
+                       "depths and seeds, got 9223372036854775807\n")
+
     def test_preset_and_theta_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--preset", "A1", "--theta", "0.5",
@@ -390,6 +399,17 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert "shot count at depth 3 must be finite and < 2**63" in err
 
+    def test_replications_past_the_draw_limit(self, tmp_path, capsys):
+        # 2**40 shots at depth 0 are within the limit once, not twice.
+        config = {"device": {"theta": 0.3}, "max_depth": 0, "n_shot_base": 2**40,
+                  "k_sigma_assumed": 0.1, "settings": ["noise_aware"], "replications": 2,
+                  "seed": 0}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config_path))
+        assert code == 1 and out == ""
+        assert f"at most 2**40 shots over its depths and seeds, got {2**41}" in err
+
     def test_malformed_json(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("{not json")
@@ -402,26 +422,28 @@ class TestParser:
         assert build_parser() is not build_parser()
 
     def test_cold_import_leaves_scipy_unloaded(self):
-        # Only fit needs SciPy; importing the package and its CLI must not
-        # load it, and the first fit must still load it and fit.
+        # The package does not use SciPy: neither importing it and its CLI nor
+        # a fit may load any scipy module, and the fit in the fresh process
+        # must equal this one's.
         points = [(m, 0.5 - 0.45 * math.exp(-0.1 * m) * math.cos(2.2 * (2 * m + 1)))
                   for m in range(9)]
         child = (
             "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "import naqae, naqae.cli\n"
-            "cold = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "cold = scipy_modules()\n"
             "points = [naqae.FrequencyPoint(m, p) for m, p in json.loads(sys.argv[1])]\n"
             "fit = naqae.fit_model(points, 'gaussian_zero_mean')\n"
-            "print(json.dumps([naqae.__file__, cold, 'scipy.optimize' in sys.modules,\n"
-            "                  fit.theta_hat, fit.sse]))\n"
+            "print(json.dumps([naqae.__file__, cold, scipy_modules(), fit.theta_hat, fit.sse]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", child, json.dumps(points)],
             env=child_env(), capture_output=True, text=True, timeout=120, check=True,
         )
-        path, cold, loaded, theta_hat, sse = json.loads(proc.stdout)
+        path, cold, after_fit, theta_hat, sse = json.loads(proc.stdout)
         assert Path(path).resolve() == Path(naqae.__file__).resolve()
-        assert cold == [] and loaded
+        assert cold == [] and after_fit == []
         fit = fit_model([FrequencyPoint(m, p) for m, p in points], "gaussian_zero_mean")
         assert (theta_hat, sse) == (fit.theta_hat, fit.sse)
 

@@ -18,6 +18,7 @@ from naqae import (
     sample_shots,
     sample_sweeps,
 )
+from naqae import device
 from naqae.device import _CHUNK, _philox_keys, _sample_tallies
 
 MASK64 = 2**64 - 1
@@ -320,3 +321,23 @@ class TestChunkedDraws:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestDrawLimit:
+    def test_batch_past_the_limit_is_refused_before_drawing(self, monkeypatch):
+        # Shots are summed over depths and seeds: 2 x (30 + 20) = 100 draws.
+        dev = preset_device("A1", seed=3)
+        monkeypatch.setattr(device, "_MAX_DRAWS", 100)
+        assert _sample_tallies(dev, [1, 2], [0, 1], [30, 20]).shape == (2, 2)
+        drawn = []
+        monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=r"at most 2\*\*40 shots .*, got 102$"):
+            sample_sweeps(dev, [1, 2], [0, 1], [30, 21])
+        assert drawn == []
+
+    def test_the_limit_is_two_to_the_forty(self):
+        dev = preset_device("A1")
+        with pytest.raises(ValueError, match=f"got {2**40 + 1}$"):
+            sample_sweeps(dev, [1], [0, 1], [2**39, 2**39 + 1])
+        with pytest.raises(ValueError, match=f"got {2**63 - 1}$"):
+            sample_shots(dev, 0, 2**63 - 1)

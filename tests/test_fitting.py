@@ -1,6 +1,7 @@
 """Tests for least-squares model fitting and the comparison report."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from naqae import (
     r_squared,
     run_depth_sweep,
 )
-from naqae import fitting
+from naqae import fitting, io
 from naqae.errors import DegenerateDataError
 from naqae.device import ShotRecord
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def gaussian_points(theta, k_mu, k_sigma, depths):
@@ -192,6 +195,174 @@ class TestFitModel:
         )
         assert starved.sse <= starts[0][0] + 1e-12
         assert starved.sse >= full.sse - 1e-12
+
+
+def labeled_inputs(name):
+    """(label, depths, frequencies) for every label of a golden input CSV."""
+    grouped = io.read_shot_csv(INPUTS / name)
+    out = []
+    for label in sorted(grouped):
+        points = points_from_records(grouped[label])
+        out.append((f"{name}:{label}", np.array([pt.m for pt in points], dtype=float),
+                    np.array([pt.p1_hat for pt in points])))
+    return out
+
+
+def device_input():
+    """A characterisation-sized sweep: 41 depths of 262,144 shots."""
+    points = sampled_points(0.5, 0.02, 0.015, range(41), 262144, seed=101)
+    return ("device", np.array([pt.m for pt in points], dtype=float),
+            np.array([pt.p1_hat for pt in points]))
+
+
+def fit_families(datasets):
+    """Every (dataset, family) pair with enough points for the family."""
+    return [(name, ms, y, kind) for name, ms, y in datasets for kind in fitting.MODEL_KINDS
+            if len(ms) > len(fitting._FAMILIES[kind].params)]
+
+
+def hexed(sse, x, converged):
+    """A Nelder-Mead result with its floats as hex, so a signed zero counts."""
+    return (float(sse).hex(), [float(v).hex() for v in x], bool(converged))
+
+
+def scipy_runs(kind, ms, y, starts):
+    """SciPy's bounded Nelder-Mead from each start, as ``fit_model`` once called it.
+
+    Each result also carries ``shrinks``: its steps that scored more points
+    than a reflection and an expansion or contraction do, i.e. its shrinks.
+    """
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    family = fitting._FAMILIES[kind]
+    calls = []
+
+    def objective(params):
+        calls.append(None)
+        return float(np.sum((y - fitting._predict(family, params, ms)) ** 2))
+
+    results = []
+    for x0 in starts:
+        calls.clear()
+        ends = []  # the call count at the end of each step
+        result = minimize(objective, np.asarray(x0), method="Nelder-Mead",
+                          bounds=[fitting._PARAMS[name][1] for name in family.params],
+                          callback=lambda xk: ends.append(len(calls)),
+                          options={"maxiter": fitting._NM_MAX_ITER,
+                                   "fatol": fitting._NM_FATOL, "xatol": fitting._NM_XATOL})
+        result.shrinks = int(np.count_nonzero(np.diff(ends, prepend=len(x0) + 1) > 2))
+        results.append(result)
+    return results
+
+
+def assert_scipy_parity(kind, ms, y, starts):
+    """The lockstep refinement equals SciPy bit for bit on every start; SciPy's results."""
+    expected = scipy_runs(kind, ms, y, starts)
+    got = fitting._refine(fitting._FAMILIES[kind], ms, y, starts)
+    assert [hexed(*r) for r in got] == [hexed(r.fun, r.x, r.success) for r in expected]
+    return expected
+
+
+def random_datasets():
+    rng = np.random.default_rng(19)
+    return [(f"random{i}", np.arange(float(n)), rng.random(n))
+            for i, n in enumerate((4, 5, 9, 17, 41))]
+
+
+class TestNelderMeadParity:
+    @pytest.mark.parametrize(
+        "name, ms, y, kind",
+        fit_families(labeled_inputs("fit_corpus.csv") + random_datasets()),
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_grid_starts(self, name, ms, y, kind):
+        starts = [x0 for _, x0 in fitting._grid_search(fitting._FAMILIES[kind], ms, y)]
+        assert_scipy_parity(kind, ms, y, starts)
+
+    @pytest.mark.parametrize("kind", fitting.MODEL_KINDS)
+    def test_starts_on_and_past_the_bounds(self, kind):
+        # theta at 0 and pi/2, rate at 0 (so the zero-coordinate step), k_mu at
+        # -pi, and starts past the bounds, which both clip first.
+        name, ms, y = random_datasets()[3]
+        half_pi = math.pi / 2
+        starts = {
+            2: [(0.0, 0.0), (half_pi, 0.0), (half_pi, 0.3), (0.0, 1e-5), (2.0, 0.1),
+                (-0.1, -0.2), (half_pi * (1 - 1e-17), 0.0)],
+            3: [(0.0, 0.0, 0.0), (half_pi, 0.0, 0.0), (half_pi, -math.pi, 0.0),
+                (0.0, math.pi, 0.5), (2.0, 4.0, -1.0), (-0.0, -0.0, -0.0)],
+        }[len(fitting._FAMILIES[kind].params)]
+        with pytest.warns(Warning):
+            assert_scipy_parity(kind, ms, y, [list(x0) for x0 in starts])
+
+    @pytest.mark.parametrize("kind", fitting.MODEL_KINDS)
+    def test_signed_zero_starts(self, kind):
+        # Noiseless data fitted from the truth with negative zeros: the clip
+        # turns a -0.0 below a zero bound into 0.0, and the best vertex keeps
+        # what it was given, so the signs show in the result's bits.
+        points = gaussian_points(0.6, 0.0, 0.0, range(12))
+        ms = np.array([pt.m for pt in points], dtype=float)
+        y = np.array([pt.p1_hat for pt in points])
+        n = len(fitting._FAMILIES[kind].params)
+        starts = [[0.6, -0.0, -0.0][:n], [0.6, 0.0, -0.0][:n], [-0.0, -0.0, 0.01][:n]]
+        assert_scipy_parity(kind, ms, y, starts)
+
+    def test_shrink_heavy_noisy_data(self):
+        # A few noisy shots at many depths: simplexes that shrink.
+        rng = np.random.default_rng(7)
+        ms = np.arange(30.0)
+        shrinks = dict.fromkeys(fitting.MODEL_KINDS, 0)
+        for _ in range(3):
+            y = rng.binomial(8, 0.5, ms.size) / 8
+            for kind in fitting.MODEL_KINDS:
+                starts = [x0 for _, x0 in fitting._grid_search(fitting._FAMILIES[kind], ms, y)]
+                shrinks[kind] += sum(r.shrinks for r in assert_scipy_parity(kind, ms, y, starts))
+        assert all(shrinks.values()), shrinks
+
+    def test_capped_runs_do_not_converge(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_NM_MAX_ITER", 3)
+        name, ms, y = device_input()
+        for kind in fitting.MODEL_KINDS:
+            starts = [x0 for _, x0 in fitting._grid_search(fitting._FAMILIES[kind], ms, y)]
+            results = assert_scipy_parity(kind, ms, y, starts)
+            assert not any(r.success for r in results)
+
+
+def whole_mesh_starts(kind, ms, y, count):
+    """The coarse grid in one whole-mesh evaluation: its ``count`` best starts."""
+    family = fitting._FAMILIES[kind]
+    axes = [fitting._PARAMS[name][0] for name in family.params]
+    mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes)]
+    residuals = y - fitting._predict(family, mesh, ms)
+    sse = np.einsum("...l,...l->...", residuals, residuals)
+    order = np.argsort(sse, axis=None, kind="stable")[:count]
+    index = np.unravel_index(order, sse.shape)
+    return [(float(v), tuple(float(ax[i]) for ax, i in zip(axes, idx)))
+            for v, idx in zip(sse[index].tolist(), zip(*(i.tolist() for i in index)))]
+
+
+def hexed_starts(starts):
+    return [(sse.hex(), [v.hex() for v in x0]) for sse, x0 in starts]
+
+
+class TestGridSearch:
+    @pytest.mark.parametrize(
+        "name, ms, y, kind", fit_families(labeled_inputs("fit_corpus.csv")),
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_slabs_give_the_whole_mesh_starts(self, name, ms, y, kind):
+        got = fitting._grid_search(fitting._FAMILIES[kind], ms, y)
+        assert hexed_starts(got) == hexed_starts(
+            whole_mesh_starts(kind, ms, y, fitting._REFINE_STARTS))
+
+    @pytest.mark.parametrize(
+        "name, ms, y, kind", fit_families(labeled_inputs("labeled.csv") + [device_input()]),
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_slabs_give_the_whole_mesh_sse(self, monkeypatch, name, ms, y, kind):
+        # Every grid point, in rank order: the whole SSE array, bit for bit.
+        size = math.prod(len(fitting._PARAMS[p][0]) for p in fitting._FAMILIES[kind].params)
+        monkeypatch.setattr(fitting, "_REFINE_STARTS", size)
+        got = fitting._grid_search(fitting._FAMILIES[kind], ms, y)
+        assert hexed_starts(got) == hexed_starts(whole_mesh_starts(kind, ms, y, size))
 
 
 class TestFrequencyPoint:
