@@ -13,7 +13,6 @@ from .device import (
     preset_device,
     run_depth_sweep,
     sample_shots,
-    sample_sweeps,
 )
 from .errors import (
     DegenerateDataError,
@@ -27,7 +26,6 @@ from .estimation import (
     correct_counts,
     correct_frequency,
     estimate_amplitude,
-    estimate_prefixes,
     shot_schedule,
     worst_case_variance,
 )

@@ -9,9 +9,10 @@ Every key is ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``,
 computed by :func:`_philox_keys`, a numpy-array port of SeedSequence's 32-bit
 hash-and-mix.  So :func:`_sample_tallies` derives the keys of every (seed,
 depth) tally at once and draws them all from one ``Philox`` re-keyed per
-tally; :func:`sample_sweeps` wraps its array in ``ShotRecord``s.  Uniforms
-are counted in chunks of ``2**20`` from the same stream, so memory does not
-grow with the shot count.
+tally, as a (seeds x depths) array; :func:`run_depth_sweep` and
+:func:`sample_shots` wrap one seed's row in ``ShotRecord``s.  Uniforms are
+counted in chunks of ``2**20`` from the same stream, so memory does not grow
+with the shot count.
 """
 
 from __future__ import annotations
@@ -206,10 +207,19 @@ def _count_ones(rng: np.random.Generator, shots: int, p1: float) -> int:
 def _sample_tallies(
     dev: SimulatedDevice, seeds: Sequence[int], depths: Sequence[int], shots: Sequence[int]
 ) -> np.ndarray:
-    """The ones tallies of :func:`sample_sweeps` as a (seeds x depths) int64 array.
+    """One depth sweep of ``dev`` per seed, as a (seeds x depths) int64 array of ones.
 
-    The arguments are checked once per batch, every key comes from one
-    :func:`_philox_keys` call, and one ``Philox`` is re-keyed per tally.
+    Tally (seed, m) counts the uniforms below ``dev.p1(m)`` among the first
+    ``shots`` of the Philox stream keyed by :func:`_philox_keys` of (seed,
+    m), so it depends on neither the other seeds and depths, nor their
+    order, nor ``dev.seed``.  The batch is checked once, every key comes
+    from one :func:`_philox_keys` call, and one ``Philox`` is re-keyed per
+    tally.
+
+    Raises:
+        ValueError: unequal lengths, a repeated depth (its stream would
+            repeat the same tally), an invalid depth, shot count or seed,
+            or more than 2**40 shots in all.
     """
     if len(depths) != len(shots):
         raise ValueError(
@@ -248,39 +258,15 @@ def _sample_tallies(
     return np.array(ones, np.int64).reshape(len(seeds), len(depths))
 
 
-def sample_sweeps(
-    dev: SimulatedDevice,
-    seeds: Sequence[int],
-    depths: Sequence[int],
-    shots_per_depth: Sequence[int],
-) -> list[list[ShotRecord]]:
-    """One depth sweep of ``dev`` per seed in ``seeds`` (``dev.seed`` is not used).
-
-    Record (seed, m) counts the uniforms below ``dev.p1(m)`` among the first
-    ``shots`` of the Philox stream keyed by :func:`_philox_keys` of (seed, m),
-    so it does not depend on the other seeds, the other depths or their
-    order.  The tallies come from :func:`_sample_tallies`, the array core
-    that the Monte Carlo harness calls directly; this wrapper builds records.
-
-    Raises:
-        ValueError: unequal lengths, a repeated depth (its stream would
-            repeat the same tally, which is not an independent sample), an
-            invalid depth, shot count or seed, or more than 2**40 shots in
-            all.
-    """
-    ones = _sample_tallies(dev, seeds, depths, shots_per_depth).tolist()
-    entries = [(int(m), int(n)) for m, n in zip(depths, shots_per_depth)]
-    return [[ShotRecord(m, n, h) for (m, n), h in zip(entries, row)] for row in ones]
-
-
 def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:
     """Sample ``shots`` measurement outcomes at depth ``m``.
 
-    The one-record case of :func:`sample_sweeps`, keyed by (device seed, m):
-    repeated calls with the same arguments return the same tally, and
-    tallies at different depths are independent.
+    The tally of (device seed, m) from :func:`_sample_tallies`: repeated
+    calls with the same arguments return the same tally, and tallies at
+    different depths are independent.
     """
-    return sample_sweeps(dev, [dev.seed], [m], [shots])[0][0]
+    ((ones,),) = _sample_tallies(dev, [dev.seed], [m], [shots]).tolist()
+    return ShotRecord(int(m), int(shots), ones)
 
 
 def preset_device(
@@ -300,12 +286,13 @@ def run_depth_sweep(
     depths: list[int],
     shots_per_depth: list[int],
 ) -> list[ShotRecord]:
-    """Sample one ShotRecord per depth: the one-seed case of :func:`sample_sweeps`.
+    """Sample one ShotRecord per depth: the device seed's row of :func:`_sample_tallies`.
 
     Each depth uses its own (seed, m)-keyed stream, so the result for a
     given depth does not depend on the other entries or their order.
 
     Raises:
-        ValueError: as :func:`sample_sweeps`.
+        ValueError: as :func:`_sample_tallies`.
     """
-    return sample_sweeps(dev, [dev.seed], depths, shots_per_depth)[0]
+    (ones,) = _sample_tallies(dev, [dev.seed], depths, shots_per_depth).tolist()
+    return [ShotRecord(int(m), int(n), h) for m, n, h in zip(depths, shots_per_depth, ones)]

@@ -542,7 +542,7 @@ def _deep_step(
     level0, edges, mids, halves, live = table[0], table[1], table[2], table[3], table[-1]
     deeper, h, n = ks[level0:], counts[:, level0:], misses[:, level0:]
     shots, tiny = h + n, np.finfo(float).tiny  # 0 ln 0 = 0
-    saturated = sum(a * np.log(np.maximum(a, tiny) / shots) for a in (h, n)).sum(axis=1)
+    saturated = sum(a * np.log(np.maximum(a / shots, tiny)) for a in (h, n)).sum(axis=1)
     curvature = _curvatures(ks[:level0], counts[:, :level0], misses[:, :level0]) @ live
     bound = _peak(value, score, curvature, -halves, halves) + saturated[:, None]
     group = max(1, int(_SPLIT_EDGES / (2.0 * halves.max() * _edge_density(deeper))))
@@ -583,6 +583,15 @@ def _deep_step(
     lanes, points = lanes[others], points[others]
     rivals = np.flatnonzero(np.bincount(lanes, minlength=len(bound)))
     return theta, top, np.concatenate((rivals, lanes)), np.concatenate((best[rivals], points))
+
+
+def _check_zeros(zeros: int) -> None:
+    """Refuse depths whose sin and cos factors have ``zeros`` zeros in [0, pi/2], past the limit."""
+    if zeros > _ZERO_LIMIT:
+        raise ValueError(
+            f"depths with {zeros} zeros of sin and cos in [0, pi/2] are past the theta "
+            f"search's limit of {_ZERO_LIMIT} (sum of 2m + 2 over the depths)"
+        )
 
 
 def _estimates(
@@ -635,12 +644,7 @@ def _estimates(
     else:
         counts, clamped = np.asarray(ones, dtype=float), np.zeros(np.shape(ones), bool)
     misses = shots - counts
-    zeros = sum(2 * m + 2 for m in depths)
-    if zeros > _ZERO_LIMIT:
-        raise ValueError(
-            f"depths with {zeros} zeros of sin and cos in [0, pi/2] are past the theta "
-            f"search's limit of {_ZERO_LIMIT} (sum of 2m + 2 over the depths)"
-        )
+    _check_zeros(sum(2 * m + 2 for m in depths))
     ks = 2.0 * np.array(depths, dtype=float) + 1.0
     prefixes = (len(depths),) if last_only else tuple(range(1, len(depths) + 1))
     table = _piece_table(tuple(depths))
@@ -694,51 +698,6 @@ def _as_estimates(method: str, arrays) -> list[list[AmplitudeEstimate]]:
     return [[AmplitudeEstimate(t, v, method, c) for t, v, c in zip(*row)] for row in rows]
 
 
-def _record_arrays(datasets: Sequence[list[ShotRecord]]) -> tuple:
-    """A checked batch of record lists as the ``(depths, shots, ones)`` of :func:`_estimates`."""
-    if not datasets:
-        raise ValueError("datasets must be nonempty")
-    for records in datasets:
-        if isinstance(records, ShotRecord):
-            raise TypeError("expected a batch of datasets (lists of ShotRecord), got a ShotRecord")
-        if not records:
-            raise ValueError("records must be nonempty")
-    depths = tuple(r.m for r in datasets[0])
-    for i, records in enumerate(datasets[1:], start=1):
-        if tuple(r.m for r in records) != depths:
-            raise ValueError(
-                f"datasets must share one depth tuple: dataset {i} has depths "
-                f"{tuple(r.m for r in records)}, dataset 0 has {depths}"
-            )
-    shots = np.array([[r.shots for r in records] for records in datasets], dtype=float)
-    return depths, shots, np.array([[r.ones for r in records] for records in datasets], dtype=float)
-
-
-def estimate_prefixes(
-    datasets: Sequence[list[ShotRecord]],
-    method: str = "naive",
-    depol: DepolParams | None = None,
-) -> list[list[AmplitudeEstimate]]:
-    """Every depth-prefix estimate of every dataset in a batch.
-
-    The datasets must share one depth tuple.  ``result[i][k - 1]`` is the
-    estimate from ``datasets[i][:k]``, in the caller's record order, which
-    defines the prefixes; it equals :func:`estimate_amplitude` on that
-    prefix field by field when the prefix is in ``(m, shots, ones)`` order.
-    The records become arrays once, for the array core :func:`_estimates`,
-    and are corrected in one pass.  Every prefix up to level 0 bounds its
-    pieces from one cached table, and the Newton refinements of several
-    prefixes step together, one numpy evaluation per step for the rows
-    still moving; each deeper prefix cuts what can still win once for the
-    whole batch.
-
-    Raises:
-        ValueError: on an empty batch, an empty dataset, or datasets whose
-            depths differ.
-    """
-    return _as_estimates(method, _estimates(*_record_arrays(datasets), method, depol, False))
-
-
 def estimate_amplitude(
     records: list[ShotRecord],
     method: str = "naive",
@@ -756,15 +715,17 @@ def estimate_amplitude(
     :func:`_estimates`).  Ties in the computed values resolve to the
     smallest theta.  The records are sorted by ``(m, shots, ones)`` first,
     so the estimate does not depend on their order.  Every log-likelihood
-    value is summed depth by depth, in depth order.  This is the path of
-    :func:`estimate_prefixes` with one dataset and one prefix, so the result
-    is the one that path gives the dataset in any batch.
+    value is summed depth by depth, in depth order.  The sorted records are
+    a one-row batch of the array core :func:`_estimates`, so the result is
+    the last prefix estimate that the core gives the dataset in any batch.
 
     Args:
         method: "naive" uses the tallies as-is; "corrected" first applies
             :func:`correct_counts`' correction with ``depol`` (required,
             p_coh_tilde > 0).
     """
-    ordered = sorted(records, key=lambda r: (r.m, r.shots, r.ones))
-    arrays = _estimates(*_record_arrays([ordered]), method, depol, last_only=True)
-    return _as_estimates(method, arrays)[0][0]
+    if not records:
+        raise ValueError("records must be nonempty")
+    depths, shots, ones = zip(*sorted((r.m, r.shots, r.ones) for r in records))
+    shots, ones = np.array([shots], dtype=float), np.array([ones], dtype=float)
+    return _as_estimates(method, _estimates(depths, shots, ones, method, depol, True))[0][0]

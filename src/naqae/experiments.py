@@ -19,13 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import SimulatedDevice, _check_seed, _philox_keys, _sample_tallies
+from .device import SimulatedDevice, _check_seed, _philox_keys, _sample_tallies, preset_device
 # Nothing here calls estimate_amplitude; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it in this module.
 from .estimation import (  # noqa: F401
     AmplitudeEstimate,
     ShotSchedule,
     _as_estimates,
+    _check_zeros,
     _estimates,
     estimate_amplitude,
     shot_schedule,
@@ -70,6 +71,8 @@ class ExperimentConfig:
         _check_int64(self.max_depth, "max_depth")
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth!r}")
+        # Depths 0..M have (M + 1)(M + 2) zeros: refused before any sampling
+        _check_zeros((int(self.max_depth) + 1) * (int(self.max_depth) + 2))
         _check_shots(self.n_shot_base, "n_shot_base")
         _check_rate(self.k_sigma_assumed, "k_sigma_assumed")
         _check_shots(self.replications, "replications")
@@ -235,8 +238,6 @@ def _device_from_json(doc) -> SimulatedDevice:
     if "preset" in doc and "theta" in doc:
         raise ValueError("device: give either 'preset' or 'theta', not both")
     if "preset" in doc:
-        from .device import preset_device
-
         base = preset_device(str(doc["preset"]))
         amp = base.amp
     elif "theta" in doc:

@@ -52,13 +52,6 @@ class Amplitude:
         """The amplitude sin^2(theta)."""
         return math.sin(self.theta) ** 2
 
-    @classmethod
-    def from_probability(cls, a: float) -> "Amplitude":
-        """Build from the amplitude value ``a`` via theta = arcsin(sqrt(a))."""
-        if not (0.0 <= a <= 1.0):
-            raise ValueError(f"amplitude must lie in [0, 1], got {a!r}")
-        return cls(math.asin(math.sqrt(a)))
-
 
 @dataclass(frozen=True)
 class GaussianNoiseParams:

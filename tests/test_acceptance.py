@@ -28,7 +28,6 @@ from naqae import (
     points_from_records,
     run_depth_sweep,
     run_monte_carlo,
-    sample_sweeps,
     shot_schedule,
     worst_case_variance,
 )
@@ -255,7 +254,8 @@ def test_criterion_12_cramer_rao_bound():
     shots = [100] * len(depths)
     bound = 1.0 / math.sqrt(sum(4 * n * (2 * m + 1) ** 2 for m, n in zip(depths, shots)))
     assert bound == pytest.approx(5.28e-6, rel=1e-3)
-    sweeps = sample_sweeps(SimulatedDevice(amp=Amplitude(theta)), range(200), depths, shots)
+    sweeps = [run_depth_sweep(SimulatedDevice(Amplitude(theta), seed=s), depths, shots)
+              for s in range(200)]
     errors = np.array([estimate_amplitude(records).theta_hat - theta for records in sweeps])
     rmse = math.sqrt(np.mean(errors**2))
     assert abs(rmse - bound) <= 0.2 * bound, f"theta RMSE {rmse:.3g} against bound {bound:.3g}"

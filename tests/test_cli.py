@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import naqae
-from naqae import cli
+from naqae import cli, device
 from naqae.cli import build_parser, main
 from naqae.fitting import MODEL_KINDS, MODEL_SPELLINGS, FrequencyPoint, fit_model
 
@@ -410,6 +410,17 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert f"at most 2**40 shots over its depths and seeds, got {2**41}" in err
 
+    def test_config_past_the_search_limit_draws_nothing(self, capsys, monkeypatch):
+        # Depths 0..1023 have 1024 * 1025 zeros, past the theta search's 2**20:
+        # the config is refused as it is read, before any setting is sampled.
+        drawn = []
+        monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args))
+        config = GOLDEN / "inputs" / "config_past_search_limit.json"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+        assert (code, out, drawn) == (1, "", [])
+        assert err == ("naqae: error: depths with 1049600 zeros of sin and cos in [0, pi/2] are "
+                       "past the theta search's limit of 1048576 (sum of 2m + 2 over the depths)\n")
+
     def test_malformed_json(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("{not json")
@@ -483,6 +494,14 @@ class TestParser:
         config = GOLDEN / "inputs" / "config_past_level0.json"
         experiment = naqae_cli("experiment", "--config", str(config))
         assert experiment == (GOLDEN / "experiment_past_level0.stdout").read_text()
+        # Depths 0..1023 pass the theta search's limit: exit 1, naming it, on stderr.
+        refused = subprocess.run(
+            [sys.executable, "-m", "naqae.cli", "experiment", "--config",
+             str(GOLDEN / "inputs" / "config_past_search_limit.json")],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (refused.returncode, refused.stdout) == (1, "")
+        assert "limit of 1048576" in refused.stderr
 
     def test_console_script_entry_point_is_cli_main(self):
         # pyproject.toml's [project.scripts] entry must name, by import, the

@@ -37,6 +37,8 @@ GOOD = {
     "lowest_seed": {**BASE, "seed": -(2**63)},
     "highest_seed": {**BASE, "seed": 2**64 - 1},
     "integer_k_mu": with_device(theta=0.5, noise={"kind": "gaussian", "k_mu": 0, "k_sigma": 1}),
+    # (M + 1)(M + 2) = 1,047,552 zeros for the theta search, within 2**20
+    "deepest_searchable_depth": {**BASE, "max_depth": 1022},
 }
 
 BAD = {
@@ -53,6 +55,7 @@ BAD = {
     "seed_below_int64": {**BASE, "seed": -(2**63) - 1},
     "shots_past_int64": {**BASE, "n_shot_base": 2**63},
     "depth_past_int64": {**BASE, "max_depth": 2**63},
+    "depth_past_search_limit": {**BASE, "max_depth": 1023},
     "replications_past_int64": {**BASE, "replications": 2**63},
     "boolean_truth": {**BASE, "truth_a": True},
     "duplicate_settings": {**BASE, "settings": ["noisy_a", "noisy_a"]},

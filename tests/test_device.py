@@ -16,7 +16,6 @@ from naqae import (
     preset_device,
     run_depth_sweep,
     sample_shots,
-    sample_sweeps,
 )
 from naqae import device
 from naqae.device import _CHUNK, _philox_keys, _sample_tallies
@@ -236,33 +235,33 @@ class TestSeedHash:
         check()
 
 
-class TestSampleSweeps:
+class TestSampleTallies:
     def test_each_seed_is_its_own_depth_sweep(self):
         dev = preset_device("A3", model=DepolParams(0.93))
         seeds = [0, -1, 2**32, 17, 2**64 - 1]
         depths, shots = [0, 3, 1, 9], [40, 70, 25, 90]
-        sweeps = sample_sweeps(dev, seeds, depths, shots)
-        for seed, sweep in zip(seeds, sweeps):
+        tallies = _sample_tallies(dev, seeds, depths, shots)
+        for seed, row in zip(seeds, tallies.tolist()):
             alone = SimulatedDevice(dev.amp, dev.model, seed)
-            assert sweep == run_depth_sweep(alone, depths, shots)
+            assert row == [r.ones for r in run_depth_sweep(alone, depths, shots)]
 
-    def test_records_equal_per_record_substreams(self):
+    def test_tallies_equal_per_record_substreams(self):
         dev = preset_device("A1", model=GaussianNoiseParams(0.01, 0.05), seed=0)
         seeds = [3, 2**40 + 1, -9]
-        for seed, sweep in zip(seeds, sample_sweeps(dev, seeds, range(8), [33] * 8)):
-            for rec in sweep:
-                draws = numpy_stream(seed, rec.m).random(rec.shots)
-                assert rec.ones == int(np.count_nonzero(draws < dev.p1(rec.m)))
+        for seed, row in zip(seeds, _sample_tallies(dev, seeds, range(8), [33] * 8).tolist()):
+            for m, ones in enumerate(row):
+                draws = numpy_stream(seed, m).random(33)
+                assert ones == int(np.count_nonzero(draws < dev.p1(m)))
 
-    def test_tallies_equal_the_records(self):
-        # The array core's (seeds x depths) tallies are the records' ones, in
-        # seed and depth order, and the records carry the depths and shots.
+    def test_records_carry_the_tallies(self):
+        # run_depth_sweep's records are the device seed's row of tallies, in
+        # depth order, with the depths and shots they were drawn at.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
         @hypothesis.given(
-            seeds=st.lists(st.integers(-(2**63), 2**64 - 1), max_size=4),
+            seed=st.integers(-(2**63), 2**64 - 1),
             entries=st.lists(
                 st.tuples(st.integers(0, 300), st.integers(1, 400)),
                 max_size=6, unique_by=lambda entry: entry[0],
@@ -270,35 +269,37 @@ class TestSampleSweeps:
             theta=st.floats(0.0, math.pi / 2),
             noisy=st.booleans(),
         )
-        def check(seeds, entries, theta, noisy):
-            dev = SimulatedDevice(Amplitude(theta), DepolParams(0.9) if noisy else None)
+        def check(seed, entries, theta, noisy):
+            dev = SimulatedDevice(Amplitude(theta), DepolParams(0.9) if noisy else None, seed)
             depths, shots = [m for m, _ in entries], [n for _, n in entries]
-            tallies = _sample_tallies(dev, seeds, depths, shots)
-            assert tallies.dtype == np.int64 and tallies.shape == (len(seeds), len(depths))
-            sweeps = sample_sweeps(dev, seeds, depths, shots)
-            assert tallies.tolist() == [[r.ones for r in sweep] for sweep in sweeps]
-            for sweep in sweeps:
-                assert [(r.m, r.shots) for r in sweep] == entries
+            tallies = _sample_tallies(dev, [seed, 7], depths, shots)
+            assert tallies.dtype == np.int64 and tallies.shape == (2, len(depths))
+            records = run_depth_sweep(dev, depths, shots)
+            assert [r.ones for r in records] == tallies[0].tolist()
+            assert [(r.m, r.shots) for r in records] == entries
+            if entries:
+                assert sample_shots(dev, *entries[0]).ones == tallies[0, 0]
 
         check()
 
     def test_empty_batches(self):
         dev = preset_device("A1")
-        assert sample_sweeps(dev, [], [0, 1], [5, 5]) == []
-        assert sample_sweeps(dev, [1, 2], [], []) == [[], []]
+        assert _sample_tallies(dev, [], [0, 1], [5, 5]).shape == (0, 2)
+        assert _sample_tallies(dev, [1, 2], [], []).shape == (2, 0)
+        assert run_depth_sweep(dev, [], []) == []
 
     def test_validation(self):
         dev = preset_device("A1")
         with pytest.raises(ValueError, match="equal length"):
-            sample_sweeps(dev, [1], [0, 1], [10])
+            _sample_tallies(dev, [1], [0, 1], [10])
         with pytest.raises(ValueError, match=r"repeated: \[2\]"):
-            sample_sweeps(dev, [1], [2, 2], [10, 10])
+            _sample_tallies(dev, [1], [2, 2], [10, 10])
         with pytest.raises(ValueError, match="^seed must be an integer"):
-            sample_sweeps(dev, [1, 0.5], [0], [10])
+            _sample_tallies(dev, [1, 0.5], [0], [10])
         with pytest.raises(ValueError, match="^shots must be an integer"):
-            sample_sweeps(dev, [1], [0], [2.0])
+            _sample_tallies(dev, [1], [0], [2.0])
         with pytest.raises(ValueError, match="^depth must be >= 0"):
-            sample_sweeps(dev, [1], [-1], [10])
+            _sample_tallies(dev, [1], [-1], [10])
 
 
 class TestChunkedDraws:
@@ -332,12 +333,12 @@ class TestDrawLimit:
         drawn = []
         monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=r"at most 2\*\*40 shots .*, got 102$"):
-            sample_sweeps(dev, [1, 2], [0, 1], [30, 21])
+            _sample_tallies(dev, [1, 2], [0, 1], [30, 21])
         assert drawn == []
 
     def test_the_limit_is_two_to_the_forty(self):
         dev = preset_device("A1")
         with pytest.raises(ValueError, match=f"got {2**40 + 1}$"):
-            sample_sweeps(dev, [1], [0, 1], [2**39, 2**39 + 1])
+            run_depth_sweep(dev, [0, 1], [2**39, 2**39 + 1])
         with pytest.raises(ValueError, match=f"got {2**63 - 1}$"):
             sample_shots(dev, 0, 2**63 - 1)

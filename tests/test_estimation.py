@@ -19,13 +19,12 @@ from naqae import (
     correct_frequency,
     depol_equivalent,
     estimate_amplitude,
-    estimate_prefixes,
     p1_depolarizing,
     run_depth_sweep,
-    sample_sweeps,
     shot_schedule,
     worst_case_variance,
 )
+from naqae.device import _sample_tallies
 
 # Noise-aware shot counts for base 20 and k_sigma = 0.055, m = 0..12.
 BASE20_SCHEDULE = (20, 24, 29, 33, 38, 42, 46, 51, 55, 60, 64, 68, 73)
@@ -306,6 +305,21 @@ class TestEstimateAmplitude:
         records[1] = ShotRecord(m=500_000, shots=10, ones=7)
         assert estimate_amplitude(records).n_clamped == 0
 
+    def test_no_ones_in_two_to_the_53_shots_past_level_0(self):
+        # Depth 1024 lies past level 0, and its zero count in 2**53 shots
+        # made the saturated bound 0 * ln(0) = nan, which pruned the right
+        # fringe: the estimate was 5.9e-8.  Within the guard window that
+        # holds the maximum, 2**53 shots resolve theta to about 1e-13.
+        depths = EXPONENTIAL_DEPTHS[:12]
+        ones = [round(100 * math.sin((2 * m + 1) * 0.721) ** 2) for m in depths[:-1]] + [0]
+        shots = [100] * (len(depths) - 1) + [2**53]
+        records = [ShotRecord(m=m, shots=n, ones=h) for m, n, h in zip(depths, shots, ones)]
+        assert estimation._level0_length(depths) == 8
+        estimate = estimate_amplitude(records)
+        ((theta, best),) = dense_mle(depths, [ones], np.subtract([shots], [ones]))
+        assert estimate.theta_hat == pytest.approx(theta, abs=1e-12)
+        assert estimate.log_likelihood == pytest.approx(best, rel=1e-3)
+
     def test_piece_split_by_a_zero_inside_the_grid_bracket(self):
         # The sin zero of depth 91 at 42 pi / 183 splits the peak near 0.721:
         # the lower half reaches L = -43,530,557.24 at 0.7210273, the higher
@@ -361,60 +375,74 @@ def guarded_log_likelihood(thetas, depths, counts, misses):
 
 
 def dense_mle(depths, counts, misses, points_per_fringe=32, tol=1e-13):
-    """The global maximum ``(theta, value)`` of each row's guarded likelihood, on one grid."""
+    """The global maximum ``(theta, value)`` of each row's guarded likelihood, on one grid.
+
+    The grid and the golden-section search serve every row at once: each
+    row's candidates carry that row's counts.
+    """
     ks = 2.0 * np.array(depths, dtype=float) + 1.0
     thetas = np.linspace(0.0, math.pi / 2.0, int(points_per_fringe * ks.max() / 2.0) + 1)
     p = np.sin(np.multiply.outer(thetas, ks)) ** 2
     np.clip(p, estimation._LOG_GUARD, 1.0 - estimation._LOG_GUARD, out=p)
-    log_p, log_q = np.log(p), np.log1p(-p)
+    counts, misses = np.asarray(counts, dtype=float), np.asarray(misses, dtype=float)
+    grid = counts @ np.log(p).T + misses @ np.log1p(-p).T
     del p
     step = thetas[1] - thetas[0]
+    margin = 4.0 * 0.5 * np.sum(4.0 * (counts + misses) * ks**2, axis=1) * (step / 2.0) ** 2
+    peak = np.ones(grid.shape, dtype=bool)
+    peak[:, 1:] &= grid[:, 1:] >= grid[:, :-1]
+    peak[:, :-1] &= grid[:, :-1] >= grid[:, 1:]
+    rows, at = np.nonzero(peak & (grid >= grid.max(axis=1, keepdims=True) - margin[:, None]))
+    a, b = thetas[np.maximum(at - 1, 0)], thetas[np.minimum(at + 1, len(thetas) - 1)]
+    h, n = counts[rows], misses[rows]
+
+    def objective(points):
+        # Each candidate's guarded likelihood at its own point, on its own row
+        p = np.sin(np.multiply.outer(points, ks)) ** 2
+        np.clip(p, estimation._LOG_GUARD, 1.0 - estimation._LOG_GUARD, out=p)
+        return np.einsum("ij,ij->i", np.log(p), h) + np.einsum("ij,ij->i", np.log1p(-p), n)
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = objective(c), objective(d)
+    while (b - a).max() > tol:
+        left = fc >= fd  # the maximum lies in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, kept_value = np.where(left, c, d), np.where(left, fc, fd)
+        fresh = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
+        fresh_value = objective(fresh)
+        c, fc = np.where(left, fresh, kept), np.where(left, fresh_value, kept_value)
+        d, fd = np.where(left, kept, fresh), np.where(left, kept_value, fresh_value)
+    theta = np.where(fc >= fd, c, d)
+    values = objective(theta)
     maxima = []
-    for h, n in zip(np.asarray(counts, dtype=float), np.asarray(misses, dtype=float)):
-        margin = 4.0 * 0.5 * float(np.sum(4.0 * (h + n) * ks**2)) * (step / 2.0) ** 2
-        grid = log_p @ h + log_q @ n
-        peak = np.ones(len(grid), dtype=bool)
-        peak[1:] &= grid[1:] >= grid[:-1]
-        peak[:-1] &= grid[:-1] >= grid[1:]
-        at = np.flatnonzero(peak & (grid >= grid.max() - margin))
-        a, b = thetas[np.maximum(at - 1, 0)], thetas[np.minimum(at + 1, len(thetas) - 1)]
-
-        def objective(points):
-            return guarded_log_likelihood(points, depths, h, n)
-
-        ratio = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - ratio * (b - a), a + ratio * (b - a)
-        fc, fd = objective(c), objective(d)
-        while (b - a).max() > tol:
-            left = fc >= fd  # the maximum lies in [a, d], else in [c, b]
-            a, b = np.where(left, a, c), np.where(left, d, b)
-            kept, kept_value = np.where(left, c, d), np.where(left, fc, fd)
-            fresh = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
-            fresh_value = objective(fresh)
-            c, fc = np.where(left, fresh, kept), np.where(left, fresh_value, kept_value)
-            d, fd = np.where(left, kept, fresh), np.where(left, kept_value, fresh_value)
-        theta = np.where(fc >= fd, c, d)
-        values = objective(theta)
-        maxima.append((float(theta[values.argmax()]), float(values.max())))
+    for i in range(len(counts)):
+        mine = np.flatnonzero(rows == i)
+        best = mine[values[mine].argmax()]
+        maxima.append((float(theta[best]), float(values[best])))
     return maxima
 
 
-def assert_global_maxima(batch, estimates, method, depol):
-    """Each prefix estimate is the dense oracle's maximum and the lone estimate of that prefix.
+def assert_global_maxima(depths, shots, ones, method, depol):
+    """Each prefix estimate of the array core is the dense oracle's maximum and the lone estimate.
 
-    ``estimates`` is ``estimate_prefixes(batch, method, depol)``.  An
-    estimate's value must be the guarded likelihood at its theta and reach
-    the oracle's maximum within 1e-9 relative.  The oracle may trail it: a
-    peak narrower than its margin assumes, as clamped corrected counts
-    make, can fall between its grid points.  Where a prefix is in ``(m, shots, ones)`` order,
-    ``estimate_amplitude`` on it must give the same estimate.
+    ``shots`` and ``ones`` are (datasets x depths) integer arrays on
+    ``depths``.  An estimate's value must be the guarded likelihood at its
+    theta and reach the oracle's maximum within 1e-9 relative.  The oracle
+    may trail it: a peak narrower than its margin assumes, as clamped
+    corrected counts make, can fall between its grid points.  Where a
+    prefix is in ``(m, shots, ones)`` order, ``estimate_amplitude`` on its
+    records must give the same estimate.
     """
-    depths = [r.m for r in batch[0]]
-    shots = np.array([[r.shots for r in records] for records in batch], dtype=float)
+    arrays = estimation._estimates(depths, shots, ones, method, depol, False)
+    assert arrays[0].shape == (len(ones), len(depths))
+    estimates = estimation._as_estimates(method, arrays)
+    batch = [[ShotRecord(*entry) for entry in zip(depths, row_shots, row_ones)]
+             for row_shots, row_ones in zip(shots.tolist(), ones.tolist())]
     if method == "corrected":
         counts = np.array([[correct_counts(r, depol).value for r in records] for records in batch])
     else:
-        counts = np.array([[r.ones for r in records] for records in batch], dtype=float)
+        counts = ones.astype(float)
     misses = shots - counts
     for k in range(1, len(depths) + 1):
         oracle = dense_mle(depths[:k], counts[:, :k], misses[:, :k])
@@ -432,18 +460,20 @@ def assert_global_maxima(batch, estimates, method, depol):
 LINEAR_DEPTHS = tuple(range(13))
 EXPONENTIAL_DEPTHS = (0,) + tuple(2**i for i in range(13))  # 0, 1, 2, 4, ..., 4096
 # At m = 4096 this p~^m is about 1e-289, still a normal float, and corrected
-# counts clamp on almost every draw.
+# counts clamp on almost every draw.  (depths, shots, ones, method, depol)
 CLAMPING = (
-    [ShotRecord(m=m, shots=5, ones=m % 6) for m in EXPONENTIAL_DEPTHS],
+    EXPONENTIAL_DEPTHS,
+    np.full((1, len(EXPONENTIAL_DEPTHS)), 5),
+    np.array([[m % 6 for m in EXPONENTIAL_DEPTHS]]),
     "corrected",
     DepolParams(0.85),
 )
 
 
 def sampled_batch(theta, depths, shots, seeds, depol=None):
-    """Noiseless or depolarized sweeps at ``theta``, one per seed."""
-    device = SimulatedDevice(amp=Amplitude(theta), model=depol)
-    return sample_sweeps(device, seeds, list(depths), list(shots))
+    """Noiseless or depolarized sweeps at ``theta``, one per seed, as (depths, shots, ones)."""
+    ones = _sample_tallies(SimulatedDevice(amp=Amplitude(theta), model=depol), seeds, depths, shots)
+    return tuple(depths), np.tile(shots, (len(ones), 1)), ones
 
 
 class TestPrefixKernel:
@@ -462,23 +492,23 @@ class TestPrefixKernel:
         deep_depol = DepolParams(math.exp(-2e-4))
         deep = sampled_batch(0.721, EXPONENTIAL_DEPTHS, [100] * 14, range(6), deep_depol)
         rng = np.random.default_rng(21)
-        near_ties = [
-            [ShotRecord(m=m, shots=n, ones=int(rng.integers(0, n + 1)))
-             for m, n in zip(range(4), rng.integers(1, 4, 4).tolist())]
-            for _ in range(24)
-        ] + [[ShotRecord(m=m, shots=2, ones=1) for m in range(4)]]
+        near_shots, near_ones = [], []
+        for _ in range(24):
+            near_shots.append(rng.integers(1, 4, 4).tolist())
+            near_ones.append([int(rng.integers(0, n + 1)) for n in near_shots[-1]])
+        near_ties = (tuple(range(4)), np.array(near_shots + [[2] * 4]), np.array(near_ones + [[1] * 4]))
         cases = [
-            (deep, "naive", None),
-            (deep, "corrected", deep_depol),
-            (sampled_batch(math.pi / 6, LINEAR_DEPTHS, [20] * 13, range(12), gaussian), "naive", None),
-            (sampled_batch(math.pi / 6, sched.depths, sched.shots, range(12), gaussian),
+            (*deep, "naive", None),
+            (*deep, "corrected", deep_depol),
+            (*sampled_batch(math.pi / 6, LINEAR_DEPTHS, [20] * 13, range(12), gaussian), "naive", None),
+            (*sampled_batch(math.pi / 6, sched.depths, sched.shots, range(12), gaussian),
              "corrected", gaussian),
-            (sampled_batch(math.pi / 6, long_sched.depths, long_sched.shots, range(8), gaussian),
+            (*sampled_batch(math.pi / 6, long_sched.depths, long_sched.shots, range(8), gaussian),
              "corrected", gaussian),
-            (near_ties, "naive", None),
+            (*near_ties, "naive", None),
         ]
-        for batch, method, depol in cases:
-            assert_global_maxima(batch, estimate_prefixes(batch, method, depol), method, depol)
+        for depths, shots, ones, method, depol in cases:
+            assert_global_maxima(depths, shots, ones, method, depol)
 
     def test_random_batches_match_the_lone_estimates(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -489,57 +519,53 @@ class TestPrefixKernel:
             depths = draw(
                 st.one_of(
                     st.sampled_from([LINEAR_DEPTHS, EXPONENTIAL_DEPTHS]),
-                    st.lists(st.integers(0, 60), min_size=1, max_size=6),
+                    st.lists(st.integers(0, 60), min_size=1, max_size=6).map(tuple),
                 )
             )
-            batch = []
+            shots, ones = [], []
             for _ in range(draw(st.integers(1, 6))):
-                records = []
-                for m in depths:
-                    shots = draw(st.integers(1, 30))
-                    records.append(ShotRecord(m=m, shots=shots, ones=draw(st.integers(0, shots))))
-                batch.append(records)
+                shots.append([draw(st.integers(1, 30)) for _ in depths])
+                ones.append([draw(st.integers(0, n)) for n in shots[-1]])
+            batch = (depths, np.array(shots), np.array(ones))
             if draw(st.booleans()):
-                return batch, "corrected", DepolParams(draw(st.floats(0.85, 1.0)))
-            return batch, "naive", None
+                return (*batch, "corrected", DepolParams(draw(st.floats(0.85, 1.0))))
+            return (*batch, "naive", None)
 
-        records, method, depol = CLAMPING
-        flipped = [ShotRecord(m=r.m, shots=r.shots, ones=r.shots - r.ones) for r in records]
+        depths, shots, ones, method, depol = CLAMPING
+        clamping = (depths, np.tile(shots, (3, 1)), np.concatenate((ones, shots - ones, ones)))
         # Half the shots ones at every depth: the likelihood is symmetric about
         # theta = pi/4, its maximum.  The other rows have an odd shot count,
         # so none of them is symmetric.
         symmetric = [ShotRecord(m=m, shots=20, ones=10) for m in LINEAR_DEPTHS]
         rng = np.random.default_rng(8)
-        seventeen = [
-            [ShotRecord(m=m, shots=21, ones=int(rng.integers(0, 22))) for m in LINEAR_DEPTHS]
-            for _ in range(17)
-        ]
-        for row in (0, 7, 8, 16):
-            seventeen[row] = symmetric
+        seventeen_shots, seventeen = np.full((17, 13), 21), rng.integers(0, 22, (17, 13))
+        seventeen_shots[[0, 7, 8, 16]], seventeen[[0, 7, 8, 16]] = 20, 10
         assert estimate_amplitude(symmetric).theta_hat == pytest.approx(math.pi / 4, abs=1e-9)
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
         @hypothesis.given(batches())
-        @hypothesis.example(([records], method, depol))
-        @hypothesis.example(([records, flipped, records], method, depol))
-        @hypothesis.example((seventeen, "naive", None))
+        @hypothesis.example(CLAMPING)
+        @hypothesis.example((*clamping, method, depol))
+        @hypothesis.example((LINEAR_DEPTHS, seventeen_shots, seventeen, "naive", None))
         def check(data):
-            batch, method, depol = data
-            estimates = estimate_prefixes(batch, method, depol)
-            assert len(estimates) == len(batch)
-            assert_global_maxima(batch, estimates, method, depol)
-            for records in batch:
-                ordered = sorted(records, key=lambda r: (r.m, r.shots, r.ones))
-                (ordered,) = estimate_prefixes([ordered], method, depol)
-                assert estimate_amplitude(records, method, depol) == ordered[-1]
+            depths, shots, ones, method, depol = data
+            assert_global_maxima(depths, shots, ones, method, depol)
+            # A lone estimate sorts its records: it is the last prefix of the sorted row
+            for row in zip(shots.tolist(), ones.tolist()):
+                records = [ShotRecord(*entry) for entry in zip(depths, *row)]
+                m, n, h = zip(*sorted(zip(depths, *row)))
+                arrays = estimation._estimates(m, np.array([n]), np.array([h]), method, depol, False)
+                lone = estimate_amplitude(records, method, depol)
+                assert lone == estimation._as_estimates(method, arrays)[0][-1]
 
         check()
 
     def test_array_core_equals_the_record_api(self):
         # The core takes the arrays the Monte Carlo harness gives it: int64
         # ones, and shots per dataset or one shot count per depth.  Its
-        # arrays must be estimate_prefixes' fields value for value, and with
-        # last_only those of the last prefix.
+        # arrays must equal those of the float arrays that estimate_amplitude
+        # builds from records, value for value; with last_only they must be
+        # the last prefix's, and that is estimate_amplitude's estimate.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -563,36 +589,37 @@ class TestPrefixKernel:
             return depths, shots, ones, per_depth, "naive", None
 
         # Deep sweeps at theta = 0.721: the prefixes past depth 64 leave level 0.
-        deep = np.array([[r.ones for r in records] for records in sampled_batch(
-            0.721, EXPONENTIAL_DEPTHS, [100] * 14, range(4))])
+        _, _, deep = sampled_batch(0.721, EXPONENTIAL_DEPTHS, [100] * 14, range(4))
         assert estimation._level0_length(EXPONENTIAL_DEPTHS) == 8
 
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
         @hypothesis.given(batches())
-        @hypothesis.example(
-            (EXPONENTIAL_DEPTHS, np.array([[r.shots for r in CLAMPING[0]]]),
-             np.array([[r.ones for r in CLAMPING[0]]]), False, *CLAMPING[1:])
-        )
+        @hypothesis.example((*CLAMPING[:3], False, *CLAMPING[3:]))
         @hypothesis.example(
             (EXPONENTIAL_DEPTHS, np.full((4, 14), 100), deep, True, "naive", None)
         )
         def check(data):
             depths, shots, ones, per_depth, method, depol = data
             assert ones.dtype == np.int64
-            records = [
-                [ShotRecord(m, n, h) for m, n, h in zip(depths, shots_row, ones_row)]
-                for shots_row, ones_row in zip(shots.tolist(), ones.tolist())
-            ]
             core_shots = tuple(shots[0].tolist()) if per_depth else shots
             arrays = estimation._estimates(depths, core_shots, ones, method, depol, False)
-            expected = estimate_prefixes(records, method, depol)
-            fields = ("theta_hat", "log_likelihood", "n_clamped")
-            assert len(arrays) == len(fields)
-            for name, array in zip(fields, arrays):
-                assert array.tolist() == [[getattr(e, name) for e in row] for row in expected]
-            assert estimation._as_estimates(method, arrays) == expected
+            expected = estimation._estimates(
+                depths, shots.astype(float), ones.astype(float), method, depol, False
+            )
+            assert len(arrays) == 3
+            assert [a.tolist() for a in arrays] == [a.tolist() for a in expected]
+            estimates = estimation._as_estimates(method, arrays)
+            for name, array in zip(("theta_hat", "log_likelihood", "n_clamped"), arrays):
+                assert array.tolist() == [[getattr(e, name) for e in row] for row in estimates]
+            assert {e.method for row in estimates for e in row} == {method}
             last = estimation._estimates(depths, core_shots, ones, method, depol, True)
-            assert estimation._as_estimates(method, last) == [[row[-1]] for row in expected]
+            assert [a.tolist() for a in last] == [a[:, -1:].tolist() for a in arrays]
+            if list(depths) == sorted(depths):  # the records are in estimate_amplitude's order
+                for row_shots, row_ones, (estimate,) in zip(
+                    shots.tolist(), ones.tolist(), estimation._as_estimates(method, last)
+                ):
+                    records = [ShotRecord(*entry) for entry in zip(depths, row_shots, row_ones)]
+                    assert estimate_amplitude(records, method, depol) == estimate
 
         check()
 
@@ -601,14 +628,12 @@ class TestPrefixKernel:
         # its flat stretch by bisection.  All zeros: the same toward 0, in more
         # steps than an interior maximum takes.  Each row must finish alone,
         # as the lone estimate of each of its prefixes.
-        edge = [ShotRecord(m=0, shots=10, ones=0), ShotRecord(m=1, shots=10, ones=0)]
-        ones = [ShotRecord(m=0, shots=10, ones=10), ShotRecord(m=1, shots=10, ones=10)]
-        interior = [ShotRecord(m=0, shots=10, ones=3), ShotRecord(m=1, shots=10, ones=9)]
-        batch = [interior, ones, edge, interior]
-        assert_global_maxima(batch, estimate_prefixes(batch), "naive", None)
-        (ones_prefixes, edge_prefixes) = estimate_prefixes([ones, edge])
-        assert [e.theta_hat for e in ones_prefixes] == pytest.approx([math.pi / 2] * 2, abs=1e-12)
-        assert [e.theta_hat for e in edge_prefixes] == pytest.approx([0.0] * 2, abs=1e-12)
+        ones = np.array([[3, 9], [10, 10], [0, 0], [3, 9]])  # interior, ones, zeros, interior
+        shots = np.full(ones.shape, 10)
+        assert_global_maxima((0, 1), shots, ones, "naive", None)
+        theta_hat, _, _ = estimation._estimates((0, 1), shots[1:3], ones[1:3], "naive", None, False)
+        assert theta_hat[0].tolist() == pytest.approx([math.pi / 2] * 2, abs=1e-12)
+        assert theta_hat[1].tolist() == pytest.approx([0.0] * 2, abs=1e-12)
 
     def test_one_row_refine_is_the_batch_refine(self):
         # A deep estimate is _refine_row's theta when no other piece reaches
@@ -657,10 +682,9 @@ class TestPrefixKernel:
             ).tolist()
 
     def test_clamping_example_clamps(self):
-        records, method, depol = CLAMPING
-        (estimates,) = estimate_prefixes([records], method, depol)
-        assert [e.n_clamped for e in estimates] == sorted(e.n_clamped for e in estimates)
-        assert estimates[-1].n_clamped >= len(EXPONENTIAL_DEPTHS) // 2
+        _, _, (clamped,) = estimation._estimates(*CLAMPING, False)
+        assert clamped.tolist() == sorted(clamped.tolist())
+        assert clamped[-1] >= len(EXPONENTIAL_DEPTHS) // 2
 
     def test_cached_tables_are_shared_and_read_only(self):
         level0, *tables = estimation._piece_table((0, 1, 2))
@@ -672,24 +696,3 @@ class TestPrefixKernel:
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
-
-    def test_validation(self):
-        record = ShotRecord(m=0, shots=10, ones=5)
-        with pytest.raises(ValueError, match="datasets must be nonempty"):
-            estimate_prefixes([])
-        with pytest.raises(ValueError, match="records must be nonempty"):
-            estimate_prefixes([[record], []])
-        with pytest.raises(ValueError):
-            estimate_prefixes([[record]], method="corrected")
-        mismatch = r"dataset 1 has depths \(0, 2\), dataset 0 has \(0, 1\)"
-        with pytest.raises(ValueError, match=mismatch):
-            estimate_prefixes(
-                [
-                    [record, ShotRecord(m=1, shots=10, ones=5)],
-                    [record, ShotRecord(m=2, shots=10, ones=5)],
-                ]
-            )
-        with pytest.raises(ValueError, match=r"dataset 1 has depths \(0,\)"):
-            estimate_prefixes([[record, ShotRecord(m=1, shots=10, ones=5)], [record]])
-        with pytest.raises(TypeError, match="batch of datasets"):
-            estimate_prefixes([record])

@@ -67,6 +67,17 @@ class TestConfig:
             ExperimentConfig(**{**good, field: bad})
         assert getattr(ExperimentConfig(**{**good, field: np.int64(2)}), field) == 2
 
+    def test_depths_past_the_search_limit(self):
+        # Depths 0..M have (M + 1)(M + 2) zeros: 1,047,552 at 1022, 1,049,600 at 1023
+        dev = SimulatedDevice(amp=Amplitude(0.5))
+        good = dict(device=dev, truth_a=0.2, max_depth=1022, n_shot_base=10,
+                    k_sigma_assumed=0.0, replications=1, seed=0)
+        ExperimentConfig(**good)
+        with pytest.raises(ValueError, match=r"^depths with 1049600 zeros .* limit of 1048576"):
+            ExperimentConfig(**{**good, "max_depth": 1023})
+        with pytest.raises(ValueError, match=f"^depths with {2**126 + 2**63} zeros"):
+            ExperimentConfig(**{**good, "max_depth": np.int64(2**63 - 1)})
+
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, 2**64, 2**64 + 5, -(2**63) - 1, "7"])
     def test_seed_must_be_an_integer(self, bad):
         dev = SimulatedDevice(amp=Amplitude(0.5))

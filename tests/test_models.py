@@ -249,12 +249,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Amplitude(math.pi / 2 + 0.01)
 
-    def test_amplitude_from_probability(self):
-        amp = Amplitude.from_probability(0.25)
-        assert amp.theta == pytest.approx(math.pi / 6, abs=1e-12)
-        with pytest.raises(ValueError):
-            Amplitude.from_probability(1.5)
-
     def test_gaussian_params_validation(self):
         with pytest.raises(ValueError):
             GaussianNoiseParams(0.0, -0.1)
