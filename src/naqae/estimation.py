@@ -407,7 +407,10 @@ def _refine(
     closed bracket (tested first: a point that has just become a bracket end
     takes a zero step), or when its bracket is that narrow.  Only rows still
     moving are evaluated, so a row's steps do not depend on the other rows.
+    One row takes the same steps in Python floats (:func:`_refine_row`).
     """
+    if len(lo) == 1:
+        return np.array([_refine_row(lo[0], hi[0], ks, counts[0], misses[0])])
     theta = 0.5 * (lo + hi)
     rows, t, a, b = np.arange(len(theta)), theta.copy(), lo, hi
     while rows.size:
@@ -429,9 +432,9 @@ def _refine(
 def _refine_row(lo: float, hi: float, ks: np.ndarray, counts: np.ndarray, misses: np.ndarray) -> float:
     """:func:`_refine` for one row, in Python floats: the same steps, sums and rules.
 
-    A deep step refines one piece of each row (:func:`_deep_step`), where
-    numpy's fixed cost per call outweighs its work: about 27 against 260 us
-    a row on the exponential schedule's 14 depths.
+    It is :func:`_refine`'s branch for one row, as in a lone deep estimate,
+    where numpy's fixed cost per call outweighs its work: about 27 against
+    260 us a row on the exponential schedule's 14 depths.
     """
     t, a, b = 0.5 * (lo + hi), lo, hi
     depths = zip(ks.tolist(), counts.tolist(), misses.tolist())
@@ -534,7 +537,7 @@ def _deep_step(
     (N - h) ln(1 - h/N)``.  The cells around each row's best bound, about
     ``_SPLIT_EDGES`` deeper window edges, are cut at them (:func:`_split`),
     where the deeper terms lie under such a parabola too, and the concave
-    piece of the row's best sub-piece is refined (:func:`_refine_row`).
+    piece of the row's best sub-piece is refined (:func:`_refine`).
     The other cells whose bound reaches that value are cut as well, and
     each sub-piece whose bound still reaches it is a candidate.  A cell is
     cut once for all the rows that need it, and a row keeps its own cells.
@@ -574,8 +577,7 @@ def _deep_step(
     order = np.lexsort((-bounds, lanes))  # each row's first sub-piece of best bound
     best = points[order[np.searchsorted(lanes[order], np.arange(len(bound)))]]
     lo, hi = _piece(best, ks, counts, misses)
-    rows = zip(lo.tolist(), hi.tolist(), counts, misses)
-    theta = np.array([_refine_row(a, b, ks, ones, zeros) for a, b, ones, zeros in rows])
+    theta = _refine(lo, hi, ks, counts, misses)
     top = _log_likelihood(theta, ks, counts, misses)
     least = _below(top)
     lanes, points, bounds = cut((bound >= least[:, None]) & ~window, least[:, None])

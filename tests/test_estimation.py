@@ -479,11 +479,14 @@ def sampled_batch(theta, depths, shots, seeds, depol=None):
 class TestPrefixKernel:
     def test_matches_reference_on_every_prefix(self):
         # Every prefix of every dataset against the dense oracle.  Deep: the
-        # deep_mlae sweeps, whose prefixes pass level 0.  Criterion 9: flat
-        # and scheduled shots at sigma = 0.055, on depths 0..12, and a batch
-        # of scheduled sweeps on depths 0..26, past level 0.  Near ties:
-        # one to three shots on depths 0..3, with many modes of equal or
-        # almost equal height, and the half-ones sweep symmetric about pi/4.
+        # deep_mlae sweeps, whose prefixes pass level 0, and 64 sweeps at as
+        # many thetas, whose deep steps bound each row on its own cells.
+        # Criterion 9: flat and scheduled shots at sigma = 0.055, on depths
+        # 0..12, and a batch of scheduled sweeps on depths 0..26, past level
+        # 0.  Linear depths 0..40 at eight thetas: 19 prefixes past level 0.
+        # Near ties: one to three shots on depths 0..3, with many modes of
+        # equal or almost equal height, and the half-ones sweep symmetric
+        # about pi/4.
         gaussian = depol_equivalent(GaussianNoiseParams(0.0, 0.055))
         sched = shot_schedule(list(LINEAR_DEPTHS), 20, 0.055)
         # Depths 0..26 on the paper schedule: prefixes past depth 21 leave level 0.
@@ -491,6 +494,19 @@ class TestPrefixKernel:
         assert estimation._level0_length(long_sched.depths) == 22
         deep_depol = DepolParams(math.exp(-2e-4))
         deep = sampled_batch(0.721, EXPONENTIAL_DEPTHS, [100] * 14, range(6), deep_depol)
+        rng = np.random.default_rng(25)
+        ks = 2.0 * np.array(EXPONENTIAL_DEPTHS) + 1.0
+        clean = np.sin(np.multiply.outer(rng.uniform(0.05, 1.5, 64), ks)) ** 2
+        decay = deep_depol.p_coh_tilde ** np.array(EXPONENTIAL_DEPTHS, dtype=float)
+        mixed, mixed_depolarized = (
+            (EXPONENTIAL_DEPTHS, np.full(clean.shape, 100), rng.binomial(100, p))
+            for p in (clean, decay * clean + 0.5 * (1.0 - decay))
+        )
+        linear = tuple(range(41))
+        assert estimation._level0_length(linear) == 22
+        thetas = rng.uniform(0.05, 1.5, 8)
+        ones = rng.binomial(20, np.sin(np.multiply.outer(thetas, 2.0 * np.array(linear) + 1.0)) ** 2)
+        wide = (linear, np.full(ones.shape, 20), ones)
         rng = np.random.default_rng(21)
         near_shots, near_ones = [], []
         for _ in range(24):
@@ -500,11 +516,14 @@ class TestPrefixKernel:
         cases = [
             (*deep, "naive", None),
             (*deep, "corrected", deep_depol),
+            (*mixed, "naive", None),
+            (*mixed_depolarized, "corrected", deep_depol),
             (*sampled_batch(math.pi / 6, LINEAR_DEPTHS, [20] * 13, range(12), gaussian), "naive", None),
             (*sampled_batch(math.pi / 6, sched.depths, sched.shots, range(12), gaussian),
              "corrected", gaussian),
             (*sampled_batch(math.pi / 6, long_sched.depths, long_sched.shots, range(8), gaussian),
              "corrected", gaussian),
+            (*wide, "naive", None),
             (*near_ties, "naive", None),
         ]
         for depths, shots, ones, method, depol in cases:
@@ -636,10 +655,10 @@ class TestPrefixKernel:
         assert theta_hat[1].tolist() == pytest.approx([0.0] * 2, abs=1e-12)
 
     def test_one_row_refine_is_the_batch_refine(self):
-        # A deep estimate is _refine_row's theta when no other piece reaches
-        # its value, and _refine's when one does, so the two must agree bit
-        # for bit: on the pieces of random exponential and linear rows, with
-        # integer and fractional counts, and on the guard-window case of
+        # _refine takes _refine_row's steps for one row, as in a lone deep
+        # estimate, and its own for many, so the two must agree bit for bit:
+        # on the pieces of random exponential and linear rows, with integer
+        # and fractional counts, and on the guard-window case of
         # TestEstimateAmplitude, whose corrected counts clamp.
         rng = np.random.default_rng(18)
         cases = []

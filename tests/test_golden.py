@@ -6,7 +6,10 @@ every file it writes with ``tests/golden/<case>.<name>``.  Inputs live in
 
 Regenerate the goldens (only when an output change is intended) with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+Run with any other arguments, the script prints this usage, exits with
+status 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,9 +130,28 @@ def test_misspecification_sweep_matches_golden():
     assert sweep_csv() == (GOLDEN / "misspecification_sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--regenerate", "now"]], ids=["none", "help", "extra"])
+def test_script_writes_goldens_only_when_asked(argv):
+    # Run as a script without exactly --regenerate, it must leave every golden untouched
+    files = sorted(p for p in GOLDEN.rglob("*") if p.is_file())
+    before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in files]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run(
+        [sys.executable, __file__, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 2
+    assert "--regenerate" in result.stderr
+    assert sorted(p for p in GOLDEN.rglob("*") if p.is_file()) == files
+    assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in files] == before
+
+
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] != ["--regenerate"]:
+        print(f"usage: PYTHONPATH=src python {sys.argv[0]} --regenerate", file=sys.stderr)
+        sys.exit(2)
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for file_name, data in run_case(case, Path(tmp)).items():
