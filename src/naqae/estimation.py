@@ -195,6 +195,8 @@ def shot_schedule(
 
 def _correct(ones, total, depths: Sequence[int], depol: DepolParams) -> CorrectionResult:
     """Solve ``ones = p~^m clean + total (1 - p~^m) / 2`` for ``clean`` in [0, total], per depth."""
+    if not isinstance(depol, DepolParams):
+        raise ValueError(f"count correction requires DepolParams, got {depol!r}")
     if depol.p_coh_tilde == 0.0:
         raise ValueError("correction is singular at p_coh_tilde == 0")
     coherent = [depol.p_coh_tilde**m for m in depths]  # Python's pow, as numpy's may differ
@@ -220,8 +222,9 @@ def correct_frequency(p1_hat: float, m: int, depol: DepolParams) -> CorrectionRe
     clamped and ``clamped`` flags when that happened.
 
     Raises:
-        ValueError: if ``p_coh_tilde == 0`` (fully depolarized data carries
-            no recoverable signal) or ``p_coh_tilde ** m`` underflows to 0.
+        ValueError: if ``depol`` is not a :class:`DepolParams`,
+            ``p_coh_tilde == 0`` (fully depolarized data carries no
+            recoverable signal) or ``p_coh_tilde ** m`` underflows to 0.
     """
     return CorrectionResult(*(x.item() for x in _correct(p1_hat, 1.0, [_check_depth(m)], depol)))
 
@@ -640,9 +643,9 @@ def _estimates(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     shots = np.asarray(shots, dtype=float)
     if method == "corrected":
-        if depol is None:
-            raise ValueError("corrected estimation requires depolarizing parameters")
         counts, _, clamped = _correct(ones, shots, depths, depol)
+    elif depol is not None:
+        raise ValueError(f"naive estimation takes no depolarizing parameters, got {depol!r}")
     else:
         counts, clamped = np.asarray(ones, dtype=float), np.zeros(np.shape(ones), bool)
     misses = shots - counts
@@ -722,9 +725,9 @@ def estimate_amplitude(
     the last prefix estimate that the core gives the dataset in any batch.
 
     Args:
-        method: "naive" uses the tallies as-is; "corrected" first applies
-            :func:`correct_counts`' correction with ``depol`` (required,
-            p_coh_tilde > 0).
+        method: "naive" uses the tallies as-is and takes no ``depol``;
+            "corrected" first applies :func:`correct_counts`' correction
+            with ``depol`` (a :class:`DepolParams`, required, p_coh_tilde > 0).
     """
     if not records:
         raise ValueError("records must be nonempty")

@@ -1,6 +1,7 @@
 """Monte Carlo comparison of noise handling strategies for amplitude estimation.
 
-Simulates the four-setting benchmark on a noisy device:
+Simulates the four-setting benchmark on a noisy device, each setting one row
+of ``_SETTING_ROWS``:
 
 * ``noisy_a``     - flat shot counts, no use of the noise model;
 * ``noisy_b``     - flat shot counts, depolarizing count correction only;
@@ -33,7 +34,6 @@ from .estimation import (  # noqa: F401
 )
 from .models import (
     Amplitude,
-    DepolParams,
     GaussianNoiseParams,
     _check_int64,
     _check_rate,
@@ -43,7 +43,15 @@ from .models import (
     noise_from_dict,
 )
 
-SETTINGS = ("noisy_a", "noisy_b", "noise_aware", "noiseless")
+# Each setting: whether its device keeps the configured noise, whether its
+# shots follow the noise-aware schedule, and its estimation method.
+_SETTING_ROWS = {
+    "noisy_a": (True, False, "naive"),
+    "noisy_b": (True, False, "corrected"),
+    "noise_aware": (True, True, "corrected"),
+    "noiseless": (False, False, "naive"),
+}
+SETTINGS = tuple(_SETTING_ROWS)  # replication seeds use SETTINGS.index
 
 
 @dataclass(frozen=True)
@@ -98,43 +106,35 @@ class RmseCurve:
             raise ValueError("points must be x-ordered with rmse >= 0")
 
 
-def _setting_schedule(config: ExperimentConfig, setting: str) -> ShotSchedule:
-    depths = list(range(config.max_depth + 1))
-    if setting == "noise_aware":
-        return shot_schedule(depths, config.n_shot_base, config.k_sigma_assumed)
-    return shot_schedule(depths, config.n_shot_base, 0.0)
+def _setting_tallies(
+    config: ExperimentConfig, setting: str, replications
+) -> tuple[ShotSchedule, np.ndarray]:
+    """The setting's schedule and ones tallies at m = 0..max_depth, (replications x depths).
 
-
-def _correction_params(config: ExperimentConfig) -> DepolParams:
-    return depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=config.k_sigma_assumed))
-
-
-def _trial_records(
-    config: ExperimentConfig, setting: str, schedule: ShotSchedule, replications: range
-) -> np.ndarray:
-    """The setting's ones tallies at m = 0..max_depth, (replications x depths), in one batch.
-
-    Replication r's seed is the first word of :func:`_philox_keys`'s
-    ``SeedSequence([config.seed, r, setting index])`` key, so its sweep is
-    deterministic given (config.seed, r, setting) and does not depend on
-    the other replications.
+    Every replication is sampled in one batch.  Replication r's seed is the
+    first word of :func:`_philox_keys`'s ``SeedSequence([config.seed, r,
+    setting index])`` key, so its sweep is deterministic given
+    (config.seed, r, setting) and does not depend on the other replications.
     """
-    device = replace(
-        config.device, model=None if setting == "noiseless" else config.device.model
-    )
+    noisy, scheduled, _ = _SETTING_ROWS[setting]
+    k_sigma = config.k_sigma_assumed if scheduled else 0.0
+    schedule = shot_schedule(list(range(config.max_depth + 1)), config.n_shot_base, k_sigma)
+    device = replace(config.device, model=config.device.model if noisy else None)
     reps = [_check_seed(r, "replication_index") for r in replications]
     keys = _philox_keys(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
-    return _sample_tallies(device, keys[:, 0].tolist(), schedule.depths, schedule.shots)
+    return schedule, _sample_tallies(device, keys[:, 0].tolist(), schedule.depths, schedule.shots)
 
 
-def _estimate_trials(
-    config: ExperimentConfig, setting: str, schedule: ShotSchedule, ones: np.ndarray
-) -> tuple[str, tuple[np.ndarray, ...]]:
-    """The setting's method and :func:`_estimates` of every prefix of each row of ``ones``."""
-    corrected = setting in ("noisy_b", "noise_aware")
-    depol = _correction_params(config) if corrected else None
-    method = "corrected" if corrected else "naive"
-    return method, _estimates(schedule.depths, schedule.shots, ones, method, depol, False)
+def _setting_estimates(
+    config: ExperimentConfig, setting: str, replications
+) -> tuple[ShotSchedule, str, tuple[np.ndarray, ...]]:
+    """The setting's schedule, method and :func:`_estimates` of every prefix of each replication."""
+    schedule, ones = _setting_tallies(config, setting, replications)
+    method = _SETTING_ROWS[setting][2]
+    depol = None
+    if method == "corrected":  # the zero-mean equivalent of the assumed rate
+        depol = depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=config.k_sigma_assumed))
+    return schedule, method, _estimates(schedule.depths, schedule.shots, ones, method, depol, False)
 
 
 def run_qae_trial(
@@ -148,9 +148,8 @@ def run_qae_trial(
     """
     if setting not in config.settings:
         raise ValueError(f"setting {setting!r} not in config.settings")
-    schedule = _setting_schedule(config, setting)
-    ones = _trial_records(config, setting, schedule, [replication_index])
-    return _as_estimates(*_estimate_trials(config, setting, schedule, ones))[0]
+    _, method, arrays = _setting_estimates(config, setting, [replication_index])
+    return _as_estimates(method, arrays)[0]
 
 
 def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
@@ -163,12 +162,11 @@ def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
     arrays from tallies to RMSE; ``a_hat`` is :attr:`AmplitudeEstimate.a_hat`'s
     ``math.sin(theta_hat) ** 2``, so the estimates equal :func:`run_qae_trial`'s.
     """
-    n_prefixes = config.max_depth + 1
     curves = []
     for setting in config.settings:
-        schedule = _setting_schedule(config, setting)
-        ones = _trial_records(config, setting, schedule, range(config.replications))
-        _, (theta_hat, *_) = _estimate_trials(config, setting, schedule, ones)
+        schedule, _, (theta_hat, *_) = _setting_estimates(
+            config, setting, range(config.replications)
+        )
         errs = np.array(
             [[math.sin(t) ** 2 - config.truth_a for t in row] for row in theta_hat.tolist()]
         )
@@ -176,20 +174,9 @@ def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
         queries = np.cumsum(
             [(2 * m + 1) * n for m, n in schedule.entries], dtype=float
         )
-        curves.append(
-            RmseCurve(
-                setting=setting,
-                x_kind="depth",
-                points=tuple((float(m), float(r)) for m, r in zip(range(n_prefixes), rmse)),
-            )
-        )
-        curves.append(
-            RmseCurve(
-                setting=setting,
-                x_kind="queries",
-                points=tuple((float(q), float(r)) for q, r in zip(queries, rmse)),
-            )
-        )
+        for x_kind, xs in (("depth", schedule.depths), ("queries", queries)):
+            points = tuple((float(x), float(r)) for x, r in zip(xs, rmse))
+            curves.append(RmseCurve(setting=setting, x_kind=x_kind, points=points))
     return curves
 
 

@@ -2,7 +2,8 @@
 
 Implements the Gaussian rotation-noise model in closed form, an independent
 Gauss-Hermite quadrature evaluation of the same probability, the depolarizing
-model, and the exact zero-mean mapping between the two.
+model, and the exact zero-mean mapping between the two.  Each noise kind is
+one row of ``_NOISE_KINDS``: its class, CLI spelling and JSON fields.
 
 The physical picture: after ``m`` Grover iterations applied to a state with
 amplitude angle ``theta``, the measured qubit is 1 with probability
@@ -18,7 +19,7 @@ All public operations are pure functions and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -82,7 +83,7 @@ class GaussianNoiseParams:
 
     def to_dict(self) -> dict:
         """JSON fields of this model (without ``kind``)."""
-        return {"k_mu": self.k_mu, "k_sigma": self.k_sigma}
+        return dict(zip(_NOISE_KINDS[self.kind][2], astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -122,30 +123,37 @@ class DepolParams:
 
     def to_dict(self) -> dict:
         """JSON fields of this model (without ``kind``)."""
-        return {"p_coh": self.p_coh_tilde}
+        return dict(zip(_NOISE_KINDS[self.kind][2], astuple(self)))
 
 
 # None means an ideal, noiseless device.
 NoiseModel = GaussianNoiseParams | DepolParams | None
 
+# Each noise kind, by its JSON ``kind``: its class, CLI spelling and JSON
+# fields, the fields in the order the class takes them.
+_NOISE_KINDS = {
+    cls.kind: (cls, spec, fields)
+    for cls, spec, fields in (
+        (GaussianNoiseParams, "gaussian:kmu,ksigma", ("k_mu", "k_sigma")),
+        (DepolParams, "depol:p", ("p_coh",)),
+    )
+}
+
 # The command-line spellings accepted by noise_from_spec.
-_NOISE_SPECS = "gaussian:kmu,ksigma | depol:p | none"
+_NOISE_SPECS = " | ".join([*(spec for _, spec, _ in _NOISE_KINDS.values()), "none"])
 
 
 def noise_from_spec(text: str) -> NoiseModel:
     """Parse the CLI spelling: ``gaussian:kmu,ksigma``, ``depol:p`` or ``none``."""
     if text == "none":
         return None
-    kind, _, args = text.partition(":")
-    if kind == "gaussian":
-        parts = args.split(",")
-        if len(parts) != 2:
-            raise ValueError("gaussian noise needs 'gaussian:kmu,ksigma'")
-        return GaussianNoiseParams(k_mu=float(parts[0]), k_sigma=float(parts[1]))
-    if kind == "depol":
-        if not args:
-            raise ValueError("depolarizing noise needs 'depol:p'")
-        return DepolParams(p_coh_tilde=float(args))
+    name, _, args = text.partition(":")
+    for cls, spec, fields in _NOISE_KINDS.values():
+        if spec.partition(":")[0] == name:
+            values = args.split(",")
+            if len(values) != len(fields) or "" in values:
+                raise ValueError(f"{cls.kind} noise needs {spec!r}, got {text!r}")
+            return cls(*map(float, values))
     raise ValueError(f"unknown noise model {text!r} (expected {_NOISE_SPECS})")
 
 
@@ -169,14 +177,12 @@ def noise_from_dict(doc: dict) -> NoiseModel:
     if not isinstance(doc, dict):
         raise ValueError("noise must be a JSON object")
     kind = doc.get("kind")
-    if kind == GaussianNoiseParams.kind:
-        cls, keys = GaussianNoiseParams, ("k_mu", "k_sigma")
-    elif kind == DepolParams.kind:
-        cls, keys = DepolParams, ("p_coh",)
-    elif kind == "none":
+    if kind == "none":
         cls, keys = None, ()
+    elif isinstance(kind, str) and kind in _NOISE_KINDS:
+        cls, _, keys = _NOISE_KINDS[kind]
     else:
-        raise ValueError(f"noise.kind must be gaussian|depolarizing|none, got {kind!r}")
+        raise ValueError(f"noise.kind must be {'|'.join([*_NOISE_KINDS, 'none'])}, got {kind!r}")
     if set(doc) != {"kind", *keys}:
         raise ValueError(f"{kind} noise takes exactly the fields {['kind', *keys]}, got {sorted(doc)}")
     if cls is None:

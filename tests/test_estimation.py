@@ -176,6 +176,10 @@ class TestCorrection:
         with pytest.raises(ValueError):
             correct_counts(ShotRecord(m=1, shots=10, ones=5), DepolParams(0.0))
 
+    def test_gaussian_params_are_refused(self):
+        with pytest.raises(ValueError, match="requires DepolParams, got GaussianNoiseParams"):
+            correct_counts(ShotRecord(m=1, shots=10, ones=5), GaussianNoiseParams(0.0, 0.1))
+
     def test_underflowing_coherence_names_depth(self):
         # 0.5 ** 4096 underflows to 0.0; p~^m at m = 4096 for p~ = 0.85 does not
         with pytest.raises(ValueError, match=r"depth 4096.*0\.5\*\*4096"):
@@ -235,6 +239,16 @@ class TestEstimateAmplitude:
     def test_corrected_requires_params(self):
         with pytest.raises(ValueError):
             estimate_amplitude([ShotRecord(m=0, shots=10, ones=5)], method="corrected")
+
+    def test_corrected_refuses_gaussian_params(self):
+        with pytest.raises(ValueError, match="requires DepolParams, got GaussianNoiseParams"):
+            estimate_amplitude(
+                [ShotRecord(m=0, shots=10, ones=5)], "corrected", GaussianNoiseParams(0.0, 0.1)
+            )
+
+    def test_naive_refuses_params(self):
+        with pytest.raises(ValueError, match="naive estimation takes no depolarizing"):
+            estimate_amplitude([ShotRecord(m=0, shots=10, ones=5)], "naive", DepolParams(0.5))
 
     def test_empty_records(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from naqae import (
     run_monte_carlo,
     run_qae_trial,
 )
-from naqae.experiments import _setting_schedule, _trial_records
+from naqae.experiments import _setting_tallies
 
 A1_GAUSS = ExperimentConfig(
     device=SimulatedDevice(amp=Amplitude(math.pi / 6), model=GaussianNoiseParams(0.0, 0.055)),
@@ -181,8 +181,7 @@ class TestMonteCarlo:
         # the path (replication seed, m).
         config = replace(A1_GAUSS, max_depth=6, replications=5, seed=-3)
         for setting in config.settings:
-            schedule = _setting_schedule(config, setting)
-            tallies = _trial_records(config, setting, schedule, range(config.replications))
+            schedule, tallies = _setting_tallies(config, setting, range(config.replications))
             assert tallies.shape == (config.replications, len(schedule.entries))
             model = None if setting == "noiseless" else config.device.model
             device = replace(config.device, model=model)

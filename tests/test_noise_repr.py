@@ -88,3 +88,13 @@ def test_rate_undefined_at_full_depolarization():
 def test_bad_specs(spec):
     with pytest.raises(ValueError):
         noise_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, spelling",
+    [("depol:0.5,0.6", "'depol:p'"), ("depol:", "'depol:p'"),
+     ("gaussian:,0.1", "'gaussian:kmu,ksigma'"), ("gaussian:0.1", "'gaussian:kmu,ksigma'")],
+)
+def test_bad_spec_names_the_spelling(spec, spelling):
+    with pytest.raises(ValueError, match=spelling):
+        noise_from_spec(spec)
