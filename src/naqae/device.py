@@ -27,11 +27,10 @@ import numpy as np
 from .models import (
     Amplitude,
     NoiseModel,
-    _as_probability,
     _check_depth,
     _check_int64,
     _check_shots,
-    _p1_noiseless_raw,
+    _p1,
 )
 
 _MASK32 = (1 << 32) - 1
@@ -115,10 +114,7 @@ class SimulatedDevice:
 
     def p1(self, m: int) -> float:
         """Model probability of measuring 1 at depth ``m``."""
-        m = _check_depth(m)
-        if self.model is None:
-            return float(_p1_noiseless_raw(self.amp.theta, m))
-        return _as_probability(float(self.model.p1_raw(self.amp.theta, m)), "SimulatedDevice.p1")
+        return _p1(self.model, self.amp.theta, m, "SimulatedDevice.p1")
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -204,6 +200,14 @@ def _count_ones(rng: np.random.Generator, shots: int, p1: float) -> int:
     return ones
 
 
+def _check_draws(draws: int) -> None:
+    """Refuse a batch of more than ``_MAX_DRAWS`` uniforms (shots summed over depths and seeds)."""
+    if draws > _MAX_DRAWS:
+        raise ValueError(
+            f"a batch may draw at most 2**40 shots over its depths and seeds, got {draws}"
+        )
+
+
 def _sample_tallies(
     dev: SimulatedDevice, seeds: Sequence[int], depths: Sequence[int], shots: Sequence[int]
 ) -> np.ndarray:
@@ -234,11 +238,7 @@ def _sample_tallies(
         _check_shots(n, "shots")
     shots = [int(n) for n in shots]
     seed_words = np.array([_check_seed(s, "seed") for s in seeds], np.uint64)
-    draws = sum(shots) * len(seeds)
-    if draws > _MAX_DRAWS:
-        raise ValueError(
-            f"a batch may draw at most 2**40 shots over its depths and seeds, got {draws}"
-        )
+    _check_draws(sum(shots) * len(seeds))
     # SimulatedDevice.p1 once per depth.  One array call would square with a
     # multiply where the scalar path calls pow; the two differ in the last bit
     # on about one depth in a thousand, and such a bit can move a tally.

@@ -193,8 +193,8 @@ def shot_schedule(
     return ShotSchedule(entries=tuple(entries))
 
 
-def _correct(ones, total, depths: Sequence[int], depol: DepolParams) -> CorrectionResult:
-    """Solve ``ones = p~^m clean + total (1 - p~^m) / 2`` for ``clean`` in [0, total], per depth."""
+def _coherent(depths: Sequence[int], depol: DepolParams) -> list[float]:
+    """The coherent fractions ``p_coh_tilde**m``, refused where the count correction is singular."""
     if not isinstance(depol, DepolParams):
         raise ValueError(f"count correction requires DepolParams, got {depol!r}")
     if depol.p_coh_tilde == 0.0:
@@ -206,6 +206,12 @@ def _correct(ones, total, depths: Sequence[int], depol: DepolParams) -> Correcti
             f"correction is singular at depth {m}: p_coh_tilde**m = "
             f"{depol.p_coh_tilde!r}**{m} underflows to 0"
         )
+    return coherent
+
+
+def _correct(ones, total, depths: Sequence[int], depol: DepolParams) -> CorrectionResult:
+    """Solve ``ones = p~^m clean + total (1 - p~^m) / 2`` for ``clean`` in [0, total], per depth."""
+    coherent = _coherent(depths, depol)
     with np.errstate(over="ignore"):  # to +-inf, as Python's float division does
         raw = (ones - total * 0.5 * (1.0 - np.array(coherent))) / coherent
     # Python's min(max(raw, 0.0), total), signed zeros included

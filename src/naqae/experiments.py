@@ -20,7 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import SimulatedDevice, _check_seed, _philox_keys, _sample_tallies, preset_device
+from .device import (
+    SimulatedDevice,
+    _check_draws,
+    _check_seed,
+    _philox_keys,
+    _sample_tallies,
+    preset_device,
+)
 # Nothing here calls estimate_amplitude; it stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it in this module.
 from .estimation import (  # noqa: F401
@@ -28,12 +35,14 @@ from .estimation import (  # noqa: F401
     ShotSchedule,
     _as_estimates,
     _check_zeros,
+    _coherent,
     _estimates,
     estimate_amplitude,
     shot_schedule,
 )
 from .models import (
     Amplitude,
+    DepolParams,
     GaussianNoiseParams,
     _check_int64,
     _check_rate,
@@ -52,6 +61,12 @@ _SETTING_ROWS = {
     "noiseless": (False, False, "naive"),
 }
 SETTINGS = tuple(_SETTING_ROWS)  # replication seeds use SETTINGS.index
+
+# Replications that run_monte_carlo samples and estimates in one batch.  A
+# batch's peak memory grows by about 15 KB a replication (criterion-9
+# settings), so blocks bound a run's memory; at least 50, so that a
+# criterion-9 run of 50 replications stays one batch.
+_BLOCK_REPLICATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,15 @@ class ExperimentConfig:
         unknown = [s for s in self.settings if s not in SETTINGS]
         if unknown or not self.settings or len(set(self.settings)) != len(self.settings):
             raise ValueError(f"settings must be a nonempty subset of {SETTINGS}, without repeats")
+        # What would stop a setting's run is refused here, before any setting
+        # samples, by the checks the run makes, in the order it makes them.
+        for setting in self.settings:
+            device, schedule, _, depol = _setting_plan(self, setting)
+            _check_draws(self.replications * sum(schedule.shots))
+            for m in schedule.depths:
+                device.p1(m)
+            if depol is not None:
+                _coherent(schedule.depths, depol)
 
 
 @dataclass(frozen=True)
@@ -106,20 +130,31 @@ class RmseCurve:
             raise ValueError("points must be x-ordered with rmse >= 0")
 
 
+def _setting_plan(
+    config: ExperimentConfig, setting: str
+) -> tuple[SimulatedDevice, ShotSchedule, str, DepolParams | None]:
+    """The setting's device, shot schedule over m = 0..max_depth, method and correction parameters."""
+    noisy, scheduled, method = _SETTING_ROWS[setting]
+    device = replace(config.device, model=config.device.model if noisy else None)
+    k_sigma = config.k_sigma_assumed if scheduled else 0.0
+    schedule = shot_schedule(list(range(config.max_depth + 1)), config.n_shot_base, k_sigma)
+    depol = None
+    if method == "corrected":  # the zero-mean equivalent of the assumed rate
+        depol = depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=config.k_sigma_assumed))
+    return device, schedule, method, depol
+
+
 def _setting_tallies(
     config: ExperimentConfig, setting: str, replications
 ) -> tuple[ShotSchedule, np.ndarray]:
     """The setting's schedule and ones tallies at m = 0..max_depth, (replications x depths).
 
-    Every replication is sampled in one batch.  Replication r's seed is the
+    The replications are sampled in one batch.  Replication r's seed is the
     first word of :func:`_philox_keys`'s ``SeedSequence([config.seed, r,
     setting index])`` key, so its sweep is deterministic given
     (config.seed, r, setting) and does not depend on the other replications.
     """
-    noisy, scheduled, _ = _SETTING_ROWS[setting]
-    k_sigma = config.k_sigma_assumed if scheduled else 0.0
-    schedule = shot_schedule(list(range(config.max_depth + 1)), config.n_shot_base, k_sigma)
-    device = replace(config.device, model=config.device.model if noisy else None)
+    device, schedule, _, _ = _setting_plan(config, setting)
     reps = [_check_seed(r, "replication_index") for r in replications]
     keys = _philox_keys(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
     return schedule, _sample_tallies(device, keys[:, 0].tolist(), schedule.depths, schedule.shots)
@@ -130,10 +165,7 @@ def _setting_estimates(
 ) -> tuple[ShotSchedule, str, tuple[np.ndarray, ...]]:
     """The setting's schedule, method and :func:`_estimates` of every prefix of each replication."""
     schedule, ones = _setting_tallies(config, setting, replications)
-    method = _SETTING_ROWS[setting][2]
-    depol = None
-    if method == "corrected":  # the zero-mean equivalent of the assumed rate
-        depol = depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=config.k_sigma_assumed))
+    _, _, method, depol = _setting_plan(config, setting)
     return schedule, method, _estimates(schedule.depths, schedule.shots, ones, method, depol, False)
 
 
@@ -158,19 +190,23 @@ def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
     rmse at prefix M is ``sqrt(mean over replications of (a_hat_M - truth_a)^2)``.
     The query axis is the cumulative oracle-call count
     ``sum_{m<=M} (2m+1) N_m`` of the setting's schedule.  Each setting
-    samples every replication first, then estimates them in one batch, as
-    arrays from tallies to RMSE; ``a_hat`` is :attr:`AmplitudeEstimate.a_hat`'s
-    ``math.sin(theta_hat) ** 2``, so the estimates equal :func:`run_qae_trial`'s.
+    samples its replications, then estimates them in one batch, as arrays
+    from tallies to errors, ``_BLOCK_REPLICATIONS`` at a time; the blocks'
+    errors join into one (replications x prefixes) array before the RMSE,
+    so the curves do not depend on the block size.  ``a_hat`` is
+    :attr:`AmplitudeEstimate.a_hat`'s ``math.sin(theta_hat) ** 2``, so the
+    estimates equal :func:`run_qae_trial`'s.
     """
     curves = []
     for setting in config.settings:
-        schedule, _, (theta_hat, *_) = _setting_estimates(
-            config, setting, range(config.replications)
-        )
-        errs = np.array(
-            [[math.sin(t) ** 2 - config.truth_a for t in row] for row in theta_hat.tolist()]
-        )
-        rmse = np.sqrt(np.mean(errs**2, axis=0))
+        errs = []
+        for start in range(0, config.replications, _BLOCK_REPLICATIONS):
+            block = range(start, min(start + _BLOCK_REPLICATIONS, config.replications))
+            schedule, _, (theta_hat, *_) = _setting_estimates(config, setting, block)
+            errs.append(np.array(
+                [[math.sin(t) ** 2 - config.truth_a for t in row] for row in theta_hat.tolist()]
+            ))
+        rmse = np.sqrt(np.mean(np.concatenate(errs) ** 2, axis=0))
         queries = np.cumsum(
             [(2 * m + 1) * n for m, n in schedule.entries], dtype=float
         )
@@ -187,13 +223,14 @@ def misspecification_sweep(
     """Robustness study: rerun the comparison with k_sigma_assumed scaled.
 
     Each factor multiplies the configured ``k_sigma_assumed`` (schedule and
-    correction both follow), leaving the device itself untouched.
+    correction both follow), leaving the device itself untouched.  Every
+    scaled config is built, and so checked, before any of them runs.
     """
-    out = {}
-    for factor in factors:
-        scaled = replace(config, k_sigma_assumed=config.k_sigma_assumed * factor)
-        out[float(factor)] = run_monte_carlo(scaled)
-    return out
+    scaled = {
+        float(factor): replace(config, k_sigma_assumed=config.k_sigma_assumed * factor)
+        for factor in factors
+    }
+    return {factor: run_monte_carlo(each) for factor, each in scaled.items()}
 
 
 # ---------------------------------------------------------------------------

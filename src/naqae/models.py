@@ -3,7 +3,9 @@
 Implements the Gaussian rotation-noise model in closed form, an independent
 Gauss-Hermite quadrature evaluation of the same probability, the depolarizing
 model, and the exact zero-mean mapping between the two.  Each noise kind is
-one row of ``_NOISE_KINDS``: its class, CLI spelling and JSON fields.
+one row of ``_NOISE_KINDS``: its class, CLI spelling, JSON fields and p(1)
+kernel.  Every checked p(1) goes through one evaluator, which refuses a value
+that is not finite, naming its depth.
 
 The physical picture: after ``m`` Grover iterations applied to a state with
 amplitude angle ``theta``, the measured qubit is 1 with probability
@@ -54,8 +56,20 @@ class Amplitude:
         return math.sin(self.theta) ** 2
 
 
+class _NoiseKind:
+    """What both noise classes read from their ``_NOISE_KINDS`` row."""
+
+    def p1_raw(self, theta, m):
+        """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
+        return _NOISE_KINDS[self.kind][3](theta, m, *astuple(self))
+
+    def to_dict(self) -> dict:
+        """JSON fields of this model (without ``kind``)."""
+        return dict(zip(_NOISE_KINDS[self.kind][2], astuple(self)))
+
+
 @dataclass(frozen=True)
-class GaussianNoiseParams:
+class GaussianNoiseParams(_NoiseKind):
     """Drift and diffusion rates of the per-iterate rotation error.
 
     ``k_mu`` is the mean rotation offset added per Grover iterate (radians);
@@ -73,21 +87,13 @@ class GaussianNoiseParams:
             raise ValueError(f"k_mu must be finite, got {self.k_mu!r}")
         _check_rate(self.k_sigma, "k_sigma")
 
-    def p1_raw(self, theta, m):
-        """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
-        return _p1_gaussian_raw(theta, m, self.k_mu, self.k_sigma)
-
     def rate(self) -> float:
         """Decay rate of the coherent signal per iterate: ``k_sigma``."""
         return self.k_sigma
 
-    def to_dict(self) -> dict:
-        """JSON fields of this model (without ``kind``)."""
-        return dict(zip(_NOISE_KINDS[self.kind][2], astuple(self)))
-
 
 @dataclass(frozen=True)
-class DepolParams:
+class DepolParams(_NoiseKind):
     """Per-Grover-iterate coherence survival probability.
 
     ``p_coh_tilde`` is the probability that the state survives one Grover
@@ -105,10 +111,6 @@ class DepolParams:
                 f"p_coh_tilde must lie in [0, 1], got {self.p_coh_tilde!r}"
             )
 
-    def p1_raw(self, theta, m):
-        """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
-        return _p1_depol_raw(theta, m, self.p_coh_tilde)
-
     def rate(self) -> float:
         """Equivalent zero-mean Gaussian rate ``-ln(p_coh_tilde) / 2``.
 
@@ -121,26 +123,53 @@ class DepolParams:
             raise ValueError("no finite equivalent rate at p_coh_tilde == 0")
         return -math.log(self.p_coh_tilde) / 2.0
 
-    def to_dict(self) -> dict:
-        """JSON fields of this model (without ``kind``)."""
-        return dict(zip(_NOISE_KINDS[self.kind][2], astuple(self)))
-
 
 # None means an ideal, noiseless device.
 NoiseModel = GaussianNoiseParams | DepolParams | None
 
-# Each noise kind, by its JSON ``kind``: its class, CLI spelling and JSON
-# fields, the fields in the order the class takes them.
+# ---------------------------------------------------------------------------
+# Raw array kernels (no input validation; arguments broadcast under numpy
+# rules), shared with the fitting module; _NOISE_KINDS names each kind's p(1).
+
+def _p_diff_gaussian_raw(theta, m, k_mu, k_sigma):
+    """p(0) - p(1) under Gaussian rotation noise (array-capable)."""
+    psi = (2.0 * np.asarray(m) + 1.0) * theta + k_mu * np.asarray(m)
+    decay = np.exp(-2.0 * (k_sigma * np.asarray(m)))  # exactly 1 at depth 0, however large k_sigma
+    # cos^2 - sin^2 rather than cos(2 psi): keeps the m=0 limit exactly equal
+    # to cos^2(theta) - sin^2(theta) and bounds the magnitude by the decay.
+    return decay * (np.cos(psi) ** 2 - np.sin(psi) ** 2)
+
+
+def _p1_gaussian_raw(theta, m, k_mu, k_sigma):
+    """p(1) under Gaussian rotation noise (array-capable)."""
+    return 0.5 * (1.0 - _p_diff_gaussian_raw(theta, m, k_mu, k_sigma))
+
+
+def _p1_depol_raw(theta, m, p_coh_tilde):
+    """p(1) under per-iterate depolarizing noise (array-capable)."""
+    coherent = np.asarray(p_coh_tilde) ** np.asarray(m)
+    return coherent * np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2 + (
+        1.0 - coherent
+    ) / 2.0
+
+
+def _p1_noiseless_raw(theta, m):
+    """p(1) = sin^2((2m+1) theta) with no noise (array-capable)."""
+    return np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2
+
+
+# Each noise kind, by its JSON ``kind``: its class, CLI spelling, JSON fields
+# and p(1) kernel, the fields in the order the class and the kernel take them.
 _NOISE_KINDS = {
-    cls.kind: (cls, spec, fields)
-    for cls, spec, fields in (
-        (GaussianNoiseParams, "gaussian:kmu,ksigma", ("k_mu", "k_sigma")),
-        (DepolParams, "depol:p", ("p_coh",)),
+    cls.kind: (cls, spec, fields, kernel)
+    for cls, spec, fields, kernel in (
+        (GaussianNoiseParams, "gaussian:kmu,ksigma", ("k_mu", "k_sigma"), _p1_gaussian_raw),
+        (DepolParams, "depol:p", ("p_coh",), _p1_depol_raw),
     )
 }
 
 # The command-line spellings accepted by noise_from_spec.
-_NOISE_SPECS = " | ".join([*(spec for _, spec, _ in _NOISE_KINDS.values()), "none"])
+_NOISE_SPECS = " | ".join([*(row[1] for row in _NOISE_KINDS.values()), "none"])
 
 
 def noise_from_spec(text: str) -> NoiseModel:
@@ -148,7 +177,7 @@ def noise_from_spec(text: str) -> NoiseModel:
     if text == "none":
         return None
     name, _, args = text.partition(":")
-    for cls, spec, fields in _NOISE_KINDS.values():
+    for cls, spec, fields, _ in _NOISE_KINDS.values():
         if spec.partition(":")[0] == name:
             values = args.split(",")
             if len(values) != len(fields) or "" in values:
@@ -180,7 +209,7 @@ def noise_from_dict(doc: dict) -> NoiseModel:
     if kind == "none":
         cls, keys = None, ()
     elif isinstance(kind, str) and kind in _NOISE_KINDS:
-        cls, _, keys = _NOISE_KINDS[kind]
+        cls, _, keys, _ = _NOISE_KINDS[kind]
     else:
         raise ValueError(f"noise.kind must be {'|'.join([*_NOISE_KINDS, 'none'])}, got {kind!r}")
     if set(doc) != {"kind", *keys}:
@@ -222,47 +251,26 @@ def _check_rate(value: float, name: str) -> None:
 
 
 def _as_probability(p: float, context: str) -> float:
-    """Clamp round-off-sized excursions outside [0, 1]; reject anything larger."""
-    if p < 0.0:
-        if p < -_CLAMP_SLACK:
-            raise InternalConsistencyError(f"{context} produced probability {p!r}")
-        return 0.0
-    if p > 1.0:
-        if p > 1.0 + _CLAMP_SLACK:
-            raise InternalConsistencyError(f"{context} produced probability {p!r}")
-        return 1.0
-    return p
+    """Clamp round-off-sized excursions outside [0, 1]; reject anything larger, and NaN."""
+    if not (-_CLAMP_SLACK <= p <= 1.0 + _CLAMP_SLACK):
+        raise InternalConsistencyError(f"{context} produced probability {p!r}")
+    return min(max(p, 0.0), 1.0)
 
 
-# ---------------------------------------------------------------------------
-# Raw array kernels, shared with the fitting and device modules.  No input
-# validation; arguments broadcast under numpy rules.
-
-def _p_diff_gaussian_raw(theta, m, k_mu, k_sigma):
-    """p(0) - p(1) under Gaussian rotation noise (array-capable)."""
-    psi = (2.0 * np.asarray(m) + 1.0) * theta + k_mu * np.asarray(m)
-    decay = np.exp(-2.0 * k_sigma * np.asarray(m))
-    # cos^2 - sin^2 rather than cos(2 psi): keeps the m=0 limit exactly equal
-    # to cos^2(theta) - sin^2(theta) and bounds the magnitude by the decay.
-    return decay * (np.cos(psi) ** 2 - np.sin(psi) ** 2)
+def _finite(name: str, kernel, theta: float, m: int, *params) -> float:
+    """``kernel(theta, m, *params)`` at a checked depth ``m``, refused unless finite."""
+    m = _check_depth(m)
+    with np.errstate(all="ignore"):  # an overflow shows as the value, refused below
+        value = float(kernel(theta, m, *params))
+    if not math.isfinite(value):
+        raise ValueError(f"{name} at depth {m} is {value!r}: the noise parameters overflow")
+    return value
 
 
-def _p1_gaussian_raw(theta, m, k_mu, k_sigma):
-    """p(1) under Gaussian rotation noise (array-capable)."""
-    return 0.5 * (1.0 - _p_diff_gaussian_raw(theta, m, k_mu, k_sigma))
-
-
-def _p1_depol_raw(theta, m, p_coh_tilde):
-    """p(1) under per-iterate depolarizing noise (array-capable)."""
-    coherent = np.asarray(p_coh_tilde) ** np.asarray(m)
-    return coherent * np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2 + (
-        1.0 - coherent
-    ) / 2.0
-
-
-def _p1_noiseless_raw(theta, m):
-    """p(1) = sin^2((2m+1) theta) with no noise (array-capable)."""
-    return np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2
+def _p1(model: NoiseModel, theta: float, m: int, context: str) -> float:
+    """p(1) of ``model`` (noiseless if None) at depth ``m``: checked, finite, clamped into [0, 1]."""
+    kernel = _p1_noiseless_raw if model is None else model.p1_raw
+    return _as_probability(_finite("p(1)", kernel, theta, m), context)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +282,7 @@ def p1_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -> fl
     Evaluates ``(1 - exp(-2 k_sigma m) cos(2 ((2m+1) theta + k_mu m))) / 2``.
     Reduces to ``sin^2((2m+1) theta)`` at zero noise.
     """
-    m = _check_depth(m)
-    p = float(_p1_gaussian_raw(amp.theta, m, noise.k_mu, noise.k_sigma))
-    return _as_probability(p, "p1_gaussian_closed")
+    return _p1(noise, amp.theta, m, "p1_gaussian_closed")
 
 
 def p_diff_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -> float:
@@ -286,8 +292,7 @@ def p_diff_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -
     ``exp(-2 k_sigma m)``, with the noiseless zero-depth limit
     ``cos^2(theta) - sin^2(theta)``.
     """
-    m = _check_depth(m)
-    return float(_p_diff_gaussian_raw(amp.theta, m, noise.k_mu, noise.k_sigma))
+    return _finite("p(0) - p(1)", _p_diff_gaussian_raw, amp.theta, m, noise.k_mu, noise.k_sigma)
 
 
 @lru_cache(maxsize=64)
@@ -350,9 +355,7 @@ def p1_depolarizing(amp: Amplitude, m: int, depol: DepolParams) -> float:
     otherwise maximally mixed:
     ``p1 = p~^m sin^2((2m+1) theta) + (1 - p~^m) / 2``.
     """
-    m = _check_depth(m)
-    p = float(_p1_depol_raw(amp.theta, m, depol.p_coh_tilde))
-    return _as_probability(p, "p1_depolarizing")
+    return _p1(depol, amp.theta, m, "p1_depolarizing")
 
 
 def depol_equivalent(noise: GaussianNoiseParams) -> DepolParams:

@@ -161,6 +161,17 @@ class TestSimulate:
         assert err == ("naqae: error: a batch may draw at most 2**40 shots over its "
                        "depths and seeds, got 9223372036854775807\n")
 
+    def test_overflowing_noise_is_refused_before_drawing(self, capsys, monkeypatch):
+        # k_mu * m overflows at depth 2, so p(1) there is NaN: refused, naming the depth.
+        drawn = []
+        monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args) or 0)
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "0.5", "--noise", "gaussian:1e308,0.1",
+            "--depths", "0..3", "--shots", "1000",
+        )
+        assert (code, out, drawn) == (1, "", [])
+        assert err == "naqae: error: p(1) at depth 2 is nan: the noise parameters overflow\n"
+
     def test_preset_and_theta_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--preset", "A1", "--theta", "0.5",
@@ -420,6 +431,39 @@ class TestExperiment:
         assert (code, out, drawn) == (1, "", [])
         assert err == ("naqae: error: depths with 1049600 zeros of sin and cos in [0, pi/2] are "
                        "past the theta search's limit of 1048576 (sum of 2m + 2 over the depths)\n")
+
+    @pytest.mark.parametrize("fields, message", [
+        # noisy_b's correction: exp(-400)**2 underflows to 0
+        ({"max_depth": 3, "k_sigma_assumed": 200},
+         "correction is singular at depth 2: p_coh_tilde**m = 1.9151695967140057e-174**2 "
+         "underflows to 0"),
+        ({"max_depth": 3, "k_sigma_assumed": 1e17}, "correction is singular at p_coh_tilde == 0"),
+        # noise_aware's count at depth 1 is past 2**63; noisy_a draws 2**31 shots
+        ({"max_depth": 1, "n_shot_base": 2**30, "k_sigma_assumed": 2**31, "replications": 1,
+          "settings": ["noisy_a", "noise_aware"]},
+         "shot count at depth 1 must be finite and < 2**63, got 9.223372037928518e+18"),
+        # noise_aware draws 6 * 2**38 shots; the flat settings draw 2 * 2**38
+        ({"max_depth": 1, "n_shot_base": 2**38, "k_sigma_assumed": 1.0, "replications": 1},
+         f"a batch may draw at most 2**40 shots over its depths and seeds, got {6 * 2**38}"),
+        # noisy_a's p(1) is NaN at depth 2, though the noiseless setting is listed first
+        ({"device": {"theta": 0.5, "noise": {"kind": "gaussian", "k_mu": 1e308, "k_sigma": 0.1}},
+          "settings": ["noiseless", "noisy_a"], "max_depth": 3},
+         "p(1) at depth 2 is nan: the noise parameters overflow"),
+    ], ids=["singular_depth", "singular_rate", "shots_past_int64", "draws_past_cap", "nan_p1"])
+    def test_setting_faults_are_refused_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, fields, message
+    ):
+        # Each config used to sample its earlier settings before the run failed.
+        drawn = []
+        monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args) or 0)
+        config = {"device": {"preset": "A1", "noise": {"kind": "gaussian", "k_mu": 0.0,
+                                                       "k_sigma": 0.055}},
+                  "n_shot_base": 20, "replications": 50, "seed": 0, **fields}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config_path))
+        assert (code, out, drawn) == (1, "", [])
+        assert err == f"naqae: error: {message}\n"
 
     def test_malformed_json(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

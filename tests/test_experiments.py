@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo comparison harness."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from naqae import (
     run_monte_carlo,
     run_qae_trial,
 )
+from naqae import experiments
 from naqae.experiments import _setting_tallies
 
 A1_GAUSS = ExperimentConfig(
@@ -174,6 +176,30 @@ class TestMonteCarlo:
             expected[setting] = [float(r) for r in np.sqrt(np.mean(errs**2, axis=0))]
         assert depth_curves(run_monte_carlo(config)) == expected
 
+    def test_blocks_give_the_one_batch_curves(self, monkeypatch):
+        # Seven replications in one batch, then in blocks of 3, 3 and 1: the
+        # curves must match to the last bit.
+        config = replace(A1_GAUSS, replications=7)
+        whole = run_monte_carlo(config)
+        monkeypatch.setattr(experiments, "_BLOCK_REPLICATIONS", 3)
+        assert repr(run_monte_carlo(config)) == repr(whole)
+
+    def test_memory_does_not_grow_with_replications(self, monkeypatch):
+        # One batch of every replication peaked about 8 times higher at 500
+        # replications than at 50; blocks of 50 keep the two peaks close.
+        monkeypatch.setattr(experiments, "_BLOCK_REPLICATIONS", 50)
+        config = replace(A1_GAUSS, settings=("noisy_b",))
+        run_monte_carlo(config)  # fills the estimator's caches before tracing
+        peaks = []
+        for replications in (50, 500):
+            tracemalloc.start()
+            try:
+                run_monte_carlo(replace(config, replications=replications))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+
     def test_batch_sample_equals_per_record_substreams(self):
         # Every replication's sweep is sampled in one batch, as a (replications
         # x depths) tally array; tally (rep, m) must count the uniforms below
@@ -262,6 +288,15 @@ class TestMisspecification:
         assert out[1.0] == run_monte_carlo(A1_GAUSS)
         for curves in out.values():
             assert len(curves) == 2 * len(A1_GAUSS.settings)
+
+    def test_bad_factor_is_refused_before_any_draw(self, monkeypatch):
+        # 0.055 * 1e6 makes the correction singular; the factors before it
+        # used to run in full first.
+        drawn = []
+        monkeypatch.setattr("naqae.device._count_ones", lambda *args: drawn.append(args) or 0)
+        with pytest.raises(ValueError, match=r"^correction is singular at p_coh_tilde == 0$"):
+            misspecification_sweep(replace(A1_GAUSS, max_depth=3), factors=(0.5, 1.0, 1e6))
+        assert drawn == []
 
 
 class TestConfigFromJson:

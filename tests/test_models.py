@@ -1,6 +1,7 @@
 """Tests for the outcome-probability models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from naqae import (
     Amplitude,
     DepolParams,
     GaussianNoiseParams,
+    SimulatedDevice,
     depol_equivalent,
     p1_depolarizing,
     p1_gaussian_closed,
@@ -274,3 +276,33 @@ class TestProbabilityGuard:
             _as_probability(-1e-9, "test")
         with pytest.raises(InternalConsistencyError):
             _as_probability(1.0 + 1e-9, "test")
+
+    def test_nan_raises(self):
+        with pytest.raises(InternalConsistencyError, match="produced probability nan"):
+            _as_probability(math.nan, "test")
+
+
+class TestNonFiniteRefused:
+    # k_mu * m overflows to inf at depth 2, and cos(inf) is NaN.
+    OVERFLOWING = GaussianNoiseParams(1e308, 0.1)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda noise, m: SimulatedDevice(A1, noise).p1(m),
+        lambda noise, m: p1_gaussian_closed(A1, m, noise),
+        lambda noise, m: p_diff_gaussian_closed(A1, m, noise),
+    ], ids=["device", "p1_closed", "p_diff_closed"])
+    def test_overflow_names_the_depth(self, evaluate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(evaluate(self.OVERFLOWING, 1))
+            with pytest.raises(ValueError, match=r"at depth 2 is nan: the noise parameters overflow"):
+                evaluate(self.OVERFLOWING, 2)
+
+    def test_huge_rate_decays_fully_past_depth_zero(self):
+        # k_sigma * m is formed before it is doubled, so depth 0 carries no
+        # decay even where 2 k_sigma is past the float range.
+        dev = SimulatedDevice(A1, GaussianNoiseParams(0.0, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dev.p1(0) == p1_gaussian_closed(A1, 0, NOISELESS)
+            assert [dev.p1(m) for m in (1, 2, 50)] == [0.5, 0.5, 0.5]
