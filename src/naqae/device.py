@@ -7,10 +7,10 @@ evaluation order.
 
 Every key is ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``,
 computed by :func:`_philox_keys`, a numpy-array port of SeedSequence's 32-bit
-hash-and-mix.  So :func:`_sample_tallies` derives the keys of every (seed,
-depth) tally at once and draws them all from one ``Philox`` re-keyed per
-tally, as a (seeds x depths) array; :func:`run_depth_sweep` and
-:func:`sample_shots` wrap one seed's row in ``ShotRecord``s.  Uniforms are
+hash-and-mix.  So :func:`_sample_tallies`, given p(1) per depth, derives the
+keys of every (seed, depth) tally at once and draws them all from one Philox
+re-keyed per tally, as a (seeds x depths) array; :func:`run_depth_sweep` and
+:func:`sample_shots` wrap a device's row in ``ShotRecord``s.  Uniforms are
 counted in chunks of ``2**20`` from the same stream, so memory does not grow
 with the shot count.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,16 +209,16 @@ def _check_draws(draws: int) -> None:
 
 
 def _sample_tallies(
-    dev: SimulatedDevice, seeds: Sequence[int], depths: Sequence[int], shots: Sequence[int]
+    p1: Callable[[int], float], seeds: Sequence[int], depths: Sequence[int], shots: Sequence[int]
 ) -> np.ndarray:
-    """One depth sweep of ``dev`` per seed, as a (seeds x depths) int64 array of ones.
+    """One depth sweep per seed, as a (seeds x depths) int64 array of ones.
 
-    Tally (seed, m) counts the uniforms below ``dev.p1(m)`` among the first
-    ``shots`` of the Philox stream keyed by :func:`_philox_keys` of (seed,
-    m), so it depends on neither the other seeds and depths, nor their
-    order, nor ``dev.seed``.  The batch is checked once, every key comes
-    from one :func:`_philox_keys` call, and one ``Philox`` is re-keyed per
-    tally.
+    Tally (seed, m) counts the uniforms below ``p1(m)``, the probability of
+    a 1 at depth m, among the first ``shots`` of the Philox stream keyed by
+    :func:`_philox_keys` of (seed, m), so it depends on neither the other
+    seeds and depths nor their order.  The batch is checked once before
+    ``p1`` is evaluated, every key comes from one :func:`_philox_keys` call,
+    and one ``Philox`` is re-keyed per tally.
 
     Raises:
         ValueError: unequal lengths, a repeated depth (its stream would
@@ -239,10 +239,10 @@ def _sample_tallies(
     shots = [int(n) for n in shots]
     seed_words = np.array([_check_seed(s, "seed") for s in seeds], np.uint64)
     _check_draws(sum(shots) * len(seeds))
-    # SimulatedDevice.p1 once per depth.  One array call would square with a
-    # multiply where the scalar path calls pow; the two differ in the last bit
+    # p1 once per depth.  SimulatedDevice.p1 as one array call would square with
+    # a multiply where the scalar path calls pow; the two differ in the last bit
     # on about one depth in a thousand, and such a bit can move a tally.
-    p1 = [dev.p1(m) for m in depths]
+    probs = [p1(m) for m in depths]
     keys = _philox_keys(seed_words[:, None], np.array(depths, np.uint64))
 
     bit_generator = np.random.Philox(0)
@@ -251,7 +251,7 @@ def _sample_tallies(
     state = bit_generator.state
     ones = []
     # keys run seed by seed, each over every depth
-    for key, n, p in zip(keys.tolist(), shots * len(seeds), p1 * len(seeds)):
+    for key, n, p in zip(keys.tolist(), shots * len(seeds), probs * len(seeds)):
         state["state"]["key"] = key
         bit_generator.state = state
         ones.append(_count_ones(rng, n, p))
@@ -265,7 +265,7 @@ def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:
     calls with the same arguments return the same tally, and tallies at
     different depths are independent.
     """
-    ((ones,),) = _sample_tallies(dev, [dev.seed], [m], [shots]).tolist()
+    ((ones,),) = _sample_tallies(dev.p1, [dev.seed], [m], [shots]).tolist()
     return ShotRecord(int(m), int(shots), ones)
 
 
@@ -294,5 +294,5 @@ def run_depth_sweep(
     Raises:
         ValueError: as :func:`_sample_tallies`.
     """
-    (ones,) = _sample_tallies(dev, [dev.seed], depths, shots_per_depth).tolist()
+    (ones,) = _sample_tallies(dev.p1, [dev.seed], depths, shots_per_depth).tolist()
     return [ShotRecord(int(m), int(n), h) for m, n, h in zip(depths, shots_per_depth, ones)]

@@ -18,7 +18,14 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .device import ShotRecord
-from .models import DepolParams, _check_depth, _check_rate, _check_shots
+from .models import (
+    DepolParams,
+    _check_depth,
+    _check_frequency,
+    _check_kind,
+    _check_rate,
+    _check_shots,
+)
 
 # Probabilities are clamped away from {0, 1} inside logs; exact 0/1 model
 # values are only consistent with data that agrees exactly.
@@ -195,8 +202,7 @@ def shot_schedule(
 
 def _coherent(depths: Sequence[int], depol: DepolParams) -> list[float]:
     """The coherent fractions ``p_coh_tilde**m``, refused where the count correction is singular."""
-    if not isinstance(depol, DepolParams):
-        raise ValueError(f"count correction requires DepolParams, got {depol!r}")
+    _check_kind(depol, DepolParams, "count correction")
     if depol.p_coh_tilde == 0.0:
         raise ValueError("correction is singular at p_coh_tilde == 0")
     coherent = [depol.p_coh_tilde**m for m in depths]  # Python's pow, as numpy's may differ
@@ -228,10 +234,12 @@ def correct_frequency(p1_hat: float, m: int, depol: DepolParams) -> CorrectionRe
     clamped and ``clamped`` flags when that happened.
 
     Raises:
-        ValueError: if ``depol`` is not a :class:`DepolParams`,
-            ``p_coh_tilde == 0`` (fully depolarized data carries no
-            recoverable signal) or ``p_coh_tilde ** m`` underflows to 0.
+        ValueError: if ``p1_hat`` is outside [0, 1] (or NaN), ``depol`` is
+            not a :class:`DepolParams`, ``p_coh_tilde == 0`` (fully
+            depolarized data carries no recoverable signal) or
+            ``p_coh_tilde ** m`` underflows to 0.
     """
+    _check_frequency(p1_hat)
     return CorrectionResult(*(x.item() for x in _correct(p1_hat, 1.0, [_check_depth(m)], depol)))
 
 

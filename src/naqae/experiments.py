@@ -8,15 +8,16 @@ of ``_SETTING_ROWS``:
 * ``noise_aware`` - count correction plus the noise-aware shot schedule;
 * ``noiseless``   - flat shot counts on an ideal device, for reference.
 
-Each replication samples a full depth sweep, estimates the amplitude from
-every depth prefix, and the harness reports RMSE-versus-depth curves over
-replications.
+Each setting is planned once, when its config is built, and the run reads
+the plan: each replication samples a full depth sweep, estimates the
+amplitude from every depth prefix, and the harness reports RMSE-versus-depth
+curves over replications.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,7 +77,8 @@ class ExperimentConfig:
     ``device`` carries the true angle and noise model; its own seed is
     ignored, replications derive per-run seeds from ``seed``.
     ``k_sigma_assumed`` feeds both the shot schedule and the count correction
-    (via the zero-mean depolarizing equivalence).
+    (via the zero-mean depolarizing equivalence).  Building the config plans
+    each setting once (:func:`_setting_plan`); the run reads the plans.
     """
 
     device: SimulatedDevice
@@ -87,6 +89,7 @@ class ExperimentConfig:
     settings: tuple[str, ...] = SETTINGS
     replications: int = 1
     seed: int = 0
+    _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.truth_a <= 1.0):
@@ -103,15 +106,8 @@ class ExperimentConfig:
         unknown = [s for s in self.settings if s not in SETTINGS]
         if unknown or not self.settings or len(set(self.settings)) != len(self.settings):
             raise ValueError(f"settings must be a nonempty subset of {SETTINGS}, without repeats")
-        # What would stop a setting's run is refused here, before any setting
-        # samples, by the checks the run makes, in the order it makes them.
-        for setting in self.settings:
-            device, schedule, _, depol = _setting_plan(self, setting)
-            _check_draws(self.replications * sum(schedule.shots))
-            for m in schedule.depths:
-                device.p1(m)
-            if depol is not None:
-                _coherent(schedule.depths, depol)
+        # What would stop a setting's run is refused here, before any setting samples.
+        object.__setattr__(self, "_plans", {s: _setting_plan(self, s) for s in self.settings})
 
 
 @dataclass(frozen=True)
@@ -132,40 +128,40 @@ class RmseCurve:
 
 def _setting_plan(
     config: ExperimentConfig, setting: str
-) -> tuple[SimulatedDevice, ShotSchedule, str, DepolParams | None]:
-    """The setting's device, shot schedule over m = 0..max_depth, method and correction parameters."""
+) -> tuple[ShotSchedule, list[float], str, DepolParams | None]:
+    """The setting's shot schedule over m = 0..max_depth, p(1) at each m, method and correction.
+
+    Refuses, in this order, what would stop the run: the schedule, more than
+    2**40 draws over all replications, a non-finite p(1), a singular correction.
+    """
     noisy, scheduled, method = _SETTING_ROWS[setting]
     device = replace(config.device, model=config.device.model if noisy else None)
     k_sigma = config.k_sigma_assumed if scheduled else 0.0
     schedule = shot_schedule(list(range(config.max_depth + 1)), config.n_shot_base, k_sigma)
+    _check_draws(config.replications * sum(schedule.shots))
+    p1 = [device.p1(m) for m in schedule.depths]
     depol = None
     if method == "corrected":  # the zero-mean equivalent of the assumed rate
         depol = depol_equivalent(GaussianNoiseParams(k_mu=0.0, k_sigma=config.k_sigma_assumed))
-    return device, schedule, method, depol
+        _coherent(schedule.depths, depol)
+    return schedule, p1, method, depol
 
 
-def _setting_tallies(
+def _setting_estimates(
     config: ExperimentConfig, setting: str, replications
-) -> tuple[ShotSchedule, np.ndarray]:
-    """The setting's schedule and ones tallies at m = 0..max_depth, (replications x depths).
+) -> tuple[ShotSchedule, str, tuple[np.ndarray, ...]]:
+    """The setting's schedule, method and :func:`_estimates` of every prefix of each replication.
 
     The replications are sampled in one batch.  Replication r's seed is the
     first word of :func:`_philox_keys`'s ``SeedSequence([config.seed, r,
     setting index])`` key, so its sweep is deterministic given
     (config.seed, r, setting) and does not depend on the other replications.
     """
-    device, schedule, _, _ = _setting_plan(config, setting)
+    schedule, p1, method, depol = config._plans[setting]
     reps = [_check_seed(r, "replication_index") for r in replications]
     keys = _philox_keys(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
-    return schedule, _sample_tallies(device, keys[:, 0].tolist(), schedule.depths, schedule.shots)
-
-
-def _setting_estimates(
-    config: ExperimentConfig, setting: str, replications
-) -> tuple[ShotSchedule, str, tuple[np.ndarray, ...]]:
-    """The setting's schedule, method and :func:`_estimates` of every prefix of each replication."""
-    schedule, ones = _setting_tallies(config, setting, replications)
-    _, _, method, depol = _setting_plan(config, setting)
+    # The plan's p(1) list is indexed by depth: the depths are 0..max_depth.
+    ones = _sample_tallies(p1.__getitem__, keys[:, 0].tolist(), schedule.depths, schedule.shots)
     return schedule, method, _estimates(schedule.depths, schedule.shots, ones, method, depol, False)
 
 

@@ -43,6 +43,7 @@ from .models import (
     DepolParams,
     GaussianNoiseParams,
     _check_depth,
+    _check_frequency,
     _p1_depol_raw,
     _p1_gaussian_raw,
     depol_equivalent,
@@ -110,8 +111,7 @@ class FrequencyPoint:
 
     def __post_init__(self) -> None:
         _check_depth(self.m)
-        if not (0.0 <= self.p1_hat <= 1.0):
-            raise ValueError(f"p1_hat must lie in [0, 1], got {self.p1_hat!r}")
+        _check_frequency(self.p1_hat)
 
 
 @dataclass(frozen=True)

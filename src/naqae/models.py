@@ -5,7 +5,10 @@ Gauss-Hermite quadrature evaluation of the same probability, the depolarizing
 model, and the exact zero-mean mapping between the two.  Each noise kind is
 one row of ``_NOISE_KINDS``: its class, CLI spelling, JSON fields and p(1)
 kernel.  Every checked p(1) goes through one evaluator, which refuses a value
-that is not finite, naming its depth.
+that is not finite, naming its depth.  Each public formula refuses, through
+one kind check, a noise model of the other kind (or None), and the quadrature
+stops doubling its nodes at the first count whose Gauss-Hermite nodes or
+weights are not all finite.
 
 The physical picture: after ``m`` Grover iterations applied to a state with
 amplitude angle ``theta``, the measured qubit is 1 with probability
@@ -250,6 +253,18 @@ def _check_rate(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _check_kind(model: NoiseModel, cls: type, name: str) -> None:
+    """Refuse a noise model that is not a ``cls``: ``name`` requires that kind."""
+    if not isinstance(model, cls):
+        raise ValueError(f"{name} requires {cls.__name__}, got {model!r}")
+
+
+def _check_frequency(p1_hat: float) -> None:
+    """Validate an observed outcome-1 frequency: in [0, 1], so not NaN."""
+    if not (0.0 <= p1_hat <= 1.0):
+        raise ValueError(f"p1_hat must lie in [0, 1], got {p1_hat!r}")
+
+
 def _as_probability(p: float, context: str) -> float:
     """Clamp round-off-sized excursions outside [0, 1]; reject anything larger, and NaN."""
     if not (-_CLAMP_SLACK <= p <= 1.0 + _CLAMP_SLACK):
@@ -282,6 +297,7 @@ def p1_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -> fl
     Evaluates ``(1 - exp(-2 k_sigma m) cos(2 ((2m+1) theta + k_mu m))) / 2``.
     Reduces to ``sin^2((2m+1) theta)`` at zero noise.
     """
+    _check_kind(noise, GaussianNoiseParams, "p1_gaussian_closed")
     return _p1(noise, amp.theta, m, "p1_gaussian_closed")
 
 
@@ -292,13 +308,17 @@ def p_diff_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -
     ``exp(-2 k_sigma m)``, with the noiseless zero-depth limit
     ``cos^2(theta) - sin^2(theta)``.
     """
+    _check_kind(noise, GaussianNoiseParams, "p_diff_gaussian_closed")
     return _finite("p(0) - p(1)", _p_diff_gaussian_raw, amp.theta, m, noise.k_mu, noise.k_sigma)
 
 
 @lru_cache(maxsize=64)
 def _hermgauss_nodes(n: int):
-    """Cached Gauss-Hermite nodes and weights for ``n`` points."""
-    return np.polynomial.hermite.hermgauss(n)
+    """Cached Gauss-Hermite nodes and weights for ``n`` points, or None unless all are finite."""
+    with np.errstate(all="ignore"):  # numpy's recurrence overflows at large n
+        x, w = np.polynomial.hermite.hermgauss(n)
+        finite = np.isfinite(x).all() and np.isfinite(w).all()
+    return (x, w) if finite else None
 
 
 def p1_gaussian_quadrature(
@@ -316,8 +336,11 @@ def p1_gaussian_quadrature(
     independent check on :func:`p1_gaussian_closed`.
 
     Raises:
-        QuadratureError: no convergence within ``max_nodes`` nodes.
+        QuadratureError: no convergence within ``max_nodes`` nodes, or
+            before the first node count whose nodes or weights are not
+            all finite; the message names the last count used.
     """
+    _check_kind(noise, GaussianNoiseParams, "p1_gaussian_quadrature")
     m = _check_depth(m)
     mean = noise.k_mu * m
     variance = noise.k_sigma * m
@@ -334,8 +357,9 @@ def p1_gaussian_quadrature(
     threshold = max(tol, 1e-15)
     previous = None
     n = 16
-    while n <= max_nodes:
-        x, w = _hermgauss_nodes(n)
+    # Doubling stops past max_nodes, or where numpy's nodes stop being finite.
+    while n <= max_nodes and (nodes := _hermgauss_nodes(n)) is not None:
+        x, w = nodes
         values = np.sin(phase + mean + scale * x) ** 2
         estimate = float(w @ values) / math.sqrt(math.pi)
         if previous is not None and abs(estimate - previous) <= threshold:
@@ -343,7 +367,7 @@ def p1_gaussian_quadrature(
         previous = estimate
         n *= 2
     raise QuadratureError(
-        f"quadrature did not converge to {tol!r} within {max_nodes} nodes "
+        f"quadrature did not converge to {tol!r} within {n // 2} nodes "
         f"(theta={amp.theta}, m={m}, k_mu={noise.k_mu}, k_sigma={noise.k_sigma})"
     )
 
@@ -355,6 +379,7 @@ def p1_depolarizing(amp: Amplitude, m: int, depol: DepolParams) -> float:
     otherwise maximally mixed:
     ``p1 = p~^m sin^2((2m+1) theta) + (1 - p~^m) / 2``.
     """
+    _check_kind(depol, DepolParams, "p1_depolarizing")
     return _p1(depol, amp.theta, m, "p1_depolarizing")
 
 
@@ -368,6 +393,7 @@ def depol_equivalent(noise: GaussianNoiseParams) -> DepolParams:
     Raises:
         ValueError: if ``k_mu != 0`` (the equivalence only holds without drift).
     """
+    _check_kind(noise, GaussianNoiseParams, "depol_equivalent")
     if noise.k_mu != 0.0:
         raise ValueError(
             f"depolarizing equivalence requires k_mu == 0, got {noise.k_mu!r}"

@@ -531,6 +531,13 @@ class TestParser:
                              "--method", "corrected", "--p-coh", "0.94", "--out", str(out))
         assert estimate == ""
         assert out.read_bytes() == (GOLDEN / "estimate_corrected.json").read_bytes()
+        # All three model families fitted to one CSV: the JSON and the table.
+        out, table = tmp_path / "f.json", tmp_path / "t.csv"
+        fit = naqae_cli("fit", "--input", str(GOLDEN / "inputs" / "labeled.csv"),
+                        "--model", "all", "--out", str(out), "--table", str(table))
+        assert fit == (GOLDEN / "fit_all.stdout").read_text()
+        assert out.read_bytes() == (GOLDEN / "fit_all.json").read_bytes()
+        assert table.read_bytes() == (GOLDEN / "fit_all.table.csv").read_bytes()
         # Depths 0, 1, 2, 4, ..., 4096: the piece search past level 0.
         deep = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "deep.csv"))
         assert deep == (GOLDEN / "estimate_deep_naive.stdout").read_text()

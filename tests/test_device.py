@@ -240,7 +240,7 @@ class TestSampleTallies:
         dev = preset_device("A3", model=DepolParams(0.93))
         seeds = [0, -1, 2**32, 17, 2**64 - 1]
         depths, shots = [0, 3, 1, 9], [40, 70, 25, 90]
-        tallies = _sample_tallies(dev, seeds, depths, shots)
+        tallies = _sample_tallies(dev.p1, seeds, depths, shots)
         for seed, row in zip(seeds, tallies.tolist()):
             alone = SimulatedDevice(dev.amp, dev.model, seed)
             assert row == [r.ones for r in run_depth_sweep(alone, depths, shots)]
@@ -248,7 +248,7 @@ class TestSampleTallies:
     def test_tallies_equal_per_record_substreams(self):
         dev = preset_device("A1", model=GaussianNoiseParams(0.01, 0.05), seed=0)
         seeds = [3, 2**40 + 1, -9]
-        for seed, row in zip(seeds, _sample_tallies(dev, seeds, range(8), [33] * 8).tolist()):
+        for seed, row in zip(seeds, _sample_tallies(dev.p1, seeds, range(8), [33] * 8).tolist()):
             for m, ones in enumerate(row):
                 draws = numpy_stream(seed, m).random(33)
                 assert ones == int(np.count_nonzero(draws < dev.p1(m)))
@@ -272,7 +272,7 @@ class TestSampleTallies:
         def check(seed, entries, theta, noisy):
             dev = SimulatedDevice(Amplitude(theta), DepolParams(0.9) if noisy else None, seed)
             depths, shots = [m for m, _ in entries], [n for _, n in entries]
-            tallies = _sample_tallies(dev, [seed, 7], depths, shots)
+            tallies = _sample_tallies(dev.p1, [seed, 7], depths, shots)
             assert tallies.dtype == np.int64 and tallies.shape == (2, len(depths))
             records = run_depth_sweep(dev, depths, shots)
             assert [r.ones for r in records] == tallies[0].tolist()
@@ -284,22 +284,27 @@ class TestSampleTallies:
 
     def test_empty_batches(self):
         dev = preset_device("A1")
-        assert _sample_tallies(dev, [], [0, 1], [5, 5]).shape == (0, 2)
-        assert _sample_tallies(dev, [1, 2], [], []).shape == (2, 0)
+        assert _sample_tallies(dev.p1, [], [0, 1], [5, 5]).shape == (0, 2)
+        assert _sample_tallies(dev.p1, [1, 2], [], []).shape == (2, 0)
         assert run_depth_sweep(dev, [], []) == []
 
     def test_validation(self):
-        dev = preset_device("A1")
+        # Every fault is refused before p(1) is evaluated at any depth.
+        def p1(m):
+            pytest.fail(f"p1 evaluated at depth {m} before the batch checks")
+
         with pytest.raises(ValueError, match="equal length"):
-            _sample_tallies(dev, [1], [0, 1], [10])
+            _sample_tallies(p1, [1], [0, 1], [10])
         with pytest.raises(ValueError, match=r"repeated: \[2\]"):
-            _sample_tallies(dev, [1], [2, 2], [10, 10])
+            _sample_tallies(p1, [1], [2, 2], [10, 10])
         with pytest.raises(ValueError, match="^seed must be an integer"):
-            _sample_tallies(dev, [1, 0.5], [0], [10])
+            _sample_tallies(p1, [1, 0.5], [0], [10])
         with pytest.raises(ValueError, match="^shots must be an integer"):
-            _sample_tallies(dev, [1], [0], [2.0])
+            _sample_tallies(p1, [1], [0], [2.0])
         with pytest.raises(ValueError, match="^depth must be >= 0"):
-            _sample_tallies(dev, [1], [-1], [10])
+            _sample_tallies(p1, [1], [-1], [10])
+        with pytest.raises(ValueError, match=f"at most 2\\*\\*40 shots .*, got {2**41}$"):
+            _sample_tallies(p1, [1, 2], [0], [2**40])
 
 
 class TestChunkedDraws:
@@ -329,11 +334,11 @@ class TestDrawLimit:
         # Shots are summed over depths and seeds: 2 x (30 + 20) = 100 draws.
         dev = preset_device("A1", seed=3)
         monkeypatch.setattr(device, "_MAX_DRAWS", 100)
-        assert _sample_tallies(dev, [1, 2], [0, 1], [30, 20]).shape == (2, 2)
+        assert _sample_tallies(dev.p1, [1, 2], [0, 1], [30, 20]).shape == (2, 2)
         drawn = []
         monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=r"at most 2\*\*40 shots .*, got 102$"):
-            _sample_tallies(dev, [1, 2], [0, 1], [30, 21])
+            _sample_tallies(dev.p1, [1, 2], [0, 1], [30, 21])
         assert drawn == []
 
     def test_the_limit_is_two_to_the_forty(self):

@@ -180,6 +180,12 @@ class TestCorrection:
         with pytest.raises(ValueError, match="requires DepolParams, got GaussianNoiseParams"):
             correct_counts(ShotRecord(m=1, shots=10, ones=5), GaussianNoiseParams(0.0, 0.1))
 
+    @pytest.mark.parametrize("p1_hat", [math.nan, 2.0, -0.1, 1.0 + 1e-12, math.inf])
+    def test_frequency_outside_the_unit_interval_is_refused(self, p1_hat):
+        # NaN used to give CorrectionResult(nan, nan, True), and 2.0 a clamped 1.0.
+        with pytest.raises(ValueError, match=rf"^p1_hat must lie in \[0, 1\], got {p1_hat!r}$"):
+            correct_frequency(p1_hat, 1, DepolParams(0.9))
+
     def test_underflowing_coherence_names_depth(self):
         # 0.5 ** 4096 underflows to 0.0; p~^m at m = 4096 for p~ = 0.85 does not
         with pytest.raises(ValueError, match=r"depth 4096.*0\.5\*\*4096"):
@@ -334,6 +340,22 @@ class TestEstimateAmplitude:
         assert estimate.theta_hat == pytest.approx(theta, abs=1e-12)
         assert estimate.log_likelihood == pytest.approx(best, rel=1e-3)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: at about 2**53 shots on a deep depth the Newton refinement "
+        "stops inside a guard window, short of the dense maximum"))
+    def test_two_to_the_53_shots_reach_the_dense_maximum(self):
+        # The dataset of test_no_ones_in_two_to_the_53_shots_past_level_0,
+        # which allows 1e-3 for this: theta_hat is 0.7206191059967622 against
+        # the oracle's 0.7206191059966537, and the log-likelihood -9502.4815
+        # against -9499.5477, 3.1e-4 relative short.
+        depths = EXPONENTIAL_DEPTHS[:12]
+        ones = [round(100 * math.sin((2 * m + 1) * 0.721) ** 2) for m in depths[:-1]] + [0]
+        shots = [100] * (len(depths) - 1) + [2**53]
+        records = [ShotRecord(m=m, shots=n, ones=h) for m, n, h in zip(depths, shots, ones)]
+        estimate = estimate_amplitude(records)
+        ((_, best),) = dense_mle(depths, [ones], np.subtract([shots], [ones]))
+        assert estimate.log_likelihood == pytest.approx(best, rel=1e-9)
+
     def test_piece_split_by_a_zero_inside_the_grid_bracket(self):
         # The sin zero of depth 91 at 42 pi / 183 splits the peak near 0.721:
         # the lower half reaches L = -43,530,557.24 at 0.7210273, the higher
@@ -486,7 +508,7 @@ CLAMPING = (
 
 def sampled_batch(theta, depths, shots, seeds, depol=None):
     """Noiseless or depolarized sweeps at ``theta``, one per seed, as (depths, shots, ones)."""
-    ones = _sample_tallies(SimulatedDevice(amp=Amplitude(theta), model=depol), seeds, depths, shots)
+    ones = _sample_tallies(SimulatedDevice(amp=Amplitude(theta), model=depol).p1, seeds, depths, shots)
     return tuple(depths), np.tile(shots, (len(ones), 1)), ones
 
 

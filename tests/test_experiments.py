@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo comparison harness."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from naqae import (
     run_qae_trial,
 )
 from naqae import experiments
-from naqae.experiments import _setting_tallies
+from naqae.device import _p1, _sample_tallies
 
 A1_GAUSS = ExperimentConfig(
     device=SimulatedDevice(amp=Amplitude(math.pi / 6), model=GaussianNoiseParams(0.0, 0.055)),
@@ -32,6 +34,11 @@ A1_GAUSS = ExperimentConfig(
     settings=("noisy_a", "noisy_b", "noise_aware", "noiseless"),
     replications=3,
     seed=101,
+)
+
+# The benchmark's four-setting comparison: A1 at k_sigma 0.055, depths 0..12.
+CRITERION9 = json.loads(
+    (Path(__file__).parent / "golden" / "inputs" / "config_criterion9.json").read_text()
 )
 
 
@@ -89,6 +96,15 @@ class TestConfig:
             ExperimentConfig(**good, seed=bad)
         for seed in (-(2**63), 2**64 - 1, np.uint64(2**64 - 1), np.int8(-3)):
             ExperimentConfig(**good, seed=seed)
+
+    def test_plan_is_not_compared_hashed_or_printed(self):
+        # The plan is derived state: a rebuilt config equals and hashes as
+        # the original, and the config's repr shows its fields alone.
+        config = config_from_json(CRITERION9)
+        assert replace(config) == config
+        assert hash(replace(config)) == hash(config)
+        assert "plan" not in repr(config)
+        assert repr(config).endswith("replications=50, seed=1)")
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -200,15 +216,25 @@ class TestMonteCarlo:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
 
-    def test_batch_sample_equals_per_record_substreams(self):
+    def test_batch_sample_equals_per_record_substreams(self, monkeypatch):
         # Every replication's sweep is sampled in one batch, as a (replications
         # x depths) tally array; tally (rep, m) must count the uniforms below
         # p1 among the first N_m of the stream that numpy's SeedSequence gives
         # the path (replication seed, m).
         config = replace(A1_GAUSS, max_depth=6, replications=5, seed=-3)
-        for setting in config.settings:
-            schedule, tallies = _setting_tallies(config, setting, range(config.replications))
-            assert tallies.shape == (config.replications, len(schedule.entries))
+        batches = []  # each setting's (schedule entries, tallies), in run order
+
+        def sample(p1, seeds, depths, shots):
+            tallies = _sample_tallies(p1, seeds, depths, shots)
+            batches.append((list(zip(depths, shots)), tallies))
+            return tallies
+
+        monkeypatch.setattr(experiments, "_sample_tallies", sample)
+        run_monte_carlo(config)
+        assert len(batches) == len(config.settings)
+        for setting, (entries, tallies) in zip(config.settings, batches):
+            assert [m for m, _ in entries] == list(range(config.max_depth + 1))
+            assert tallies.shape == (config.replications, len(entries))
             model = None if setting == "noiseless" else config.device.model
             device = replace(config.device, model=model)
             for rep, row in enumerate(tallies.tolist()):
@@ -217,11 +243,28 @@ class TestMonteCarlo:
                 )
                 seed = int(seed_seq.generate_state(1, np.uint64)[0])
                 expected = []
-                for m, n in schedule.entries:
+                for m, n in entries:
                     philox = np.random.Philox(np.random.SeedSequence([seed, m]))
                     stream = np.random.Generator(philox)
                     expected.append(int(np.count_nonzero(stream.random(n) < device.p1(m))))
                 assert row == expected, (setting, rep)
+
+    def test_each_setting_is_planned_once(self, monkeypatch):
+        # The config checks each setting by planning it, and the run reads the
+        # plans: 4 schedules and 4 x 13 checked p(1) evaluations at depths 0..12.
+        calls = {"p1": 0, "schedule": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr("naqae.device._p1", counted("p1", _p1))
+        monkeypatch.setattr(experiments, "shot_schedule",
+                            counted("schedule", experiments.shot_schedule))
+        run_monte_carlo(config_from_json(CRITERION9))
+        assert calls == {"p1": 52, "schedule": 4}
 
     def test_single_replication_rmse_is_absolute_error(self):
         config = ExperimentConfig(

@@ -1,11 +1,13 @@
 """Tests for the outcome-probability models."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from naqae import models
 from naqae import (
     Amplitude,
     DepolParams,
@@ -178,6 +180,48 @@ class TestQuadrature:
             p1_gaussian_quadrature(
                 Amplitude(1.0), 100, GaussianNoiseParams(0.0, 0.2), tol=1e-12, max_nodes=32
             )
+
+
+    @pytest.mark.parametrize("theta, m, noise", [
+        (0.5, 200, GaussianNoiseParams(0.0, 0.5)),
+        (1.0, 400, GaussianNoiseParams(0.1, 0.3)),
+    ])
+    def test_stops_where_the_nodes_are_not_finite(self, theta, m, noise):
+        # numpy's Gauss-Hermite nodes and weights turn non-finite past some
+        # count below the default max_nodes of 4096; the doubling stops at the
+        # last finite count, without a numpy warning, and names it.
+        models._hermgauss_nodes.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match=r"within (\d+) nodes") as info:
+                p1_gaussian_quadrature(Amplitude(theta), m, noise)
+        used = int(re.search(r"within (\d+) nodes", str(info.value)).group(1))
+        assert used < 4096
+        assert models._hermgauss_nodes(used) is not None
+        assert models._hermgauss_nodes(2 * used) is None
+
+
+class TestKindRefused:
+    @pytest.mark.parametrize("name, evaluate, noise, required", [
+        ("p1_gaussian_closed", lambda noise: p1_gaussian_closed(A1, 2, noise),
+         DepolParams(0.9), "GaussianNoiseParams"),
+        ("p1_gaussian_closed", lambda noise: p1_gaussian_closed(A1, 2, noise),
+         None, "GaussianNoiseParams"),
+        ("p_diff_gaussian_closed", lambda noise: p_diff_gaussian_closed(A1, 2, noise),
+         DepolParams(0.9), "GaussianNoiseParams"),
+        ("p1_gaussian_quadrature", lambda noise: p1_gaussian_quadrature(A1, 2, noise),
+         DepolParams(0.9), "GaussianNoiseParams"),
+        ("depol_equivalent", depol_equivalent, DepolParams(0.9), "GaussianNoiseParams"),
+        ("p1_depolarizing", lambda noise: p1_depolarizing(A1, 2, noise),
+         GaussianNoiseParams(0.01, 0.05), "DepolParams"),
+        ("p1_depolarizing", lambda noise: p1_depolarizing(A1, 2, noise),
+         None, "DepolParams"),
+    ])
+    def test_wrong_kind_is_refused(self, name, evaluate, noise, required):
+        # Each used to return the other kind's value, or end in AttributeError.
+        message = f"{name} requires {required}, got {noise!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(noise)
 
 
 class TestDepolarizing:
