@@ -10,9 +10,11 @@ computed by :func:`_philox_keys`, a numpy-array port of SeedSequence's 32-bit
 hash-and-mix.  So :func:`_sample_tallies`, given p(1) per depth, derives the
 keys of every (seed, depth) tally at once and draws them all from one Philox
 re-keyed per tally, as a (seeds x depths) array; :func:`run_depth_sweep` and
-:func:`sample_shots` wrap a device's row in ``ShotRecord``s.  Uniforms are
-counted in chunks of ``2**20`` from the same stream, so memory does not grow
-with the shot count.
+:func:`sample_shots` wrap a device's row in ``ShotRecord``s.  A tally counts
+its stream's raw 64-bit words below one integer threshold per depth, the
+words that ``Generator.random()`` would map below p(1), so no word becomes a
+float.  They are drawn in chunks of ``2**20``, so memory does not grow with
+the shot count, and a depth whose p(1) is 0 or 1 draws none.
 """
 
 from __future__ import annotations
@@ -42,13 +44,14 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# Uniforms drawn per rng.random call: bounds a sample's memory at 9 MB.
+# Raw words drawn per Philox.random_raw call: 8 MiB of uint64 and 1 MiB of
+# comparison bounds a sample's memory at 9 MiB.
 _CHUNK = 2**20
 
-# Most uniforms one batch may draw (shots summed over depths and seeds).  The
-# sampler takes 7.0-7.5 ns a draw (2**24 and 2**26 shots at one depth, one
-# shared Xeon vCPU), so 2**40 draws is about 2 hours; a count past it would
-# run for days to centuries, so it is refused before drawing.
+# Most words one batch may draw (shots summed over depths and seeds).  The
+# sampler takes 5.5-6.6 ns a draw (best of 18 at 2**24 and 2**26 shots at one
+# depth, one shared Xeon vCPU), so 2**40 draws is about 1.7-2 hours; a count
+# past it would run for days to centuries, so it is refused before drawing.
 _MAX_DRAWS = 2**40
 
 # Angles of the bundled state-preparation presets.  A1/A5 share theta = pi/6
@@ -192,16 +195,33 @@ def _philox_keys(*columns) -> np.ndarray:
     return keys
 
 
-def _count_ones(rng: np.random.Generator, shots: int, p1: float) -> int:
-    """Uniforms below ``p1`` among the next ``shots`` of ``rng``, drawn ``_CHUNK`` at a time."""
+def _count_ones(bit_generator: np.random.Philox, shots: int, p1: float) -> int:
+    """Ones among ``shots`` shots that measure 1 with probability ``p1``.
+
+    A shot is the next raw 64-bit word x of ``bit_generator``, and it is a 1
+    when ``x < ceil(p1 * 2**53) << 11``.  On Philox, ``Generator.random()``
+    returns ``(x >> 11) * 2**-53``, and for the integer x >> 11, that is below
+    p1 exactly when it is below ceil(p1 * 2**53); scaling by a power of two is
+    exact, so the count is the count of ``Generator.random() < p1`` over the
+    same words.  For p1 in (0, 1) the threshold is at most 2**64 - 2**11 and
+    fits in uint64.  Outside (0, 1) no word is drawn: every shot is a 1 when
+    p1 >= 1 and none is otherwise, as the comparison gives.  Each tally has
+    its own re-keyed stream, so a draw skipped moves no other tally.  Words
+    are drawn ``_CHUNK`` at a time.
+    """
+    if not 0.0 < p1 < 1.0:
+        return shots if p1 >= 1.0 else 0
+    threshold = np.uint64(math.ceil(p1 * 2**53) << 11)
     ones = 0
     for start in range(0, shots, _CHUNK):
-        ones += int(np.count_nonzero(rng.random(min(_CHUNK, shots - start)) < p1))
+        # no name holds a chunk's words: they are freed before the next are drawn
+        draws = min(_CHUNK, shots - start)
+        ones += int(np.count_nonzero(bit_generator.random_raw(draws) < threshold))
     return ones
 
 
 def _check_draws(draws: int) -> None:
-    """Refuse a batch of more than ``_MAX_DRAWS`` uniforms (shots summed over depths and seeds)."""
+    """Refuse a batch of more than ``_MAX_DRAWS`` draws (shots summed over depths and seeds)."""
     if draws > _MAX_DRAWS:
         raise ValueError(
             f"a batch may draw at most 2**40 shots over its depths and seeds, got {draws}"
@@ -213,12 +233,15 @@ def _sample_tallies(
 ) -> np.ndarray:
     """One depth sweep per seed, as a (seeds x depths) int64 array of ones.
 
-    Tally (seed, m) counts the uniforms below ``p1(m)``, the probability of
-    a 1 at depth m, among the first ``shots`` of the Philox stream keyed by
-    :func:`_philox_keys` of (seed, m), so it depends on neither the other
-    seeds and depths nor their order.  The batch is checked once before
-    ``p1`` is evaluated, every key comes from one :func:`_philox_keys` call,
-    and one ``Philox`` is re-keyed per tally.
+    Tally (seed, m) is the number of 1s among ``shots`` shots at depth m, each
+    a 1 with probability ``p1(m)``: the first ``shots`` raw words of the
+    Philox stream keyed by :func:`_philox_keys` of (seed, m) that lie below
+    ``ceil(p1(m) * 2**53) << 11``, which are the words whose
+    ``Generator.random()`` uniform lies below p1(m) (see
+    :func:`_count_ones`).  So a tally depends on neither the other seeds and
+    depths nor their order.  The batch is checked once before ``p1`` is
+    evaluated, every key comes from one :func:`_philox_keys` call, and one
+    ``Philox`` is re-keyed per tally.
 
     Raises:
         ValueError: unequal lengths, a repeated depth (its stream would
@@ -246,7 +269,6 @@ def _sample_tallies(
     keys = _philox_keys(seed_words[:, None], np.array(depths, np.uint64))
 
     bit_generator = np.random.Philox(0)
-    rng = np.random.Generator(bit_generator)
     # A fresh Philox state: counter 0, empty buffer.  Only the key changes.
     state = bit_generator.state
     ones = []
@@ -254,7 +276,7 @@ def _sample_tallies(
     for key, n, p in zip(keys.tolist(), shots * len(seeds), probs * len(seeds)):
         state["state"]["key"] = key
         bit_generator.state = state
-        ones.append(_count_ones(rng, n, p))
+        ones.append(_count_ones(bit_generator, n, p))
     return np.array(ones, np.int64).reshape(len(seeds), len(depths))
 
 

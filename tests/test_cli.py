@@ -521,6 +521,12 @@ class TestParser:
                              "--out", str(out))
         assert simulate == ""
         assert out.read_bytes() == (GOLDEN / "simulate_depol.csv").read_bytes()
+        # 2**20 + 1 shots: the threshold count across a chunk boundary and at
+        # the certain depths 1 and 4.
+        out = tmp_path / "mc.csv"
+        naqae_cli("simulate", "--preset", "A1", "--noise", "none", "--depths", "0..4",
+                  "--shots", "1048577", "--seed", "11", "--out", str(out))
+        assert out.read_bytes() == (GOLDEN / "simulate_multichunk.csv").read_bytes()
         config = GOLDEN / "inputs" / "config_gaussian.json"
         experiment = naqae_cli("experiment", "--config", str(config))
         assert experiment == (GOLDEN / "experiment_gaussian.stdout").read_text()

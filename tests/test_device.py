@@ -313,12 +313,12 @@ class TestChunkedDraws:
         dev = SimulatedDevice(amp=Amplitude(0.7), model=GaussianNoiseParams(0.0, 0.01), seed=23)
         full = numpy_stream(23, 4).random(shots) < dev.p1(4)
         assert sample_shots(dev, 4, shots).ones == int(np.count_nonzero(full))
-        # noiseless A1 measures 1 with certainty at m = 1: every shot is drawn
+        # noiseless A1 measures 1 with certainty at m = 1: every shot is a 1, without drawing
         assert sample_shots(preset_device("A1", seed=23), 1, shots).ones == shots
 
     def test_memory_does_not_grow_with_shots(self):
-        # One float per shot would be 32 MiB for 2**22 shots; the chunks
-        # hold at most 2**20 floats and their comparison at a time.
+        # One word per shot would be 32 MiB for 2**22 shots; the chunks
+        # hold at most 2**20 raw words and their comparison at a time.
         dev = SimulatedDevice(amp=Amplitude(0.7), seed=29)
         tracemalloc.start()
         try:
@@ -327,6 +327,56 @@ class TestChunkedDraws:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestThresholdCount:
+    # A shot is a 1 when its raw Philox word is below ceil(p1 * 2**53) << 11:
+    # each tally must equal the count of the reference stream's uniforms below p1.
+    EDGES = [0.0, 5e-324, 2.0**-54, 2.0**-53, 1 / 3, 1 - 2.0**-53, 1.0]
+    SEEDS = [5, -1]
+
+    @pytest.mark.parametrize("shots", [1000, _CHUNK + 1])
+    def test_edge_probabilities_match_the_uniforms(self, shots):
+        # Depths past the edges take one of their own stream's uniforms u
+        # (seed 5), then the float below u and the float above u.
+        k = len(self.EDGES)
+        uniforms = [numpy_stream(self.SEEDS[0], k + j).random(shots)[shots // 2] for j in range(3)]
+        probs = self.EDGES + [uniforms[0], np.nextafter(uniforms[1], 0.0),
+                              np.nextafter(uniforms[2], 1.0)]
+        depths = range(len(probs))
+        tallies = _sample_tallies(probs.__getitem__, self.SEEDS, depths, [shots] * len(probs))
+        for seed, row in zip(self.SEEDS, tallies.tolist()):
+            for m, (p, ones) in enumerate(zip(probs, row)):
+                draws = numpy_stream(seed, m).random(shots)
+                assert ones == int(np.count_nonzero(draws < p)), (seed, m, p)
+        # u == p1 is not a 1: the uniform equal to p1 is drawn, and not counted
+        draws = numpy_stream(self.SEEDS[0], k).random(shots)
+        assert tallies[0, k] == int(np.count_nonzero(draws <= probs[k])) - 1
+
+    def test_random_probabilities_match_the_uniforms(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(
+            seed=st.integers(-(2**63), 2**64 - 1),
+            p=st.one_of(st.sampled_from(self.EDGES), st.floats(0.0, 1.0)),
+            shots=st.integers(1, 3000),
+        )
+        def check(seed, p, shots):
+            ((ones,),) = _sample_tallies(lambda m: p, [seed], [3], [shots]).tolist()
+            assert ones == int(np.count_nonzero(numpy_stream(seed, 3).random(shots) < p))
+
+        check()
+
+    @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
+    def test_certain_outcomes_draw_nothing(self, p):
+        # Every uniform is below 1.0 and 1.5; none is below 0.0, -0.5 or NaN.
+        expected = int(np.count_nonzero(numpy_stream(7, 2).random(40) < p))
+        assert _sample_tallies(lambda m: p, [7], [2], [40]).tolist() == [[expected]]
+        bit_generator = np.random.Philox(0)
+        assert device._count_ones(bit_generator, 40, p) == expected
+        assert bit_generator.random_raw() == np.random.Philox(0).random_raw()
 
 
 class TestDrawLimit:

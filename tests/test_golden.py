@@ -52,6 +52,11 @@ CASES: dict[str, list[str]] = {
     "simulate_wide_seeds_33bit": ["simulate", "--preset", "A4", "--noise", "none",
                                   "--depths", "0,2,7,4294967296", "--shots", "300",
                                   "--seed", "6000000007"],
+    # 2**20 + 1 shots: every tally crosses a chunk boundary, and the noiseless
+    # depths 1 and 4 measure 1 with certainty.
+    "simulate_multichunk": ["simulate", "--preset", "A1", "--noise", "none",
+                            "--depths", "0..4", "--shots", "1048577", "--seed", "11",
+                            "--out", "{out}/simulate_multichunk.csv"],
     "fit_all": ["fit", "--input", "{in}/labeled.csv", "--model", "all",
                 "--out", "{out}/fit_all.json", "--table", "{out}/fit_all.table.csv"],
     "fit_all_stdout": ["fit", "--input", "{in}/labeled.csv"],
