@@ -21,7 +21,7 @@ from . import experiments, io
 from .device import PRESET_THETAS, SimulatedDevice, preset_device, run_depth_sweep
 from .errors import NaqaeError
 from .estimation import METHODS, ROUNDINGS, estimate_amplitude, shot_schedule
-from .fitting import MODEL_KINDS, MODEL_SPELLINGS, fit_model, fit_report, points_from_records
+from .fitting import MODEL_KINDS, MODEL_SPELLINGS, _fit_kinds, fit_report, points_from_records
 from .models import _NOISE_SPECS, Amplitude, DepolParams, noise_from_spec
 
 
@@ -96,11 +96,8 @@ def _cmd_fit(args) -> int:
         raise ValueError("--table needs --model all")
     kinds = list(MODEL_KINDS) if args.model == "all" else [MODEL_SPELLINGS[args.model]]
     grouped = io.read_shot_csv(args.input)
-    results = []
-    for label in sorted(grouped):
-        points = points_from_records(grouped[label])
-        for kind in kinds:
-            results.append(fit_model(points, kind, label=label))
+    results = [fit for label in sorted(grouped)
+               for fit in _fit_kinds(points_from_records(grouped[label]), kinds, label)]
     _emit(io.dump_json({"fits": [io.fit_result_dict(r) for r in results]}), args.out)
     if args.model == "all":
         table = io.report_csv(fit_report(results))

@@ -4,17 +4,18 @@ Fits any of three model families to observed outcome-1 frequencies by
 minimum mean-squared error: the full Gaussian rotation-noise model
 (theta, k_mu, k_sigma), its zero-mean restriction, and the depolarizing
 model.  Each family is one entry of ``_FAMILIES``: its ``fit --model``
-spelling, its packed parameter names and its p1 function.  The depolarizing
-family is optimized in the rate variable ``-ln(p_coh_tilde) / 2`` so that it
-shares the zero-mean family's search space (the two are exact
-reparameterizations of each other).
+spelling, its packed parameters and the noise it reports.  Every family
+predicts through the Gaussian kernel, k_mu = 0 where not packed, and its
+packed parameters alone decide its search.  So the depolarizing fit is the
+zero-mean fit, reported as ``p_coh_tilde = exp(-2 k_sigma)``, and one search
+of a dataset serves both.
 
 The objective is multimodal in theta, so the search is a coarse multi-start
 grid followed by Nelder-Mead simplex refinement of the best starts.  The
 search settings are fixed module constants.
 
 The grid is evaluated one theta slab at a time, so its temporaries stay in
-cache.  The refinement runs every start of a family in lockstep: each start
+cache.  The refinement runs every start of a search in lockstep: each start
 is a :func:`_nelder_mead` generator that yields its next trial point and
 receives that point's SSE, and one :func:`_predict` call per round scores the
 points of all live starts as a (starts x depths) array.  The simplex
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .models import (
     GaussianNoiseParams,
     _check_depth,
     _check_frequency,
-    _p1_depol_raw,
     _p1_gaussian_raw,
     depol_equivalent,
 )
@@ -56,8 +56,7 @@ _TIE_TOL = 1e-12
 _HALF_PI = math.pi / 2
 
 # Parameter name -> (coarse-grid axis, Nelder-Mead bound).  ``rate`` is
-# k_sigma for the Gaussian families and -ln(p_coh_tilde)/2 for the
-# depolarizing one; its axis is log-spaced.
+# k_sigma; its axis is log-spaced.
 _PARAMS = {
     "theta": (np.linspace(0.0, _HALF_PI, 64), (0.0, _HALF_PI)),
     "k_mu": (np.linspace(-0.3, 0.3, 33), (-math.pi, math.pi)),
@@ -69,33 +68,24 @@ _NM_FATOL = 1e-10
 _NM_XATOL = 1e-8
 
 
-def _p1_gaussian(ms, theta, rate, k_mu=0.0):
-    return _p1_gaussian_raw(theta, ms, k_mu, rate)
-
-
-def _p1_depol(ms, theta, rate):
-    return _p1_depol_raw(theta, ms, np.exp(-2.0 * rate))
-
-
 @dataclass(frozen=True)
 class _Family:
-    """A fit family: its ``fit --model`` spelling, packed parameters and p1.
+    """A fit family: its ``fit --model`` spelling, packed parameters and reported noise.
 
-    ``p1(ms, **params)`` predicts the outcome-1 frequencies.  ``to_noise``
-    turns the fitted ``k_mu`` (0 when not fitted) and ``rate``, given as
-    Gaussian parameters, into the noise object the family reports.
+    ``params`` names the parameters its search packs.  ``to_noise`` turns
+    the fitted ``k_mu`` (0 when not packed) and ``rate``, given as Gaussian
+    parameters, into the noise object the family reports.
     """
 
     spelling: str
     params: tuple[str, ...]
-    p1: Callable
     to_noise: Callable = lambda noise: noise
 
 
 _FAMILIES = {
-    "gaussian": _Family("gaussian", ("theta", "k_mu", "rate"), _p1_gaussian),
-    "gaussian_zero_mean": _Family("zero-mean", ("theta", "rate"), _p1_gaussian),
-    "depolarizing": _Family("depol", ("theta", "rate"), _p1_depol, depol_equivalent),
+    "gaussian": _Family("gaussian", ("theta", "k_mu", "rate")),
+    "gaussian_zero_mean": _Family("zero-mean", ("theta", "rate")),
+    "depolarizing": _Family("depol", ("theta", "rate"), depol_equivalent),
 }
 MODEL_KINDS = tuple(_FAMILIES)
 # ``fit --model`` spelling -> model kind.
@@ -162,23 +152,24 @@ def points_from_records(records: list[ShotRecord]) -> list[FrequencyPoint]:
     return [FrequencyPoint(m=r.m, p1_hat=r.p1_hat) for r in records]
 
 
-def _predict(family: _Family, params, ms):
-    """Model predictions at the packed parameter vector (or grid mesh)."""
-    return family.p1(ms, **dict(zip(family.params, params)))
+def _predict(space, params, ms):
+    """Gaussian p(1) at ``params`` (a vector or grid mesh) named by ``space``; k_mu 0 if unnamed."""
+    named = dict(zip(space, params))
+    return _p1_gaussian_raw(named["theta"], ms, named.get("k_mu", 0.0), named["rate"])
 
 
-def _grid_search(family: _Family, ms, y):
+def _grid_search(space, ms, y):
     """SSE over the full coarse grid; returns starts ordered best-first.
 
     One theta slab at a time: each grid point's SSE has the same bits as in
     a whole-mesh evaluation, with temporaries a 64th of the size.
     """
-    axes = [_PARAMS[name][0] for name in family.params]
+    axes = [_PARAMS[name][0] for name in space]
     # Slab axis i holds packed parameter i + 1; the last axis runs over depths.
     mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes[1:], 1)]
     sse = np.empty([len(ax) for ax in axes])
     for i, theta in enumerate(axes[0]):
-        residuals = y - _predict(family, [theta, *mesh], ms)
+        residuals = y - _predict(space, [theta, *mesh], ms)
         sse[i] = np.einsum("...l,...l->...", residuals, residuals)
     order = np.argsort(sse, axis=None, kind="stable")
     starts = []
@@ -269,26 +260,76 @@ def _nelder_mead(x0, lower, upper):
     return fsim[0], tuple(sim[0]), iterations < _NM_MAX_ITER
 
 
-def _refine(family: _Family, ms, y, starts):
+def _refine(space, ms, y, starts):
     """:func:`_nelder_mead` from every start in lockstep; one result per start.
 
     Each round scores the pending trial points of all live starts with one
     :func:`_predict` on a (starts x depths) array.
     """
-    lower, upper = zip(*(_PARAMS[name][1] for name in family.params))
+    lower, upper = zip(*(_PARAMS[name][1] for name in space))
     runs = [_nelder_mead(x0, lower, upper) for x0 in starts]
     results = [None] * len(runs)
     # start index -> its trial point awaiting an SSE
     pending = {i: next(run) for i, run in enumerate(runs)}
     while pending:
         params = np.array(list(pending.values())).T[:, :, None]
-        sse = np.sum((y - _predict(family, params, ms)) ** 2, axis=1).tolist()
+        sse = np.sum((y - _predict(space, params, ms)) ** 2, axis=1).tolist()
         for i, value in zip(list(pending), sse):
             try:
                 pending[i] = runs[i].send(value)
             except StopIteration as stop:
                 results[i] = stop.value
                 del pending[i]
+    return results
+
+
+def _fit_space(space, ms, y):
+    """:func:`fit_model`'s search over the parameters ``space`` names, and the fit it ends on.
+
+    Returns theta, the noise as Gaussian parameters, the SSE, R^2, the
+    residuals and whether the refinement converged.
+    """
+
+    def tie_key(candidate) -> tuple[float, float, float]:
+        named = dict(zip(space, candidate[1]))
+        return (named["theta"], named["rate"], named.get("k_mu", 0.0))
+
+    starts = _grid_search(space, ms, y)
+    # Candidates: every refined start plus the raw grid best, so the result
+    # can never be worse than the grid.
+    candidates = [(starts[0][0], starts[0][1], True)]
+    candidates += _refine(space, ms, y, [x0 for _, x0 in starts])
+    best_sse = min(c[0] for c in candidates)
+    _, params, converged = min((c for c in candidates if c[0] <= best_sse + _TIE_TOL), key=tie_key)
+
+    predictions = np.asarray(_predict(space, params, ms))
+    residuals = y - predictions
+    named = dict(zip(space, params))
+    gaussian = GaussianNoiseParams(k_mu=named.get("k_mu", 0.0), k_sigma=named["rate"])
+    return (named["theta"], gaussian, float(np.sum(residuals**2)), r_squared(y, predictions),
+            tuple(float(r) for r in residuals), converged)
+
+
+def _fit_kinds(data: list[FrequencyPoint], kinds: Sequence[str], label: str = "") -> list[FitResult]:
+    """:func:`fit_model` for each of ``kinds`` in turn, with one search per parameter space.
+
+    Families that pack the same parameters differ only in the noise object
+    they report, so they share one search and its fit.
+    """
+    ms = np.array([pt.m for pt in data], dtype=float)
+    y = np.array([pt.p1_hat for pt in data])
+    searches = {}  # parameter space -> :func:`_fit_space`'s fit
+    results = []
+    for kind in kinds:
+        if kind not in _FAMILIES:
+            raise ValueError(f"unknown model kind {kind!r} (known: {MODEL_KINDS})")
+        family = _FAMILIES[kind]
+        if len(data) < len(family.params) + 1:
+            raise ValueError(f"{kind} fit needs at least {len(family.params) + 1} points, got {len(data)}")
+        if family.params not in searches:
+            searches[family.params] = _fit_space(family.params, ms, y)
+        theta, gaussian, *fit = searches[family.params]
+        results.append(FitResult(kind, theta, family.to_noise(gaussian), *fit, label=label))
     return results
 
 
@@ -303,48 +344,7 @@ def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> F
     Raises:
         ValueError: unknown family, or fewer than (parameter count + 1) points.
     """
-    if model_kind not in _FAMILIES:
-        raise ValueError(f"unknown model kind {model_kind!r} (known: {MODEL_KINDS})")
-    family = _FAMILIES[model_kind]
-    n_params = len(family.params)
-    if len(data) < n_params + 1:
-        raise ValueError(
-            f"{model_kind} fit needs at least {n_params + 1} points, got {len(data)}"
-        )
-
-    ms = np.array([pt.m for pt in data], dtype=float)
-    y = np.array([pt.p1_hat for pt in data])
-
-    def tie_key(params) -> tuple[float, float, float]:
-        named = dict(zip(family.params, params))
-        return (named["theta"], named["rate"], named.get("k_mu", 0.0))
-
-    starts = _grid_search(family, ms, y)
-
-    # Candidates: every refined start plus the raw grid best, so the result
-    # can never be worse than the grid.
-    candidates = [(starts[0][0], starts[0][1], True)]
-    candidates += _refine(family, ms, y, [x0 for _, x0 in starts])
-
-    best_sse = min(c[0] for c in candidates)
-    eligible = [c for c in candidates if c[0] <= best_sse + _TIE_TOL]
-    _, params, converged = min(eligible, key=lambda c: tie_key(c[1]))
-
-    predictions = np.asarray(_predict(family, params, ms))
-    residuals = y - predictions
-    named = dict(zip(family.params, params))
-    gaussian = GaussianNoiseParams(k_mu=named.get("k_mu", 0.0), k_sigma=named["rate"])
-
-    return FitResult(
-        model_kind=model_kind,
-        theta_hat=named["theta"],
-        noise_params=family.to_noise(gaussian),
-        sse=float(np.sum(residuals**2)),
-        r_squared=r_squared(y, predictions),
-        residuals=tuple(float(r) for r in residuals),
-        converged=converged,
-        label=label,
-    )
+    return _fit_kinds(data, [model_kind], label)[0]
 
 
 def fit_report(results: list[FitResult]) -> list[dict]:

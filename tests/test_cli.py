@@ -544,6 +544,12 @@ class TestParser:
         assert fit == (GOLDEN / "fit_all.stdout").read_text()
         assert out.read_bytes() == (GOLDEN / "fit_all.json").read_bytes()
         assert table.read_bytes() == (GOLDEN / "fit_all.table.csv").read_bytes()
+        # The depolarizing family alone: one family's path through its search.
+        out = tmp_path / "d.json"
+        fit = naqae_cli("fit", "--input", str(GOLDEN / "inputs" / "labeled.csv"),
+                        "--model", "depol", "--out", str(out))
+        assert fit == ""
+        assert out.read_bytes() == (GOLDEN / "fit_depol.json").read_bytes()
         # Depths 0, 1, 2, 4, ..., 4096: the piece search past level 0.
         deep = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "deep.csv"))
         assert deep == (GOLDEN / "estimate_deep_naive.stdout").read_text()

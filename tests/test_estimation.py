@@ -329,7 +329,8 @@ class TestEstimateAmplitude:
         # Depth 1024 lies past level 0, and its zero count in 2**53 shots
         # made the saturated bound 0 * ln(0) = nan, which pruned the right
         # fringe: the estimate was 5.9e-8.  Within the guard window that
-        # holds the maximum, 2**53 shots resolve theta to about 1e-13.
+        # holds the maximum, 2**53 shots resolve theta to about 1e-13; the
+        # log-likelihood lands 5.4e-12 relative short of the oracle's.
         depths = EXPONENTIAL_DEPTHS[:12]
         ones = [round(100 * math.sin((2 * m + 1) * 0.721) ** 2) for m in depths[:-1]] + [0]
         shots = [100] * (len(depths) - 1) + [2**53]
@@ -338,16 +339,15 @@ class TestEstimateAmplitude:
         estimate = estimate_amplitude(records)
         ((theta, best),) = dense_mle(depths, [ones], np.subtract([shots], [ones]))
         assert estimate.theta_hat == pytest.approx(theta, abs=1e-12)
-        assert estimate.log_likelihood == pytest.approx(best, rel=1e-3)
+        assert estimate.log_likelihood == pytest.approx(best, rel=1e-10)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 8: at about 2**53 shots on a deep depth the Newton refinement "
-        "stops inside a guard window, short of the dense maximum"))
     def test_two_to_the_53_shots_reach_the_dense_maximum(self):
-        # The dataset of test_no_ones_in_two_to_the_53_shots_past_level_0,
-        # which allows 1e-3 for this: theta_hat is 0.7206191059967622 against
-        # the oracle's 0.7206191059966537, and the log-likelihood -9502.4815
-        # against -9499.5477, 3.1e-4 relative short.
+        # The dataset of test_no_ones_in_two_to_the_53_shots_past_level_0.
+        # The maximum lies on a guard-window edge of the 2**53-shot depth, and
+        # the refinement's bracket closes by width around it.  Its midpoint,
+        # 0.7206191059967622, lies 1.1e-13 outside the window, and the
+        # log-likelihood there was -9502.4815 against the oracle's -9499.5477;
+        # the bracket's best point is within rounding of the oracle.
         depths = EXPONENTIAL_DEPTHS[:12]
         ones = [round(100 * math.sin((2 * m + 1) * 0.721) ** 2) for m in depths[:-1]] + [0]
         shots = [100] * (len(depths) - 1) + [2**53]

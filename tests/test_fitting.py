@@ -13,6 +13,7 @@ from naqae import (
     FrequencyPoint,
     GaussianNoiseParams,
     SimulatedDevice,
+    depol_equivalent,
     fit_model,
     fit_report,
     p1_depolarizing,
@@ -22,6 +23,7 @@ from naqae import (
     run_depth_sweep,
 )
 from naqae import fitting, io
+from naqae.cli import main
 from naqae.errors import DegenerateDataError
 from naqae.device import ShotRecord
 
@@ -111,13 +113,13 @@ class TestFitModel:
         assert sse_full <= sse_zero + 1e-12
 
     def test_equivalence_echo(self):
-        # zero-mean Gaussian and depolarizing are reparameterizations, so the
-        # attained SSE must agree to refinement tolerance on any dataset
+        # zero-mean Gaussian and depolarizing are reparameterizations, fitted
+        # by one search, so the attained SSE is the same on any dataset
         for seed in (1, 2, 3):
             data = sampled_points(0.4, 0.02, 0.03, range(22), 1024, seed=seed)
             sse_zero = fit_model(data, "gaussian_zero_mean").sse
             sse_depol = fit_model(data, "depolarizing").sse
-            assert sse_zero == pytest.approx(sse_depol, abs=1e-9)
+            assert sse_zero == sse_depol
 
     def test_first_order_stationarity(self):
         data = gaussian_points(0.5, 0.01, 0.02, range(41))
@@ -189,7 +191,7 @@ class TestFitModel:
         assert starved.converged is False
         # the starved result is still no worse than the best grid point
         starts = fitting._grid_search(
-            fitting._FAMILIES["gaussian"],
+            space("gaussian"),
             np.array([pt.m for pt in data], dtype=float),
             np.array([pt.p1_hat for pt in data]),
         )
@@ -215,10 +217,20 @@ def device_input():
             np.array([pt.p1_hat for pt in points]))
 
 
-def fit_families(datasets):
-    """Every (dataset, family) pair with enough points for the family."""
-    return [(name, ms, y, kind) for name, ms, y in datasets for kind in fitting.MODEL_KINDS
-            if len(ms) > len(fitting._FAMILIES[kind].params)]
+# One kind per distinct search.  The depolarizing family packs the zero-mean
+# family's parameters, so its search is that one (TestOneSearchPerSpace).
+SEARCH_KINDS = ("gaussian", "gaussian_zero_mean")
+
+
+def space(kind):
+    """The parameters that ``kind``'s search packs."""
+    return fitting._FAMILIES[kind].params
+
+
+def fit_searches(datasets):
+    """Every (dataset, search) pair with enough points for the search."""
+    return [(name, ms, y, kind) for name, ms, y in datasets for kind in SEARCH_KINDS
+            if len(ms) > len(space(kind))]
 
 
 def hexed(sse, x, converged):
@@ -233,19 +245,18 @@ def scipy_runs(kind, ms, y, starts):
     than a reflection and an expansion or contraction do, i.e. its shrinks.
     """
     minimize = pytest.importorskip("scipy.optimize").minimize
-    family = fitting._FAMILIES[kind]
     calls = []
 
     def objective(params):
         calls.append(None)
-        return float(np.sum((y - fitting._predict(family, params, ms)) ** 2))
+        return float(np.sum((y - fitting._predict(space(kind), params, ms)) ** 2))
 
     results = []
     for x0 in starts:
         calls.clear()
         ends = []  # the call count at the end of each step
         result = minimize(objective, np.asarray(x0), method="Nelder-Mead",
-                          bounds=[fitting._PARAMS[name][1] for name in family.params],
+                          bounds=[fitting._PARAMS[name][1] for name in space(kind)],
                           callback=lambda xk: ends.append(len(calls)),
                           options={"maxiter": fitting._NM_MAX_ITER,
                                    "fatol": fitting._NM_FATOL, "xatol": fitting._NM_XATOL})
@@ -257,7 +268,7 @@ def scipy_runs(kind, ms, y, starts):
 def assert_scipy_parity(kind, ms, y, starts):
     """The lockstep refinement equals SciPy bit for bit on every start; SciPy's results."""
     expected = scipy_runs(kind, ms, y, starts)
-    got = fitting._refine(fitting._FAMILIES[kind], ms, y, starts)
+    got = fitting._refine(space(kind), ms, y, starts)
     assert [hexed(*r) for r in got] == [hexed(r.fun, r.x, r.success) for r in expected]
     return expected
 
@@ -271,14 +282,14 @@ def random_datasets():
 class TestNelderMeadParity:
     @pytest.mark.parametrize(
         "name, ms, y, kind",
-        fit_families(labeled_inputs("fit_corpus.csv") + random_datasets()),
+        fit_searches(labeled_inputs("fit_corpus.csv") + random_datasets()),
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_grid_starts(self, name, ms, y, kind):
-        starts = [x0 for _, x0 in fitting._grid_search(fitting._FAMILIES[kind], ms, y)]
+        starts = [x0 for _, x0 in fitting._grid_search(space(kind), ms, y)]
         assert_scipy_parity(kind, ms, y, starts)
 
-    @pytest.mark.parametrize("kind", fitting.MODEL_KINDS)
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
     def test_starts_on_and_past_the_bounds(self, kind):
         # theta at 0 and pi/2, rate at 0 (so the zero-coordinate step), k_mu at
         # -pi, and starts past the bounds, which both clip first.
@@ -289,11 +300,11 @@ class TestNelderMeadParity:
                 (-0.1, -0.2), (half_pi * (1 - 1e-17), 0.0)],
             3: [(0.0, 0.0, 0.0), (half_pi, 0.0, 0.0), (half_pi, -math.pi, 0.0),
                 (0.0, math.pi, 0.5), (2.0, 4.0, -1.0), (-0.0, -0.0, -0.0)],
-        }[len(fitting._FAMILIES[kind].params)]
+        }[len(space(kind))]
         with pytest.warns(Warning):
             assert_scipy_parity(kind, ms, y, [list(x0) for x0 in starts])
 
-    @pytest.mark.parametrize("kind", fitting.MODEL_KINDS)
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
     def test_signed_zero_starts(self, kind):
         # Noiseless data fitted from the truth with negative zeros: the clip
         # turns a -0.0 below a zero bound into 0.0, and the best vertex keeps
@@ -301,7 +312,7 @@ class TestNelderMeadParity:
         points = gaussian_points(0.6, 0.0, 0.0, range(12))
         ms = np.array([pt.m for pt in points], dtype=float)
         y = np.array([pt.p1_hat for pt in points])
-        n = len(fitting._FAMILIES[kind].params)
+        n = len(space(kind))
         starts = [[0.6, -0.0, -0.0][:n], [0.6, 0.0, -0.0][:n], [-0.0, -0.0, 0.01][:n]]
         assert_scipy_parity(kind, ms, y, starts)
 
@@ -309,29 +320,28 @@ class TestNelderMeadParity:
         # A few noisy shots at many depths: simplexes that shrink.
         rng = np.random.default_rng(7)
         ms = np.arange(30.0)
-        shrinks = dict.fromkeys(fitting.MODEL_KINDS, 0)
+        shrinks = dict.fromkeys(SEARCH_KINDS, 0)
         for _ in range(3):
             y = rng.binomial(8, 0.5, ms.size) / 8
-            for kind in fitting.MODEL_KINDS:
-                starts = [x0 for _, x0 in fitting._grid_search(fitting._FAMILIES[kind], ms, y)]
+            for kind in SEARCH_KINDS:
+                starts = [x0 for _, x0 in fitting._grid_search(space(kind), ms, y)]
                 shrinks[kind] += sum(r.shrinks for r in assert_scipy_parity(kind, ms, y, starts))
         assert all(shrinks.values()), shrinks
 
     def test_capped_runs_do_not_converge(self, monkeypatch):
         monkeypatch.setattr(fitting, "_NM_MAX_ITER", 3)
         name, ms, y = device_input()
-        for kind in fitting.MODEL_KINDS:
-            starts = [x0 for _, x0 in fitting._grid_search(fitting._FAMILIES[kind], ms, y)]
+        for kind in SEARCH_KINDS:
+            starts = [x0 for _, x0 in fitting._grid_search(space(kind), ms, y)]
             results = assert_scipy_parity(kind, ms, y, starts)
             assert not any(r.success for r in results)
 
 
 def whole_mesh_starts(kind, ms, y, count):
     """The coarse grid in one whole-mesh evaluation: its ``count`` best starts."""
-    family = fitting._FAMILIES[kind]
-    axes = [fitting._PARAMS[name][0] for name in family.params]
+    axes = [fitting._PARAMS[name][0] for name in space(kind)]
     mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes)]
-    residuals = y - fitting._predict(family, mesh, ms)
+    residuals = y - fitting._predict(space(kind), mesh, ms)
     sse = np.einsum("...l,...l->...", residuals, residuals)
     order = np.argsort(sse, axis=None, kind="stable")[:count]
     index = np.unravel_index(order, sse.shape)
@@ -345,24 +355,65 @@ def hexed_starts(starts):
 
 class TestGridSearch:
     @pytest.mark.parametrize(
-        "name, ms, y, kind", fit_families(labeled_inputs("fit_corpus.csv")),
+        "name, ms, y, kind", fit_searches(labeled_inputs("fit_corpus.csv")),
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_slabs_give_the_whole_mesh_starts(self, name, ms, y, kind):
-        got = fitting._grid_search(fitting._FAMILIES[kind], ms, y)
+        got = fitting._grid_search(space(kind), ms, y)
         assert hexed_starts(got) == hexed_starts(
             whole_mesh_starts(kind, ms, y, fitting._REFINE_STARTS))
 
     @pytest.mark.parametrize(
-        "name, ms, y, kind", fit_families(labeled_inputs("labeled.csv") + [device_input()]),
+        "name, ms, y, kind", fit_searches(labeled_inputs("labeled.csv") + [device_input()]),
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_slabs_give_the_whole_mesh_sse(self, monkeypatch, name, ms, y, kind):
         # Every grid point, in rank order: the whole SSE array, bit for bit.
-        size = math.prod(len(fitting._PARAMS[p][0]) for p in fitting._FAMILIES[kind].params)
+        size = math.prod(len(fitting._PARAMS[p][0]) for p in space(kind))
         monkeypatch.setattr(fitting, "_REFINE_STARTS", size)
-        got = fitting._grid_search(fitting._FAMILIES[kind], ms, y)
+        got = fitting._grid_search(space(kind), ms, y)
         assert hexed_starts(got) == hexed_starts(whole_mesh_starts(kind, ms, y, size))
+
+
+class TestOneSearchPerSpace:
+    def test_search_kinds_cover_every_search(self):
+        spaces = [space(kind) for kind in SEARCH_KINDS]
+        assert len(set(spaces)) == len(spaces)
+        assert {space(kind) for kind in fitting.MODEL_KINDS} == set(spaces)
+
+    @pytest.mark.parametrize(
+        "name, ms, y",
+        labeled_inputs("fit_corpus.csv") + labeled_inputs("labeled.csv") + random_datasets()
+        + [device_input()],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_depolarizing_fit_is_the_zero_mean_fit(self, name, ms, y):
+        data = [FrequencyPoint(m=int(m), p1_hat=float(p)) for m, p in zip(ms, y)]
+        zero_mean, depol = (fit_model(data, kind) for kind in ("gaussian_zero_mean", "depolarizing"))
+
+        def shared(fit):
+            floats = (fit.theta_hat, fit.sse, fit.r_squared, *fit.residuals)
+            return [v.hex() for v in floats], fit.converged
+
+        assert shared(depol) == shared(zero_mean)
+        assert depol.noise_params == depol_equivalent(zero_mean.noise_params)
+
+    @pytest.mark.parametrize("model, searches", [("all", 2), ("depol", 1)])
+    def test_fit_searches_each_space_once_per_label(self, monkeypatch, tmp_path, model, searches):
+        calls = []
+        grid_search = fitting._grid_search
+
+        def spy(params, ms, y):
+            calls.append(params)
+            return grid_search(params, ms, y)
+
+        monkeypatch.setattr(fitting, "_grid_search", spy)
+        path = INPUTS / "labeled.csv"
+        argv = ["fit", "--input", str(path), "--model", model, "--out", str(tmp_path / "f.json")]
+        assert main(argv) == 0
+        labels = len(io.read_shot_csv(path))
+        assert len(calls) == searches * labels
+        assert len(set(calls)) == searches
 
 
 class TestFrequencyPoint:

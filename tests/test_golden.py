@@ -15,6 +15,7 @@ status 2 and writes nothing.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -135,20 +136,88 @@ def test_misspecification_sweep_matches_golden():
     assert sweep_csv() == (GOLDEN / "misspecification_sweep.csv").read_bytes()
 
 
+def script_env(**extra: str) -> dict[str, str]:
+    """This process's environment with the package's sources first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **extra)
+
+
 @pytest.mark.parametrize("argv", [[], ["--help"], ["--regenerate", "now"]], ids=["none", "help", "extra"])
 def test_script_writes_goldens_only_when_asked(argv):
     # Run as a script without exactly --regenerate, it must leave every golden untouched
     files = sorted(p for p in GOLDEN.rglob("*") if p.is_file())
     before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in files]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     result = subprocess.run(
-        [sys.executable, __file__, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, __file__, *argv], capture_output=True, text=True, env=script_env(), timeout=120
     )
     assert result.returncode == 2
     assert "--regenerate" in result.stderr
     assert sorted(p for p in GOLDEN.rglob("*") if p.is_file()) == files
     assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in files] == before
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy < 2 names no dispatch levels; every level skips
+    CPU_FEATURES = {}
+
+# Reduced SIMD dispatch levels: the feature a level turns off, which the CPU
+# must have (numpy silently ignores a feature the CPU lacks, so the level
+# would rerun the default kernels), and its NPY_DISABLE_CPU_FEATURES value.
+DISPATCH_LEVELS = {
+    "avx2": ("X86_V4", "X86_V4 AVX512_ICL AVX512_SPR"),
+    "baseline": ("X86_V3", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"),
+}
+
+# Run in a fresh process: every case and the sweep, printing each golden
+# file whose bytes differ.  It exits first if numpy kept a named feature on.
+_RERUN = """\
+import os, sys, tempfile
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+if any(__cpu_features__.get(feature) for feature in disabled):
+    sys.exit(f"numpy kept some of {disabled} on")
+sys.path.insert(0, sys.argv[1])
+import test_golden as g
+outputs = {"misspecification_sweep.csv": g.sweep_csv()}
+for case in sorted(g.CASES):
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs.update(g.run_case(case, Path(tmp)))
+for name, data in sorted(outputs.items()):
+    if not (g.GOLDEN / name).is_file() or (g.GOLDEN / name).read_bytes() != data:
+        print(name)
+"""
+
+
+@functools.cache
+def goldens_differing(level: str) -> list[str]:
+    """The golden files whose bytes differ with every case rerun at a dispatch level."""
+    feature, disabled = DISPATCH_LEVELS[level]
+    if not CPU_FEATURES.get(feature):
+        pytest.skip(f"this CPU lacks {feature}, so numpy already runs below the {level} level")
+    result = subprocess.run(
+        [sys.executable, "-c", _RERUN, str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True, env=script_env(NPY_DISABLE_CPU_FEATURES=disabled),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+@pytest.mark.parametrize("level", sorted(DISPATCH_LEVELS))
+def test_goldens_hold_under_reduced_dispatch(level):
+    # The last bits of np.exp, np.log and np.log1p differ between kernels;
+    # every golden but fit_corpus's (the next test) keeps its bytes anyway.
+    assert [name for name in goldens_differing(level) if name != "fit_corpus.json"] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 10: fit_corpus's Gaussian fits of depol_b, depol_c, drift_low_shots "
+    "and uniform_c print other digits on AVX2 and baseline kernels"))
+def test_fit_corpus_holds_under_reduced_dispatch():
+    assert all("fit_corpus.json" not in goldens_differing(level) for level in sorted(DISPATCH_LEVELS))
 
 
 if __name__ == "__main__":
