@@ -398,7 +398,8 @@ class TestOneSearchPerSpace:
         assert shared(depol) == shared(zero_mean)
         assert depol.noise_params == depol_equivalent(zero_mean.noise_params)
 
-    @pytest.mark.parametrize("model, searches", [("all", 2), ("depol", 1)])
+    @pytest.mark.parametrize("model, searches",
+                             [("all", 2), ("gaussian", 1), ("zero-mean", 1), ("depol", 1)])
     def test_fit_searches_each_space_once_per_label(self, monkeypatch, tmp_path, model, searches):
         calls = []
         grid_search = fitting._grid_search
