@@ -25,6 +25,7 @@ from .models import (
     _check_kind,
     _check_rate,
     _check_shots,
+    _coherent_fraction,
 )
 
 # Probabilities are clamped away from {0, 1} inside logs; exact 0/1 model
@@ -161,7 +162,7 @@ def worst_case_variance(m: int, n_shots: int, k_sigma: float) -> VarianceBound:
     return VarianceBound(
         sigma2=sigma2,
         sigma2_tilde=sigma2_tilde,
-        total=(4.0 * k_sigma * m + 1.0) / (4.0 * n_shots),
+        total=(4.0 * (k_sigma * m) + 1.0) / (4.0 * n_shots),
     )
 
 
@@ -189,7 +190,7 @@ def shot_schedule(
     entries = []
     for m in depths:
         m = _check_depth(m)
-        exact = (4.0 * k_sigma * m + 1.0) * n_shot_base
+        exact = (4.0 * (k_sigma * m) + 1.0) * n_shot_base
         if not (math.isfinite(exact) and exact < 2.0**63):
             raise ValueError(f"shot count at depth {m} must be finite and < 2**63, got {exact!r}")
         if rounding == "nearest":
@@ -205,7 +206,7 @@ def _coherent(depths: Sequence[int], depol: DepolParams) -> list[float]:
     _check_kind(depol, DepolParams, "count correction")
     if depol.p_coh_tilde == 0.0:
         raise ValueError("correction is singular at p_coh_tilde == 0")
-    coherent = [depol.p_coh_tilde**m for m in depths]  # Python's pow, as numpy's may differ
+    coherent = _coherent_fraction(depol.p_coh_tilde, depths).tolist()
     if 0.0 in coherent:
         m = depths[coherent.index(0.0)]
         raise ValueError(

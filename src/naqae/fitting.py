@@ -45,6 +45,8 @@ from .models import (
     GaussianNoiseParams,
     _check_depth,
     _check_frequency,
+    _decay,
+    _p1_gaussian_decayed,
     _p1_gaussian_raw,
     depol_equivalent,
 )
@@ -162,14 +164,17 @@ def _grid_search(space, ms, y):
     """SSE over the full coarse grid; returns starts ordered best-first.
 
     One theta slab at a time: each grid point's SSE has the same bits as in
-    a whole-mesh evaluation, with temporaries a 64th of the size.
+    a whole-mesh evaluation, with temporaries a 64th of the size.  The decay
+    depends only on (rate, depth), so every slab shares one table of it.
     """
     axes = [_PARAMS[name][0] for name in space]
     # Slab axis i holds packed parameter i + 1; the last axis runs over depths.
-    mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes[1:], 1)]
+    mesh = dict(zip(space[1:], (ax.reshape((-1,) + (1,) * (len(axes) - i))
+                                for i, ax in enumerate(axes[1:], 1))))
+    k_mu, decay = mesh.get("k_mu", 0.0), _decay(mesh["rate"], ms)
     sse = np.empty([len(ax) for ax in axes])
     for i, theta in enumerate(axes[0]):
-        residuals = y - _predict(space, [theta, *mesh], ms)
+        residuals = y - _p1_gaussian_decayed(theta, ms, k_mu, decay)
         sse[i] = np.einsum("...l,...l->...", residuals, residuals)
     order = np.argsort(sse, axis=None, kind="stable")
     starts = []

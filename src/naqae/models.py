@@ -2,7 +2,12 @@
 
 Implements the Gaussian rotation-noise model in closed form, an independent
 Gauss-Hermite quadrature evaluation of the same probability, the depolarizing
-model, and the exact zero-mean mapping between the two.  Each noise kind is
+model, and the exact zero-mean mapping between the two.  Each noise decay,
+the Gaussian ``exp(-2 k_sigma m)`` and the depolarizing ``p_coh_tilde ** m``,
+is taken from libm, one call per (rate, depth) pair, so it has the same bits
+whichever SIMD kernels numpy picked: every p(1), the device's, the closed
+forms' and the fits', decays through :func:`_decay`, and the device and the
+count correction share :func:`_coherent_fraction`.  Each noise kind is
 one row of ``_NOISE_KINDS``: its class, CLI spelling, JSON fields and p(1)
 kernel.  Every checked p(1) goes through one evaluator, which refuses a value
 that is not finite, naming its depth.  Each public formula refuses, through
@@ -133,24 +138,47 @@ NoiseModel = GaussianNoiseParams | DepolParams | None
 # ---------------------------------------------------------------------------
 # Raw array kernels (no input validation; arguments broadcast under numpy
 # rules), shared with the fitting module; _NOISE_KINDS names each kind's p(1).
+# Each decay goes through libm, one Python call per broadcast (rate, depth)
+# pair: numpy's SIMD exp and power differ from libm, and from kernel to
+# kernel, in the last bit, and such a bit moves the digits of a printed fit.
 
-def _p_diff_gaussian_raw(theta, m, k_mu, k_sigma):
-    """p(0) - p(1) under Gaussian rotation noise (array-capable)."""
+def _decay(k_sigma, m):
+    """The Gaussian decay ``exp(-2 k_sigma m)``; exactly 1 at depth 0, however large k_sigma.
+
+    An overflowing ``k_sigma m`` is inf, so its decay is 0.
+    """
+    with np.errstate(over="ignore"):
+        exponent = -2.0 * (np.asarray(k_sigma, float) * np.asarray(m, float))
+    return np.array(list(map(math.exp, exponent.ravel().tolist()))).reshape(exponent.shape)
+
+
+def _coherent_fraction(p_coh_tilde, m):
+    """The depolarizing coherent fraction ``p_coh_tilde ** m``, through Python's pow."""
+    p, m = np.broadcast_arrays(np.asarray(p_coh_tilde, float), np.asarray(m, float))
+    return np.array(list(map(pow, p.ravel().tolist(), m.ravel().tolist()))).reshape(p.shape)
+
+
+def _p_diff_gaussian_raw(theta, m, k_mu, decay):
+    """p(0) - p(1) under Gaussian rotation noise of decay ``decay`` (array-capable)."""
     psi = (2.0 * np.asarray(m) + 1.0) * theta + k_mu * np.asarray(m)
-    decay = np.exp(-2.0 * (k_sigma * np.asarray(m)))  # exactly 1 at depth 0, however large k_sigma
     # cos^2 - sin^2 rather than cos(2 psi): keeps the m=0 limit exactly equal
     # to cos^2(theta) - sin^2(theta) and bounds the magnitude by the decay.
     return decay * (np.cos(psi) ** 2 - np.sin(psi) ** 2)
 
 
+def _p1_gaussian_decayed(theta, m, k_mu, decay):
+    """p(1) under Gaussian rotation noise of decay ``decay`` (array-capable)."""
+    return 0.5 * (1.0 - _p_diff_gaussian_raw(theta, m, k_mu, decay))
+
+
 def _p1_gaussian_raw(theta, m, k_mu, k_sigma):
     """p(1) under Gaussian rotation noise (array-capable)."""
-    return 0.5 * (1.0 - _p_diff_gaussian_raw(theta, m, k_mu, k_sigma))
+    return _p1_gaussian_decayed(theta, m, k_mu, _decay(k_sigma, m))
 
 
 def _p1_depol_raw(theta, m, p_coh_tilde):
     """p(1) under per-iterate depolarizing noise (array-capable)."""
-    coherent = np.asarray(p_coh_tilde) ** np.asarray(m)
+    coherent = _coherent_fraction(p_coh_tilde, m)
     return coherent * np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2 + (
         1.0 - coherent
     ) / 2.0
@@ -309,7 +337,8 @@ def p_diff_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -
     ``cos^2(theta) - sin^2(theta)``.
     """
     _check_kind(noise, GaussianNoiseParams, "p_diff_gaussian_closed")
-    return _finite("p(0) - p(1)", _p_diff_gaussian_raw, amp.theta, m, noise.k_mu, noise.k_sigma)
+    m = _check_depth(m)
+    return _finite("p(0) - p(1)", _p_diff_gaussian_raw, amp.theta, m, noise.k_mu, _decay(noise.k_sigma, m))
 
 
 @lru_cache(maxsize=64)

@@ -93,11 +93,11 @@ class TestSchedule:
 
     @pytest.mark.parametrize(
         "base_shots, k_sigma, depth",
-        [("9223372036854775807", "0.1", 0), ("2", "1e308", 0), (str(2**62), "0.1", 3)],
+        [("9223372036854775807", "0.1", 0), ("2", "1e308", 1), (str(2**62), "0.1", 3)],
     )
     def test_shot_counts_past_int64(self, capsys, base_shots, k_sigma, depth):
         # The first printed 9223372036854775808, a count simulate --shots rejects;
-        # the second ended in "cannot convert float NaN to integer".
+        # the second, an infinite count, cannot be converted to an integer.
         code, out, err = run_cli(
             capsys, "schedule", "--depths", "0..3", "--base-shots", base_shots,
             "--k-sigma", k_sigma,
@@ -105,6 +105,11 @@ class TestSchedule:
         assert code == 1 and out == ""
         message = f"naqae: error: shot count at depth {depth} must be finite and < 2**63"
         assert err.startswith(message)
+
+    def test_depth_zero_at_a_huge_rate(self, capsys):
+        # Depth 0 keeps the base count however large k_sigma; it once exited 1 on a NaN count.
+        assert run_cli(capsys, "schedule", "--depths", "0", "--base-shots", "5",
+                       "--k-sigma", "1e308") == (0, "5\n", "")
 
     @pytest.mark.parametrize("k_sigma", ["-0.1", "nan", "inf"])
     def test_bad_k_sigma(self, capsys, k_sigma):
@@ -550,6 +555,14 @@ class TestParser:
                         "--model", "depol", "--out", str(out))
         assert fit == ""
         assert out.read_bytes() == (GOLDEN / "fit_depol.json").read_bytes()
+        # 24 datasets fitted by every family: the fits whose digits once moved
+        # with numpy's SIMD kernels, on this process's kernels.
+        out, table = tmp_path / "c.json", tmp_path / "c.csv"
+        fit = naqae_cli("fit", "--input", str(GOLDEN / "inputs" / "fit_corpus.csv"),
+                        "--model", "all", "--out", str(out), "--table", str(table))
+        assert fit == ""
+        assert out.read_bytes() == (GOLDEN / "fit_corpus.json").read_bytes()
+        assert table.read_bytes() == (GOLDEN / "fit_corpus.table.csv").read_bytes()
         # Depths 0, 1, 2, 4, ..., 4096: the piece search past level 0.
         deep = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "deep.csv"))
         assert deep == (GOLDEN / "estimate_deep_naive.stdout").read_text()

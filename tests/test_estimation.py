@@ -45,6 +45,11 @@ class TestWorstCaseVariance:
         vb = worst_case_variance(0, 20, 0.3)
         assert vb.total == 1 / 80
 
+    def test_zero_depth_at_a_huge_rate(self):
+        # k_sigma * m is formed first: 4 * 1e308 would overflow, and inf * 0 is NaN
+        vb = worst_case_variance(0, 5, 1e308)
+        assert (vb.sigma2, vb.total) == (0.0, 0.05)
+
     def test_deep_entry(self):
         vb = worst_case_variance(12, 73, 0.055)
         assert vb.total == pytest.approx(0.012465753424657534, abs=1e-15)
@@ -124,10 +129,12 @@ class TestShotSchedule:
         # (4 * 0.1 * m + 1) * 2**62 reaches 2**63 first at depth 3
         with pytest.raises(ValueError, match="depth 3 must be finite and < 2\\*\\*63"):
             shot_schedule([0, 1, 2, 3], 2**62, 0.1, rounding)
-        # 2**63 - 1 rounds up to the float 2**63; 4 * 1e308 overflows, times 0 is NaN
+        # 2**63 - 1 rounds up to the float 2**63
         with pytest.raises(ValueError, match="depth 0 .* got 9.223372036854776e\\+18"):
             shot_schedule([0, 1], 2**63 - 1, 0.1, rounding)
-        with pytest.raises(ValueError, match="depth 0 .* got nan"):
+        # depth 0 scales by 1 at any rate; depth 1's 4 * 1e308 overflows
+        assert shot_schedule([0], 5, 1e308, rounding).shots == (5,)
+        with pytest.raises(ValueError, match="depth 1 .* got inf"):
             shot_schedule([0, 1], 2, 1e308, rounding)
         # the largest double below 2**63 is a count
         assert shot_schedule([0], 2**63 - 1024, 0.0, rounding).shots == (2**63 - 1024,)

@@ -209,17 +209,9 @@ def goldens_differing(level: str) -> list[str]:
 @pytest.mark.parametrize("case", sorted([*CASES, "misspecification_sweep"]))
 @pytest.mark.parametrize("level", sorted(DISPATCH_LEVELS))
 def test_goldens_hold_under_reduced_dispatch(level, case):
-    # The last bits of np.exp, np.log and np.log1p differ between kernels;
-    # every golden but fit_corpus.json (the next test) keeps its bytes anyway.
-    differing = [name for name in goldens_differing(level) if name.split(".")[0] == case]
-    assert [name for name in differing if name != "fit_corpus.json"] == []
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 10: fit_corpus's Gaussian fits of depol_b, depol_c, drift_low_shots "
-    "and uniform_c print other digits on AVX2 and baseline kernels"))
-def test_fit_corpus_holds_under_reduced_dispatch():
-    assert all("fit_corpus.json" not in goldens_differing(level) for level in sorted(DISPATCH_LEVELS))
+    # The last bits of numpy's exp, power, log and log1p differ between kernels.
+    # Each noise decay goes through libm, and every golden keeps its bytes.
+    assert [name for name in goldens_differing(level) if name.split(".")[0] == case] == []
 
 
 if __name__ == "__main__":

@@ -350,3 +350,50 @@ class TestNonFiniteRefused:
             warnings.simplefilter("error")
             assert dev.p1(0) == p1_gaussian_closed(A1, 0, NOISELESS)
             assert [dev.p1(m) for m in (1, 2, 50)] == [0.5, 0.5, 0.5]
+
+
+class TestOneDecayPath:
+    # Every decay is libm's, one call per (rate, depth) pair, whatever the shape
+    # or the SIMD kernels numpy picked; these are the shapes the fits call it on.
+    RATES = np.logspace(-5, math.log10(0.5), 33)
+    DEPTHS = np.arange(41, dtype=float)
+
+    @staticmethod
+    def libm(k_sigma, m):
+        k, m = np.broadcast_arrays(k_sigma, m)
+        return [[math.exp(-2.0 * (a * b)) for a, b in zip(ra, rm)] for ra, rm in zip(k.tolist(), m.tolist())]
+
+    def test_scalar(self):
+        for k, m in [(0.02, 7), (0.1, 1), (3e-5, 4999), (0.5, 40)]:
+            assert float(models._decay(k, m)) == math.exp(-2.0 * (k * m))
+
+    def test_grid_mesh(self):
+        decay = models._decay(self.RATES.reshape(33, 1), self.DEPTHS)
+        assert decay.shape == (33, 41)
+        assert decay.tolist() == self.libm(self.RATES.reshape(33, 1), self.DEPTHS)
+
+    def test_nelder_mead_rows(self):
+        rates = np.random.default_rng(3).uniform(0.0, 0.6, (8, 1))
+        decay = models._decay(rates, self.DEPTHS)
+        assert decay.shape == (8, 41)
+        assert decay.tolist() == self.libm(rates, self.DEPTHS)
+
+    def test_depth_zero_is_exactly_one(self):
+        assert float(models._decay(1e308, 0)) == 1.0
+
+    def test_overflowing_product_decays_to_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert models._decay(1e308, np.array([0.0, 10.0])).tolist() == [1.0, 0.0]
+
+    def test_device_and_correction_share_the_coherent_fraction(self):
+        # The device's p~^m and the count correction's are one Python pow.  At
+        # theta = 0 the device's p(1) is (1 - p~^m) / 2; numpy 2.4.6's AVX-512
+        # power moved 234 of these 29,415 values by a bit.
+        from naqae.estimation import _coherent
+
+        for p in (0.5, 0.8, 0.9, 0.94, 0.95, 0.99, 0.9998):
+            depths = [m for m in range(5000) if p**m > 0.0]
+            dev = SimulatedDevice(Amplitude(0.0), DepolParams(p))
+            expected = [(1.0 - c) / 2.0 for c in _coherent(depths, DepolParams(p))]
+            assert [dev.p1(m) for m in depths] == expected
