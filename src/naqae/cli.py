@@ -142,7 +142,10 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.config}: JSON nested too deeply to read") from None
     config = experiments.config_from_json(doc)
     curves = experiments.run_monte_carlo(config)
     _emit(io.curves_csv(curves), args.out)
@@ -210,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NaqaeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NaqaeError, ValueError, OSError) as exc:
         print(f"naqae: error: {exc}", file=sys.stderr)
         return 1
 

@@ -153,17 +153,17 @@ def worst_case_variance(m: int, n_shots: int, k_sigma: float) -> VarianceBound:
     Rotation noise contributes at most ``k_sigma * m`` (small-angle regime)
     and binomial sampling at most ``1 / (4 n)``, for a total of
     ``(4 k_sigma m + 1) / (4 n)``.
+
+    Raises:
+        ValueError: on a total that is not finite, naming its depth.
     """
     m = _check_depth(m)
     _check_shots(n_shots, "n_shots")
     _check_rate(k_sigma, "k_sigma")
-    sigma2 = k_sigma * m
-    sigma2_tilde = 1.0 / (4.0 * n_shots)
-    return VarianceBound(
-        sigma2=sigma2,
-        sigma2_tilde=sigma2_tilde,
-        total=(4.0 * (k_sigma * m) + 1.0) / (4.0 * n_shots),
-    )
+    total = (4.0 * (k_sigma * m) + 1.0) / (4.0 * n_shots)
+    if not math.isfinite(total):
+        raise ValueError(f"variance bound at depth {m} must be finite, got {total!r}")
+    return VarianceBound(sigma2=k_sigma * m, sigma2_tilde=1.0 / (4.0 * n_shots), total=total)
 
 
 def shot_schedule(

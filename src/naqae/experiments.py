@@ -75,25 +75,29 @@ class ExperimentConfig:
     """Full specification of one Monte Carlo comparison run.
 
     ``device`` carries the true angle and noise model; its own seed is
-    ignored, replications derive per-run seeds from ``seed``.
+    ignored, replications derive per-run seeds from ``seed``.  Every error is
+    taken against the device's own amplitude ``device.amp.a``.
     ``k_sigma_assumed`` feeds both the shot schedule and the count correction
-    (via the zero-mean depolarizing equivalence).  Building the config plans
-    each setting once (:func:`_setting_plan`); the run reads the plans.
+    (via the zero-mean depolarizing equivalence); left out, it is the
+    device's true rate, assumed known from prior characterisation (0 without
+    noise; ``DepolParams(0.0)`` has none, so is refused).  Building the
+    config plans each setting once (:func:`_setting_plan`); the run reads the
+    plans.
     """
 
     device: SimulatedDevice
-    truth_a: float
     max_depth: int
     n_shot_base: int
-    k_sigma_assumed: float
+    k_sigma_assumed: float | None = None
     settings: tuple[str, ...] = SETTINGS
     replications: int = 1
     seed: int = 0
     _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.truth_a <= 1.0):
-            raise ValueError(f"truth_a must lie in [0, 1], got {self.truth_a!r}")
+        if self.k_sigma_assumed is None:
+            model = self.device.model
+            object.__setattr__(self, "k_sigma_assumed", 0.0 if model is None else model.rate())
         _check_int64(self.max_depth, "max_depth")
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth!r}")
@@ -183,7 +187,8 @@ def run_qae_trial(
 def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
     """RMSE curves over replications, two per setting (depth and query axes).
 
-    rmse at prefix M is ``sqrt(mean over replications of (a_hat_M - truth_a)^2)``.
+    rmse at prefix M is ``sqrt(mean over replications of (a_hat_M - a)^2)``,
+    with ``a`` the device's amplitude ``config.device.amp.a``.
     The query axis is the cumulative oracle-call count
     ``sum_{m<=M} (2m+1) N_m`` of the setting's schedule.  Each setting
     samples its replications, then estimates them in one batch, as arrays
@@ -194,13 +199,14 @@ def run_monte_carlo(config: ExperimentConfig) -> list[RmseCurve]:
     estimates equal :func:`run_qae_trial`'s.
     """
     curves = []
+    truth = config.device.amp.a
     for setting in config.settings:
         errs = []
         for start in range(0, config.replications, _BLOCK_REPLICATIONS):
             block = range(start, min(start + _BLOCK_REPLICATIONS, config.replications))
             schedule, _, (theta_hat, *_) = _setting_estimates(config, setting, block)
             errs.append(np.array(
-                [[math.sin(t) ** 2 - config.truth_a for t in row] for row in theta_hat.tolist()]
+                [[math.sin(t) ** 2 - truth for t in row] for row in theta_hat.tolist()]
             ))
         rmse = np.sqrt(np.mean(np.concatenate(errs) ** 2, axis=0))
         queries = np.cumsum(
@@ -233,7 +239,7 @@ def misspecification_sweep(
 # JSON configuration (schema documented in schemas/experiment-config.schema.json).
 
 _REQUIRED_FIELDS = ("device", "max_depth", "n_shot_base", "replications", "seed")
-_OPTIONAL_FIELDS = ("truth_a", "k_sigma_assumed", "settings")
+_OPTIONAL_FIELDS = ("k_sigma_assumed", "settings")
 
 
 def _json_int(value, name: str) -> int:
@@ -272,6 +278,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
 
     Accepts exactly the documents that schemas/experiment-config.schema.json
     accepts, and also rejects NaN and a default rate that cannot exist.
+    A field the document leaves out takes :class:`ExperimentConfig`'s default.
     """
     if not isinstance(doc, dict):
         raise ValueError("experiment config must be a JSON object")
@@ -279,24 +286,18 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         if field not in doc:
             raise ValueError(f"experiment config: missing field {field!r}")
     _unknown_keys(doc, _REQUIRED_FIELDS + _OPTIONAL_FIELDS, "experiment config")
-    device = _device_from_json(doc["device"])
-    truth_a = _json_number(doc["truth_a"], "truth_a") if "truth_a" in doc else device.amp.a
+    optional = {}
     if "k_sigma_assumed" in doc:
-        k_sigma = _json_number(doc["k_sigma_assumed"], "k_sigma_assumed")
-    else:
-        # Default to the device's true rate, assumed known from prior
-        # characterisation.
-        k_sigma = 0.0 if device.model is None else device.model.rate()
-    settings = doc.get("settings", list(SETTINGS))
-    if not isinstance(settings, list):
-        raise ValueError("settings must be a JSON array")
+        optional["k_sigma_assumed"] = _json_number(doc["k_sigma_assumed"], "k_sigma_assumed")
+    if "settings" in doc:
+        if not isinstance(doc["settings"], list):
+            raise ValueError("settings must be a JSON array")
+        optional["settings"] = tuple(doc["settings"])
     return ExperimentConfig(
-        device=device,
-        truth_a=truth_a,
+        device=_device_from_json(doc["device"]),
         max_depth=_json_int(doc["max_depth"], "max_depth"),
         n_shot_base=_json_int(doc["n_shot_base"], "n_shot_base"),
-        k_sigma_assumed=k_sigma,
-        settings=tuple(settings),
         replications=_json_int(doc["replications"], "replications"),
         seed=_json_int(doc["seed"], "seed"),
+        **optional,
     )

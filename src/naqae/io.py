@@ -63,6 +63,14 @@ def dump_json(obj) -> str:
     return json.dumps(round12(obj), indent=2) + "\n"
 
 
+def _csv_rows(reader, path):
+    """``reader``'s rows; a ``csv.Error`` (a cell past csv's field size limit) becomes a ValueError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
     """Parse a shot CSV into records grouped by label.
 
@@ -71,13 +79,14 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
     by depth.
 
     Raises:
-        ValueError: malformed header/row (with line number), a tally that is
-            not an ASCII integer ``-?[0-9]+`` in the signed 64-bit range, a
-            row whose tallies violate 0 <= ones <= shots, or duplicate rows
-            whose merged shots pass that range.
+        ValueError: malformed header/row (with line number), a cell longer
+            than csv's field size limit, a tally that is not an ASCII integer
+            ``-?[0-9]+`` in the signed 64-bit range, a row whose tallies
+            violate 0 <= ones <= shots, duplicate rows whose merged shots
+            pass that range, or a file without tally rows.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -113,6 +122,8 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
                     f"{path}: line {lineno}: merged shots of label {label!r} at depth {m} "
                     f"pass the signed 64-bit range: {bucket[0]}"
                 )
+    if not merged:
+        raise ValueError(f"{path}: no tally rows")
     grouped: dict[str, list[ShotRecord]] = {}
     for (label, m), (shots, ones) in sorted(merged.items()):
         grouped.setdefault(label, []).append(ShotRecord(m=m, shots=shots, ones=ones))

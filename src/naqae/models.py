@@ -341,6 +341,11 @@ def p_diff_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -
     return _finite("p(0) - p(1)", _p_diff_gaussian_raw, amp.theta, m, noise.k_mu, _decay(noise.k_sigma, m))
 
 
+# p1_gaussian_quadrature's fixed convergence tolerance and node cap.
+_QUAD_TOL = 1e-10
+_QUAD_MAX_NODES = 4096
+
+
 @lru_cache(maxsize=64)
 def _hermgauss_nodes(n: int):
     """Cached Gauss-Hermite nodes and weights for ``n`` points, or None unless all are finite."""
@@ -350,22 +355,16 @@ def _hermgauss_nodes(n: int):
     return (x, w) if finite else None
 
 
-def p1_gaussian_quadrature(
-    amp: Amplitude,
-    m: int,
-    noise: GaussianNoiseParams,
-    tol: float = 1e-10,
-    max_nodes: int = 4096,
-) -> float:
+def p1_gaussian_quadrature(amp: Amplitude, m: int, noise: GaussianNoiseParams) -> float:
     """Probability of measuring 1, by direct numerical integration.
 
     Integrates ``sin^2((2m+1) theta + t)`` against the Normal(k_mu m,
     k_sigma m) error density using Gauss-Hermite quadrature, doubling the
-    node count until successive estimates agree to ``tol``.  Serves as the
-    independent check on :func:`p1_gaussian_closed`.
+    node count from 16 until successive estimates agree to 1e-10.  Serves as
+    the independent check on :func:`p1_gaussian_closed`.
 
     Raises:
-        QuadratureError: no convergence within ``max_nodes`` nodes, or
+        QuadratureError: no convergence within 4096 nodes, or
             before the first node count whose nodes or weights are not
             all finite; the message names the last count used.
     """
@@ -383,20 +382,19 @@ def p1_gaussian_quadrature(
     # Expectation of f(t) for t ~ N(mean, variance) via the substitution
     # t = mean + sqrt(2 variance) x against the weight exp(-x^2).
     scale = math.sqrt(2.0 * variance)
-    threshold = max(tol, 1e-15)
     previous = None
     n = 16
-    # Doubling stops past max_nodes, or where numpy's nodes stop being finite.
-    while n <= max_nodes and (nodes := _hermgauss_nodes(n)) is not None:
+    # Doubling stops past _QUAD_MAX_NODES, or where numpy's nodes stop being finite.
+    while n <= _QUAD_MAX_NODES and (nodes := _hermgauss_nodes(n)) is not None:
         x, w = nodes
         values = np.sin(phase + mean + scale * x) ** 2
         estimate = float(w @ values) / math.sqrt(math.pi)
-        if previous is not None and abs(estimate - previous) <= threshold:
+        if previous is not None and abs(estimate - previous) <= _QUAD_TOL:
             return _as_probability(estimate, "gaussian quadrature")
         previous = estimate
         n *= 2
     raise QuadratureError(
-        f"quadrature did not converge to {tol!r} within {n // 2} nodes "
+        f"quadrature did not converge to {_QUAD_TOL!r} within {n // 2} nodes "
         f"(theta={amp.theta}, m={m}, k_mu={noise.k_mu}, k_sigma={noise.k_sigma})"
     )
 

@@ -159,7 +159,6 @@ def test_criterion_08_correction_round_trip():
 def _criterion_09_config(replications: int, seed: int) -> ExperimentConfig:
     return ExperimentConfig(
         device=SimulatedDevice(amp=Amplitude(math.pi / 6), model=GaussianNoiseParams(0.0, 0.055)),
-        truth_a=0.25,
         max_depth=12,
         n_shot_base=20,
         k_sigma_assumed=0.055,

@@ -311,6 +311,26 @@ class TestFit:
         assert out == "" and not table_file.exists()
 
 
+class TestMalformedShotCsv:
+    @pytest.mark.parametrize("argv", [["fit", "--model", "all"], ["fit", "--model", "gaussian"],
+                                      ["estimate"]], ids=["fit_all", "fit_gaussian", "estimate"])
+    @pytest.mark.parametrize("text, message", [
+        ("m,shots,ones\n", "no tally rows"),
+        ("m,shots,ones\n0,10," + "1" * 131_073 + "\n",
+         "line 2: field larger than field limit (131072)"),
+    ], ids=["header_only", "long_cell"])
+    def test_refused_without_output(self, tmp_path, capsys, argv, text, message):
+        # Each ended with empty results (exit 0, or exit 1 after printing
+        # '{"fits": []}'), or in a csv.Error traceback.
+        csv = tmp_path / "shots.csv"
+        csv.write_text(text, encoding="utf-8")
+        out_file = tmp_path / "out.json"
+        for out in ([], ["--out", str(out_file)]):
+            code, stdout, err = run_cli(capsys, argv[0], "--input", str(csv), *argv[1:], *out)
+            assert (code, stdout, out_file.exists()) == (1, "", False)
+            assert err == f"naqae: error: {csv}: {message}\n"
+
+
 class TestEstimate:
     def test_naive(self, gaussian_csv, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--input", str(gaussian_csv))
@@ -476,6 +496,16 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", str(config_path))
         assert code == 1 and "error" in err
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json raises RecursionError, not a ValueError, past its nesting depth
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 100_000 + "]" * 100_000)
+        out_file = tmp_path / "curves.csv"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config_path),
+                                 "--out", str(out_file))
+        assert (code, out, out_file.exists()) == (1, "", False)
+        assert err == f"naqae: error: {config_path}: JSON nested too deeply to read\n"
+
 
 class TestParser:
     def test_build_parser_returns_a_fresh_parser(self):
@@ -578,6 +608,18 @@ class TestParser:
         )
         assert (refused.returncode, refused.stdout) == (1, "")
         assert "limit of 1048576" in refused.stderr
+        # A header-only shot CSV and a cell past csv's field limit: exit 1, no output file.
+        header_only, long_cell = tmp_path / "header.csv", tmp_path / "long.csv"
+        header_only.write_text("m,shots,ones\n")
+        long_cell.write_text("m,shots,ones\n0,10," + "1" * 131_073 + "\n")
+        for argv in (["fit", "--input", str(header_only)], ["estimate", "--input", str(long_cell)]):
+            out = tmp_path / "refused.json"
+            refused = subprocess.run(
+                [sys.executable, "-m", "naqae.cli", *argv, "--out", str(out)],
+                env=child_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert (refused.returncode, refused.stdout, out.exists()) == (1, "", False)
+            assert refused.stderr.startswith("naqae: error:")
 
     def test_console_script_entry_point_is_cli_main(self):
         # pyproject.toml's [project.scripts] entry must name, by import, the

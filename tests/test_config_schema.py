@@ -25,7 +25,7 @@ def with_device(**device):
 GOOD = {
     "minimal": BASE,
     "all_fields": {
-        **BASE, "device": {"preset": "A1", "noise": GAUSS}, "truth_a": 0.25,
+        **BASE, "device": {"preset": "A1", "noise": GAUSS},
         "k_sigma_assumed": 0.0, "settings": ["noisy_a", "noiseless"],
     },
     "preset_only": with_device(preset="A5"),
@@ -57,7 +57,8 @@ BAD = {
     "depth_past_int64": {**BASE, "max_depth": 2**63},
     "depth_past_search_limit": {**BASE, "max_depth": 1023},
     "replications_past_int64": {**BASE, "replications": 2**63},
-    "boolean_truth": {**BASE, "truth_a": True},
+    # every RMSE is taken against the device's own amplitude
+    "truth_a": {**BASE, "truth_a": 0.25},
     "duplicate_settings": {**BASE, "settings": ["noisy_a", "noisy_a"]},
     "unknown_setting": {**BASE, "settings": ["noisy_c"]},
     "empty_settings": {**BASE, "settings": []},
@@ -67,7 +68,6 @@ BAD = {
     "unknown_preset": with_device(preset="A6"),
     "string_theta": with_device(theta="0.5"),
     "theta_too_large": with_device(theta=1.6),
-    "truth_out_of_range": {**BASE, "truth_a": 1.5},
     "negative_k_sigma_assumed": {**BASE, "k_sigma_assumed": -0.1},
     "negative_k_sigma": with_device(theta=0.5, noise={**GAUSS, "k_sigma": -0.1}),
     "string_k_mu": with_device(theta=0.5, noise={**GAUSS, "k_mu": "0.01"}),
@@ -116,7 +116,6 @@ def test_integral_float_is_converted():
     "text",
     [
         '{"device": {"theta": NaN}, "max_depth": 4, "n_shot_base": 10, "replications": 2, "seed": 1}',
-        '{"device": {"theta": 0.5}, "truth_a": NaN, "max_depth": 4, "n_shot_base": 10, "replications": 2, "seed": 1}',
         '{"device": {"theta": 0.5}, "k_sigma_assumed": NaN, "max_depth": 4, "n_shot_base": 10, "replications": 2, "seed": 1}',
         '{"device": {"theta": 0.5}, "k_sigma_assumed": Infinity, "max_depth": 4, "n_shot_base": 10, "replications": 2, "seed": 1}',
         '{"device": {"theta": 0.5, "noise": {"kind": "gaussian", "k_mu": NaN, "k_sigma": 0.1}}, "max_depth": 4, "n_shot_base": 10, "replications": 2, "seed": 1}',

@@ -50,6 +50,12 @@ class TestWorstCaseVariance:
         vb = worst_case_variance(0, 5, 1e308)
         assert (vb.sigma2, vb.total) == (0.0, 0.05)
 
+    def test_non_finite_total_names_its_depth(self):
+        # 4 * 1e308 overflows at depth 1, where shot_schedule refuses the same rate
+        with pytest.raises(ValueError, match=r"^variance bound at depth 1 must be finite, got inf$"):
+            worst_case_variance(1, 5, 1e308)
+        assert worst_case_variance(0, 5, 1e308).total == 0.05
+
     def test_deep_entry(self):
         vb = worst_case_variance(12, 73, 0.055)
         assert vb.total == pytest.approx(0.012465753424657534, abs=1e-15)

@@ -27,7 +27,6 @@ from naqae.device import _p1, _sample_tallies
 
 A1_GAUSS = ExperimentConfig(
     device=SimulatedDevice(amp=Amplitude(math.pi / 6), model=GaussianNoiseParams(0.0, 0.055)),
-    truth_a=0.25,
     max_depth=12,
     n_shot_base=20,
     k_sigma_assumed=0.055,
@@ -49,11 +48,10 @@ def depth_curves(curves):
 class TestConfig:
     def test_validation(self):
         dev = SimulatedDevice(amp=Amplitude(0.5))
-        good = dict(device=dev, truth_a=0.2, max_depth=3, n_shot_base=10,
+        good = dict(device=dev, max_depth=3, n_shot_base=10,
                     k_sigma_assumed=0.0, replications=1, seed=0)
         ExperimentConfig(**good)
         for bad in (
-            {"truth_a": 1.5},
             {"max_depth": -1},
             {"n_shot_base": 0},
             {"k_sigma_assumed": -0.1},
@@ -70,7 +68,7 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0), 2**63])
     def test_counts_must_be_int64_integers(self, field, bad):
         dev = SimulatedDevice(amp=Amplitude(0.5))
-        good = dict(device=dev, truth_a=0.2, max_depth=3, n_shot_base=10,
+        good = dict(device=dev, max_depth=3, n_shot_base=10,
                     k_sigma_assumed=0.0, replications=1, seed=0)
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             ExperimentConfig(**{**good, field: bad})
@@ -79,7 +77,7 @@ class TestConfig:
     def test_depths_past_the_search_limit(self):
         # Depths 0..M have (M + 1)(M + 2) zeros: 1,047,552 at 1022, 1,049,600 at 1023
         dev = SimulatedDevice(amp=Amplitude(0.5))
-        good = dict(device=dev, truth_a=0.2, max_depth=1022, n_shot_base=10,
+        good = dict(device=dev, max_depth=1022, n_shot_base=10,
                     k_sigma_assumed=0.0, replications=1, seed=0)
         ExperimentConfig(**good)
         with pytest.raises(ValueError, match=r"^depths with 1049600 zeros .* limit of 1048576"):
@@ -90,12 +88,33 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, 2**64, 2**64 + 5, -(2**63) - 1, "7"])
     def test_seed_must_be_an_integer(self, bad):
         dev = SimulatedDevice(amp=Amplitude(0.5))
-        good = dict(device=dev, truth_a=0.2, max_depth=3, n_shot_base=10,
+        good = dict(device=dev, max_depth=3, n_shot_base=10,
                     k_sigma_assumed=0.0, replications=1)
         with pytest.raises(ValueError, match="^seed must be an integer"):
             ExperimentConfig(**good, seed=bad)
         for seed in (-(2**63), 2**64 - 1, np.uint64(2**64 - 1), np.int8(-3)):
             ExperimentConfig(**good, seed=seed)
+
+    @pytest.mark.parametrize("model, noise", [
+        (GaussianNoiseParams(0.01, 0.05), {"kind": "gaussian", "k_mu": 0.01, "k_sigma": 0.05}),
+        (DepolParams(0.9), {"kind": "depolarizing", "p_coh": 0.9}),
+        (None, {"kind": "none"}),
+    ])
+    def test_default_rate_is_the_devices(self, model, noise):
+        # The library and the JSON parser share one default: the device's true rate.
+        config = ExperimentConfig(device=SimulatedDevice(amp=Amplitude(0.5), model=model),
+                                  max_depth=4, n_shot_base=10, replications=2, seed=1)
+        doc = {"device": {"theta": 0.5, "noise": noise}, "max_depth": 4, "n_shot_base": 10,
+               "replications": 2, "seed": 1}
+        assert config == config_from_json(doc)
+        assert config.k_sigma_assumed == (0.0 if model is None else model.rate())
+
+    def test_fully_depolarized_device_needs_an_assumed_rate(self):
+        dev = SimulatedDevice(amp=Amplitude(0.5), model=DepolParams(0.0))
+        with pytest.raises(ValueError, match="^no finite equivalent rate at p_coh_tilde == 0$"):
+            ExperimentConfig(device=dev, max_depth=3, n_shot_base=10)
+        config = ExperimentConfig(device=dev, max_depth=3, n_shot_base=10, k_sigma_assumed=1.0)
+        assert config.k_sigma_assumed == 1.0
 
     def test_plan_is_not_compared_hashed_or_printed(self):
         # The plan is derived state: a rebuilt config equals and hashes as
@@ -127,7 +146,7 @@ class TestTrials:
 
     def test_setting_must_be_configured(self):
         config = ExperimentConfig(
-            device=SimulatedDevice(amp=Amplitude(0.5)), truth_a=0.2, max_depth=2,
+            device=SimulatedDevice(amp=Amplitude(0.5)), max_depth=2,
             n_shot_base=10, k_sigma_assumed=0.0, settings=("noiseless",),
             replications=1, seed=0,
         )
@@ -178,14 +197,14 @@ class TestMonteCarlo:
         # it must give exactly the curves of one run_qae_trial per replication.
         config = ExperimentConfig(
             device=SimulatedDevice(amp=Amplitude(0.6), model=GaussianNoiseParams(0.0, 0.04)),
-            truth_a=math.sin(0.6) ** 2, max_depth=5, n_shot_base=12,
+            max_depth=5, n_shot_base=12,
             k_sigma_assumed=0.04, replications=4, seed=9,
         )
         expected = {}
         for setting in config.settings:
             errs = np.array(
                 [
-                    [e.a_hat - config.truth_a for e in run_qae_trial(config, setting, rep)]
+                    [e.a_hat - config.device.amp.a for e in run_qae_trial(config, setting, rep)]
                     for rep in range(config.replications)
                 ]
             )
@@ -269,17 +288,17 @@ class TestMonteCarlo:
     def test_single_replication_rmse_is_absolute_error(self):
         config = ExperimentConfig(
             device=SimulatedDevice(amp=Amplitude(0.5), model=DepolParams(0.95)),
-            truth_a=math.sin(0.5) ** 2, max_depth=4, n_shot_base=30,
+            max_depth=4, n_shot_base=30,
             k_sigma_assumed=0.02, settings=("noisy_a",), replications=1, seed=5,
         )
         curve = depth_curves(run_monte_carlo(config))["noisy_a"]
         estimates = run_qae_trial(config, "noisy_a", 0)
         for rmse, est in zip(curve, estimates):
-            assert rmse == pytest.approx(abs(est.a_hat - config.truth_a), rel=1e-12)
+            assert rmse == abs(est.a_hat - config.device.amp.a)  # the truth is the device's
 
     def test_noiseless_rmse_falls(self):
         config = ExperimentConfig(
-            device=SimulatedDevice(amp=Amplitude(0.7)), truth_a=math.sin(0.7) ** 2,
+            device=SimulatedDevice(amp=Amplitude(0.7)),
             max_depth=8, n_shot_base=4096, k_sigma_assumed=0.0,
             settings=("noiseless",), replications=4, seed=11,
         )
@@ -289,7 +308,7 @@ class TestMonteCarlo:
 
     def test_setting_ordering_small_scale(self):
         config = ExperimentConfig(
-            device=A1_GAUSS.device, truth_a=0.25, max_depth=12, n_shot_base=20,
+            device=A1_GAUSS.device, max_depth=12, n_shot_base=20,
             k_sigma_assumed=0.055, settings=("noisy_a", "noisy_b", "noise_aware"),
             replications=15, seed=101,
         )
@@ -301,7 +320,7 @@ class TestMonteCarlo:
         # p_coh^m -> 0 by m = 12: the naive estimator cannot converge
         config = ExperimentConfig(
             device=SimulatedDevice(amp=Amplitude(math.pi / 6), model=DepolParams(0.7)),
-            truth_a=0.25, max_depth=12, n_shot_base=20,
+            max_depth=12, n_shot_base=20,
             k_sigma_assumed=-math.log(0.7) / 2, settings=("noisy_a",),
             replications=8, seed=3,
         )
@@ -315,7 +334,7 @@ class TestMonteCarlo:
         theta, k_mu = 0.5, 0.05
         config = ExperimentConfig(
             device=SimulatedDevice(amp=Amplitude(theta), model=GaussianNoiseParams(k_mu, 0.0)),
-            truth_a=math.sin(theta) ** 2, max_depth=25, n_shot_base=1024,
+            max_depth=25, n_shot_base=1024,
             k_sigma_assumed=0.0, settings=("noisy_a",), replications=2, seed=7,
         )
         target = math.sin(theta + k_mu / 2) ** 2
@@ -346,7 +365,6 @@ class TestConfigFromJson:
     def test_full_document(self):
         doc = {
             "device": {"theta": math.pi / 6, "noise": {"kind": "gaussian", "k_mu": 0.0, "k_sigma": 0.055}},
-            "truth_a": 0.25,
             "max_depth": 12,
             "n_shot_base": 20,
             "k_sigma_assumed": 0.055,
@@ -357,7 +375,6 @@ class TestConfigFromJson:
         config = config_from_json(doc)
         assert config.device.model == GaussianNoiseParams(0.0, 0.055)
         assert config.settings == ("noisy_a", "noise_aware")
-        assert config.truth_a == 0.25
 
     def test_preset_and_defaults(self):
         doc = {
@@ -366,7 +383,6 @@ class TestConfigFromJson:
         }
         config = config_from_json(doc)
         assert config.device.amp.theta == math.pi / 6
-        assert config.truth_a == pytest.approx(0.25, abs=1e-12)
         assert config.k_sigma_assumed == 0.03  # defaults to the device's true rate
         assert config.settings == ("noisy_a", "noisy_b", "noise_aware", "noiseless")
 
@@ -382,6 +398,9 @@ class TestConfigFromJson:
         base = {"device": {"theta": 0.5}, "max_depth": 4, "n_shot_base": 10,
                 "replications": 2, "seed": 1}
         config_from_json(base)
+        # The truth is the device's amplitude; a document may not set it.
+        with pytest.raises(ValueError, match=r"unknown field\(s\) \['truth_a'\]"):
+            config_from_json({**base, "truth_a": 0.25})
         with pytest.raises(ValueError):
             config_from_json({**base, "device": {}})
         with pytest.raises(ValueError):

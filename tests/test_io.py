@@ -1,5 +1,7 @@
 """Tests for the shot CSV format and result serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,21 @@ class TestShotCsv:
         path = tmp_path / "shots.csv"
         path.write_text("")
         with pytest.raises(ValueError):
+            read_shot_csv(path)
+
+    @pytest.mark.parametrize("text", ["m,shots,ones\n", "m,shots,ones,label\n", "m,shots,ones\n\n\n"])
+    def test_header_without_rows(self, tmp_path, text):
+        # as estimate_amplitude([]) refuses an empty dataset
+        path = tmp_path / "shots.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no tally rows$"):
+            read_shot_csv(path)
+
+    def test_cell_past_the_field_limit(self, tmp_path):
+        # csv refuses a cell past 131,072 characters with its own csv.Error
+        path = tmp_path / "shots.csv"
+        path.write_text("m,shots,ones\n0,10,2\n0,10," + "1" * 131_073 + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: field larger"):
             read_shot_csv(path)
 
     def test_round_trip_after_merge(self, tmp_path):

@@ -175,11 +175,11 @@ class TestQuadrature:
             p_diff = p_diff_gaussian_closed(amp, int(m), noise)
             assert p1 == pytest.approx((1.0 - p_diff) / 2.0, abs=1e-9)
 
-    def test_node_budget_exhaustion(self):
+    def test_node_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(models, "_QUAD_TOL", 1e-12)
+        monkeypatch.setattr(models, "_QUAD_MAX_NODES", 32)
         with pytest.raises(QuadratureError):
-            p1_gaussian_quadrature(
-                Amplitude(1.0), 100, GaussianNoiseParams(0.0, 0.2), tol=1e-12, max_nodes=32
-            )
+            p1_gaussian_quadrature(Amplitude(1.0), 100, GaussianNoiseParams(0.0, 0.2))
 
 
     @pytest.mark.parametrize("theta, m, noise", [
@@ -188,7 +188,7 @@ class TestQuadrature:
     ])
     def test_stops_where_the_nodes_are_not_finite(self, theta, m, noise):
         # numpy's Gauss-Hermite nodes and weights turn non-finite past some
-        # count below the default max_nodes of 4096; the doubling stops at the
+        # count below the cap of 4096 nodes; the doubling stops at the
         # last finite count, without a numpy warning, and names it.
         models._hermgauss_nodes.cache_clear()
         with warnings.catch_warnings():
