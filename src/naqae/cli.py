@@ -141,11 +141,14 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
+    with io._open_utf8(args.config) as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"{args.config}: JSON nested too deeply to read") from None
+        except json.JSONDecodeError as exc:
+            where = f"line {exc.lineno} column {exc.colno}"
+            raise ValueError(f"{args.config}: {where}: {exc.msg}") from None
     config = experiments.config_from_json(doc)
     curves = experiments.run_monte_carlo(config)
     _emit(io.curves_csv(curves), args.out)

@@ -14,11 +14,18 @@ The objective is multimodal in theta, so the search is a coarse multi-start
 grid followed by Nelder-Mead simplex refinement of the best starts.  The
 search settings are fixed module constants.
 
-The grid is evaluated one theta slab at a time, so its temporaries stay in
-cache.  The refinement runs every start of a search in lockstep: each start
-is a :func:`_nelder_mead` generator that yields its next trial point and
-receives that point's SSE, and one :func:`_predict` call per round scores the
-points of all live starts as a (starts x depths) array.  The simplex
+The grid is screened first: expanded, each point's SSE is a constant plus
+two small matrix products over depths, computed a block of theta rows at a
+time, within a documented bound delta(n) of the elementwise SSE in any
+summation order.  Only points whose screen is at most the
+``_REFINE_STARTS``-th smallest plus 2 delta can rank among the starts; they
+alone get the elementwise SSE, so the starts and their SSEs have the bits of
+a whole-grid evaluation.
+
+The refinement runs every start of a search in lockstep: each start is a
+:func:`_nelder_mead` generator that yields its next trial point and receives
+that point's SSE, and one :func:`_predict` call per round scores the points
+of all live starts as a (starts x depths) array.  The simplex
 arithmetic is SciPy's ``minimize(method="Nelder-Mead", bounds=...)``
 (non-adaptive), step for step and in the same float order: the same initial
 simplex, reflected into the bounds; every trial point clipped as
@@ -48,6 +55,7 @@ from .models import (
     _decay,
     _p1_gaussian_decayed,
     _p1_gaussian_raw,
+    _psi,
     depol_equivalent,
 )
 
@@ -65,6 +73,9 @@ _PARAMS = {
     "rate": (np.logspace(math.log10(1e-5), math.log10(0.5), 33), (0.0, np.inf)),
 }
 _REFINE_STARTS = 8
+# Theta rows per block of the grid's screen, and grid points per exact SSE chunk.
+_SCREEN_ROWS = 8
+_SSE_CHUNK = 1024
 _NM_MAX_ITER = 500
 _NM_FATOL = 1e-10
 _NM_XATOL = 1e-8
@@ -160,27 +171,73 @@ def _predict(space, params, ms):
     return _p1_gaussian_raw(named["theta"], ms, named.get("k_mu", 0.0), named["rate"])
 
 
+def _screen_delta(n):
+    """A bound on |screen - SSE| at a grid point of ``n`` depths (:func:`_grid_search`)."""
+    return 16.0 * n * (n + 16) * 2.0**-53
+
+
+def _screen(space, ms, y, decay):
+    """The coarse grid's SSEs to within :func:`_screen_delta`, as an array of the grid's shape.
+
+    A grid point's SSE is ``sum_l (a_l + d_l c_l / 2)^2``, with ``a = y - 1/2``,
+    ``d`` the ``decay`` table over (rate, depth) and ``c = cos 2 psi`` over
+    (theta, k_mu, depth).  Expanded, it is ``a . a + c . (a d) + (c c) . (d d) / 4``,
+    two small matrix products per block of ``_SCREEN_ROWS`` theta rows.  They
+    run in ``einsum``, not BLAS: the first BLAS call leaves about 0.3 MiB of
+    its buffers resident for the rest of the process.
+
+    The screen and the elementwise SSE each lie within ``n (n + 40) u`` of the
+    exact value on the same decay and psi (n depths, u = 2^-53), in any
+    summation order: every factor is at most 1 in magnitude, numpy's cos and
+    sin are within 4 ulp, and a sum of n terms is off by at most ``(n - 1) u``
+    times the sum of their magnitudes.  :func:`_screen_delta` is at least three
+    times their combined ``2 n (n + 40) u``.
+    """
+    axes = [_PARAMS[name][0] for name in space]
+    k_mu = _PARAMS["k_mu"][0][:, None] if "k_mu" in space else 0.0
+    a = y - 0.5
+    # Each block's c is (theta, k_mu) rows by depths; ad and dd are rates by depths.
+    aa, ad, dd = np.einsum("l,l->", a, a), a * decay, 0.25 * (decay * decay)
+    screen = np.empty([len(ax) for ax in axes])
+    for start in range(0, len(axes[0]), _SCREEN_ROWS):
+        theta = axes[0][start:start + _SCREEN_ROWS].reshape((-1,) + (1,) * (len(axes) - 1))
+        c = np.cos(2.0 * _psi(theta, ms, k_mu)).reshape(-1, ms.size)
+        block = aa + np.einsum("ij,kj->ik", c, ad) + np.einsum("ij,kj->ik", c * c, dd)
+        screen[start:start + _SCREEN_ROWS] = block.reshape((-1,) + screen.shape[1:])
+    return screen
+
+
 def _grid_search(space, ms, y):
     """SSE over the full coarse grid; returns starts ordered best-first.
 
-    One theta slab at a time: each grid point's SSE has the same bits as in
-    a whole-mesh evaluation, with temporaries a 64th of the size.  The decay
-    depends only on (rate, depth), so every slab shares one table of it.
+    The grid is ranked by :func:`_screen`.  A point among the
+    ``_REFINE_STARTS`` best by SSE has an SSE at most that of one of the
+    ``_REFINE_STARTS`` best screens, so its screen is at most the
+    ``_REFINE_STARTS``-th smallest plus twice :func:`_screen_delta`.  Only
+    such points get the elementwise SSE (``y - p1`` squared and summed by
+    ``einsum``), ``_SSE_CHUNK`` points at a time.  Ranked by (SSE, flat
+    index), they give the starts a stable argsort of the whole grid's SSEs
+    gives, each SSE with its whole-mesh bits.
     """
     axes = [_PARAMS[name][0] for name in space]
-    # Slab axis i holds packed parameter i + 1; the last axis runs over depths.
-    mesh = dict(zip(space[1:], (ax.reshape((-1,) + (1,) * (len(axes) - i))
-                                for i, ax in enumerate(axes[1:], 1))))
-    k_mu, decay = mesh.get("k_mu", 0.0), _decay(mesh["rate"], ms)
-    sse = np.empty([len(ax) for ax in axes])
-    for i, theta in enumerate(axes[0]):
-        residuals = y - _p1_gaussian_decayed(theta, ms, k_mu, decay)
-        sse[i] = np.einsum("...l,...l->...", residuals, residuals)
-    order = np.argsort(sse, axis=None, kind="stable")
+    shape = tuple(len(ax) for ax in axes)
+    # rate is the last packed parameter; the decay depends only on (rate, depth).
+    decay = _decay(axes[-1][:, None], ms)
+    screen = _screen(space, ms, y, decay).ravel()
+    count = min(_REFINE_STARTS, screen.size)
+    cut = np.partition(screen, count - 1)[count - 1] + 2 * _screen_delta(ms.size)
+    candidates = np.flatnonzero(screen <= cut)
+    sse = np.empty(candidates.size)
+    for start in range(0, candidates.size, _SSE_CHUNK):
+        index = np.unravel_index(candidates[start:start + _SSE_CHUNK], shape)
+        named = {name: ax[i][:, None] for name, ax, i in zip(space, axes, index)}
+        residuals = y - _p1_gaussian_decayed(named["theta"], ms, named.get("k_mu", 0.0),
+                                             decay[index[-1]])
+        sse[start:start + _SSE_CHUNK] = np.einsum("...l,...l->...", residuals, residuals)
     starts = []
-    for flat in order[:_REFINE_STARTS]:
-        index = np.unravel_index(flat, sse.shape)
-        starts.append((float(sse[index]), tuple(float(ax[i]) for ax, i in zip(axes, index))))
+    for j in np.argsort(sse, kind="stable")[:count]:
+        index = np.unravel_index(candidates[j], shape)
+        starts.append((float(sse[j]), tuple(float(ax[i]) for ax, i in zip(axes, index))))
     return starts
 
 

@@ -11,6 +11,7 @@ file.  The CLI writes that text to stdout or to an ``--out`` file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import json
@@ -71,6 +72,25 @@ def _csv_rows(reader, path):
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _open_utf8(path: str | Path, newline: str | None = None):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is refused with its line."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # The decoder's offset counts from its chunk: decode the bytes whole for the file's.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = 1 + len(re.findall(rb"\r\n?|\n", data[:exc.start]))
+            raise ValueError(
+                f"{path}: line {line}: not UTF-8 ({exc.reason}, byte 0x{data[exc.start]:02x})"
+            ) from None
+        raise
+
+
 def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
     """Parse a shot CSV into records grouped by label.
 
@@ -83,9 +103,10 @@ def read_shot_csv(path: str | Path) -> dict[str, list[ShotRecord]]:
             than csv's field size limit, a tally that is not an ASCII integer
             ``-?[0-9]+`` in the signed 64-bit range, a row whose tallies
             violate 0 <= ones <= shots, duplicate rows whose merged shots
-            pass that range, or a file without tally rows.
+            pass that range, a file without tally rows, or a file that is
+            not UTF-8.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = _csv_rows(csv.reader(fh), path)
         try:
             header = next(reader)

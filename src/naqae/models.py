@@ -149,7 +149,8 @@ def _decay(k_sigma, m):
     """
     with np.errstate(over="ignore"):
         exponent = -2.0 * (np.asarray(k_sigma, float) * np.asarray(m, float))
-    return np.array(list(map(math.exp, exponent.ravel().tolist()))).reshape(exponent.shape)
+    exps = map(math.exp, exponent.ravel().tolist())
+    return np.fromiter(exps, float, exponent.size).reshape(exponent.shape)
 
 
 def _coherent_fraction(p_coh_tilde, m):
@@ -158,9 +159,14 @@ def _coherent_fraction(p_coh_tilde, m):
     return np.array(list(map(pow, p.ravel().tolist(), m.ravel().tolist()))).reshape(p.shape)
 
 
+def _psi(theta, m, k_mu):
+    """The mean rotation angle ``(2m+1) theta + k_mu m`` after ``m`` iterates (array-capable)."""
+    return (2.0 * np.asarray(m) + 1.0) * theta + k_mu * np.asarray(m)
+
+
 def _p_diff_gaussian_raw(theta, m, k_mu, decay):
     """p(0) - p(1) under Gaussian rotation noise of decay ``decay`` (array-capable)."""
-    psi = (2.0 * np.asarray(m) + 1.0) * theta + k_mu * np.asarray(m)
+    psi = _psi(theta, m, k_mu)
     # cos^2 - sin^2 rather than cos(2 psi): keeps the m=0 limit exactly equal
     # to cos^2(theta) - sin^2(theta) and bounds the magnitude by the decay.
     return decay * (np.cos(psi) ** 2 - np.sin(psi) ** 2)

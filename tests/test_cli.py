@@ -330,6 +330,18 @@ class TestMalformedShotCsv:
             assert (code, stdout, out_file.exists()) == (1, "", False)
             assert err == f"naqae: error: {csv}: {message}\n"
 
+    @pytest.mark.parametrize("argv", [["fit", "--model", "all"], ["estimate"]],
+                             ids=["fit_all", "estimate"])
+    def test_byte_that_is_not_utf8(self, tmp_path, capsys, argv):
+        # Printed the decoder's message alone, which names neither file nor line.
+        csv = tmp_path / "shots.csv"
+        csv.write_bytes(b"m,shots,ones,label\n0,10,2,\xff\n")
+        out_file = tmp_path / "out.json"
+        code, stdout, err = run_cli(capsys, argv[0], "--input", str(csv), *argv[1:],
+                                    "--out", str(out_file))
+        assert (code, stdout, out_file.exists()) == (1, "", False)
+        assert err == f"naqae: error: {csv}: line 2: not UTF-8 (invalid start byte, byte 0xff)\n"
+
 
 class TestEstimate:
     def test_naive(self, gaussian_csv, capsys):
@@ -505,6 +517,24 @@ class TestExperiment:
                                  "--out", str(out_file))
         assert (code, out, out_file.exists()) == (1, "", False)
         assert err == f"naqae: error: {config_path}: JSON nested too deeply to read\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "line 1 column 2: Expecting property name enclosed in double quotes"),
+        ('{\n  "max_depth": 4\n  "seed": 1\n}', "line 3 column 3: Expecting ',' delimiter"),
+        (b'{"seed": "\xff"}', "line 1: not UTF-8 (invalid start byte, byte 0xff)"),
+    ], ids=["not_json", "missing_comma", "not_utf8"])
+    def test_unreadable_config_names_its_path(self, tmp_path, capsys, text, message):
+        # Printed the decoder's message alone, which names no file.
+        config_path = tmp_path / "config.json"
+        if isinstance(text, bytes):
+            config_path.write_bytes(text)
+        else:
+            config_path.write_text(text, encoding="utf-8")
+        out_file = tmp_path / "curves.csv"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config_path),
+                                 "--out", str(out_file))
+        assert (code, out, out_file.exists()) == (1, "", False)
+        assert err == f"naqae: error: {config_path}: {message}\n"
 
 
 class TestParser:

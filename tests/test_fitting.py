@@ -22,7 +22,7 @@ from naqae import (
     r_squared,
     run_depth_sweep,
 )
-from naqae import fitting, io
+from naqae import fitting, io, models
 from naqae.cli import main
 from naqae.errors import DegenerateDataError
 from naqae.device import ShotRecord
@@ -337,12 +337,18 @@ class TestNelderMeadParity:
             assert not any(r.success for r in results)
 
 
-def whole_mesh_starts(kind, ms, y, count):
-    """The coarse grid in one whole-mesh evaluation: its ``count`` best starts."""
+def whole_mesh_sse(kind, ms, y):
+    """The coarse grid's SSEs in one whole-mesh evaluation."""
     axes = [fitting._PARAMS[name][0] for name in space(kind)]
     mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes)]
     residuals = y - fitting._predict(space(kind), mesh, ms)
-    sse = np.einsum("...l,...l->...", residuals, residuals)
+    return np.einsum("...l,...l->...", residuals, residuals)
+
+
+def whole_mesh_starts(kind, ms, y, count):
+    """The coarse grid in one whole-mesh evaluation: its ``count`` best starts."""
+    axes = [fitting._PARAMS[name][0] for name in space(kind)]
+    sse = whole_mesh_sse(kind, ms, y)
     order = np.argsort(sse, axis=None, kind="stable")[:count]
     index = np.unravel_index(order, sse.shape)
     return [(float(v), tuple(float(ax[i]) for ax, i in zip(axes, idx)))
@@ -351,6 +357,19 @@ def whole_mesh_starts(kind, ms, y, count):
 
 def hexed_starts(starts):
     return [(sse.hex(), [v.hex() for v in x0]) for sse, x0 in starts]
+
+
+def near_ties():
+    """Datasets whose grid SSEs nearly tie.
+
+    At y = 1/2 the SSE is even under theta -> pi/2 - theta with k_mu negated,
+    so mirrored grid points differ only by rounding.  Noiseless data from a
+    theta grid node nearly fit every small rate at that node.
+    """
+    ms = np.arange(41.0)
+    node = fitting._PARAMS["theta"][0][20]
+    on_node = np.array([pt.p1_hat for pt in gaussian_points(node, 0.0, 0.0, range(41))])
+    return [("half", ms, np.full(ms.size, 0.5)), ("on_node", ms, on_node)]
 
 
 class TestGridSearch:
@@ -373,6 +392,53 @@ class TestGridSearch:
         monkeypatch.setattr(fitting, "_REFINE_STARTS", size)
         got = fitting._grid_search(space(kind), ms, y)
         assert hexed_starts(got) == hexed_starts(whole_mesh_starts(kind, ms, y, size))
+
+    @pytest.mark.parametrize(
+        "name, ms, y, kind", fit_searches(near_ties() + random_datasets() + [device_input()]),
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_screen_gives_the_whole_mesh_starts(self, name, ms, y, kind):
+        got = fitting._grid_search(space(kind), ms, y)
+        assert hexed_starts(got) == hexed_starts(
+            whole_mesh_starts(kind, ms, y, fitting._REFINE_STARTS))
+
+    @pytest.mark.parametrize("count", [1, 7, 9])
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    def test_split_mirrored_ties_rank_by_exact_sse(self, monkeypatch, kind, count):
+        # The best points at y = 1/2 come in mirrored pairs, so an odd count
+        # splits one: the member left out must have been scored exactly too.
+        name, ms, y = near_ties()[0]
+        monkeypatch.setattr(fitting, "_REFINE_STARTS", count)
+        got = fitting._grid_search(space(kind), ms, y)
+        assert hexed_starts(got) == hexed_starts(whole_mesh_starts(kind, ms, y, count))
+
+    @pytest.mark.parametrize(
+        "name, ms, y, kind",
+        fit_searches(labeled_inputs("fit_corpus.csv") + labeled_inputs("labeled.csv")
+                     + near_ties() + random_datasets() + [device_input()]),
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_screen_is_within_its_bound(self, name, ms, y, kind):
+        rates = fitting._PARAMS["rate"][0]
+        screen = fitting._screen(space(kind), ms, y, models._decay(rates[:, None], ms))
+        error = np.max(np.abs(screen - whole_mesh_sse(kind, ms, y)))
+        assert error <= fitting._screen_delta(ms.size)
+
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    def test_few_points_get_the_exact_sse(self, monkeypatch, kind):
+        # A bound that grew until the band held the whole grid would still give
+        # the right starts, only slowly; this pins the band to a few points.
+        rows = []
+        decayed = fitting._p1_gaussian_decayed
+
+        def spy(theta, ms, k_mu, decay):
+            rows.append(len(theta))
+            return decayed(theta, ms, k_mu, decay)
+
+        monkeypatch.setattr(fitting, "_p1_gaussian_decayed", spy)
+        name, ms, y = device_input()
+        fitting._grid_search(space(kind), ms, y)
+        assert fitting._REFINE_STARTS <= sum(rows) <= 32
 
 
 class TestOneSearchPerSpace:

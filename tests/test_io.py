@@ -109,6 +109,15 @@ class TestShotCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: field larger"):
             read_shot_csv(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "shots.csv"
+        path.write_bytes(newline.join(["m,shots,ones,label", "0,10,2,x", "1,10,3,\xff"]).encode(
+            "latin-1"))
+        message = f"{path}: line 3: not UTF-8 (invalid start byte, byte 0xff)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_shot_csv(path)
+
     def test_round_trip_after_merge(self, tmp_path):
         source = tmp_path / "in.csv"
         source.write_text("m,shots,ones,label\n2,10,5,x\n0,10,2,x\n2,10,3,x\n")
