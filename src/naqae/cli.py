@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from . import experiments, io
 from .device import PRESET_THETAS, SimulatedDevice, preset_device, run_depth_sweep
@@ -94,6 +95,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     if args.table is not None and args.model != "all":
         raise ValueError("--table needs --model all")
+    # The table would overwrite the JSON.
+    if args.out is not None and args.table is not None:
+        if Path(args.out).resolve() == Path(args.table).resolve():
+            raise ValueError(f"--out {args.out} and --table {args.table} are the same file")
     kinds = list(MODEL_KINDS) if args.model == "all" else [MODEL_SPELLINGS[args.model]]
     grouped = io.read_shot_csv(args.input)
     results = [fit for label in sorted(grouped)
@@ -140,10 +145,20 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+def _unique_keys(pairs: list[tuple[str, object]], path: str) -> dict:
+    """One JSON object of ``path`` as a dict, refusing a key it repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"{path}: repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _cmd_experiment(args) -> int:
     with io._open_utf8(args.config) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=functools.partial(_unique_keys, path=args.config))
         except RecursionError:
             raise ValueError(f"{args.config}: JSON nested too deeply to read") from None
         except json.JSONDecodeError as exc:

@@ -3,7 +3,6 @@
 import importlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import naqae
+from conftest import child_env
 from naqae import cli, device
 from naqae.cli import build_parser, main
 from naqae.fitting import MODEL_KINDS, MODEL_SPELLINGS, FrequencyPoint, fit_model
@@ -26,13 +26,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def child_env():
-    """This process's environment, with the imported naqae first on PYTHONPATH."""
-    root = str(Path(naqae.__file__).resolve().parent.parent)
-    inherited = [p for p in [os.environ.get("PYTHONPATH")] if p]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([root] + inherited))
 
 
 class TestSchedule:
@@ -310,6 +303,18 @@ class TestFit:
         assert code == 1 and "--table needs --model all" in err
         assert out == "" and not table_file.exists()
 
+    def test_out_and_table_on_one_file_fit_nothing(self, gaussian_csv, tmp_path, capsys,
+                                                    monkeypatch):
+        # The table overwrote the JSON, and the run exited 0.
+        fitted = []
+        monkeypatch.setattr(cli, "_fit_kinds", lambda *args: fitted.append(args) or [])
+        monkeypatch.chdir(tmp_path)
+        table = tmp_path / "f.json"
+        code, out, err = run_cli(capsys, "fit", "--input", str(gaussian_csv),
+                                 "--out", "f.json", "--table", str(table))
+        assert (code, out, fitted, table.exists()) == (1, "", [], False)
+        assert err == f"naqae: error: --out f.json and --table {table} are the same file\n"
+
 
 class TestMalformedShotCsv:
     @pytest.mark.parametrize("argv", [["fit", "--model", "all"], ["fit", "--model", "gaussian"],
@@ -502,6 +507,22 @@ class TestExperiment:
         assert (code, out, drawn) == (1, "", [])
         assert err == f"naqae: error: {message}\n"
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"device": {"theta": 0.3}, "max_depth": 2, "n_shot_base": 5, "replications": 1, '
+         '"seed": 1, "seed": 2}', "seed"),
+        ('{"device": {"preset": "A1", "preset": "A2"}, "max_depth": 2, "n_shot_base": 5, '
+         '"replications": 1, "seed": 1}', "preset"),
+    ], ids=["top_level", "nested"])
+    def test_repeated_key_is_refused(self, tmp_path, capsys, text, key):
+        # json kept the last value: seed 2 ran, and so did preset A2.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text, encoding="utf-8")
+        out_file = tmp_path / "curves.csv"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config_path),
+                                 "--out", str(out_file))
+        assert (code, out, out_file.exists()) == (1, "", False)
+        assert err == f"naqae: error: {config_path}: repeated key {key!r}\n"
+
     def test_malformed_json(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("{not json")
@@ -566,90 +587,6 @@ class TestParser:
         assert cold == [] and after_fit == []
         fit = fit_model([FrequencyPoint(m, p) for m, p in points], "gaussian_zero_mean")
         assert (theta_hat, sse) == (fit.theta_hat, fit.sse)
-
-    def test_module_runs_the_console_script_commands(self, tmp_path):
-        # The console script's commands, run as ``python -m naqae.cli`` in a
-        # fresh process: through the ``__main__`` guard, stdout and an --out
-        # file must match their goldens byte for byte.
-        def naqae_cli(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "naqae.cli", *argv],
-                env=child_env(), capture_output=True, text=True, timeout=120, check=True,
-            ).stdout
-
-        schedule = naqae_cli("schedule", "--depths", "0..12", "--base-shots", "20",
-                             "--k-sigma", "0.055")
-        assert schedule == (GOLDEN / "schedule_nearest.stdout").read_text()
-        out = tmp_path / "s.csv"
-        simulate = naqae_cli("simulate", "--theta", "0.5", "--noise", "depol:0.9",
-                             "--depths", "0,2,4,8", "--shots", "50,60,70,80", "--seed", "3",
-                             "--out", str(out))
-        assert simulate == ""
-        assert out.read_bytes() == (GOLDEN / "simulate_depol.csv").read_bytes()
-        # 2**20 + 1 shots: the threshold count across a chunk boundary and at
-        # the certain depths 1 and 4.
-        out = tmp_path / "mc.csv"
-        naqae_cli("simulate", "--preset", "A1", "--noise", "none", "--depths", "0..4",
-                  "--shots", "1048577", "--seed", "11", "--out", str(out))
-        assert out.read_bytes() == (GOLDEN / "simulate_multichunk.csv").read_bytes()
-        config = GOLDEN / "inputs" / "config_gaussian.json"
-        experiment = naqae_cli("experiment", "--config", str(config))
-        assert experiment == (GOLDEN / "experiment_gaussian.stdout").read_text()
-        # Records read from a CSV, corrected as one array, estimated and
-        # written back as JSON: the record edge and the vectorised correction.
-        out = tmp_path / "estimate.json"
-        estimate = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "labeled.csv"),
-                             "--method", "corrected", "--p-coh", "0.94", "--out", str(out))
-        assert estimate == ""
-        assert out.read_bytes() == (GOLDEN / "estimate_corrected.json").read_bytes()
-        # All three model families fitted to one CSV: the JSON and the table.
-        out, table = tmp_path / "f.json", tmp_path / "t.csv"
-        fit = naqae_cli("fit", "--input", str(GOLDEN / "inputs" / "labeled.csv"),
-                        "--model", "all", "--out", str(out), "--table", str(table))
-        assert fit == (GOLDEN / "fit_all.stdout").read_text()
-        assert out.read_bytes() == (GOLDEN / "fit_all.json").read_bytes()
-        assert table.read_bytes() == (GOLDEN / "fit_all.table.csv").read_bytes()
-        # The depolarizing family alone: one family's path through its search.
-        out = tmp_path / "d.json"
-        fit = naqae_cli("fit", "--input", str(GOLDEN / "inputs" / "labeled.csv"),
-                        "--model", "depol", "--out", str(out))
-        assert fit == ""
-        assert out.read_bytes() == (GOLDEN / "fit_depol.json").read_bytes()
-        # 24 datasets fitted by every family: the fits whose digits once moved
-        # with numpy's SIMD kernels, on this process's kernels.
-        out, table = tmp_path / "c.json", tmp_path / "c.csv"
-        fit = naqae_cli("fit", "--input", str(GOLDEN / "inputs" / "fit_corpus.csv"),
-                        "--model", "all", "--out", str(out), "--table", str(table))
-        assert fit == ""
-        assert out.read_bytes() == (GOLDEN / "fit_corpus.json").read_bytes()
-        assert table.read_bytes() == (GOLDEN / "fit_corpus.table.csv").read_bytes()
-        # Depths 0, 1, 2, 4, ..., 4096: the piece search past level 0.
-        deep = naqae_cli("estimate", "--input", str(GOLDEN / "inputs" / "deep.csv"))
-        assert deep == (GOLDEN / "estimate_deep_naive.stdout").read_text()
-        # Depths 0..26: a batch of sweeps searched past level 0.
-        config = GOLDEN / "inputs" / "config_past_level0.json"
-        experiment = naqae_cli("experiment", "--config", str(config))
-        assert experiment == (GOLDEN / "experiment_past_level0.stdout").read_text()
-        # Depths 0..1023 pass the theta search's limit: exit 1, naming it, on stderr.
-        refused = subprocess.run(
-            [sys.executable, "-m", "naqae.cli", "experiment", "--config",
-             str(GOLDEN / "inputs" / "config_past_search_limit.json")],
-            env=child_env(), capture_output=True, text=True, timeout=120,
-        )
-        assert (refused.returncode, refused.stdout) == (1, "")
-        assert "limit of 1048576" in refused.stderr
-        # A header-only shot CSV and a cell past csv's field limit: exit 1, no output file.
-        header_only, long_cell = tmp_path / "header.csv", tmp_path / "long.csv"
-        header_only.write_text("m,shots,ones\n")
-        long_cell.write_text("m,shots,ones\n0,10," + "1" * 131_073 + "\n")
-        for argv in (["fit", "--input", str(header_only)], ["estimate", "--input", str(long_cell)]):
-            out = tmp_path / "refused.json"
-            refused = subprocess.run(
-                [sys.executable, "-m", "naqae.cli", *argv, "--out", str(out)],
-                env=child_env(), capture_output=True, text=True, timeout=120,
-            )
-            assert (refused.returncode, refused.stdout, out.exists()) == (1, "", False)
-            assert refused.stderr.startswith("naqae: error:")
 
     def test_console_script_entry_point_is_cli_main(self):
         # pyproject.toml's [project.scripts] entry must name, by import, the

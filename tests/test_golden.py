@@ -1,8 +1,11 @@
 """Byte-for-byte comparison of CLI outputs against pinned golden files.
 
-Each case runs one ``naqae`` command in-process and compares its stdout and
-every file it writes with ``tests/golden/<case>.<name>``.  Inputs live in
-``tests/golden/inputs``.  A change that alters a golden must say why.
+``CASES`` is the one list of golden commands.  Each case runs one ``naqae``
+command in-process and compares its stdout and every file it writes with
+``tests/golden/<case>.<name>``; each also runs in fresh processes, through
+``python -m naqae.cli`` and, where installed, the ``naqae`` console script.
+Inputs live in ``tests/golden/inputs``.  A change that alters a golden must
+say why.
 
 Regenerate the goldens (only when an output change is intended) with::
 
@@ -18,13 +21,13 @@ import contextlib
 import functools
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from naqae.cli import main
 from naqae.experiments import config_from_json, misspecification_sweep
 from naqae.io import curves_csv, fmt12
@@ -100,20 +103,35 @@ CASES: dict[str, list[str]] = {
 }
 
 
-def run_case(name: str, out_dir: Path) -> dict[str, bytes]:
-    """Run one case; returns golden file name -> bytes (stdout included)."""
-    argv = [a.replace("{in}", str(INPUTS)).replace("{out}", str(out_dir)) for a in CASES[name]]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(argv)
-    if code != 0:
-        raise AssertionError(f"{name}: exit code {code}")
-    outputs = {f"{name}.stdout": stdout.getvalue().encode("utf-8")}
+def expand(text: str, out_dir: Path) -> str:
+    """``text`` with "{in}" expanded to the inputs directory and "{out}" to ``out_dir``."""
+    return text.replace("{in}", str(INPUTS)).replace("{out}", str(out_dir))
+
+
+def case_outputs(name: str, stdout: bytes, out_dir: Path) -> dict[str, bytes]:
+    """A case's golden file name -> bytes: its ``stdout`` and every file it wrote to ``out_dir``."""
+    outputs = {f"{name}.stdout": stdout}
     for path in sorted(out_dir.iterdir()):
         if not path.name.startswith(f"{name}."):
             raise AssertionError(f"{name}: wrote unexpected file {path.name}")
         outputs[path.name] = path.read_bytes()
     return outputs
+
+
+def run_case(name: str, out_dir: Path) -> dict[str, bytes]:
+    """Run one case in-process; returns golden file name -> bytes (stdout included)."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([expand(a, out_dir) for a in CASES[name]])
+    if code != 0:
+        raise AssertionError(f"{name}: exit code {code}")
+    return case_outputs(name, stdout.getvalue().encode("utf-8"), out_dir)
+
+
+def assert_matches_golden(name: str, outputs: dict[str, bytes]) -> None:
+    assert sorted(outputs) == sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
+    for file_name, data in outputs.items():
+        assert data == (GOLDEN / file_name).read_bytes(), f"{file_name} differs from its golden"
 
 
 def sweep_csv() -> bytes:
@@ -125,22 +143,11 @@ def sweep_csv() -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
-    outputs = run_case(name, tmp_path)
-    pinned = sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
-    assert sorted(outputs) == pinned
-    for file_name, data in outputs.items():
-        assert data == (GOLDEN / file_name).read_bytes(), f"{file_name} differs from its golden"
+    assert_matches_golden(name, run_case(name, tmp_path))
 
 
 def test_misspecification_sweep_matches_golden():
     assert sweep_csv() == (GOLDEN / "misspecification_sweep.csv").read_bytes()
-
-
-def script_env(**extra: str) -> dict[str, str]:
-    """This process's environment with the package's sources first on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **extra)
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["--regenerate", "now"]], ids=["none", "help", "extra"])
@@ -149,12 +156,80 @@ def test_script_writes_goldens_only_when_asked(argv):
     files = sorted(p for p in GOLDEN.rglob("*") if p.is_file())
     before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in files]
     result = subprocess.run(
-        [sys.executable, __file__, *argv], capture_output=True, text=True, env=script_env(), timeout=120
+        [sys.executable, __file__, *argv], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert result.returncode == 2
     assert "--regenerate" in result.stderr
     assert sorted(p for p in GOLDEN.rglob("*") if p.is_file()) == files
     assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in files] == before
+
+
+# The console script that ``pip install`` puts next to this interpreter.
+SCRIPT = Path(sys.executable).with_name("naqae")
+LAUNCHERS = ("module", "script")
+# Commands a fresh process must refuse, each given --out: argv, the shot CSV
+# written to "{out}/shots.csv" first (None for none), and the error message.
+REFUSALS = {
+    "past_search_limit": (
+        ["experiment", "--config", "{in}/config_past_search_limit.json"], None,
+        "depths with 1049600 zeros of sin and cos in [0, pi/2] are past the theta search's "
+        "limit of 1048576 (sum of 2m + 2 over the depths)"),
+    "nan_p1": (
+        ["simulate", "--theta", "0.5", "--noise", "gaussian:1e308,0.1", "--depths", "0..3",
+         "--shots", "10"], None,
+        "p(1) at depth 2 is nan: the noise parameters overflow"),
+    "header_only": (
+        ["fit", "--input", "{out}/shots.csv"], "m,shots,ones\n",
+        "{out}/shots.csv: no tally rows"),
+    "long_cell": (
+        ["estimate", "--input", "{out}/shots.csv"], "m,shots,ones\n0,10," + "1" * 131_073 + "\n",
+        "{out}/shots.csv: line 2: field larger than field limit (131072)"),
+}
+
+
+def run_fresh(launcher: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``naqae argv`` in a fresh process, as ``python -m naqae.cli`` or the console script.
+
+    The console script runs without this checkout on PYTHONPATH: the installed
+    distribution must import naqae by itself.  Without the script, the test skips.
+    """
+    env = child_env()
+    if launcher == "module":
+        command = [sys.executable, "-m", "naqae.cli"]
+    elif SCRIPT.is_file():
+        command = [str(SCRIPT)]
+        del env["PYTHONPATH"]
+    else:
+        pytest.skip(f"no console script at {SCRIPT}")
+    return subprocess.run([*command, *argv], capture_output=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fresh_process_output_matches_golden(launcher, name, tmp_path):
+    """A case's command, run in a fresh process, gives its goldens and exits 0 in silence.
+
+    Beyond the in-process golden test, this proves what only a new process
+    shows: ``naqae.cli``'s ``__main__`` guard, the installed console script and
+    its entry point, a run from cold caches, the exit code and stderr the shell
+    sees, no RuntimeWarning from a cold start, and the same bytes on one BLAS thread.
+    """
+    result = run_fresh(launcher, [expand(a, tmp_path) for a in CASES[name]])
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert_matches_golden(name, case_outputs(name, result.stdout, tmp_path))
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_fresh_process_refuses(launcher, name, tmp_path):
+    # Exit 1, nothing on stdout, the one error line on stderr, and no --out file.
+    argv, csv, message = REFUSALS[name]
+    if csv is not None:
+        (tmp_path / "shots.csv").write_text(csv, encoding="utf-8")
+    out = tmp_path / "refused.out"
+    result = run_fresh(launcher, [expand(a, tmp_path) for a in [*argv, "--out", str(out)]])
+    assert (result.returncode, result.stdout, out.exists()) == (1, b"", False)
+    assert result.stderr.decode() == f"naqae: error: {expand(message, tmp_path)}\n"
 
 
 try:
@@ -199,7 +274,7 @@ def goldens_differing(level: str) -> list[str]:
         pytest.skip(f"this CPU lacks {feature}, so numpy already runs below the {level} level")
     result = subprocess.run(
         [sys.executable, "-c", _RERUN, str(Path(__file__).resolve().parent)],
-        capture_output=True, text=True, env=script_env(NPY_DISABLE_CPU_FEATURES=disabled),
+        capture_output=True, text=True, env=child_env(NPY_DISABLE_CPU_FEATURES=disabled),
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
