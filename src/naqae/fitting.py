@@ -11,8 +11,8 @@ zero-mean fit, reported as ``p_coh_tilde = exp(-2 k_sigma)``, and one search
 of a dataset serves both.
 
 The objective is multimodal in theta, so the search is a coarse multi-start
-grid followed by Nelder-Mead simplex refinement of the best starts.  The
-search settings are fixed module constants.
+grid followed by a bounded Levenberg-Marquardt refinement of the best
+starts.  The search settings are fixed module constants.
 
 The grid is screened first: expanded, each point's SSE is a constant plus
 two small matrix products over depths, computed a block of theta rows at a
@@ -22,25 +22,19 @@ summation order.  Only points whose screen is at most the
 alone get the elementwise SSE, so the starts and their SSEs have the bits of
 a whole-grid evaluation.
 
-The refinement runs every start of a search in lockstep: each start is a
-:func:`_nelder_mead` generator that yields its next trial point and receives
-that point's SSE, and one :func:`_predict` call per round scores the points
-of all live starts as a (starts x depths) array.  The simplex
-arithmetic is SciPy's ``minimize(method="Nelder-Mead", bounds=...)``
-(non-adaptive), step for step and in the same float order: the same initial
-simplex, reflected into the bounds; every trial point clipped as
-``np.clip`` clips it; the centroid summed row by row; the vertices ordered by
-``np.argsort``, so ties break alike; and the same stopping test.  Each batch
-SSE is bit-identical to the one-point objective's, so every start ends where
-SciPy's would, without SciPy.
+The refinement runs every start of a search in lockstep, one
+:func:`_predict_jacobian` call per round giving p(1) and its analytic
+Jacobian at the pending points of all live starts.  Each start takes damped
+Gauss-Newton (Levenberg-Marquardt) steps projected into the bounds.  J^T J
+and J^T r come from ``einsum`` and the small damped normal equations are
+solved in Python floats: no BLAS, and no compensated builtin ``sum``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +44,7 @@ from .errors import DegenerateDataError
 from .models import (
     DepolParams,
     GaussianNoiseParams,
+    _HALF_PI,
     _check_depth,
     _check_frequency,
     _decay,
@@ -63,10 +58,8 @@ from .models import (
 # (smallest theta, then smallest decay rate, then smallest k_mu).
 _TIE_TOL = 1e-12
 
-_HALF_PI = math.pi / 2
-
-# Parameter name -> (coarse-grid axis, Nelder-Mead bound).  ``rate`` is
-# k_sigma; its axis is log-spaced.
+# Parameter name -> (coarse-grid axis, bound of the refinement).  ``rate``
+# is k_sigma; its axis is log-spaced.
 _PARAMS = {
     "theta": (np.linspace(0.0, _HALF_PI, 64), (0.0, _HALF_PI)),
     "k_mu": (np.linspace(-0.3, 0.3, 33), (-math.pi, math.pi)),
@@ -76,9 +69,10 @@ _REFINE_STARTS = 8
 # Theta rows per block of the grid's screen, and grid points per exact SSE chunk.
 _SCREEN_ROWS = 8
 _SSE_CHUNK = 1024
-_NM_MAX_ITER = 500
-_NM_FATOL = 1e-10
-_NM_XATOL = 1e-8
+# Levenberg-Marquardt: steps per start, step tolerance, first damping.
+_LM_MAX_ITER = 100
+_LM_XTOL = 1e-12
+_LM_DAMPING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -123,8 +117,8 @@ class FitResult:
 
     ``residuals`` are the per-point differences observed - predicted and
     ``sse`` is the unweighted sum of their squares.  ``converged`` is False
-    when the simplex refinement hit its iteration cap and the best-so-far
-    point is reported.
+    when the winning refinement still had a step to take at its iteration
+    cap, and its best point so far is reported.
     """
 
     model_kind: str
@@ -169,6 +163,22 @@ def _predict(space, params, ms):
     """Gaussian p(1) at ``params`` (a vector or grid mesh) named by ``space``; k_mu 0 if unnamed."""
     named = dict(zip(space, params))
     return _p1_gaussian_raw(named["theta"], ms, named.get("k_mu", 0.0), named["rate"])
+
+
+def _predict_jacobian(space, params, ms):
+    """:func:`_predict` and its Jacobian, as an array over the parameters ``space`` names.
+
+    With ``k = 2m + 1``, ``psi`` from :func:`_psi` and ``d`` from :func:`_decay`,
+    p(1) is ``(1 - d cos 2 psi) / 2``, so ``dp/dtheta = d k sin 2 psi``,
+    ``dp/dk_mu = d m sin 2 psi`` and ``dp/drate = m d cos 2 psi``.
+    """
+    named = dict(zip(space, params))
+    theta, k_mu = named["theta"], named.get("k_mu", 0.0)
+    decay = _decay(named["rate"], ms)
+    two_psi = 2.0 * _psi(theta, ms, k_mu)
+    sin, cos = decay * np.sin(two_psi), decay * np.cos(two_psi)
+    slopes = {"theta": (2.0 * ms + 1.0) * sin, "k_mu": ms * sin, "rate": ms * cos}
+    return _p1_gaussian_decayed(theta, ms, k_mu, decay), np.array([slopes[name] for name in space])
 
 
 def _screen_delta(n):
@@ -241,108 +251,91 @@ def _grid_search(space, ms, y):
     return starts
 
 
-def _clip(point, lower, upper):
-    """``np.clip(point, lower, upper)`` in Python floats, signed zeros included."""
-    clipped = [v if v > lo else lo for v, lo in zip(point, lower)]
-    return [v if v < hi else hi for v, hi in zip(clipped, upper)]
+def _project(point, bounds):
+    """``point`` clipped into ``bounds``, a lower bound's zero as +0.0."""
+    return tuple(lo if v <= lo else hi if v >= hi else v for v, (lo, hi) in zip(point, bounds))
 
 
-def _nelder_mead(x0, lower, upper):
-    """SciPy's bounded Nelder-Mead from ``x0``, as a generator.
+def _solve(matrix, rhs):
+    """The solution of a small positive-definite system, by Gauss-Jordan elimination."""
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for k, pivot in enumerate(a):
+        for row in a:
+            if row is not pivot:
+                factor = row[k] / pivot[k]
+                row[:] = [v - factor * w for v, w in zip(row, pivot)]
+    return [row[-1] / row[k] for k, row in enumerate(a)]
 
-    Yields each trial point (a list of floats) and receives its SSE; returns
-    ``(sse, point tuple, converged)``, where ``converged`` is False when the run hit
-    ``_NM_MAX_ITER``.  Every step is ``scipy.optimize._minimize_neldermead``'s
-    with ``adaptive=False``, in its float order.  Its coefficients (rho = 1,
-    chi = 2, psi = sigma = 1/2) and its initial steps (5%, or 0.00025 for a
-    zero coordinate) are folded into the literals below; the folding is
-    exact, so each point has SciPy's bits.
+
+def _step(x, jtj, jtr, damping, bounds):
+    """The next point of a run at ``x`` and the SSE drop it predicts, or None when done.
+
+    A parameter is held where its diagonal of J^T J is 0 or subnormal, too
+    small for the damping to keep the pivots positive, or where it sits on a
+    bound that its descent direction ``J^T r`` points out of.  The others
+    solve ``(J^T J + damping diag(J^T J)) step = J^T r``; the point is then
+    projected into ``bounds``.  The run is done when no parameter is free or
+    moves by more than ``_LM_XTOL (|x| + 1)``.
     """
-    n = len(x0)
-    x0 = _clip(x0, lower, upper)
-    sim = [x0]
-    for k in range(n):
-        vertex = list(x0)
-        vertex[k] = 1.05 * vertex[k] if vertex[k] != 0 else 0.00025
-        sim.append(vertex)
-    # Reflect any vertex past an upper bound back inside, then clip.
-    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(vertex, upper)], lower, upper)
-           for vertex in sim]
-    fsim = []
-    for vertex in sim:
-        fsim.append((yield vertex))
-
-    def order():
-        # SciPy sorts the vertices twice after the first evaluations, once per
-        # step after; np.argsort is not stable, so each sort is kept.
-        ind = np.array(fsim).argsort().tolist()
-        return [sim[i] for i in ind], [fsim[i] for i in ind]
-
-    sim, fsim = order()
-    sim, fsim = order()
-    iterations = 1
-    while iterations < _NM_MAX_ITER:
-        best = sim[0]
-        # SciPy's test, max(|x_j - x_0|) <= xatol and max(|f_0 - f_j|) <= fatol,
-        # with the cheaper half first; a NaN fails it, as under np.max.
-        if all(abs(fsim[0] - f) <= _NM_FATOL for f in fsim[1:]) and all(
-            abs(v - b) <= _NM_XATOL for vertex in sim[1:] for v, b in zip(vertex, best)
-        ):
-            break
-        # Rows added left to right, as np.add.reduce adds them (the builtin
-        # sum compensates its float sums from Python 3.12 on).
-        xbar = [reduce(add, column) / n for column in zip(*sim[:-1])]
-        worst = sim[-1]
-        xr = _clip([2 * b - w for b, w in zip(xbar, worst)], lower, upper)
-        fxr = yield xr
-        if fxr < fsim[0]:
-            xe = _clip([3 * b - 2 * w for b, w in zip(xbar, worst)], lower, upper)
-            fxe = yield xe
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            outside = fxr < fsim[-1]
-            if outside:
-                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-            else:
-                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-            xc = _clip(xc, lower, upper)
-            fxc = yield xc
-            if fxc <= fxr if outside else fxc < fsim[-1]:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = _clip([b + 0.5 * (v - b) for v, b in zip(sim[j], best)],
-                                   lower, upper)
-                    fsim[j] = yield sim[j]
-        iterations += 1
-        sim, fsim = order()
-    return fsim[0], tuple(sim[0]), iterations < _NM_MAX_ITER
+    free = [j for j, (v, g, (lo, hi)) in enumerate(zip(x, jtr, bounds))
+            if jtj[j][j] >= sys.float_info.min and not (v <= lo and g <= 0.0 or v >= hi and g >= 0.0)]
+    if not free:
+        return None
+    matrix = [[jtj[i][j] * (1.0 + damping) if i == j else jtj[i][j] for j in free] for i in free]
+    solved = dict(zip(free, _solve(matrix, [jtr[i] for i in free])))
+    trial = _project([v + solved.get(j, 0.0) for j, v in enumerate(x)], bounds)
+    step = [t - v for t, v in zip(trial, x)]
+    if all(abs(s) <= _LM_XTOL * (abs(v) + 1.0) for s, v in zip(step, x)):
+        return None
+    # The linear model's drop in SSE, 2 s.J^T r - s.J^T J s.
+    drop = 0.0
+    for s, g, row in zip(step, jtr, jtj):
+        drop += 2.0 * s * g
+        for t, a in zip(step, row):
+            drop -= s * a * t
+    return trial, drop
 
 
 def _refine(space, ms, y, starts):
-    """:func:`_nelder_mead` from every start in lockstep; one result per start.
+    """Bounded Levenberg-Marquardt from every start in lockstep; ``(sse, params, converged)`` each.
 
-    Each round scores the pending trial points of all live starts with one
-    :func:`_predict` on a (starts x depths) array.
+    Each round scores the pending points of all live starts, with their
+    Jacobians, in one :func:`_predict_jacobian`.  A point that lowers its
+    run's SSE is accepted and the damping scaled by Nielsen's rule, to no
+    less than ``_LM_XTOL`` so that the damped matrix stays positive definite
+    in floats; otherwise the damping grows by a factor that doubles with each
+    rejection in a row.  A run with a step left after ``_LM_MAX_ITER`` steps
+    has not converged, and reports its best point.
     """
-    lower, upper = zip(*(_PARAMS[name][1] for name in space))
-    runs = [_nelder_mead(x0, lower, upper) for x0 in starts]
-    results = [None] * len(runs)
-    # start index -> its trial point awaiting an SSE
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        params = np.array(list(pending.values())).T[:, :, None]
-        sse = np.sum((y - _predict(space, params, ms)) ** 2, axis=1).tolist()
-        for i, value in zip(list(pending), sse):
-            try:
-                pending[i] = runs[i].send(value)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del pending[i]
-    return results
+    bounds = [_PARAMS[name][1] for name in space]
+    # start index -> its point awaiting a score, and the SSE drop predicted for it
+    pending = {i: (_project(x0, bounds), 0.0) for i, x0 in enumerate(starts)}
+    # Each start's last accepted point, with its SSE, J^T J and J^T r.
+    accepted = [((), math.inf, None, None)] * len(starts)
+    damping, growth = [_LM_DAMPING] * len(starts), [2.0] * len(starts)
+    for _ in range(_LM_MAX_ITER + 1):
+        if not pending:
+            break
+        params = np.array([point for point, _ in pending.values()]).T[:, :, None]
+        predicted, jacobian = _predict_jacobian(space, params, ms)
+        residuals = y - predicted
+        sse = np.einsum("il,il->i", residuals, residuals).tolist()
+        jtj = np.einsum("pil,qil->ipq", jacobian, jacobian).tolist()
+        jtr = np.einsum("pil,il->ip", jacobian, residuals).tolist()
+        for i, value, a, g in zip(list(pending), sse, jtj, jtr):
+            point, drop = pending.pop(i)
+            if value < accepted[i][1]:
+                if drop > 0.0:  # 0 before the first step
+                    ratio = min((accepted[i][1] - value) / drop, 1.0)
+                    damping[i] *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                damping[i], growth[i] = max(damping[i], _LM_XTOL), 2.0
+                accepted[i] = (point, value, a, g)
+            else:
+                damping[i], growth[i] = damping[i] * growth[i], 2.0 * growth[i]
+            x, _, a, g = accepted[i]
+            if (step := _step(x, a, g, damping[i], bounds)) is not None:
+                pending[i] = step
+    return [(sse, x, i not in pending) for i, (x, sse, *_) in enumerate(accepted)]
 
 
 def _fit_space(space, ms, y):
@@ -376,10 +369,14 @@ def _fit_kinds(data: list[FrequencyPoint], kinds: Sequence[str], label: str = ""
     """:func:`fit_model` for each of ``kinds`` in turn, with one search per parameter space.
 
     Families that pack the same parameters differ only in the noise object
-    they report, so they share one search and its fit.
+    they report, so they share one search and its fit.  Constant
+    observations are refused, naming ``label``, before any search.
     """
     ms = np.array([pt.m for pt in data], dtype=float)
     y = np.array([pt.p1_hat for pt in data])
+    if y.size and bool(np.all(y == y[0])):
+        where = f"label {label!r}: " if label else ""
+        raise DegenerateDataError(f"{where}constant observations: R^2 is undefined")
     searches = {}  # parameter space -> :func:`_fit_space`'s fit
     results = []
     for kind in kinds:
@@ -399,11 +396,13 @@ def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> F
     """MMSE fit of one model family to per-depth frequencies.
 
     Runs the coarse grid, refines the best ``_REFINE_STARTS`` grid points
-    with bounded Nelder-Mead, and returns the best candidate found (never
-    worse than the best grid point).  Equal-SSE candidates resolve to the
-    smallest theta, then the smallest decay rate, then the smallest k_mu.
+    by bounded Levenberg-Marquardt, and returns the best candidate found
+    (never worse than the best grid point).  Equal-SSE candidates resolve to
+    the smallest theta, then the smallest decay rate, then the smallest k_mu.
 
     Raises:
+        DegenerateDataError: the observations are constant, so R^2 is
+            undefined; refused before any search.
         ValueError: unknown family, or fewer than (parameter count + 1) points.
     """
     return _fit_kinds(data, [model_kind], label)[0]

@@ -349,7 +349,7 @@ def p_diff_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -
 
 # p1_gaussian_quadrature's fixed convergence tolerance and node cap.
 _QUAD_TOL = 1e-10
-_QUAD_MAX_NODES = 4096
+_QUAD_MAX_NODES = 256
 
 
 @lru_cache(maxsize=64)
@@ -370,9 +370,9 @@ def p1_gaussian_quadrature(amp: Amplitude, m: int, noise: GaussianNoiseParams) -
     the independent check on :func:`p1_gaussian_closed`.
 
     Raises:
-        QuadratureError: no convergence within 4096 nodes, or
-            before the first node count whose nodes or weights are not
-            all finite; the message names the last count used.
+        QuadratureError: no convergence within 256 nodes, or before the
+            first count whose nodes or weights are not all finite (past the
+            cap with numpy 2.4.6); the message names the last count used.
     """
     _check_kind(noise, GaussianNoiseParams, "p1_gaussian_quadrature")
     m = _check_depth(m)

@@ -316,6 +316,16 @@ class TestFit:
         assert err == f"naqae: error: --out f.json and --table {table} are the same file\n"
 
 
+    def test_constant_label_is_named_before_any_search(self, tmp_path, capsys):
+        # Both labels' searches ran, then R^2 failed without naming the label.
+        csv = tmp_path / "shots.csv"
+        rows = [f"{m},100,0,a\n{m},100,{10 * m},b\n" for m in range(6)]
+        csv.write_text("m,shots,ones,label\n" + "".join(rows), encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--input", str(csv), "--model", "all")
+        assert (code, out) == (1, "")
+        assert err == "naqae: error: label 'a': constant observations: R^2 is undefined\n"
+
+
 class TestMalformedShotCsv:
     @pytest.mark.parametrize("argv", [["fit", "--model", "all"], ["fit", "--model", "gaussian"],
                                       ["estimate"]], ids=["fit_all", "fit_gaussian", "estimate"])
