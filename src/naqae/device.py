@@ -1,20 +1,21 @@
 """Seeded stochastic simulation of a noisy amplitude estimation device.
 
-A device is an immutable value object (true angle, noise model, seed); all
-randomness flows through counter-based Philox streams keyed by the seed and
-the circuit depth, so sampling is fully deterministic and independent of
-evaluation order.
-
-Every key is ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``,
-computed by :func:`_philox_keys`, a numpy-array port of SeedSequence's 32-bit
-hash-and-mix.  So :func:`_sample_tallies`, given p(1) per depth, derives the
-keys of every (seed, depth) tally at once and draws them all from one Philox
-re-keyed per tally, as a (seeds x depths) array; :func:`run_depth_sweep` and
-:func:`sample_shots` wrap a device's row in ``ShotRecord``s.  A tally counts
-its stream's raw 64-bit words below one integer threshold per depth, the
-words that ``Generator.random()`` would map below p(1), so no word becomes a
-float.  They are drawn in chunks of ``2**20``, so memory does not grow with
-the shot count, and a depth whose p(1) is 0 or 1 draws none.
+A device is an immutable value object (true angle, noise model, seed).  All
+randomness comes from Philox, a keyed counter-based cipher whose distinct
+(key, counter) blocks give independent words.  Tally (seed, lane, row, depth
+m) of N shots reads the first N raw words of ``Philox(key=(seed, lane),
+counter=(0, m, row, 0))``: a device's sweeps are lane 0, row 0, and setting i's
+replication r of an experiment is lane 1 + i, row r.  numpy increments the
+counter before each 4-word block, so the tally reads blocks (1, m, row, 0),
+(2, m, row, 0), ...; a batch draws at most 2**40 words (2**38 blocks), so word
+0 never carries into the depth word, no two tallies share a block, and
+sampling does not depend on evaluation order.
+:func:`_sample_tallies` draws one lane's (rows x depths) tallies from one
+Philox; :func:`run_depth_sweep` and :func:`sample_shots` wrap a device's row
+in ``ShotRecord``s.  A tally counts its words below one integer threshold per
+depth, the words that ``Generator.random()`` would map below p(1), in chunks
+of ``2**20``, so memory does not grow with the shot count; a depth whose p(1)
+is 0 or 1 draws none.
 """
 
 from __future__ import annotations
@@ -35,20 +36,13 @@ from .models import (
     _p1,
 )
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # Raw words drawn per Philox.random_raw call: 8 MiB of uint64 and 1 MiB of
 # comparison bounds a sample's memory at 9 MiB.
 _CHUNK = 2**20
 
-# Most words one batch may draw (shots summed over depths and seeds).  The
+# Most words one batch may draw (shots summed over depths and rows).  The
 # sampler takes 5.5-6.6 ns a draw (best of 18 at 2**24 and 2**26 shots at one
 # depth, one shared Xeon vCPU), so 2**40 draws is about 1.7-2 hours; a count
 # past it would run for days to centuries, so it is refused before drawing.
@@ -120,81 +114,6 @@ class SimulatedDevice:
         return _p1(self.model, self.amp.theta, m, "SimulatedDevice.p1")
 
 
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k mod 2**32`` for k = 0..count: a SeedSequence hash's constants."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, np.uint32)
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of column j of ``values`` with constants consts[j], consts[j + 1]."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> 16)
-
-
-def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(2, np.uint64)`` of each row of uint32 ``words``.
-
-    Rows have at least 4 words.  The hash constants do not depend on the
-    data, so every row is hashed at once, and so is each run of hashmix
-    calls that SeedSequence makes with one source word.
-    """
-    length = words.shape[1]
-    # SeedSequence makes 4 * length hashmix calls for ``length`` >= 4 words.
-    consts = _hash_consts(_INIT_A, _MULT_A, 4 * length)
-    pool = _hashmix(words[:, :_POOL_SIZE], consts[:_POOL_SIZE + 1])
-    at = _POOL_SIZE
-    # Mix every pool word into every other one, then any entropy past the pool.
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], consts[at:at + _POOL_SIZE]))
-        at += _POOL_SIZE - 1
-    for src in range(_POOL_SIZE, length):
-        pool = _mix(pool, _hashmix(words[:, [src]], consts[at:at + _POOL_SIZE + 1]))
-        at += _POOL_SIZE
-    state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, 4)).astype(np.uint64)
-    # generate_state reads its 32-bit words as little-endian uint64 pairs
-    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
-
-
-def _philox_keys(*columns) -> np.ndarray:
-    """``SeedSequence(row).generate_state(2, np.uint64)`` for each row, as an (n, 2) array.
-
-    ``columns`` are unsigned 64-bit integers, broadcast against each other;
-    row i is the entropy ``[c[i] for c in columns]``.  As SeedSequence does,
-    each value becomes one 32-bit word below 2**32 and two from there on.
-    Entropy shorter than the pool hashes like zero words, so such rows are
-    zero-padded to 4 words and share one group; longer rows are grouped by
-    length.
-    """
-    columns = np.broadcast_arrays(*(np.asarray(c, np.uint64) for c in columns))
-    columns = [np.ravel(c) for c in columns]
-    n = columns[0].size
-    wide = [c > _MASK32 for c in columns]
-    lengths = np.maximum(sum(1 + w.astype(np.intp) for w in wide), _POOL_SIZE)
-    words = np.zeros((n, int(lengths.max(initial=_POOL_SIZE))), np.uint32)
-    rows = np.arange(n)
-    at = np.zeros(n, np.intp)
-    for column, high in zip(columns, wide):
-        words[rows, at] = column & _MASK32
-        at += 1
-        words[rows[high], at[high]] = column[high] >> 32
-        at += high
-    keys = np.empty((n, 2), np.uint64)
-    for length in set(lengths.tolist()):
-        group = lengths == length
-        keys[group] = _seed_sequence_keys(words[group, :length])
-    return keys
-
-
 def _count_ones(bit_generator: np.random.Philox, shots: int, p1: float) -> int:
     """Ones among ``shots`` shots that measure 1 with probability ``p1``.
 
@@ -205,9 +124,9 @@ def _count_ones(bit_generator: np.random.Philox, shots: int, p1: float) -> int:
     exact, so the count is the count of ``Generator.random() < p1`` over the
     same words.  For p1 in (0, 1) the threshold is at most 2**64 - 2**11 and
     fits in uint64.  Outside (0, 1) no word is drawn: every shot is a 1 when
-    p1 >= 1 and none is otherwise, as the comparison gives.  Each tally has
-    its own re-keyed stream, so a draw skipped moves no other tally.  Words
-    are drawn ``_CHUNK`` at a time.
+    p1 >= 1 and none is otherwise, as the comparison gives.  Each tally
+    reads its own Philox blocks, so a draw skipped moves no other tally.
+    Words are drawn ``_CHUNK`` at a time.
     """
     if not 0.0 < p1 < 1.0:
         return shots if p1 >= 1.0 else 0
@@ -221,7 +140,7 @@ def _count_ones(bit_generator: np.random.Philox, shots: int, p1: float) -> int:
 
 
 def _check_draws(draws: int) -> None:
-    """Refuse a batch of more than ``_MAX_DRAWS`` draws (shots summed over depths and seeds)."""
+    """Refuse a batch of more than ``_MAX_DRAWS`` draws (shots summed over depths and rows)."""
     if draws > _MAX_DRAWS:
         raise ValueError(
             f"a batch may draw at most 2**40 shots over its depths and seeds, got {draws}"
@@ -229,24 +148,25 @@ def _check_draws(draws: int) -> None:
 
 
 def _sample_tallies(
-    p1: Callable[[int], float], seeds: Sequence[int], depths: Sequence[int], shots: Sequence[int]
+    p1: Callable[[int], float], seed: int, lane: int,
+    rows: Sequence[int], depths: Sequence[int], shots: Sequence[int],
 ) -> np.ndarray:
-    """One depth sweep per seed, as a (seeds x depths) int64 array of ones.
+    """One depth sweep per row of a (seed, lane), as a (rows x depths) int64 array of ones.
 
-    Tally (seed, m) is the number of 1s among ``shots`` shots at depth m, each
-    a 1 with probability ``p1(m)``: the first ``shots`` raw words of the
-    Philox stream keyed by :func:`_philox_keys` of (seed, m) that lie below
+    Tally (row, m) is the number of 1s among ``shots`` shots at depth m, each
+    a 1 with probability ``p1(m)``: of the first ``shots`` raw words of
+    ``Philox(key=(seed, lane), counter=(0, m, row, 0))``, those below
     ``ceil(p1(m) * 2**53) << 11``, which are the words whose
     ``Generator.random()`` uniform lies below p1(m) (see
-    :func:`_count_ones`).  So a tally depends on neither the other seeds and
-    depths nor their order.  The batch is checked once before ``p1`` is
-    evaluated, every key comes from one :func:`_philox_keys` call, and one
-    ``Philox`` is re-keyed per tally.
+    :func:`_count_ones`).  So a tally depends on neither the other rows and
+    depths nor their order.  The batch is checked before ``p1`` is
+    evaluated, and one ``Philox`` keyed (seed, lane) draws every tally, its
+    counter and buffer reset per tally.
 
     Raises:
         ValueError: unequal lengths, a repeated depth (its stream would
-            repeat the same tally), an invalid depth, shot count or seed,
-            or more than 2**40 shots in all.
+            repeat the same tally), an invalid depth, shot count, seed or
+            row, or more than 2**40 shots in all.
     """
     if len(depths) != len(shots):
         raise ValueError(
@@ -260,34 +180,34 @@ def _sample_tallies(
     for n in shots:
         _check_shots(n, "shots")
     shots = [int(n) for n in shots]
-    seed_words = np.array([_check_seed(s, "seed") for s in seeds], np.uint64)
-    _check_draws(sum(shots) * len(seeds))
+    key = np.array([_check_seed(seed, "seed"), lane], np.uint64)
+    rows = [_check_seed(row, "row") for row in rows]
+    _check_draws(sum(shots) * len(rows))
     # p1 once per depth.  SimulatedDevice.p1 as one array call would square with
     # a multiply where the scalar path calls pow; the two differ in the last bit
     # on about one depth in a thousand, and such a bit can move a tally.
     probs = [p1(m) for m in depths]
-    keys = _philox_keys(seed_words[:, None], np.array(depths, np.uint64))
 
-    bit_generator = np.random.Philox(0)
-    # A fresh Philox state: counter 0, empty buffer.  Only the key changes.
+    bit_generator = np.random.Philox(key=key)
+    # A fresh Philox state: counter 0, empty buffer.  Only the counter changes.
     state = bit_generator.state
     ones = []
-    # keys run seed by seed, each over every depth
-    for key, n, p in zip(keys.tolist(), shots * len(seeds), probs * len(seeds)):
-        state["state"]["key"] = key
-        bit_generator.state = state
-        ones.append(_count_ones(bit_generator, n, p))
-    return np.array(ones, np.int64).reshape(len(seeds), len(depths))
+    for row in rows:
+        for m, n, p in zip(depths, shots, probs):
+            state["state"]["counter"] = [0, m, row, 0]
+            bit_generator.state = state
+            ones.append(_count_ones(bit_generator, n, p))
+    return np.array(ones, np.int64).reshape(len(rows), len(depths))
 
 
 def sample_shots(dev: SimulatedDevice, m: int, shots: int) -> ShotRecord:
     """Sample ``shots`` measurement outcomes at depth ``m``.
 
-    The tally of (device seed, m) from :func:`_sample_tallies`: repeated
-    calls with the same arguments return the same tally, and tallies at
-    different depths are independent.
+    The tally of depth m in row 0 of the device seed's lane 0 from
+    :func:`_sample_tallies`: repeated calls with the same arguments return
+    the same tally, and tallies at different depths are independent.
     """
-    ((ones,),) = _sample_tallies(dev.p1, [dev.seed], [m], [shots]).tolist()
+    ((ones,),) = _sample_tallies(dev.p1, dev.seed, 0, [0], [m], [shots]).tolist()
     return ShotRecord(int(m), int(shots), ones)
 
 
@@ -308,13 +228,13 @@ def run_depth_sweep(
     depths: list[int],
     shots_per_depth: list[int],
 ) -> list[ShotRecord]:
-    """Sample one ShotRecord per depth: the device seed's row of :func:`_sample_tallies`.
+    """One ShotRecord per depth: :func:`_sample_tallies`' row 0 of the device seed's lane 0.
 
-    Each depth uses its own (seed, m)-keyed stream, so the result for a
-    given depth does not depend on the other entries or their order.
+    Each depth reads its own Philox blocks, so the result for a given depth
+    does not depend on the other entries or their order.
 
     Raises:
         ValueError: as :func:`_sample_tallies`.
     """
-    (ones,) = _sample_tallies(dev.p1, [dev.seed], depths, shots_per_depth).tolist()
+    (ones,) = _sample_tallies(dev.p1, dev.seed, 0, [0], depths, shots_per_depth).tolist()
     return [ShotRecord(int(m), int(n), h) for m, n, h in zip(depths, shots_per_depth, ones)]

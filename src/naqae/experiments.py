@@ -25,7 +25,6 @@ from .device import (
     SimulatedDevice,
     _check_draws,
     _check_seed,
-    _philox_keys,
     _sample_tallies,
     preset_device,
 )
@@ -61,7 +60,7 @@ _SETTING_ROWS = {
     "noise_aware": (True, True, "corrected"),
     "noiseless": (False, False, "naive"),
 }
-SETTINGS = tuple(_SETTING_ROWS)  # replication seeds use SETTINGS.index
+SETTINGS = tuple(_SETTING_ROWS)  # setting i samples on lane 1 + i of the config seed
 
 # Replications that run_monte_carlo samples and estimates in one batch.  A
 # batch's peak memory grows by about 15 KB a replication (criterion-9
@@ -75,7 +74,7 @@ class ExperimentConfig:
     """Full specification of one Monte Carlo comparison run.
 
     ``device`` carries the true angle and noise model; its own seed is
-    ignored, replications derive per-run seeds from ``seed``.  Every error is
+    ignored, replications sample the streams of ``seed``.  Every error is
     taken against the device's own amplitude ``device.amp.a``.
     ``k_sigma_assumed`` feeds both the shot schedule and the count correction
     (via the zero-mean depolarizing equivalence); left out, it is the
@@ -156,16 +155,18 @@ def _setting_estimates(
 ) -> tuple[ShotSchedule, str, tuple[np.ndarray, ...]]:
     """The setting's schedule, method and :func:`_estimates` of every prefix of each replication.
 
-    The replications are sampled in one batch.  Replication r's seed is the
-    first word of :func:`_philox_keys`'s ``SeedSequence([config.seed, r,
-    setting index])`` key, so its sweep is deterministic given
-    (config.seed, r, setting) and does not depend on the other replications.
+    The replications are sampled in one batch: replication r of setting i
+    is row r of lane 1 + i of ``config.seed``'s streams (see
+    :mod:`naqae.device`; lane 0 is the device's own), so its sweep is
+    deterministic given (config.seed, r, setting) and does not depend on the
+    other replications.
     """
     schedule, p1, method, depol = config._plans[setting]
-    reps = [_check_seed(r, "replication_index") for r in replications]
-    keys = _philox_keys(_check_seed(config.seed, "seed"), reps, SETTINGS.index(setting))
+    lane = 1 + SETTINGS.index(setting)
     # The plan's p(1) list is indexed by depth: the depths are 0..max_depth.
-    ones = _sample_tallies(p1.__getitem__, keys[:, 0].tolist(), schedule.depths, schedule.shots)
+    ones = _sample_tallies(
+        p1.__getitem__, config.seed, lane, replications, schedule.depths, schedule.shots
+    )
     return schedule, method, _estimates(schedule.depths, schedule.shots, ones, method, depol, False)
 
 
@@ -180,7 +181,8 @@ def run_qae_trial(
     """
     if setting not in config.settings:
         raise ValueError(f"setting {setting!r} not in config.settings")
-    _, method, arrays = _setting_estimates(config, setting, [replication_index])
+    row = _check_seed(replication_index, "replication_index")
+    _, method, arrays = _setting_estimates(config, setting, [row])
     return _as_estimates(method, arrays)[0]
 
 

@@ -17,21 +17,9 @@ from naqae import (
     run_depth_sweep,
     sample_shots,
 )
+from conftest import numpy_stream
 from naqae import device
-from naqae.device import _CHUNK, _philox_keys, _sample_tallies
-
-MASK64 = 2**64 - 1
-
-
-def seed_sequence_key(*words):
-    """numpy's own key for the entropy ``words`` (negatives as unsigned 64-bit)."""
-    return np.random.SeedSequence([w & MASK64 for w in words]).generate_state(2, np.uint64)
-
-
-def numpy_stream(*words):
-    """The reference stream: one SeedSequence, Philox and Generator per path."""
-    seed_seq = np.random.SeedSequence([w & MASK64 for w in words])
-    return np.random.Generator(np.random.Philox(seed_seq))
+from naqae.device import _CHUNK, _sample_tallies
 
 
 class TestShotRecord:
@@ -193,7 +181,7 @@ class TestSeeds:
                                       np.int32(-5)])
     def test_device_seed_range(self, seed):
         dev = SimulatedDevice(amp=Amplitude(0.5), seed=seed)
-        expected = int(np.count_nonzero(numpy_stream(int(seed), 3).random(50) < dev.p1(3)))
+        expected = int(np.count_nonzero(numpy_stream(int(seed), 0, 0, 3).random(50) < dev.p1(3)))
         assert sample_shots(dev, 3, 50).ones == expected
 
     def test_negative_seed_is_its_unsigned_representation(self):
@@ -202,59 +190,72 @@ class TestSeeds:
         assert run_depth_sweep(a, [0, 4], [300, 300]) == run_depth_sweep(b, [0, 4], [300, 300])
 
 
-class TestSeedHash:
-    def test_known_layouts(self):
-        cases = [(0,), (0, 0), (2**32 - 1, 0), (2**32, 0), (-1, 2**32 - 1), (-(2**63), 7, 3),
-                 (2**64 - 1, 2**64 - 1, 2**32), (5, 1, 2, 3, 4), (-7, 2**40, 2**33, 1, 2**64 - 1)]
-        for words in cases:
-            key = _philox_keys(*[w & MASK64 for w in words])[0]
-            assert np.array_equal(key, seed_sequence_key(*words)), words
-            stream = np.random.Generator(np.random.Philox(key=key))
-            assert np.array_equal(stream.random(9), numpy_stream(*words).random(9)), words
-
-    def test_vectorised_hash_equals_seed_sequence(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        edges = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-        words = st.one_of(edges, st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
-        seeds = st.one_of(edges, st.integers(-(2**63), -1), st.integers(-(2**63), 2**64 - 1))
-        # Rows of one call share their arity but not their 32-bit word layout.
-        batches = st.integers(1, 4).flatmap(
-            lambda k: st.lists(st.tuples(seeds, st.tuples(*[words] * k)), min_size=1, max_size=6)
-        )
-
-        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-        @hypothesis.given(batches)
-        @hypothesis.example([(-1, (2**32 - 1,)), (0, (2**32,)), (2**32, (0,)), (-5, (3,))])
-        def check(rows):
-            paths = [list(column) for column in zip(*(path for _, path in rows))]
-            keys = _philox_keys([seed & MASK64 for seed, _ in rows], *paths)
-            for (seed, path), key in zip(rows, keys):
-                assert np.array_equal(key, seed_sequence_key(seed, *path)), (seed, path)
-
-        check()
+class TestPhilox:
+    def test_random123_known_answer(self):
+        # Random123's philox4x64-10 known-answer vector for key 0 and counter 0.
+        # numpy increments the counter before each block, so 2**256 - 1 wraps to 0.
+        philox = np.random.Philox(key=np.zeros(2, np.uint64),
+                                  counter=np.full(4, 2**64 - 1, np.uint64))
+        assert [f"{word:016x}" for word in philox.random_raw(4).tolist()] == [
+            "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b"
+        ]
 
 
 class TestSampleTallies:
-    def test_each_seed_is_its_own_depth_sweep(self):
-        dev = preset_device("A3", model=DepolParams(0.93))
-        seeds = [0, -1, 2**32, 17, 2**64 - 1]
+    def test_each_row_is_its_own_depth_sweep(self):
+        dev = preset_device("A3", model=DepolParams(0.93), seed=-1)
+        rows = [0, -1, 2**32, 17, 2**64 - 1]
         depths, shots = [0, 3, 1, 9], [40, 70, 25, 90]
-        tallies = _sample_tallies(dev.p1, seeds, depths, shots)
-        for seed, row in zip(seeds, tallies.tolist()):
-            alone = SimulatedDevice(dev.amp, dev.model, seed)
-            assert row == [r.ones for r in run_depth_sweep(alone, depths, shots)]
+        for lane in (0, 3):
+            tallies = _sample_tallies(dev.p1, dev.seed, lane, rows, depths, shots)
+            for row, ones in zip(rows, tallies.tolist()):
+                alone = _sample_tallies(dev.p1, dev.seed, lane, [row], depths, shots)
+                assert ones == alone[0].tolist()
+        # a device's sweep is row 0 of its seed's lane 0
+        tallies = _sample_tallies(dev.p1, dev.seed, 0, rows, depths, shots)
+        assert tallies[0].tolist() == [r.ones for r in run_depth_sweep(dev, depths, shots)]
 
     def test_tallies_equal_per_record_substreams(self):
         dev = preset_device("A1", model=GaussianNoiseParams(0.01, 0.05), seed=0)
-        seeds = [3, 2**40 + 1, -9]
-        for seed, row in zip(seeds, _sample_tallies(dev.p1, seeds, range(8), [33] * 8).tolist()):
-            for m, ones in enumerate(row):
-                draws = numpy_stream(seed, m).random(33)
-                assert ones == int(np.count_nonzero(draws < dev.p1(m)))
+        rows = [3, 2**40 + 1, -9]
+        for seed, lane in [(0, 0), (2**40 + 1, 2), (-9, 4)]:
+            tallies = _sample_tallies(dev.p1, seed, lane, rows, range(8), [33] * 8)
+            for row, ones_row in zip(rows, tallies.tolist()):
+                for m, ones in enumerate(ones_row):
+                    draws = numpy_stream(seed, lane, row, m).random(33)
+                    assert ones == int(np.count_nonzero(draws < dev.p1(m)))
+
+    def test_path_edges_match_the_reference(self):
+        # Seeds, depths and rows at the edges of their 64-bit words.
+        probs = {0: 0.3, 2**32: 0.6, 2**63 - 1: 0.45}
+        rows = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, -1, -(2**63)]
+        for seed in (-1, 2**63, 2**64 - 1):
+            tallies = _sample_tallies(probs.__getitem__, seed, 1, rows, list(probs), [20] * 3)
+            for row, ones_row in zip(rows, tallies.tolist()):
+                for (m, p), ones in zip(probs.items(), ones_row):
+                    draws = numpy_stream(seed, 1, row, m).random(20)
+                    assert ones == int(np.count_nonzero(draws < p)), (seed, row, m)
+
+    def test_counter_after_a_tally(self, monkeypatch):
+        # numpy increments the counter before each 4-word block, so n words
+        # leave it at (ceil(n / 4), m, row, 0); the next tally starts afresh.
+        counters = []
+        count_ones = device._count_ones
+
+        def spy(bit_generator, shots, p1):
+            ones = count_ones(bit_generator, shots, p1)
+            counters.append(bit_generator.state["state"]["counter"].tolist())
+            return ones
+
+        monkeypatch.setattr(device, "_count_ones", spy)
+        n = 3 * _CHUNK + 5
+        _sample_tallies(lambda m: 0.5, 9, 2, [2**64 - 1, 6], [4, 0], [n, 5])
+        blocks = -(-n // 4)
+        assert counters == [[blocks, 4, 2**64 - 1, 0], [2, 0, 2**64 - 1, 0],
+                            [blocks, 4, 6, 0], [2, 0, 6, 0]]
 
     def test_records_carry_the_tallies(self):
-        # run_depth_sweep's records are the device seed's row of tallies, in
+        # run_depth_sweep's records are row 0 of the device seed's lane 0, in
         # depth order, with the depths and shots they were drawn at.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
@@ -272,7 +273,7 @@ class TestSampleTallies:
         def check(seed, entries, theta, noisy):
             dev = SimulatedDevice(Amplitude(theta), DepolParams(0.9) if noisy else None, seed)
             depths, shots = [m for m, _ in entries], [n for _, n in entries]
-            tallies = _sample_tallies(dev.p1, [seed, 7], depths, shots)
+            tallies = _sample_tallies(dev.p1, seed, 0, [0, 7], depths, shots)
             assert tallies.dtype == np.int64 and tallies.shape == (2, len(depths))
             records = run_depth_sweep(dev, depths, shots)
             assert [r.ones for r in records] == tallies[0].tolist()
@@ -284,8 +285,8 @@ class TestSampleTallies:
 
     def test_empty_batches(self):
         dev = preset_device("A1")
-        assert _sample_tallies(dev.p1, [], [0, 1], [5, 5]).shape == (0, 2)
-        assert _sample_tallies(dev.p1, [1, 2], [], []).shape == (2, 0)
+        assert _sample_tallies(dev.p1, 0, 0, [], [0, 1], [5, 5]).shape == (0, 2)
+        assert _sample_tallies(dev.p1, 0, 0, [1, 2], [], []).shape == (2, 0)
         assert run_depth_sweep(dev, [], []) == []
 
     def test_validation(self):
@@ -294,24 +295,28 @@ class TestSampleTallies:
             pytest.fail(f"p1 evaluated at depth {m} before the batch checks")
 
         with pytest.raises(ValueError, match="equal length"):
-            _sample_tallies(p1, [1], [0, 1], [10])
+            _sample_tallies(p1, 1, 0, [0], [0, 1], [10])
         with pytest.raises(ValueError, match=r"repeated: \[2\]"):
-            _sample_tallies(p1, [1], [2, 2], [10, 10])
+            _sample_tallies(p1, 1, 0, [0], [2, 2], [10, 10])
         with pytest.raises(ValueError, match="^seed must be an integer"):
-            _sample_tallies(p1, [1, 0.5], [0], [10])
+            _sample_tallies(p1, 0.5, 0, [0], [0], [10])
+        with pytest.raises(ValueError, match="^row must be an integer"):
+            _sample_tallies(p1, 1, 0, [1, 0.5], [0], [10])
+        with pytest.raises(ValueError, match="^row must be an integer"):
+            _sample_tallies(p1, 1, 0, [2**64], [0], [10])
         with pytest.raises(ValueError, match="^shots must be an integer"):
-            _sample_tallies(p1, [1], [0], [2.0])
+            _sample_tallies(p1, 1, 0, [0], [0], [2.0])
         with pytest.raises(ValueError, match="^depth must be >= 0"):
-            _sample_tallies(p1, [1], [-1], [10])
+            _sample_tallies(p1, 1, 0, [0], [-1], [10])
         with pytest.raises(ValueError, match=f"at most 2\\*\\*40 shots .*, got {2**41}$"):
-            _sample_tallies(p1, [1, 2], [0], [2**40])
+            _sample_tallies(p1, 1, 0, [1, 2], [0], [2**40])
 
 
 class TestChunkedDraws:
     @pytest.mark.parametrize("shots", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
     def test_chunks_equal_one_full_draw(self, shots):
         dev = SimulatedDevice(amp=Amplitude(0.7), model=GaussianNoiseParams(0.0, 0.01), seed=23)
-        full = numpy_stream(23, 4).random(shots) < dev.p1(4)
+        full = numpy_stream(23, 0, 0, 4).random(shots) < dev.p1(4)
         assert sample_shots(dev, 4, shots).ones == int(np.count_nonzero(full))
         # noiseless A1 measures 1 with certainty at m = 1: every shot is a 1, without drawing
         assert sample_shots(preset_device("A1", seed=23), 1, shots).ones == shots
@@ -333,47 +338,54 @@ class TestThresholdCount:
     # A shot is a 1 when its raw Philox word is below ceil(p1 * 2**53) << 11:
     # each tally must equal the count of the reference stream's uniforms below p1.
     EDGES = [0.0, 5e-324, 2.0**-54, 2.0**-53, 1 / 3, 1 - 2.0**-53, 1.0]
-    SEEDS = [5, -1]
+    SEED, LANE, ROWS = -1, 3, [5, -1]
 
     @pytest.mark.parametrize("shots", [1000, _CHUNK + 1])
     def test_edge_probabilities_match_the_uniforms(self, shots):
         # Depths past the edges take one of their own stream's uniforms u
-        # (seed 5), then the float below u and the float above u.
+        # (row 5), then the float below u and the float above u.
         k = len(self.EDGES)
-        uniforms = [numpy_stream(self.SEEDS[0], k + j).random(shots)[shots // 2] for j in range(3)]
+        streams = [numpy_stream(self.SEED, self.LANE, self.ROWS[0], k + j) for j in range(3)]
+        uniforms = [stream.random(shots)[shots // 2] for stream in streams]
         probs = self.EDGES + [uniforms[0], np.nextafter(uniforms[1], 0.0),
                               np.nextafter(uniforms[2], 1.0)]
         depths = range(len(probs))
-        tallies = _sample_tallies(probs.__getitem__, self.SEEDS, depths, [shots] * len(probs))
-        for seed, row in zip(self.SEEDS, tallies.tolist()):
-            for m, (p, ones) in enumerate(zip(probs, row)):
-                draws = numpy_stream(seed, m).random(shots)
-                assert ones == int(np.count_nonzero(draws < p)), (seed, m, p)
+        tallies = _sample_tallies(probs.__getitem__, self.SEED, self.LANE, self.ROWS, depths,
+                                  [shots] * len(probs))
+        for row, ones_row in zip(self.ROWS, tallies.tolist()):
+            for m, (p, ones) in enumerate(zip(probs, ones_row)):
+                draws = numpy_stream(self.SEED, self.LANE, row, m).random(shots)
+                assert ones == int(np.count_nonzero(draws < p)), (row, m, p)
         # u == p1 is not a 1: the uniform equal to p1 is drawn, and not counted
-        draws = numpy_stream(self.SEEDS[0], k).random(shots)
+        draws = numpy_stream(self.SEED, self.LANE, self.ROWS[0], k).random(shots)
         assert tallies[0, k] == int(np.count_nonzero(draws <= probs[k])) - 1
 
     def test_random_probabilities_match_the_uniforms(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
+        words = st.integers(-(2**63), 2**64 - 1)
 
         @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
         @hypothesis.given(
-            seed=st.integers(-(2**63), 2**64 - 1),
+            seed=words,
+            lane=st.integers(0, 4),
+            row=words,
+            m=st.integers(0, 2**63 - 1),
             p=st.one_of(st.sampled_from(self.EDGES), st.floats(0.0, 1.0)),
             shots=st.integers(1, 3000),
         )
-        def check(seed, p, shots):
-            ((ones,),) = _sample_tallies(lambda m: p, [seed], [3], [shots]).tolist()
-            assert ones == int(np.count_nonzero(numpy_stream(seed, 3).random(shots) < p))
+        def check(seed, lane, row, m, p, shots):
+            ((ones,),) = _sample_tallies(lambda _: p, seed, lane, [row], [m], [shots]).tolist()
+            draws = numpy_stream(seed, lane, row, m).random(shots)
+            assert ones == int(np.count_nonzero(draws < p))
 
         check()
 
     @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
     def test_certain_outcomes_draw_nothing(self, p):
         # Every uniform is below 1.0 and 1.5; none is below 0.0, -0.5 or NaN.
-        expected = int(np.count_nonzero(numpy_stream(7, 2).random(40) < p))
-        assert _sample_tallies(lambda m: p, [7], [2], [40]).tolist() == [[expected]]
+        expected = int(np.count_nonzero(numpy_stream(7, 0, 0, 2).random(40) < p))
+        assert _sample_tallies(lambda m: p, 7, 0, [0], [2], [40]).tolist() == [[expected]]
         bit_generator = np.random.Philox(0)
         assert device._count_ones(bit_generator, 40, p) == expected
         assert bit_generator.random_raw() == np.random.Philox(0).random_raw()
@@ -381,14 +393,14 @@ class TestThresholdCount:
 
 class TestDrawLimit:
     def test_batch_past_the_limit_is_refused_before_drawing(self, monkeypatch):
-        # Shots are summed over depths and seeds: 2 x (30 + 20) = 100 draws.
+        # Shots are summed over depths and rows: 2 x (30 + 20) = 100 draws.
         dev = preset_device("A1", seed=3)
         monkeypatch.setattr(device, "_MAX_DRAWS", 100)
-        assert _sample_tallies(dev.p1, [1, 2], [0, 1], [30, 20]).shape == (2, 2)
+        assert _sample_tallies(dev.p1, 3, 0, [1, 2], [0, 1], [30, 20]).shape == (2, 2)
         drawn = []
         monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=r"at most 2\*\*40 shots .*, got 102$"):
-            _sample_tallies(dev.p1, [1, 2], [0, 1], [30, 21])
+            _sample_tallies(dev.p1, 3, 0, [1, 2], [0, 1], [30, 21])
         assert drawn == []
 
     def test_the_limit_is_two_to_the_forty(self):

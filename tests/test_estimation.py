@@ -519,9 +519,10 @@ CLAMPING = (
 )
 
 
-def sampled_batch(theta, depths, shots, seeds, depol=None):
-    """Noiseless or depolarized sweeps at ``theta``, one per seed, as (depths, shots, ones)."""
-    ones = _sample_tallies(SimulatedDevice(amp=Amplitude(theta), model=depol).p1, seeds, depths, shots)
+def sampled_batch(theta, depths, shots, rows, depol=None):
+    """Noiseless or depolarized sweeps at ``theta``, rows of seed 0's lane 0, as (depths, shots, ones)."""
+    p1 = SimulatedDevice(amp=Amplitude(theta), model=depol).p1
+    ones = _sample_tallies(p1, 0, 0, rows, depths, shots)
     return tuple(depths), np.tile(shots, (len(ones), 1)), ones
 
 

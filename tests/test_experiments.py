@@ -19,10 +19,12 @@ from naqae import (
     SimulatedDevice,
     config_from_json,
     misspecification_sweep,
+    run_depth_sweep,
     run_monte_carlo,
     run_qae_trial,
 )
-from naqae import experiments
+from conftest import numpy_stream
+from naqae import device, experiments
 from naqae.device import _p1, _sample_tallies
 
 A1_GAUSS = ExperimentConfig(
@@ -237,36 +239,62 @@ class TestMonteCarlo:
 
     def test_batch_sample_equals_per_record_substreams(self, monkeypatch):
         # Every replication's sweep is sampled in one batch, as a (replications
-        # x depths) tally array; tally (rep, m) must count the uniforms below
-        # p1 among the first N_m of the stream that numpy's SeedSequence gives
-        # the path (replication seed, m).
+        # x depths) tally array; tally (rep, m) of setting i must count the
+        # uniforms below p1 among the first N_m of numpy's Philox at key
+        # (config seed, 1 + i) and counter (0, m, rep, 0).
         config = replace(A1_GAUSS, max_depth=6, replications=5, seed=-3)
-        batches = []  # each setting's (schedule entries, tallies), in run order
+        batches = []  # each setting's (lane, rows, schedule entries, tallies), in run order
 
-        def sample(p1, seeds, depths, shots):
-            tallies = _sample_tallies(p1, seeds, depths, shots)
-            batches.append((list(zip(depths, shots)), tallies))
+        def sample(p1, seed, lane, rows, depths, shots):
+            tallies = _sample_tallies(p1, seed, lane, rows, depths, shots)
+            batches.append((lane, list(rows), list(zip(depths, shots)), tallies))
             return tallies
 
         monkeypatch.setattr(experiments, "_sample_tallies", sample)
         run_monte_carlo(config)
         assert len(batches) == len(config.settings)
-        for setting, (entries, tallies) in zip(config.settings, batches):
+        for setting, (lane, rows, entries, tallies) in zip(config.settings, batches):
+            assert lane == 1 + SETTINGS.index(setting)
+            assert rows == list(range(config.replications))
             assert [m for m, _ in entries] == list(range(config.max_depth + 1))
             assert tallies.shape == (config.replications, len(entries))
             model = None if setting == "noiseless" else config.device.model
-            device = replace(config.device, model=model)
+            dev = replace(config.device, model=model)
             for rep, row in enumerate(tallies.tolist()):
-                seed_seq = np.random.SeedSequence(
-                    [config.seed % 2**64, rep, SETTINGS.index(setting)]
-                )
-                seed = int(seed_seq.generate_state(1, np.uint64)[0])
-                expected = []
-                for m, n in entries:
-                    philox = np.random.Philox(np.random.SeedSequence([seed, m]))
-                    stream = np.random.Generator(philox)
-                    expected.append(int(np.count_nonzero(stream.random(n) < device.p1(m))))
+                expected = [
+                    int(np.count_nonzero(
+                        numpy_stream(config.seed, lane, rep, m).random(n) < dev.p1(m)
+                    ))
+                    for m, n in entries
+                ]
                 assert row == expected, (setting, rep)
+
+    def test_device_and_settings_draw_apart(self, monkeypatch):
+        # With one seed, the device's own sweep (lane 0) and each setting's
+        # replication 0 (lane 1 + i, row 0) start on different words at every depth.
+        first_words = {}  # (lane, row, m) -> the first raw word of the tally's stream
+        count_ones = device._count_ones
+
+        def spy(bit_generator, shots, p1):
+            probe = np.random.Philox(0)
+            probe.state = bit_generator.state
+            (_, lane), (_, m, row, _) = (probe.state["state"][name].tolist()
+                                         for name in ("key", "counter"))
+            first_words[lane, row, m] = int(probe.random_raw())
+            return count_ones(bit_generator, shots, p1)
+
+        monkeypatch.setattr(device, "_count_ones", spy)
+        config = replace(A1_GAUSS, replications=1)
+        depths = list(range(config.max_depth + 1))
+        run_depth_sweep(replace(config.device, seed=config.seed), depths, [20] * len(depths))
+        run_monte_carlo(config)
+        lanes = range(1 + len(SETTINGS))
+        assert sorted(first_words) == [(lane, 0, m) for lane in lanes for m in depths]
+        for m in depths:
+            words = [first_words[lane, 0, m] for lane in lanes]
+            assert len(set(words)) == len(words), m
+            for lane, word in zip(lanes, words):
+                assert word == numpy_stream(config.seed, lane, 0, m).bit_generator.random_raw()
 
     def test_each_setting_is_planned_once(self, monkeypatch):
         # The config checks each setting by planning it, and the run reads the

@@ -48,8 +48,8 @@ CASES: dict[str, list[str]] = {
                       "--depths", "0..6", "--shots", "128", "--seed", "4"],
     "simulate_default_noise": ["simulate", "--preset", "A3",
                                "--depths", "0..8", "--shots", "100", "--seed", "5"],
-    # Seeds and depths of one and two 32-bit words: -1 is the unsigned seed 2**64 - 1,
-    # and depths 2**32 - 1 and 2**32 sit on either side of the word boundary.
+    # Path words at their edges: seed -1 is the key word 2**64 - 1, and depths
+    # 2**32 - 1 and 2**32 fill and overflow the low half of the counter's depth word.
     "simulate_wide_seeds": ["simulate", "--theta", "0.7", "--noise", "gaussian:0.02,0.04",
                             "--depths", "0,1,5,4294967295,4294967296", "--shots", "257",
                             "--seed", "-1"],
@@ -96,7 +96,7 @@ CASES: dict[str, list[str]] = {
     "experiment_default_noise": ["experiment", "--config", "{in}/config_default_noise.json"],
     # The benchmark's criterion-9 run at seed 1: 2600 sampled records.
     "experiment_criterion9": ["experiment", "--config", "{in}/config_criterion9.json"],
-    # A negative seed: replication seeds come from 4-word SeedSequence entropy.
+    # A negative seed: setting i's key is (2**64 - 7, 1 + i).
     "experiment_wide_seed": ["experiment", "--config", "{in}/config_wide_seed.json"],
     # Depths 0..26 past level 0 (0..21): prefixes 22-26 search 6 rows per setting.
     "experiment_past_level0": ["experiment", "--config", "{in}/config_past_level0.json"],
@@ -148,6 +148,15 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 def test_misspecification_sweep_matches_golden():
     assert sweep_csv() == (GOLDEN / "misspecification_sweep.csv").read_bytes()
+
+
+def test_every_golden_has_a_source():
+    # Each case's test matches its own "<case>.*" files; no other file may lie in
+    # tests/golden but the sweep, so a regeneration leaves no orphan.
+    orphans = [p.name for p in GOLDEN.iterdir() if p.is_file()
+               and p.name != "misspecification_sweep.csv" and p.name.split(".")[0] not in CASES]
+    assert orphans == []
+    assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == ["inputs"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["--regenerate", "now"]], ids=["none", "help", "extra"])

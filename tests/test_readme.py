@@ -20,3 +20,9 @@ def test_readme_examples(capsys):
     assert argv == ["schedule", "--depths", "0..12", "--base-shots", "20", "--k-sigma", "0.055"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == printed + "\n"
+
+
+def test_readme_reproduces_a_tally_with_plain_numpy(capsys):
+    (block,) = re.findall(r"## Notes on determinism\n.*?```python\n(.*?)```", README, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True\n"
