@@ -23,8 +23,8 @@ import numpy as np
 
 from .device import (
     SimulatedDevice,
-    _check_draws,
     _check_seed,
+    _check_tally_shots,
     _sample_tallies,
     preset_device,
 )
@@ -134,14 +134,15 @@ def _setting_plan(
 ) -> tuple[ShotSchedule, list[float], str, DepolParams | None]:
     """The setting's shot schedule over m = 0..max_depth, p(1) at each m, method and correction.
 
-    Refuses, in this order, what would stop the run: the schedule, more than
-    2**40 draws over all replications, a non-finite p(1), a singular correction.
+    Refuses, in this order, what would stop the run: the schedule, a depth
+    with more than 2**40 shots, a non-finite p(1), a singular correction.
+    Replications do not count: each tally is one draw, whatever the shots.
     """
     noisy, scheduled, method = _SETTING_ROWS[setting]
     device = replace(config.device, model=config.device.model if noisy else None)
     k_sigma = config.k_sigma_assumed if scheduled else 0.0
     schedule = shot_schedule(list(range(config.max_depth + 1)), config.n_shot_base, k_sigma)
-    _check_draws(config.replications * sum(schedule.shots))
+    _check_tally_shots(schedule.depths, schedule.shots)
     p1 = [device.p1(m) for m in schedule.depths]
     depol = None
     if method == "corrected":  # the zero-mean equivalent of the assumed rate

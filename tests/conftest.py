@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from naqae.device import _count_ones
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -32,3 +34,8 @@ def numpy_stream(seed: int, lane: int, row: int, m: int) -> np.random.Generator:
     key = np.array([seed % 2**64, lane], np.uint64)
     counter = np.array([0, m, row % 2**64, 0], np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def reference_tally(seed: int, lane: int, row: int, m: int, shots: int, p1: float) -> int:
+    """Tally (seed, lane, row, m): ``device._count_ones`` on :func:`numpy_stream`'s fresh Philox."""
+    return _count_ones(numpy_stream(seed, lane, row, m).bit_generator, shots, p1)

@@ -156,8 +156,8 @@ class TestSimulate:
             "--shots", "9223372036854775807",
         )
         assert (code, out) == (1, "")
-        assert err == ("naqae: error: a batch may draw at most 2**40 shots over its "
-                       "depths and seeds, got 9223372036854775807\n")
+        assert err == ("naqae: error: a depth may have at most 2**40 shots, "
+                       "got 9223372036854775807 at depth 0\n")
 
     def test_overflowing_noise_is_refused_before_drawing(self, capsys, monkeypatch):
         # k_mu * m overflows at depth 2, so p(1) there is NaN: refused, naming the depth.
@@ -462,16 +462,20 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert "shot count at depth 3 must be finite and < 2**63" in err
 
-    def test_replications_past_the_draw_limit(self, tmp_path, capsys):
-        # 2**40 shots at depth 0 are within the limit once, not twice.
+    def test_replications_do_not_count_toward_the_shot_limit(self, tmp_path, capsys):
+        # 2**40 shots at depth 0 are within the limit in each of two
+        # replications; 2**40 + 1 are past it in one.
         config = {"device": {"theta": 0.3}, "max_depth": 0, "n_shot_base": 2**40,
                   "k_sigma_assumed": 0.1, "settings": ["noise_aware"], "replications": 2,
                   "seed": 0}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "experiment", "--config", str(config_path))
+        assert (code, err) == (0, "") and out
+        config_path.write_text(json.dumps({**config, "n_shot_base": 2**40 + 1, "replications": 1}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config_path))
         assert code == 1 and out == ""
-        assert f"at most 2**40 shots over its depths and seeds, got {2**41}" in err
+        assert f"at most 2**40 shots, got {2**40 + 1} at depth 0" in err
 
     def test_config_past_the_search_limit_draws_nothing(self, capsys, monkeypatch):
         # Depths 0..1023 have 1024 * 1025 zeros, past the theta search's 2**20:
@@ -494,9 +498,9 @@ class TestExperiment:
         ({"max_depth": 1, "n_shot_base": 2**30, "k_sigma_assumed": 2**31, "replications": 1,
           "settings": ["noisy_a", "noise_aware"]},
          "shot count at depth 1 must be finite and < 2**63, got 9.223372037928518e+18"),
-        # noise_aware draws 6 * 2**38 shots; the flat settings draw 2 * 2**38
+        # noise_aware has 5 * 2**38 shots at depth 1; the flat settings 2**38 a depth
         ({"max_depth": 1, "n_shot_base": 2**38, "k_sigma_assumed": 1.0, "replications": 1},
-         f"a batch may draw at most 2**40 shots over its depths and seeds, got {6 * 2**38}"),
+         f"a depth may have at most 2**40 shots, got {5 * 2**38} at depth 1"),
         # noisy_a's p(1) is NaN at depth 2, though the noiseless setting is listed first
         ({"device": {"theta": 0.5, "noise": {"kind": "gaussian", "k_mu": 1e308, "k_sigma": 0.1}},
           "settings": ["noiseless", "noisy_a"], "max_depth": 3},

@@ -17,9 +17,9 @@ from naqae import (
     run_depth_sweep,
     sample_shots,
 )
-from conftest import numpy_stream
+from conftest import numpy_stream, reference_tally
 from naqae import device
-from naqae.device import _CHUNK, _sample_tallies
+from naqae.device import _sample_tallies
 
 
 class TestShotRecord:
@@ -181,8 +181,7 @@ class TestSeeds:
                                       np.int32(-5)])
     def test_device_seed_range(self, seed):
         dev = SimulatedDevice(amp=Amplitude(0.5), seed=seed)
-        expected = int(np.count_nonzero(numpy_stream(int(seed), 0, 0, 3).random(50) < dev.p1(3)))
-        assert sample_shots(dev, 3, 50).ones == expected
+        assert sample_shots(dev, 3, 50).ones == reference_tally(int(seed), 0, 0, 3, 50, dev.p1(3))
 
     def test_negative_seed_is_its_unsigned_representation(self):
         a = SimulatedDevice(amp=Amplitude(0.5), seed=-1)
@@ -222,8 +221,7 @@ class TestSampleTallies:
             tallies = _sample_tallies(dev.p1, seed, lane, rows, range(8), [33] * 8)
             for row, ones_row in zip(rows, tallies.tolist()):
                 for m, ones in enumerate(ones_row):
-                    draws = numpy_stream(seed, lane, row, m).random(33)
-                    assert ones == int(np.count_nonzero(draws < dev.p1(m)))
+                    assert ones == reference_tally(seed, lane, row, m, 33, dev.p1(m))
 
     def test_path_edges_match_the_reference(self):
         # Seeds, depths and rows at the edges of their 64-bit words.
@@ -233,12 +231,36 @@ class TestSampleTallies:
             tallies = _sample_tallies(probs.__getitem__, seed, 1, rows, list(probs), [20] * 3)
             for row, ones_row in zip(rows, tallies.tolist()):
                 for (m, p), ones in zip(probs.items(), ones_row):
-                    draws = numpy_stream(seed, 1, row, m).random(20)
-                    assert ones == int(np.count_nonzero(draws < p)), (seed, row, m)
+                    assert ones == reference_tally(seed, 1, row, m, 20, p), (seed, row, m)
+
+    def test_random_paths_match_the_reference(self):
+        # Any seed, lane, row and depth word, at edge and random p(1) and shot
+        # counts up to the cap: the tally is the draw on its own fresh stream.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        words = st.integers(-(2**63), 2**64 - 1)
+        edges = [0.0, 5e-324, 2.0**-53, 1 / 3, 0.5, 1 - 2.0**-53, 1.0]
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(
+            seed=words,
+            lane=st.integers(0, 4),
+            row=words,
+            m=st.integers(0, 2**63 - 1),
+            p=st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)),
+            shots=st.one_of(st.integers(1, 3000), st.integers(1, 2**40)),
+        )
+        def check(seed, lane, row, m, p, shots):
+            ((ones,),) = _sample_tallies(lambda _: p, seed, lane, [row], [m], [shots]).tolist()
+            assert ones == reference_tally(seed, lane, row, m, shots, p)
+
+        check()
 
     def test_counter_after_a_tally(self, monkeypatch):
-        # numpy increments the counter before each 4-word block, so n words
-        # leave it at (ceil(n / 4), m, row, 0); the next tally starts afresh.
+        # numpy increments the counter before each 4-word block, so a tally
+        # that reads j words leaves it at (ceil(j / 4), m, row, 0): it keeps the
+        # depth and row words, and reads a handful of blocks at any shot count.
+        # A certain depth reads none; the next tally starts afresh.
         counters = []
         count_ones = device._count_ones
 
@@ -248,11 +270,13 @@ class TestSampleTallies:
             return ones
 
         monkeypatch.setattr(device, "_count_ones", spy)
-        n = 3 * _CHUNK + 5
-        _sample_tallies(lambda m: 0.5, 9, 2, [2**64 - 1, 6], [4, 0], [n, 5])
-        blocks = -(-n // 4)
-        assert counters == [[blocks, 4, 2**64 - 1, 0], [2, 0, 2**64 - 1, 0],
-                            [blocks, 4, 6, 0], [2, 0, 6, 0]]
+        rows, depths = [2**64 - 1, 6], [4, 0, 9, 2]
+        probs = {4: 0.5, 0: 0.3, 9: 1.0, 2: 1e-6}
+        _sample_tallies(probs.__getitem__, 9, 2, rows, depths, [2**40, 5, 7, 2**20])
+        assert [c[1:] for c in counters] == [[m, row, 0] for row in rows for m in depths]
+        blocks = [c[0] for c in counters]
+        assert all(1 <= n <= 4 for i, n in enumerate(blocks) if depths[i % 4] != 9), blocks
+        assert blocks[2] == blocks[6] == 0
 
     def test_records_carry_the_tallies(self):
         # run_depth_sweep's records are row 0 of the device seed's lane 0, in
@@ -308,22 +332,14 @@ class TestSampleTallies:
             _sample_tallies(p1, 1, 0, [0], [0], [2.0])
         with pytest.raises(ValueError, match="^depth must be >= 0"):
             _sample_tallies(p1, 1, 0, [0], [-1], [10])
-        with pytest.raises(ValueError, match=f"at most 2\\*\\*40 shots .*, got {2**41}$"):
-            _sample_tallies(p1, 1, 0, [1, 2], [0], [2**40])
+        with pytest.raises(ValueError, match=rf"at most 2\*\*40 shots, got {2**40 + 1} at depth 3$"):
+            _sample_tallies(p1, 1, 0, [1, 2], [0, 3], [2**40, 2**40 + 1])
 
 
 class TestChunkedDraws:
-    @pytest.mark.parametrize("shots", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-    def test_chunks_equal_one_full_draw(self, shots):
-        dev = SimulatedDevice(amp=Amplitude(0.7), model=GaussianNoiseParams(0.0, 0.01), seed=23)
-        full = numpy_stream(23, 0, 0, 4).random(shots) < dev.p1(4)
-        assert sample_shots(dev, 4, shots).ones == int(np.count_nonzero(full))
-        # noiseless A1 measures 1 with certainty at m = 1: every shot is a 1, without drawing
-        assert sample_shots(preset_device("A1", seed=23), 1, shots).ones == shots
-
     def test_memory_does_not_grow_with_shots(self):
-        # One word per shot would be 32 MiB for 2**22 shots; the chunks
-        # hold at most 2**20 raw words and their comparison at a time.
+        # One word per shot would be 32 MiB for 2**22 shots; a tally is one
+        # binomial draw from a handful of words.
         dev = SimulatedDevice(amp=Amplitude(0.7), seed=29)
         tracemalloc.start()
         try:
@@ -335,52 +351,6 @@ class TestChunkedDraws:
 
 
 class TestThresholdCount:
-    # A shot is a 1 when its raw Philox word is below ceil(p1 * 2**53) << 11:
-    # each tally must equal the count of the reference stream's uniforms below p1.
-    EDGES = [0.0, 5e-324, 2.0**-54, 2.0**-53, 1 / 3, 1 - 2.0**-53, 1.0]
-    SEED, LANE, ROWS = -1, 3, [5, -1]
-
-    @pytest.mark.parametrize("shots", [1000, _CHUNK + 1])
-    def test_edge_probabilities_match_the_uniforms(self, shots):
-        # Depths past the edges take one of their own stream's uniforms u
-        # (row 5), then the float below u and the float above u.
-        k = len(self.EDGES)
-        streams = [numpy_stream(self.SEED, self.LANE, self.ROWS[0], k + j) for j in range(3)]
-        uniforms = [stream.random(shots)[shots // 2] for stream in streams]
-        probs = self.EDGES + [uniforms[0], np.nextafter(uniforms[1], 0.0),
-                              np.nextafter(uniforms[2], 1.0)]
-        depths = range(len(probs))
-        tallies = _sample_tallies(probs.__getitem__, self.SEED, self.LANE, self.ROWS, depths,
-                                  [shots] * len(probs))
-        for row, ones_row in zip(self.ROWS, tallies.tolist()):
-            for m, (p, ones) in enumerate(zip(probs, ones_row)):
-                draws = numpy_stream(self.SEED, self.LANE, row, m).random(shots)
-                assert ones == int(np.count_nonzero(draws < p)), (row, m, p)
-        # u == p1 is not a 1: the uniform equal to p1 is drawn, and not counted
-        draws = numpy_stream(self.SEED, self.LANE, self.ROWS[0], k).random(shots)
-        assert tallies[0, k] == int(np.count_nonzero(draws <= probs[k])) - 1
-
-    def test_random_probabilities_match_the_uniforms(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        words = st.integers(-(2**63), 2**64 - 1)
-
-        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
-        @hypothesis.given(
-            seed=words,
-            lane=st.integers(0, 4),
-            row=words,
-            m=st.integers(0, 2**63 - 1),
-            p=st.one_of(st.sampled_from(self.EDGES), st.floats(0.0, 1.0)),
-            shots=st.integers(1, 3000),
-        )
-        def check(seed, lane, row, m, p, shots):
-            ((ones,),) = _sample_tallies(lambda _: p, seed, lane, [row], [m], [shots]).tolist()
-            draws = numpy_stream(seed, lane, row, m).random(shots)
-            assert ones == int(np.count_nonzero(draws < p))
-
-        check()
-
     @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
     def test_certain_outcomes_draw_nothing(self, p):
         # Every uniform is below 1.0 and 1.5; none is below 0.0, -0.5 or NaN.
@@ -391,21 +361,81 @@ class TestThresholdCount:
         assert bit_generator.random_raw() == np.random.Philox(0).random_raw()
 
 
+class TestBinomialDraws:
+    # (shots, p1): certain and one-ulp-from-certain depths, p1 = 1/2, both
+    # sides of the switch from inversion (shots * p < 10) to BTRD, with p1 on
+    # either side of 1/2, and shot counts up to the 2**40 cap.
+    GRID = [
+        (100, 0.0), (100, 1.0), (2**40, 5e-324), (2**40, 1 - 2**-53),
+        (19, 0.5), (20, 0.5), (2**40, 0.5),
+        (1000, math.nextafter(0.01, 0.0)), (1000, 0.01), (100, 0.9), (100, 0.1),
+        (2**40, 1 - 5 * 2**-40), (2**40, 1e-3), (262_144, 0.3),
+    ]
+    TALLIES = 10**5
+
+    @pytest.mark.parametrize("shots, p1", GRID)
+    def test_tallies_are_binomial(self, shots, p1):
+        # 10**5 tallies on distinct rows against scipy's Bin(shots, p1), chi-squared
+        # at 1% on bins merged to an expected count of at least 5: each k near
+        # the mass where that spans at most 2000 values, else 50 quantile bins.
+        stats = pytest.importorskip("scipy.stats")
+        draws = _sample_tallies(lambda m: p1, 17, 0, range(self.TALLIES), [0], [shots])[:, 0]
+        dist = stats.binom(shots, p1)
+        low, high = dist.ppf(1e-9), dist.isf(1e-9)
+        if high - low <= 2000:
+            edges = np.arange(low, high + 1)
+        else:
+            edges = np.unique(dist.ppf(np.linspace(0, 1, 51)[1:-1]))
+        edges = edges[edges < shots]  # the upper end of each bin but the last
+        expected = np.diff(dist.cdf(edges), prepend=0.0, append=1.0) * self.TALLIES
+        observed = np.bincount(np.searchsorted(edges, draws), minlength=expected.size)
+        bins = [[0.0, 0]]
+        for e, o in zip(expected, observed):
+            if bins[-1][0] >= 5:
+                bins.append([0.0, 0])
+            bins[-1][0] += e
+            bins[-1][1] += o
+        if len(bins) > 1 and bins[-1][0] < 5:
+            e, o = bins.pop()
+            bins[-1][0] += e
+            bins[-1][1] += o
+        if len(bins) == 1:
+            # all the mass on one value: p1 is 0, 1, or 5e-324 at 2**40 shots
+            assert set(draws.tolist()) == {round(dist.median())}
+            return
+        e, o = np.array(bins).T
+        statistic = float(((o - e) ** 2 / e).sum())
+        assert stats.chi2.sf(statistic, len(bins) - 1) > 0.01, (statistic, len(bins))
+        assert draws.min() >= 0 and draws.max() <= shots
+
+
+    def test_stirling_tail_matches_lgamma(self):
+        # BTRD's final test reads ln k! through Stirling's formula plus this
+        # correction: the table below 10, to rounding, and the series from 10,
+        # whose truncation error is 3e-11 at k = 10.
+        for k in range(200):
+            stirling = (k + 0.5) * math.log(k + 1) - (k + 1) + 0.5 * math.log(2 * math.pi)
+            error = abs(device._stirling_tail(k) - (math.lgamma(k + 1) - stirling))
+            assert error <= (1e-14 if k < 10 else 1e-10), k
+
+
 class TestDrawLimit:
-    def test_batch_past_the_limit_is_refused_before_drawing(self, monkeypatch):
-        # Shots are summed over depths and rows: 2 x (30 + 20) = 100 draws.
+    def test_depth_past_the_limit_is_refused_before_drawing(self, monkeypatch):
+        # The cap is per depth: rows and other depths do not count.
         dev = preset_device("A1", seed=3)
-        monkeypatch.setattr(device, "_MAX_DRAWS", 100)
-        assert _sample_tallies(dev.p1, 3, 0, [1, 2], [0, 1], [30, 20]).shape == (2, 2)
+        monkeypatch.setattr(device, "_MAX_SHOTS", 30)
+        assert _sample_tallies(dev.p1, 3, 0, [1, 2], [0, 1], [30, 30]).shape == (2, 2)
         drawn = []
         monkeypatch.setattr(device, "_count_ones", lambda *args: drawn.append(args))
-        with pytest.raises(ValueError, match=r"at most 2\*\*40 shots .*, got 102$"):
-            _sample_tallies(dev.p1, 3, 0, [1, 2], [0, 1], [30, 21])
+        with pytest.raises(ValueError, match=r"at most 2\*\*40 shots, got 31 at depth 1$"):
+            _sample_tallies(dev.p1, 3, 0, [1, 2], [0, 1], [30, 31])
         assert drawn == []
 
     def test_the_limit_is_two_to_the_forty(self):
         dev = preset_device("A1")
-        with pytest.raises(ValueError, match=f"got {2**40 + 1}$"):
-            run_depth_sweep(dev, [0, 1], [2**39, 2**39 + 1])
-        with pytest.raises(ValueError, match=f"got {2**63 - 1}$"):
+        records = run_depth_sweep(dev, [0, 2], [2**40, 2**40])
+        assert [r.shots for r in records] == [2**40, 2**40]
+        with pytest.raises(ValueError, match=f"got {2**40 + 1} at depth 1$"):
+            run_depth_sweep(dev, [0, 1], [2**39, 2**40 + 1])
+        with pytest.raises(ValueError, match=f"got {2**63 - 1} at depth 0$"):
             sample_shots(dev, 0, 2**63 - 1)

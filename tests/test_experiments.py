@@ -23,7 +23,7 @@ from naqae import (
     run_monte_carlo,
     run_qae_trial,
 )
-from conftest import numpy_stream
+from conftest import numpy_stream, reference_tally
 from naqae import device, experiments
 from naqae.device import _p1, _sample_tallies
 
@@ -239,9 +239,9 @@ class TestMonteCarlo:
 
     def test_batch_sample_equals_per_record_substreams(self, monkeypatch):
         # Every replication's sweep is sampled in one batch, as a (replications
-        # x depths) tally array; tally (rep, m) of setting i must count the
-        # uniforms below p1 among the first N_m of numpy's Philox at key
-        # (config seed, 1 + i) and counter (0, m, rep, 0).
+        # x depths) tally array; tally (rep, m) of setting i must be the draw
+        # of N_m shots at p1 from numpy's Philox at key (config seed, 1 + i)
+        # and counter (0, m, rep, 0).
         config = replace(A1_GAUSS, max_depth=6, replications=5, seed=-3)
         batches = []  # each setting's (lane, rows, schedule entries, tallies), in run order
 
@@ -262,10 +262,7 @@ class TestMonteCarlo:
             dev = replace(config.device, model=model)
             for rep, row in enumerate(tallies.tolist()):
                 expected = [
-                    int(np.count_nonzero(
-                        numpy_stream(config.seed, lane, rep, m).random(n) < dev.p1(m)
-                    ))
-                    for m, n in entries
+                    reference_tally(config.seed, lane, rep, m, n, dev.p1(m)) for m, n in entries
                 ]
                 assert row == expected, (setting, rep)
 
@@ -335,14 +332,23 @@ class TestMonteCarlo:
         assert rmse[4] < rmse[0]
 
     def test_setting_ordering_small_scale(self):
-        config = ExperimentConfig(
-            device=A1_GAUSS.device, max_depth=12, n_shot_base=20,
-            k_sigma_assumed=0.055, settings=("noisy_a", "noisy_b", "noise_aware"),
-            replications=15, seed=101,
-        )
-        rmse = depth_curves(run_monte_carlo(config))
-        assert rmse["noise_aware"][12] < rmse["noisy_b"][12] < rmse["noisy_a"][12]
-        assert rmse["noisy_a"][12] >= rmse["noisy_a"][2]
+        # At 15 replications one replication in a wrong likelihood mode can
+        # dominate the corrected estimator's RMSE, so a single seed's order is
+        # a coin flip: it fails on 2 of seeds 101..160 (4 at 50 replications),
+        # and failed on 6 of them with an earlier sampler's streams.  At a 10%
+        # per-seed failure rate, fewer than 7 of 10 seeds holding has
+        # probability about 1.3%.
+        held = 0
+        for seed in range(101, 111):
+            config = ExperimentConfig(
+                device=A1_GAUSS.device, max_depth=12, n_shot_base=20,
+                k_sigma_assumed=0.055, settings=("noisy_a", "noisy_b", "noise_aware"),
+                replications=15, seed=seed,
+            )
+            rmse = depth_curves(run_monte_carlo(config))
+            held += (rmse["noise_aware"][12] < rmse["noisy_b"][12] < rmse["noisy_a"][12]
+                     and rmse["noisy_a"][12] >= rmse["noisy_a"][2])
+        assert held >= 7, held
 
     def test_fully_depolarized_naive_plateaus(self):
         # p_coh^m -> 0 by m = 12: the naive estimator cannot converge

@@ -56,8 +56,8 @@ CASES: dict[str, list[str]] = {
     "simulate_wide_seeds_33bit": ["simulate", "--preset", "A4", "--noise", "none",
                                   "--depths", "0,2,7,4294967296", "--shots", "300",
                                   "--seed", "6000000007"],
-    # 2**20 + 1 shots: every tally crosses a chunk boundary, and the noiseless
-    # depths 1 and 4 measure 1 with certainty.
+    # 2**20 + 1 shots: depths 0, 2 and 3 each draw one BTRD variate, and the
+    # noiseless depths 1 and 4 measure 1 with certainty, reading no word.
     "simulate_multichunk": ["simulate", "--preset", "A1", "--noise", "none",
                             "--depths", "0..4", "--shots", "1048577", "--seed", "11",
                             "--out", "{out}/simulate_multichunk.csv"],

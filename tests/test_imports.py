@@ -10,6 +10,7 @@ import ast
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "naqae"
@@ -82,3 +83,50 @@ def test_public_names_are_pinned():
     ]
     assert sorted(public) == sorted(PUBLIC_NAMES)
 
+
+
+def numpy_random_uses(source: str) -> tuple[set[str], set[str]]:
+    """The ``np.random`` attributes ``source`` reads, and its other reads of a sampler's name.
+
+    A sampler's name is any attribute of numpy's ``Philox`` or ``Generator``
+    that ``object`` lacks; ``import numpy`` in any other form than ``import
+    numpy as np`` counts as the attribute ``"<import>"``.
+    """
+    sampler = (set(dir(np.random.Philox)) | set(dir(np.random.Generator))) - set(dir(object))
+    module, methods = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            if any(name.partition(".")[0] == "numpy" for name in names) and (
+                    ast.unparse(node) != "import numpy as np"):
+                module.add("<import>")
+        elif isinstance(node, ast.Attribute):
+            if ast.unparse(node.value) == "np.random":
+                module.add(node.attr)
+            elif node.attr in sampler and ast.unparse(node) != "np.random":
+                methods.add(node.attr)
+    return module, methods
+
+
+def test_sampler_checker_flags_generator_streams():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import Philox\n"
+        "rng = np.random.default_rng(np.random.Philox(3))\n"
+        "print(rng.binomial(10, 0.5), rng.bit_generator.random_raw(), np.random.sample())\n"
+    )
+    module, methods = numpy_random_uses(source)
+    assert module == {"<import>", "default_rng", "Philox", "sample"}
+    assert methods == {"binomial", "bit_generator", "random_raw"}
+
+
+def test_device_rests_on_raw_philox_words():
+    # Every sampled golden rests on the raw Philox stream, which
+    # tests/test_device.py pins by Random123's known answer.  numpy does not
+    # pin a Generator method's stream across versions (NEP 19), so
+    # naqae.device takes only Philox from np.random, and reads only
+    # random_raw and state of the bit generator.
+    module, methods = numpy_random_uses((PACKAGE / "device.py").read_text(encoding="utf-8"))
+    assert module == {"Philox"}
+    assert methods <= {"random_raw", "state"}, methods
