@@ -15,19 +15,21 @@ grid followed by a bounded Levenberg-Marquardt refinement of the best
 starts.  The search settings are fixed module constants.
 
 The grid is screened first: expanded, each point's SSE is a constant plus
-two small matrix products over depths, computed a block of theta rows at a
-time, within a documented bound delta(n) of the elementwise SSE in any
-summation order.  Only points whose screen is at most the
-``_REFINE_STARTS``-th smallest plus 2 delta can rank among the starts; they
-alone get the elementwise SSE, so the starts and their SSEs have the bits of
-a whole-grid evaluation.
+two small BLAS matrix products over depths, computed a block of theta rows
+at a time from per-axis cos and sin tables, within a documented bound delta
+over the depths of the elementwise SSE in any summation order.  Only points
+whose screen is at most the ``_REFINE_STARTS``-th smallest plus 2 delta can
+rank among the starts; they alone get the elementwise SSE, so the starts and
+their SSEs have the bits of a whole-grid evaluation whatever BLAS kernel or
+thread count ran the screen.
 
 The refinement runs every start of a search in lockstep, one
 :func:`_predict_jacobian` call per round giving p(1) and its analytic
 Jacobian at the pending points of all live starts.  Each start takes damped
 Gauss-Newton (Levenberg-Marquardt) steps projected into the bounds.  J^T J
 and J^T r come from ``einsum`` and the small damped normal equations are
-solved in Python floats: no BLAS, and no compensated builtin ``sum``.
+solved in Python floats, so the refinement's bits depend on no BLAS and no
+compensated builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -181,9 +183,17 @@ def _predict_jacobian(space, params, ms):
     return _p1_gaussian_decayed(theta, ms, k_mu, decay), np.array([slopes[name] for name in space])
 
 
-def _screen_delta(n):
-    """A bound on |screen - SSE| at a grid point of ``n`` depths (:func:`_grid_search`)."""
-    return 16.0 * n * (n + 16) * 2.0**-53
+def _screen_delta(ms):
+    """A bound on |screen - SSE| at any grid point on the depths ``ms`` (:func:`_grid_search`).
+
+    With n depths and u = 2^-53 it is ``16 n (n + 16) u`` for the sums and
+    the trig tables, plus ``u sum_m (64 + 2 |2 psi_m|)`` for the screen's
+    angle addition, ``|2 psi_m|`` taken at the grid's largest theta and
+    |k_mu|.  :func:`_screen` has the proof.
+    """
+    theta, k_mu = (float(np.max(np.abs(_PARAMS[name][0]))) for name in ("theta", "k_mu"))
+    angles = 2.0 * ((2.0 * ms + 1.0) * theta + k_mu * ms)
+    return (16.0 * ms.size * (ms.size + 16) + float(np.sum(64.0 + 2.0 * angles))) * 2.0**-53
 
 
 def _screen(space, ms, y, decay):
@@ -192,28 +202,48 @@ def _screen(space, ms, y, decay):
     A grid point's SSE is ``sum_l (a_l + d_l c_l / 2)^2``, with ``a = y - 1/2``,
     ``d`` the ``decay`` table over (rate, depth) and ``c = cos 2 psi`` over
     (theta, k_mu, depth).  Expanded, it is ``a . a + c . (a d) + (c c) . (d d) / 4``,
-    two small matrix products per block of ``_SCREEN_ROWS`` theta rows.  They
-    run in ``einsum``, not BLAS: the first BLAS call leaves about 0.3 MiB of
-    its buffers resident for the rest of the process.
+    two small BLAS products per block of ``_SCREEN_ROWS`` theta rows; blocks
+    keep only a few rows of c in memory at a time.  c comes from per-axis
+    tables by angle addition, ``cos A cos B - sin A sin B`` with
+    ``A = 2 k theta`` (k = 2m + 1) and ``B = 2 k_mu m`` (0 without k_mu), so
+    cos and sin run over 64 + 33 rows of depths rather than 64 x 33.
 
-    The screen and the elementwise SSE each lie within ``n (n + 40) u`` of the
-    exact value on the same decay and psi (n depths, u = 2^-53), in any
-    summation order: every factor is at most 1 in magnitude, numpy's cos and
-    sin are within 4 ulp, and a sum of n terms is off by at most ``(n - 1) u``
-    times the sum of their magnitudes.  :func:`_screen_delta` is at least three
-    times their combined ``2 n (n + 40) u``.
+    The bound, with n depths and u = 2^-53.  Let S be the exact SSE on the
+    same decay at ``c* = cos 2 psi``, psi rounded as :func:`_psi` rounds it,
+    and S' the exact expansion at ``c' = cos(A + B)``, A and B as rounded here.
+
+    - The elementwise SSE is within ``n (n + 40) u`` of S: every factor is at
+      most 1 in magnitude, numpy's cos and sin are within 4 ulp, and a sum of
+      n terms is off by at most ``(n - 1) u`` times the sum of their magnitudes.
+    - The screen is within ``n (n + 40) u + 64 n u`` of S' by the same count;
+      the 64 u a depth covers the 4 ulp of each of the four table entries, the
+      two products and the difference that make c.
+    - ``A = 2 fl(k theta)`` and ``B = 2 fl(k_mu m)`` exactly, and :func:`_psi`
+      rounds their half-sum once, so ``2 psi = fl(A + B)`` lies within
+      ``u |A + B|`` of ``A + B``.  cos is 1-Lipschitz and a depth's term moves
+      with c at a rate ``|d (a + d c / 2)| <= 1`` (|a| <= 1/2, 0 <= d <= 1,
+      |c| <= 1), so ``|S' - S| <= u sum_m |A_m + B_m|``.
+
+    So screen and SSE differ by at most
+    ``2 n (n + 40) u + u sum_m (64 + |A_m + B_m|)``.  The first part of
+    :func:`_screen_delta` is at least three times the first term, and its
+    second part exceeds the second, as ``|A_m + B_m| <= (1 + u) |2 psi_m|``
+    at the grid's extremes.  Underflow adds under 2^-1074 a term.
     """
     axes = [_PARAMS[name][0] for name in space]
-    k_mu = _PARAMS["k_mu"][0][:, None] if "k_mu" in space else 0.0
+    k_mu = _PARAMS["k_mu"][0] if "k_mu" in space else np.zeros(1)
     a = y - 0.5
     # Each block's c is (theta, k_mu) rows by depths; ad and dd are rates by depths.
     aa, ad, dd = np.einsum("l,l->", a, a), a * decay, 0.25 * (decay * decay)
+    angle_a = 2.0 * ((2.0 * ms + 1.0) * axes[0][:, None])
+    angle_b = 2.0 * (k_mu[:, None] * ms)
+    cos_a, sin_a, cos_b, sin_b = np.cos(angle_a), np.sin(angle_a), np.cos(angle_b), np.sin(angle_b)
     screen = np.empty([len(ax) for ax in axes])
     for start in range(0, len(axes[0]), _SCREEN_ROWS):
-        theta = axes[0][start:start + _SCREEN_ROWS].reshape((-1,) + (1,) * (len(axes) - 1))
-        c = np.cos(2.0 * _psi(theta, ms, k_mu)).reshape(-1, ms.size)
-        block = aa + np.einsum("ij,kj->ik", c, ad) + np.einsum("ij,kj->ik", c * c, dd)
-        screen[start:start + _SCREEN_ROWS] = block.reshape((-1,) + screen.shape[1:])
+        rows = slice(start, start + _SCREEN_ROWS)
+        c = (cos_a[rows, None] * cos_b - sin_a[rows, None] * sin_b).reshape(-1, ms.size)
+        block = aa + c @ ad.T + (c * c) @ dd.T
+        screen[rows] = block.reshape((-1,) + screen.shape[1:])
     return screen
 
 
@@ -235,7 +265,7 @@ def _grid_search(space, ms, y):
     decay = _decay(axes[-1][:, None], ms)
     screen = _screen(space, ms, y, decay).ravel()
     count = min(_REFINE_STARTS, screen.size)
-    cut = np.partition(screen, count - 1)[count - 1] + 2 * _screen_delta(ms.size)
+    cut = np.partition(screen, count - 1)[count - 1] + 2 * _screen_delta(ms)
     candidates = np.flatnonzero(screen <= cut)
     sse = np.empty(candidates.size)
     for start in range(0, candidates.size, _SSE_CHUNK):
@@ -256,14 +286,19 @@ def _project(point, bounds):
     return tuple(lo if v <= lo else hi if v >= hi else v for v, (lo, hi) in zip(point, bounds))
 
 
-def _solve(matrix, rhs):
-    """The solution of a small positive-definite system, by Gauss-Jordan elimination."""
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+def _solve(a):
+    """The solution of a small positive-definite system, by Gauss-Jordan elimination in place.
+
+    ``a`` is the augmented matrix, each row its coefficients and then its
+    right-hand side.
+    """
+    columns = range(len(a) + 1)
     for k, pivot in enumerate(a):
         for row in a:
             if row is not pivot:
                 factor = row[k] / pivot[k]
-                row[:] = [v - factor * w for v, w in zip(row, pivot)]
+                for j in columns:
+                    row[j] -= factor * pivot[j]
     return [row[-1] / row[k] for k, row in enumerate(a)]
 
 
@@ -281,11 +316,20 @@ def _step(x, jtj, jtr, damping, bounds):
             if jtj[j][j] >= sys.float_info.min and not (v <= lo and g <= 0.0 or v >= hi and g >= 0.0)]
     if not free:
         return None
-    matrix = [[jtj[i][j] * (1.0 + damping) if i == j else jtj[i][j] for j in free] for i in free]
-    solved = dict(zip(free, _solve(matrix, [jtr[i] for i in free])))
-    trial = _project([v + solved.get(j, 0.0) for j, v in enumerate(x)], bounds)
-    step = [t - v for t, v in zip(trial, x)]
-    if all(abs(s) <= _LM_XTOL * (abs(v) + 1.0) for s, v in zip(step, x)):
+    solved = [0.0] * len(x)
+    augmented = [[jtj[i][j] * (1.0 + damping) if i == j else jtj[i][j] for j in free] + [jtr[i]]
+                 for i in free]
+    for j, s in zip(free, _solve(augmented)):
+        solved[j] = s
+    # Project into the bounds (as :func:`_project`) and test for a move, in one pass.
+    trial, step, moved = [], [], False
+    for v, d, (lo, hi) in zip(x, solved, bounds):
+        t = v + d
+        t = lo if t <= lo else hi if t >= hi else t
+        trial.append(t)
+        step.append(s := t - v)
+        moved = moved or not abs(s) <= _LM_XTOL * (abs(v) + 1.0)
+    if not moved:
         return None
     # The linear model's drop in SSE, 2 s.J^T r - s.J^T J s.
     drop = 0.0
@@ -293,7 +337,7 @@ def _step(x, jtj, jtr, damping, bounds):
         drop += 2.0 * s * g
         for t, a in zip(step, row):
             drop -= s * a * t
-    return trial, drop
+    return tuple(trial), drop
 
 
 def _refine(space, ms, y, starts):

@@ -29,7 +29,7 @@ All public operations are pure functions and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -67,13 +67,17 @@ class Amplitude:
 class _NoiseKind:
     """What both noise classes read from their ``_NOISE_KINDS`` row."""
 
+    def _values(self) -> tuple:
+        """The field values in the order the class takes them: ``astuple`` without its deep copy."""
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
     def p1_raw(self, theta, m):
         """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
-        return _NOISE_KINDS[self.kind][3](theta, m, *astuple(self))
+        return _NOISE_KINDS[self.kind][3](theta, m, *self._values())
 
     def to_dict(self) -> dict:
         """JSON fields of this model (without ``kind``)."""
-        return dict(zip(_NOISE_KINDS[self.kind][2], astuple(self)))
+        return dict(zip(_NOISE_KINDS[self.kind][2], self._values()))
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,14 @@ def child_env(**extra: str) -> dict[str, str]:
 
     A RuntimeWarning is an error in the child, as it is in this process
     (pyproject.toml's ``filterwarnings``), and BLAS runs on one thread, which
-    must not move a byte of any output.
+    must not move a byte of any output.  ``extra`` is set last, so it may
+    change any of these.
     """
     paths = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
-                PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1", **extra)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+               PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1")
+    env.update(extra)
+    return env
 
 
 def numpy_stream(seed: int, lane: int, row: int, m: int) -> np.random.Generator:

@@ -344,6 +344,114 @@ class TestRefinement:
             assert not any(converged for *_, converged in refined(kind, ms, y, starts))
 
 
+
+def reference_step(x, jtj, jtr, damping, bounds):
+    """A copy of the Levenberg-Marquardt step as it was first written: new lists for every row."""
+
+    def solve(matrix, rhs):
+        a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+        for k, pivot in enumerate(a):
+            for row in a:
+                if row is not pivot:
+                    factor = row[k] / pivot[k]
+                    row[:] = [v - factor * w for v, w in zip(row, pivot)]
+        return [row[-1] / row[k] for k, row in enumerate(a)]
+
+    free = [j for j, (v, g, (lo, hi)) in enumerate(zip(x, jtr, bounds))
+            if jtj[j][j] >= 2.0**-1022 and not (v <= lo and g <= 0.0 or v >= hi and g >= 0.0)]
+    if not free:
+        return None
+    matrix = [[jtj[i][j] * (1.0 + damping) if i == j else jtj[i][j] for j in free] for i in free]
+    solved = dict(zip(free, solve(matrix, [jtr[i] for i in free])))
+    moved = [v + solved.get(j, 0.0) for j, v in enumerate(x)]
+    trial = tuple(lo if v <= lo else hi if v >= hi else v for v, (lo, hi) in zip(moved, bounds))
+    step = [t - v for t, v in zip(trial, x)]
+    if all(abs(s) <= fitting._LM_XTOL * (abs(v) + 1.0) for s, v in zip(step, x)):
+        return None
+    drop = 0.0
+    for s, g, row in zip(step, jtr, jtj):
+        drop += 2.0 * s * g
+        for t, a in zip(step, row):
+            drop -= s * a * t
+    return trial, drop
+
+
+def random_steps(kind, count, seed):
+    """``count`` random step inputs ``(x, J^T J, J^T r, damping)`` in ``kind``'s space.
+
+    Some parameters sit on a bound, some diagonals of J^T J are 0 or
+    subnormal, and the damping spans 1e-12 to 1e6.
+    """
+    rng = np.random.default_rng(seed)
+    bounds = [fitting._PARAMS[name][1] for name in space(kind)]
+    n = len(bounds)
+    cases = []
+    for _ in range(count):
+        jacobian = rng.normal(size=(n, 41)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        x = [lo if rng.random() < 0.2 else hi if rng.random() < 0.1 and hi < math.inf
+             else rng.uniform(max(lo, -1.0), min(hi, 1.5)) for lo, hi in bounds]
+        j = rng.integers(n)
+        jacobian[j] *= rng.choice([1.0, 0.0, 1e-160])  # 1e-160 squares below the normal range
+        jtj, jtr = (jacobian @ jacobian.T).tolist(), (jacobian @ rng.normal(size=41)).tolist()
+        cases.append((x, jtj, jtr, 10.0 ** rng.uniform(-12, 6), bounds))
+    return cases
+
+
+def hexed_step(result):
+    return None if result is None else ([v.hex() for v in result[0]], result[1].hex())
+
+
+class TestStep:
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    def test_random_steps_match_the_reference_bit_for_bit(self, kind):
+        cases = random_steps(kind, 2000, seed=len(space(kind)))
+        held = sum(any(v in bound for v, bound in zip(x, bounds)) for x, *_, bounds in cases)
+        assert held > 500
+        for case in cases:
+            assert hexed_step(fitting._step(*case)) == hexed_step(reference_step(*case))
+
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    def test_bounds_and_tiny_diagonals_match_the_reference(self, kind):
+        # Each parameter on each bound, its descent direction pointing out of
+        # the bound and into it, beside a diagonal of 1, 0 or a subnormal.
+        bounds = [fitting._PARAMS[name][1] for name in space(kind)]
+        n = len(bounds)
+        jacobian = np.random.default_rng(8).normal(size=(n, 41))
+        base_x = [min(max(0.4, lo), hi) for lo, hi in bounds]
+        cases = []
+        for j, (lo, hi) in enumerate(bounds):
+            for edge, outward in ((lo, -1.0), (hi, 1.0)):
+                if math.isinf(edge):
+                    continue
+                for sign in (1.0, -1.0):  # out of the bound, then into it
+                    for scale in (1.0, 0.0, 1e-160):
+                        jac = jacobian.copy()
+                        jac[(j + 1) % n] *= scale
+                        x = list(base_x)
+                        x[j] = edge
+                        jtj = (jac @ jac.T).tolist()
+                        jtr = (jac @ jac[j]).tolist()
+                        jtr[j] = sign * outward * abs(jtr[j])
+                        cases.append((x, jtj, jtr, 1e-3, bounds))
+        for case in cases:
+            assert hexed_step(fitting._step(*case)) == hexed_step(reference_step(*case))
+
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    def test_all_held_and_converged_runs_are_done(self, kind):
+        bounds = [fitting._PARAMS[name][1] for name in space(kind)]
+        n = len(bounds)
+        jtj = np.eye(n).tolist()
+        # Every parameter held: each on its lower bound with J^T r pointing
+        # out of it, or with a zero diagonal.
+        on_lower = ([lo for lo, _ in bounds], jtj, [-1.0] * n, 1e-3, bounds)
+        flat = ([0.4] * n, np.zeros((n, n)).tolist(), [1.0] * n, 1e-3, bounds)
+        # Converged: a step below the tolerance in every parameter.
+        converged = ([0.4] * n, jtj, [1e-14] * n, 1e-3, bounds)
+        for case in (on_lower, flat, converged):
+            assert fitting._step(*case) is None
+            assert reference_step(*case) is None
+
+
 def whole_mesh_sse(kind, ms, y):
     """The coarse grid's SSEs in one whole-mesh evaluation."""
     axes = [fitting._PARAMS[name][0] for name in space(kind)]
@@ -389,6 +497,20 @@ def far_ties():
     return ("far_ties", ms, np.full(ms.size, 0.5))
 
 
+def deep_datasets():
+    """One-shot frequencies (0 or 1) on deep, sparse depths, and the golden deep tallies.
+
+    On depths 0, 1, 2, 4, ..., 4096 and 0..1940 in steps of 97, the rounding of
+    the screen's angle addition, up to ``u |2 psi_m|`` a depth, passes a bound
+    of the depth count alone: the one-shot sets by about 2.1 and 1.4 times.
+    """
+    rng = np.random.default_rng(5)
+    depth_sets = [("powers_of_two", np.array([0.0, 1.0] + [2.0**j for j in range(1, 13)])),
+                  ("steps_of_97", np.arange(0.0, 1941.0, 97.0))]
+    one_shot = [(name, ms, rng.integers(0, 2, ms.size).astype(float)) for name, ms in depth_sets]
+    return one_shot + labeled_inputs("deep.csv")
+
+
 class TestGridSearch:
     @pytest.mark.parametrize(
         "name, ms, y, kind", fit_searches(labeled_inputs("fit_corpus.csv")),
@@ -412,7 +534,8 @@ class TestGridSearch:
 
     @pytest.mark.parametrize(
         "name, ms, y, kind",
-        fit_searches(near_ties() + [far_ties()] + random_datasets() + [device_input()]),
+        fit_searches(near_ties() + [far_ties()] + random_datasets() + deep_datasets()
+                     + [device_input()]),
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_screen_gives_the_whole_mesh_starts(self, name, ms, y, kind):
@@ -433,14 +556,15 @@ class TestGridSearch:
     @pytest.mark.parametrize(
         "name, ms, y, kind",
         fit_searches(labeled_inputs("fit_corpus.csv") + labeled_inputs("labeled.csv")
-                     + near_ties() + [far_ties()] + random_datasets() + [device_input()]),
+                     + near_ties() + [far_ties()] + random_datasets() + deep_datasets()
+                     + [device_input()]),
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_screen_is_within_its_bound(self, name, ms, y, kind):
         rates = fitting._PARAMS["rate"][0]
         screen = fitting._screen(space(kind), ms, y, models._decay(rates[:, None], ms))
         error = np.max(np.abs(screen - whole_mesh_sse(kind, ms, y)))
-        assert error <= fitting._screen_delta(ms.size)
+        assert error <= fitting._screen_delta(ms)
 
     @pytest.mark.parametrize("data", [device_input, far_ties], ids=["device", "far_ties"])
     @pytest.mark.parametrize("kind", SEARCH_KINDS)

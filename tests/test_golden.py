@@ -25,6 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import child_env
@@ -243,16 +244,23 @@ def test_fresh_process_refuses(launcher, name, tmp_path):
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
-except ImportError:  # numpy < 2 names no dispatch levels; every level skips
+except ImportError:  # numpy < 2 names no dispatch levels; every dispatch level skips
     CPU_FEATURES = {}
 
 # Reduced SIMD dispatch levels: the feature a level turns off, which the CPU
 # must have (numpy silently ignores a feature the CPU lacks, so the level
-# would rerun the default kernels), and its NPY_DISABLE_CPU_FEATURES value.
+# would rerun the default kernels), and the environment that turns it off.
+# The "blas" level runs OpenBLAS's Prescott kernels (it reports them as core
+# Katmai) on two threads: the grid's screen takes BLAS products, whose sums
+# then run in another order, and no byte may move.
 DISPATCH_LEVELS = {
-    "avx2": ("X86_V4", "X86_V4 AVX512_ICL AVX512_SPR"),
-    "baseline": ("X86_V3", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"),
+    "avx2": ("X86_V4", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}),
+    "baseline": ("X86_V3", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"}),
+    "blas": (None, {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "2",
+                    "OPENBLAS_VERBOSE": "2"}),
 }
+# What OpenBLAS prints to stderr at load under OPENBLAS_VERBOSE=2 once it took the core.
+BLAS_CORE_LINE = "Core: Katmai"
 
 # Run in a fresh process: every case and the sweep, printing each golden
 # file whose bytes differ.  It exits first if numpy kept a named feature on.
@@ -260,7 +268,7 @@ _RERUN = """\
 import os, sys, tempfile
 from pathlib import Path
 from numpy._core._multiarray_umath import __cpu_features__
-disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
 if any(__cpu_features__.get(feature) for feature in disabled):
     sys.exit(f"numpy kept some of {disabled} on")
 sys.path.insert(0, sys.argv[1])
@@ -275,26 +283,36 @@ for name, data in sorted(outputs.items()):
 """
 
 
+def blas_name() -> str:
+    """The name of the BLAS numpy was built against, as numpy's build config gives it."""
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
 @functools.cache
 def goldens_differing(level: str) -> list[str]:
-    """The golden files whose bytes differ with every case rerun at a dispatch level."""
-    feature, disabled = DISPATCH_LEVELS[level]
-    if not CPU_FEATURES.get(feature):
+    """The golden files whose bytes differ with every case rerun at a dispatch or BLAS level."""
+    feature, env = DISPATCH_LEVELS[level]
+    if feature is not None and not CPU_FEATURES.get(feature):
         pytest.skip(f"this CPU lacks {feature}, so numpy already runs below the {level} level")
+    if "OPENBLAS_CORETYPE" in env and "openblas" not in blas_name():
+        pytest.skip(f"numpy runs on {blas_name()}, not OpenBLAS")
     result = subprocess.run(
         [sys.executable, "-c", _RERUN, str(Path(__file__).resolve().parent)],
-        capture_output=True, text=True, env=child_env(NPY_DISABLE_CPU_FEATURES=disabled),
-        timeout=300,
+        capture_output=True, text=True, env=child_env(**env), timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    if "OPENBLAS_CORETYPE" in env:
+        assert BLAS_CORE_LINE in result.stderr.splitlines(), result.stderr
     return result.stdout.split()
 
 
 @pytest.mark.parametrize("case", sorted([*CASES, "misspecification_sweep"]))
 @pytest.mark.parametrize("level", sorted(DISPATCH_LEVELS))
 def test_goldens_hold_under_reduced_dispatch(level, case):
-    # The last bits of numpy's exp, power, log and log1p differ between kernels.
-    # Each noise decay goes through libm, and every golden keeps its bytes.
+    # The last bits of numpy's exp, power, log and log1p differ between kernels,
+    # and BLAS sums in an order of its kernel and thread count.  Each noise
+    # decay goes through libm, the screen's BLAS products only pick which grid
+    # points get the elementwise SSE, and every golden keeps its bytes.
     assert [name for name in goldens_differing(level) if name.split(".")[0] == case] == []
 
 
