@@ -4,11 +4,12 @@ Fits any of three model families to observed outcome-1 frequencies by
 minimum mean-squared error: the full Gaussian rotation-noise model
 (theta, k_mu, k_sigma), its zero-mean restriction, and the depolarizing
 model.  Each family is one entry of ``_FAMILIES``: its ``fit --model``
-spelling, its packed parameters and the noise it reports.  Every family
-predicts through the Gaussian kernel, k_mu = 0 where not packed, and its
-packed parameters alone decide its search.  So the depolarizing fit is the
-zero-mean fit, reported as ``p_coh_tilde = exp(-2 k_sigma)``, and one search
-of a dataset serves both.
+spelling, its k_mu axis and bound, and the noise it reports.  Every family
+searches one vector (theta, k_mu, rate) through the Gaussian kernel, and its
+k_mu axis and bound alone decide its search: the zero-mean and depolarizing
+families hold k_mu at 0 with a one-point axis and a closed bound.  So the
+depolarizing fit is the zero-mean fit, reported as ``p_coh_tilde =
+exp(-2 k_sigma)``, and one search of a dataset serves both.
 
 The objective is multimodal in theta, so the search is a coarse multi-start
 grid followed by a bounded Levenberg-Marquardt refinement of the best
@@ -51,7 +52,6 @@ from .models import (
     _check_frequency,
     _decay,
     _p1_gaussian_decayed,
-    _p1_gaussian_raw,
     _psi,
     depol_equivalent,
 )
@@ -60,13 +60,13 @@ from .models import (
 # (smallest theta, then smallest decay rate, then smallest k_mu).
 _TIE_TOL = 1e-12
 
-# Parameter name -> (coarse-grid axis, bound of the refinement).  ``rate``
-# is k_sigma; its axis is log-spaced.
-_PARAMS = {
-    "theta": (np.linspace(0.0, _HALF_PI, 64), (0.0, _HALF_PI)),
-    "k_mu": (np.linspace(-0.3, 0.3, 33), (-math.pi, math.pi)),
-    "rate": (np.logspace(math.log10(1e-5), math.log10(0.5), 33), (0.0, np.inf)),
-}
+# Each entry of a fit's vector (theta, k_mu, rate): its coarse-grid axis and
+# the bound of its refinement.  ``rate`` is k_sigma; its axis is log-spaced.
+_THETA = (np.linspace(0.0, _HALF_PI, 64), (0.0, _HALF_PI))
+_K_MU = (np.linspace(-0.3, 0.3, 33), (-math.pi, math.pi))
+_RATE = (np.logspace(math.log10(1e-5), math.log10(0.5), 33), (0.0, np.inf))
+# k_mu held at 0: a one-point axis, and a closed bound that :func:`_step` never frees.
+_HELD = (np.zeros(1), (0.0, 0.0))
 _REFINE_STARTS = 8
 # Theta rows per block of the grid's screen, and grid points per exact SSE chunk.
 _SCREEN_ROWS = 8
@@ -79,22 +79,27 @@ _LM_DAMPING = 1e-3
 
 @dataclass(frozen=True)
 class _Family:
-    """A fit family: its ``fit --model`` spelling, packed parameters and reported noise.
+    """A fit family: its ``fit --model`` spelling, k_mu axis and bound, and reported noise.
 
-    ``params`` names the parameters its search packs.  ``to_noise`` turns
-    the fitted ``k_mu`` (0 when not packed) and ``rate``, given as Gaussian
-    parameters, into the noise object the family reports.
+    ``k_mu`` is ``_K_MU`` or ``_HELD``.  ``to_noise`` turns the fitted
+    ``k_mu`` and ``rate``, given as Gaussian parameters, into the noise
+    object the family reports.
     """
 
     spelling: str
-    params: tuple[str, ...]
+    k_mu: tuple
     to_noise: Callable = lambda noise: noise
+
+    def free(self) -> int:
+        """How many parameters the search frees: theta, rate, and k_mu unless held."""
+        lo, hi = self.k_mu[1]
+        return 2 + (lo < hi)
 
 
 _FAMILIES = {
-    "gaussian": _Family("gaussian", ("theta", "k_mu", "rate")),
-    "gaussian_zero_mean": _Family("zero-mean", ("theta", "rate")),
-    "depolarizing": _Family("depol", ("theta", "rate"), depol_equivalent),
+    "gaussian": _Family("gaussian", _K_MU),
+    "gaussian_zero_mean": _Family("zero-mean", _HELD),
+    "depolarizing": _Family("depol", _HELD, depol_equivalent),
 }
 MODEL_KINDS = tuple(_FAMILIES)
 # ``fit --model`` spelling -> model kind.
@@ -161,26 +166,20 @@ def points_from_records(records: list[ShotRecord]) -> list[FrequencyPoint]:
     return [FrequencyPoint(m=r.m, p1_hat=r.p1_hat) for r in records]
 
 
-def _predict(space, params, ms):
-    """Gaussian p(1) at ``params`` (a vector or grid mesh) named by ``space``; k_mu 0 if unnamed."""
-    named = dict(zip(space, params))
-    return _p1_gaussian_raw(named["theta"], ms, named.get("k_mu", 0.0), named["rate"])
-
-
-def _predict_jacobian(space, params, ms):
-    """:func:`_predict` and its Jacobian, as an array over the parameters ``space`` names.
+def _predict_jacobian(params, ms):
+    """Gaussian p(1) at ``params``, a vector (theta, k_mu, rate) of arrays, and its Jacobian.
 
     With ``k = 2m + 1``, ``psi`` from :func:`_psi` and ``d`` from :func:`_decay`,
     p(1) is ``(1 - d cos 2 psi) / 2``, so ``dp/dtheta = d k sin 2 psi``,
     ``dp/dk_mu = d m sin 2 psi`` and ``dp/drate = m d cos 2 psi``.
     """
-    named = dict(zip(space, params))
-    theta, k_mu = named["theta"], named.get("k_mu", 0.0)
-    decay = _decay(named["rate"], ms)
-    two_psi = 2.0 * _psi(theta, ms, k_mu)
+    theta, k_mu, rate = params
+    decay = _decay(rate, ms)
+    psi = _psi(theta, ms, k_mu)
+    two_psi = 2.0 * psi
     sin, cos = decay * np.sin(two_psi), decay * np.cos(two_psi)
-    slopes = {"theta": (2.0 * ms + 1.0) * sin, "k_mu": ms * sin, "rate": ms * cos}
-    return _p1_gaussian_decayed(theta, ms, k_mu, decay), np.array([slopes[name] for name in space])
+    slopes = [(2.0 * ms + 1.0) * sin, ms * sin, ms * cos]
+    return _p1_gaussian_decayed(psi, decay), np.array(slopes)
 
 
 def _screen_delta(ms):
@@ -191,13 +190,15 @@ def _screen_delta(ms):
     angle addition, ``|2 psi_m|`` taken at the grid's largest theta and
     |k_mu|.  :func:`_screen` has the proof.
     """
-    theta, k_mu = (float(np.max(np.abs(_PARAMS[name][0]))) for name in ("theta", "k_mu"))
+    theta, k_mu = (float(np.max(np.abs(axis))) for axis, _ in (_THETA, _K_MU))
     angles = 2.0 * ((2.0 * ms + 1.0) * theta + k_mu * ms)
     return (16.0 * ms.size * (ms.size + 16) + float(np.sum(64.0 + 2.0 * angles))) * 2.0**-53
 
 
-def _screen(space, ms, y, decay):
+def _screen(k_mu, ms, y, decay):
     """The coarse grid's SSEs to within :func:`_screen_delta`, as an array of the grid's shape.
+
+    The grid is theta by the axis ``k_mu`` by rate.
 
     A grid point's SSE is ``sum_l (a_l + d_l c_l / 2)^2``, with ``a = y - 1/2``,
     ``d`` the ``decay`` table over (rate, depth) and ``c = cos 2 psi`` over
@@ -205,8 +206,8 @@ def _screen(space, ms, y, decay):
     two small BLAS products per block of ``_SCREEN_ROWS`` theta rows; blocks
     keep only a few rows of c in memory at a time.  c comes from per-axis
     tables by angle addition, ``cos A cos B - sin A sin B`` with
-    ``A = 2 k theta`` (k = 2m + 1) and ``B = 2 k_mu m`` (0 without k_mu), so
-    cos and sin run over 64 + 33 rows of depths rather than 64 x 33.
+    ``A = 2 k theta`` (k = 2m + 1) and ``B = 2 k_mu m`` (0 where k_mu is held),
+    so cos and sin run over 64 + 33 rows of depths rather than 64 x 33.
 
     The bound, with n depths and u = 2^-53.  Let S be the exact SSE on the
     same decay at ``c* = cos 2 psi``, psi rounded as :func:`_psi` rounds it,
@@ -230,16 +231,14 @@ def _screen(space, ms, y, decay):
     second part exceeds the second, as ``|A_m + B_m| <= (1 + u) |2 psi_m|``
     at the grid's extremes.  Underflow adds under 2^-1074 a term.
     """
-    axes = [_PARAMS[name][0] for name in space]
-    k_mu = _PARAMS["k_mu"][0] if "k_mu" in space else np.zeros(1)
     a = y - 0.5
     # Each block's c is (theta, k_mu) rows by depths; ad and dd are rates by depths.
     aa, ad, dd = np.einsum("l,l->", a, a), a * decay, 0.25 * (decay * decay)
-    angle_a = 2.0 * ((2.0 * ms + 1.0) * axes[0][:, None])
+    angle_a = 2.0 * ((2.0 * ms + 1.0) * _THETA[0][:, None])
     angle_b = 2.0 * (k_mu[:, None] * ms)
     cos_a, sin_a, cos_b, sin_b = np.cos(angle_a), np.sin(angle_a), np.cos(angle_b), np.sin(angle_b)
-    screen = np.empty([len(ax) for ax in axes])
-    for start in range(0, len(axes[0]), _SCREEN_ROWS):
+    screen = np.empty((len(_THETA[0]), len(k_mu), len(_RATE[0])))
+    for start in range(0, len(_THETA[0]), _SCREEN_ROWS):
         rows = slice(start, start + _SCREEN_ROWS)
         c = (cos_a[rows, None] * cos_b - sin_a[rows, None] * sin_b).reshape(-1, ms.size)
         block = aa + c @ ad.T + (c * c) @ dd.T
@@ -247,8 +246,8 @@ def _screen(space, ms, y, decay):
     return screen
 
 
-def _grid_search(space, ms, y):
-    """SSE over the full coarse grid; returns starts ordered best-first.
+def _grid_search(k_mu, ms, y):
+    """SSE over the full coarse grid, k_mu on the axis ``k_mu``; returns starts ordered best-first.
 
     The grid is ranked by :func:`_screen`.  A point among the
     ``_REFINE_STARTS`` best by SSE has an SSE at most that of one of the
@@ -259,20 +258,19 @@ def _grid_search(space, ms, y):
     index), they give the starts a stable argsort of the whole grid's SSEs
     gives, each SSE with its whole-mesh bits.
     """
-    axes = [_PARAMS[name][0] for name in space]
+    axes = (_THETA[0], k_mu, _RATE[0])
     shape = tuple(len(ax) for ax in axes)
-    # rate is the last packed parameter; the decay depends only on (rate, depth).
-    decay = _decay(axes[-1][:, None], ms)
-    screen = _screen(space, ms, y, decay).ravel()
+    # The decay depends only on (rate, depth).
+    decay = _decay(_RATE[0][:, None], ms)
+    screen = _screen(k_mu, ms, y, decay).ravel()
     count = min(_REFINE_STARTS, screen.size)
     cut = np.partition(screen, count - 1)[count - 1] + 2 * _screen_delta(ms)
     candidates = np.flatnonzero(screen <= cut)
     sse = np.empty(candidates.size)
     for start in range(0, candidates.size, _SSE_CHUNK):
-        index = np.unravel_index(candidates[start:start + _SSE_CHUNK], shape)
-        named = {name: ax[i][:, None] for name, ax, i in zip(space, axes, index)}
-        residuals = y - _p1_gaussian_decayed(named["theta"], ms, named.get("k_mu", 0.0),
-                                             decay[index[-1]])
+        i, j, r = np.unravel_index(candidates[start:start + _SSE_CHUNK], shape)
+        psi = _psi(_THETA[0][i][:, None], ms, k_mu[j][:, None])
+        residuals = y - _p1_gaussian_decayed(psi, decay[r])
         sse[start:start + _SSE_CHUNK] = np.einsum("...l,...l->...", residuals, residuals)
     starts = []
     for j in np.argsort(sse, kind="stable")[:count]:
@@ -309,8 +307,9 @@ def _step(x, jtj, jtr, damping, bounds):
     small for the damping to keep the pivots positive, or where it sits on a
     bound that its descent direction ``J^T r`` points out of.  The others
     solve ``(J^T J + damping diag(J^T J)) step = J^T r``; the point is then
-    projected into ``bounds``.  The run is done when no parameter is free or
-    moves by more than ``_LM_XTOL (|x| + 1)``.
+    projected into ``bounds``.  A parameter whose bound is closed (lo == hi)
+    is on both ends at once, so every gradient holds it.  The run is done when
+    no parameter is free or moves by more than ``_LM_XTOL (|x| + 1)``.
     """
     free = [j for j, (v, g, (lo, hi)) in enumerate(zip(x, jtr, bounds))
             if jtj[j][j] >= sys.float_info.min and not (v <= lo and g <= 0.0 or v >= hi and g >= 0.0)]
@@ -340,8 +339,10 @@ def _step(x, jtj, jtr, damping, bounds):
     return tuple(trial), drop
 
 
-def _refine(space, ms, y, starts):
+def _refine(k_mu_bound, ms, y, starts):
     """Bounded Levenberg-Marquardt from every start in lockstep; ``(sse, params, converged)`` each.
+
+    k_mu is bounded by ``k_mu_bound``, theta and rate by their fixed bounds.
 
     Each round scores the pending points of all live starts, with their
     Jacobians, in one :func:`_predict_jacobian`.  A point that lowers its
@@ -351,7 +352,7 @@ def _refine(space, ms, y, starts):
     rejection in a row.  A run with a step left after ``_LM_MAX_ITER`` steps
     has not converged, and reports its best point.
     """
-    bounds = [_PARAMS[name][1] for name in space]
+    bounds = [_THETA[1], k_mu_bound, _RATE[1]]
     # start index -> its point awaiting a score, and the SSE drop predicted for it
     pending = {i: (_project(x0, bounds), 0.0) for i, x0 in enumerate(starts)}
     # Each start's last accepted point, with its SSE, J^T J and J^T r.
@@ -361,7 +362,7 @@ def _refine(space, ms, y, starts):
         if not pending:
             break
         params = np.array([point for point, _ in pending.values()]).T[:, :, None]
-        predicted, jacobian = _predict_jacobian(space, params, ms)
+        predicted, jacobian = _predict_jacobian(params, ms)
         residuals = y - predicted
         sse = np.einsum("il,il->i", residuals, residuals).tolist()
         jtj = np.einsum("pil,qil->ipq", jacobian, jacobian).tolist()
@@ -382,56 +383,52 @@ def _refine(space, ms, y, starts):
     return [(sse, x, i not in pending) for i, (x, sse, *_) in enumerate(accepted)]
 
 
-def _fit_space(space, ms, y):
-    """:func:`fit_model`'s search over the parameters ``space`` names, and the fit it ends on.
+def _fit_search(family, ms, y):
+    """:func:`fit_model`'s search for ``family``, and the fit it ends on.
 
     Returns theta, the noise as Gaussian parameters, the SSE, R^2, the
     residuals and whether the refinement converged.
     """
-
-    def tie_key(candidate) -> tuple[float, float, float]:
-        named = dict(zip(space, candidate[1]))
-        return (named["theta"], named["rate"], named.get("k_mu", 0.0))
-
-    starts = _grid_search(space, ms, y)
+    starts = _grid_search(family.k_mu[0], ms, y)
     # Candidates: every refined start plus the raw grid best, so the result
     # can never be worse than the grid.
     candidates = [(starts[0][0], starts[0][1], True)]
-    candidates += _refine(space, ms, y, [x0 for _, x0 in starts])
+    candidates += _refine(family.k_mu[1], ms, y, [x0 for _, x0 in starts])
     best_sse = min(c[0] for c in candidates)
-    _, params, converged = min((c for c in candidates if c[0] <= best_sse + _TIE_TOL), key=tie_key)
+    ties = (c for c in candidates if c[0] <= best_sse + _TIE_TOL)
+    _, (theta, k_mu, rate), converged = min(ties, key=lambda c: (c[1][0], c[1][2], c[1][1]))
 
-    predictions = np.asarray(_predict(space, params, ms))
+    predictions = _p1_gaussian_decayed(_psi(theta, ms, k_mu), _decay(rate, ms))
     residuals = y - predictions
-    named = dict(zip(space, params))
-    gaussian = GaussianNoiseParams(k_mu=named.get("k_mu", 0.0), k_sigma=named["rate"])
-    return (named["theta"], gaussian, float(np.sum(residuals**2)), r_squared(y, predictions),
-            tuple(float(r) for r in residuals), converged)
+    return (theta, GaussianNoiseParams(k_mu, rate), float(np.sum(residuals**2)),
+            r_squared(y, predictions), tuple(float(r) for r in residuals), converged)
 
 
 def _fit_kinds(data: list[FrequencyPoint], kinds: Sequence[str], label: str = "") -> list[FitResult]:
-    """:func:`fit_model` for each of ``kinds`` in turn, with one search per parameter space.
+    """:func:`fit_model` for each of ``kinds`` in turn, with one search per k_mu axis and bound.
 
-    Families that pack the same parameters differ only in the noise object
-    they report, so they share one search and its fit.  Constant
-    observations are refused, naming ``label``, before any search.
+    Families with the same k_mu differ only in the noise object they
+    report, so they share one search and its fit.  An unknown kind, too few
+    points for a family, and constant observations (naming ``label``) are
+    refused before any search.
     """
     ms = np.array([pt.m for pt in data], dtype=float)
     y = np.array([pt.p1_hat for pt in data])
     if y.size and bool(np.all(y == y[0])):
         where = f"label {label!r}: " if label else ""
         raise DegenerateDataError(f"{where}constant observations: R^2 is undefined")
-    searches = {}  # parameter space -> :func:`_fit_space`'s fit
-    results = []
     for kind in kinds:
         if kind not in _FAMILIES:
             raise ValueError(f"unknown model kind {kind!r} (known: {MODEL_KINDS})")
+        if len(data) < _FAMILIES[kind].free() + 1:
+            raise ValueError(f"{kind} fit needs at least {_FAMILIES[kind].free() + 1} points, got {len(data)}")
+    searches = {}  # id of a k_mu (axis, bound) -> :func:`_fit_search`'s fit
+    results = []
+    for kind in kinds:
         family = _FAMILIES[kind]
-        if len(data) < len(family.params) + 1:
-            raise ValueError(f"{kind} fit needs at least {len(family.params) + 1} points, got {len(data)}")
-        if family.params not in searches:
-            searches[family.params] = _fit_space(family.params, ms, y)
-        theta, gaussian, *fit = searches[family.params]
+        if id(family.k_mu) not in searches:
+            searches[id(family.k_mu)] = _fit_search(family, ms, y)
+        theta, gaussian, *fit = searches[id(family.k_mu)]
         results.append(FitResult(kind, theta, family.to_noise(gaussian), *fit, label=label))
     return results
 
@@ -447,7 +444,8 @@ def fit_model(data: list[FrequencyPoint], model_kind: str, label: str = "") -> F
     Raises:
         DegenerateDataError: the observations are constant, so R^2 is
             undefined; refused before any search.
-        ValueError: unknown family, or fewer than (parameter count + 1) points.
+        ValueError: unknown family, or fewer than (free parameter count + 1)
+            points.
     """
     return _fit_kinds(data, [model_kind], label)[0]
 

@@ -2,14 +2,16 @@
 
 Implements the Gaussian rotation-noise model in closed form, an independent
 Gauss-Hermite quadrature evaluation of the same probability, the depolarizing
-model, and the exact zero-mean mapping between the two.  Each noise decay,
-the Gaussian ``exp(-2 k_sigma m)`` and the depolarizing ``p_coh_tilde ** m``,
-is taken from libm, one call per (rate, depth) pair, so it has the same bits
-whichever SIMD kernels numpy picked: every p(1), the device's, the closed
-forms' and the fits', decays through :func:`_decay`, and the device and the
-count correction share :func:`_coherent_fraction`.  Each noise kind is
-one row of ``_NOISE_KINDS``: its class, CLI spelling, JSON fields and p(1)
-kernel.  Every checked p(1) goes through one evaluator, which refuses a value
+model, and the exact zero-mean mapping between the two.  Every p(1), the
+device's, the closed forms' and the fits', is the one Gaussian kernel below
+at a per-depth decay d and drift k_mu (:func:`_decay_drift`): Gaussian noise
+decays by ``exp(-2 k_sigma m)`` and drifts by ``k_mu``, depolarizing noise
+keeps the coherent fraction ``p_coh_tilde ** m`` without drift, and no noise
+is d = 1 without drift.  Each decay is taken from libm, one call per (rate,
+depth) pair, so it has the same bits whichever SIMD kernels numpy picked;
+the device and the count correction share :func:`_coherent_fraction`.  Each
+noise kind is one row of ``_NOISE_KINDS``: its class, CLI spelling and JSON
+fields.  Every checked p(1) goes through one evaluator, which refuses a value
 that is not finite, naming its depth.  Each public formula refuses, through
 one kind check, a noise model of the other kind (or None), and the quadrature
 stops doubling its nodes at the first count whose Gauss-Hermite nodes or
@@ -70,10 +72,6 @@ class _NoiseKind:
     def _values(self) -> tuple:
         """The field values in the order the class takes them: ``astuple`` without its deep copy."""
         return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def p1_raw(self, theta, m):
-        """p(1) at angle(s) ``theta`` and depth(s) ``m``; no validation."""
-        return _NOISE_KINDS[self.kind][3](theta, m, *self._values())
 
     def to_dict(self) -> dict:
         """JSON fields of this model (without ``kind``)."""
@@ -141,7 +139,7 @@ NoiseModel = GaussianNoiseParams | DepolParams | None
 
 # ---------------------------------------------------------------------------
 # Raw array kernels (no input validation; arguments broadcast under numpy
-# rules), shared with the fitting module; _NOISE_KINDS names each kind's p(1).
+# rules), shared with the fitting module.
 # Each decay goes through libm, one Python call per broadcast (rate, depth)
 # pair: numpy's SIMD exp and power differ from libm, and from kernel to
 # kernel, in the last bit, and such a bit moves the digits of a printed fit.
@@ -163,49 +161,42 @@ def _coherent_fraction(p_coh_tilde, m):
     return np.array(list(map(pow, p.ravel().tolist(), m.ravel().tolist()))).reshape(p.shape)
 
 
+def _decay_drift(model: NoiseModel, m):
+    """The decay d of ``p(0) - p(1) = d cos 2 psi`` at depth(s) ``m`` under ``model``, and its drift k_mu.
+
+    Depolarizing noise is the zero-mean case, and no noise (None) is d = 1.
+    """
+    if isinstance(model, GaussianNoiseParams):
+        return _decay(model.k_sigma, m), model.k_mu
+    if isinstance(model, DepolParams):
+        return _coherent_fraction(model.p_coh_tilde, m), 0.0
+    return 1.0, 0.0
+
+
 def _psi(theta, m, k_mu):
     """The mean rotation angle ``(2m+1) theta + k_mu m`` after ``m`` iterates (array-capable)."""
     return (2.0 * np.asarray(m) + 1.0) * theta + k_mu * np.asarray(m)
 
 
-def _p_diff_gaussian_raw(theta, m, k_mu, decay):
-    """p(0) - p(1) under Gaussian rotation noise of decay ``decay`` (array-capable)."""
-    psi = _psi(theta, m, k_mu)
+def _p_diff_gaussian_raw(psi, decay):
+    """p(0) - p(1) at mean angle ``psi`` (:func:`_psi`) and decay ``decay`` (array-capable)."""
     # cos^2 - sin^2 rather than cos(2 psi): keeps the m=0 limit exactly equal
     # to cos^2(theta) - sin^2(theta) and bounds the magnitude by the decay.
     return decay * (np.cos(psi) ** 2 - np.sin(psi) ** 2)
 
 
-def _p1_gaussian_decayed(theta, m, k_mu, decay):
-    """p(1) under Gaussian rotation noise of decay ``decay`` (array-capable)."""
-    return 0.5 * (1.0 - _p_diff_gaussian_raw(theta, m, k_mu, decay))
+def _p1_gaussian_decayed(psi, decay):
+    """p(1) at mean angle ``psi`` (:func:`_psi`) and decay ``decay`` (array-capable)."""
+    return 0.5 * (1.0 - _p_diff_gaussian_raw(psi, decay))
 
 
-def _p1_gaussian_raw(theta, m, k_mu, k_sigma):
-    """p(1) under Gaussian rotation noise (array-capable)."""
-    return _p1_gaussian_decayed(theta, m, k_mu, _decay(k_sigma, m))
-
-
-def _p1_depol_raw(theta, m, p_coh_tilde):
-    """p(1) under per-iterate depolarizing noise (array-capable)."""
-    coherent = _coherent_fraction(p_coh_tilde, m)
-    return coherent * np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2 + (
-        1.0 - coherent
-    ) / 2.0
-
-
-def _p1_noiseless_raw(theta, m):
-    """p(1) = sin^2((2m+1) theta) with no noise (array-capable)."""
-    return np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2
-
-
-# Each noise kind, by its JSON ``kind``: its class, CLI spelling, JSON fields
-# and p(1) kernel, the fields in the order the class and the kernel take them.
+# Each noise kind, by its JSON ``kind``: its class, CLI spelling and JSON
+# fields, the fields in the order the class takes them.
 _NOISE_KINDS = {
-    cls.kind: (cls, spec, fields, kernel)
-    for cls, spec, fields, kernel in (
-        (GaussianNoiseParams, "gaussian:kmu,ksigma", ("k_mu", "k_sigma"), _p1_gaussian_raw),
-        (DepolParams, "depol:p", ("p_coh",), _p1_depol_raw),
+    cls.kind: (cls, spec, fields)
+    for cls, spec, fields in (
+        (GaussianNoiseParams, "gaussian:kmu,ksigma", ("k_mu", "k_sigma")),
+        (DepolParams, "depol:p", ("p_coh",)),
     )
 }
 
@@ -218,7 +209,7 @@ def noise_from_spec(text: str) -> NoiseModel:
     if text == "none":
         return None
     name, _, args = text.partition(":")
-    for cls, spec, fields, _ in _NOISE_KINDS.values():
+    for cls, spec, fields in _NOISE_KINDS.values():
         if spec.partition(":")[0] == name:
             values = args.split(",")
             if len(values) != len(fields) or "" in values:
@@ -250,7 +241,7 @@ def noise_from_dict(doc: dict) -> NoiseModel:
     if kind == "none":
         cls, keys = None, ()
     elif isinstance(kind, str) and kind in _NOISE_KINDS:
-        cls, _, keys, _ = _NOISE_KINDS[kind]
+        cls, _, keys = _NOISE_KINDS[kind]
     else:
         raise ValueError(f"noise.kind must be {'|'.join([*_NOISE_KINDS, 'none'])}, got {kind!r}")
     if set(doc) != {"kind", *keys}:
@@ -310,11 +301,12 @@ def _as_probability(p: float, context: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _finite(name: str, kernel, theta: float, m: int, *params) -> float:
-    """``kernel(theta, m, *params)`` at a checked depth ``m``, refused unless finite."""
+def _finite(name: str, kernel, model: NoiseModel, theta: float, m: int) -> float:
+    """``kernel(psi, decay)`` of ``model`` at ``theta`` and a checked depth ``m``, refused unless finite."""
     m = _check_depth(m)
     with np.errstate(all="ignore"):  # an overflow shows as the value, refused below
-        value = float(kernel(theta, m, *params))
+        decay, k_mu = _decay_drift(model, m)
+        value = float(kernel(_psi(theta, m, k_mu), decay))
     if not math.isfinite(value):
         raise ValueError(f"{name} at depth {m} is {value!r}: the noise parameters overflow")
     return value
@@ -322,8 +314,7 @@ def _finite(name: str, kernel, theta: float, m: int, *params) -> float:
 
 def _p1(model: NoiseModel, theta: float, m: int, context: str) -> float:
     """p(1) of ``model`` (noiseless if None) at depth ``m``: checked, finite, clamped into [0, 1]."""
-    kernel = _p1_noiseless_raw if model is None else model.p1_raw
-    return _as_probability(_finite("p(1)", kernel, theta, m), context)
+    return _as_probability(_finite("p(1)", _p1_gaussian_decayed, model, theta, m), context)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +338,7 @@ def p_diff_gaussian_closed(amp: Amplitude, m: int, noise: GaussianNoiseParams) -
     ``cos^2(theta) - sin^2(theta)``.
     """
     _check_kind(noise, GaussianNoiseParams, "p_diff_gaussian_closed")
-    m = _check_depth(m)
-    return _finite("p(0) - p(1)", _p_diff_gaussian_raw, amp.theta, m, noise.k_mu, _decay(noise.k_sigma, m))
+    return _finite("p(0) - p(1)", _p_diff_gaussian_raw, noise, amp.theta, m)
 
 
 # p1_gaussian_quadrature's fixed convergence tolerance and node cap.

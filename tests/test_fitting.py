@@ -1,6 +1,8 @@
 """Tests for least-squares model fitting and the comparison report."""
 
+import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,31 @@ class TestRSquared:
             y = rng.random(10)
             p = rng.random(10)
             assert r_squared(y, p) <= 1.0
+
+
+def labeled_inputs(name):
+    """(label, depths, frequencies) for every label of a golden input CSV."""
+    grouped = io.read_shot_csv(INPUTS / name)
+    out = []
+    for label in sorted(grouped):
+        points = points_from_records(grouped[label])
+        out.append((f"{name}:{label}", np.array([pt.m for pt in points], dtype=float),
+                    np.array([pt.p1_hat for pt in points])))
+    return out
+
+
+def drifting_input():
+    """A drifting device's sweep: 31 depths of 8192 shots at k_mu = 0.05."""
+    points = sampled_points(math.pi / 6, 0.05, 0.02, range(31), 8192, seed=77)
+    return ("drifting", np.array([pt.m for pt in points], dtype=float),
+            np.array([pt.p1_hat for pt in points]))
+
+
+def device_input():
+    """A characterisation-sized sweep: 41 depths of 262,144 shots."""
+    points = sampled_points(0.5, 0.02, 0.015, range(41), 262144, seed=101)
+    return ("device", np.array([pt.m for pt in points], dtype=float),
+            np.array([pt.p1_hat for pt in points]))
 
 
 class TestFitModel:
@@ -193,6 +220,42 @@ class TestFitModel:
             fitting._fit_kinds(data, fitting.MODEL_KINDS, label)
         assert (str(info.value), searched) == (message, [])
 
+    @pytest.mark.parametrize("kinds, points, message", [
+        (["gaussian", "bogus"], 9, "unknown model kind 'bogus'"),
+        (["gaussian_zero_mean", "gaussian"], 3, "gaussian fit needs at least 4 points, got 3"),
+        (["depolarizing", "gaussian_zero_mean"], 2, "depolarizing fit needs at least 3 points, got 2"),
+    ])
+    def test_bad_requests_refused_before_any_search(self, monkeypatch, kinds, points, message):
+        searched = []
+        monkeypatch.setattr(fitting, "_grid_search", lambda *args: searched.append(args))
+        data = gaussian_points(0.5, 0.0, 0.01, range(points))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fitting._fit_kinds(data, kinds)
+        assert searched == []
+
+    @pytest.mark.parametrize(
+        "name, ms, y",
+        labeled_inputs("fit_corpus.csv") + [drifting_input(), device_input()],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_held_k_mu_is_positive_zero(self, monkeypatch, name, ms, y):
+        # The depolarizing family reports no k_mu, so its Gaussian fit is
+        # read where it is converted.
+        depol = fitting._FAMILIES["depolarizing"]
+        converted = []
+
+        def to_noise(noise):
+            converted.append(noise)
+            return depol.to_noise(noise)
+
+        monkeypatch.setitem(fitting._FAMILIES, "depolarizing", dataclasses.replace(depol, to_noise=to_noise))
+        data = [FrequencyPoint(m=int(m), p1_hat=float(p)) for m, p in zip(ms, y)]
+        zero_mean, gaussian, _ = fitting._fit_kinds(data, ["gaussian_zero_mean", "gaussian", "depolarizing"])
+        for noise in (zero_mean.noise_params, *converted):
+            assert noise.k_mu.hex() == (0.0).hex()
+        assert len(converted) == 1
+        assert gaussian.noise_params.k_mu != 0.0
+
     def test_iteration_cap_flags_result(self, monkeypatch):
         data = sampled_points(0.8, 0.04, 0.03, range(20), 128, seed=21)
         full = fit_model(data, "gaussian")
@@ -200,8 +263,8 @@ class TestFitModel:
         starved = fit_model(data, "gaussian")
         assert starved.converged is False
         # the starved result is still no worse than the best grid point
-        starts = fitting._grid_search(
-            space("gaussian"),
+        starts = grid_search(
+            "gaussian",
             np.array([pt.m for pt in data], dtype=float),
             np.array([pt.p1_hat for pt in data]),
         )
@@ -209,38 +272,35 @@ class TestFitModel:
         assert starved.sse >= full.sse - 1e-12
 
 
-def labeled_inputs(name):
-    """(label, depths, frequencies) for every label of a golden input CSV."""
-    grouped = io.read_shot_csv(INPUTS / name)
-    out = []
-    for label in sorted(grouped):
-        points = points_from_records(grouped[label])
-        out.append((f"{name}:{label}", np.array([pt.m for pt in points], dtype=float),
-                    np.array([pt.p1_hat for pt in points])))
-    return out
-
-
-def device_input():
-    """A characterisation-sized sweep: 41 depths of 262,144 shots."""
-    points = sampled_points(0.5, 0.02, 0.015, range(41), 262144, seed=101)
-    return ("device", np.array([pt.m for pt in points], dtype=float),
-            np.array([pt.p1_hat for pt in points]))
-
-
-# One kind per distinct search.  The depolarizing family packs the zero-mean
-# family's parameters, so its search is that one (TestOneSearchPerSpace).
+# One kind per distinct search.  The depolarizing family holds k_mu as the
+# zero-mean family does, so its search is that one (TestOneSearchPerSpace).
 SEARCH_KINDS = ("gaussian", "gaussian_zero_mean")
 
 
-def space(kind):
-    """The parameters that ``kind``'s search packs."""
-    return fitting._FAMILIES[kind].params
+def axes(kind):
+    """The coarse-grid axes of ``kind``'s vector (theta, k_mu, rate)."""
+    return (fitting._THETA[0], fitting._FAMILIES[kind].k_mu[0], fitting._RATE[0])
+
+
+def bounds(kind):
+    """The refinement bounds of ``kind``'s vector (theta, k_mu, rate)."""
+    return [fitting._THETA[1], fitting._FAMILIES[kind].k_mu[1], fitting._RATE[1]]
+
+
+def grid_search(kind, ms, y):
+    return fitting._grid_search(fitting._FAMILIES[kind].k_mu[0], ms, y)
+
+
+def predict(params, ms):
+    """Gaussian p(1) at ``params``, a vector (theta, k_mu, rate) or a grid mesh of one."""
+    theta, k_mu, rate = params
+    return models._p1_gaussian_decayed(models._psi(theta, ms, k_mu), models._decay(rate, ms))
 
 
 def fit_searches(datasets):
     """Every (dataset, search) pair with enough points for the search."""
     return [(name, ms, y, kind) for name, ms, y in datasets for kind in SEARCH_KINDS
-            if len(ms) > len(space(kind))]
+            if len(ms) > fitting._FAMILIES[kind].free()]
 
 
 def random_datasets():
@@ -250,23 +310,33 @@ def random_datasets():
 
 
 def scipy_best_sse(kind, ms, y, starts):
-    """The least SSE SciPy's bounded least squares reaches from ``starts``, to tight tolerances."""
+    """The least SSE SciPy's bounded least squares reaches from ``starts``, to tight tolerances.
+
+    SciPy refuses a closed bound, so it gets only the free parameters; a
+    held one keeps its start.
+    """
     least_squares = pytest.importorskip("scipy.optimize").least_squares
-    bounds = list(zip(*(fitting._PARAMS[name][1] for name in space(kind))))
+    free = [j for j, (lo, hi) in enumerate(bounds(kind)) if lo < hi]
+    free_bounds = list(zip(*(bounds(kind)[j] for j in free)))
     best = math.inf
     for x0 in starts:
-        result = least_squares(lambda x: y - fitting._predict(space(kind), x, ms), np.asarray(x0),
-                               bounds=bounds, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        def residuals(x, x0=x0):
+            params = list(x0)
+            for j, v in zip(free, x):
+                params[j] = v
+            return y - predict(params, ms)
+
+        result = least_squares(residuals, np.asarray(x0)[free],
+                               bounds=free_bounds, ftol=1e-15, xtol=1e-15, gtol=1e-15)
         best = min(best, float(np.einsum("l,l->", result.fun, result.fun)))
     return best
 
 
 def refined(kind, ms, y, starts):
     """The refinement from ``starts``, checked to end inside the bounds."""
-    results = fitting._refine(space(kind), ms, y, starts)
+    results = fitting._refine(fitting._FAMILIES[kind].k_mu[1], ms, y, starts)
     for _, x, _ in results:
-        for v, name in zip(x, space(kind)):
-            lo, hi = fitting._PARAMS[name][1]
+        for v, (lo, hi) in zip(x, bounds(kind)):
             assert lo <= v <= hi
     return results
 
@@ -282,7 +352,7 @@ class TestRefinement:
         # reflective, finite-difference Jacobian) from the same grid starts.
         data = [FrequencyPoint(m=int(m), p1_hat=float(p)) for m, p in zip(ms, y)]
         fit = fit_model(data, kind)
-        starts = [x0 for _, x0 in fitting._grid_search(space(kind), ms, y)]
+        starts = [x0 for _, x0 in grid_search(kind, ms, y)]
         assert fit.converged
         assert fit.sse <= scipy_best_sse(kind, ms, y, starts) * (1 + 1e-12)
 
@@ -291,28 +361,27 @@ class TestRefinement:
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_jacobian_matches_differences(self, name, ms, y, kind):
-        starts = np.array([x0 for _, x0 in fitting._grid_search(space(kind), ms, y)]).T[:, :, None]
-        predicted, jacobian = fitting._predict_jacobian(space(kind), starts, ms)
-        assert predicted.tolist() == fitting._predict(space(kind), starts, ms).tolist()
-        for j in range(len(space(kind))):
+        starts = np.array([x0 for _, x0 in grid_search(kind, ms, y)]).T[:, :, None]
+        predicted, jacobian = fitting._predict_jacobian(starts, ms)
+        assert predicted.tolist() == predict(starts, ms).tolist()
+        for j in range(len(starts)):
             h = np.zeros_like(starts)
             h[j] = 1e-6
-            slope = (fitting._predict(space(kind), starts + h, ms)
-                     - fitting._predict(space(kind), starts - h, ms)) / 2e-6
+            slope = (predict(starts + h, ms) - predict(starts - h, ms)) / 2e-6
             assert np.allclose(jacobian[j], slope, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("kind", SEARCH_KINDS)
     def test_starts_on_and_past_the_bounds(self, kind):
         # theta at 0 and pi/2, rate at 0, k_mu at -pi, and starts past the
-        # bounds, which are projected inside first.
+        # bounds, which are projected inside first; a held k_mu projects to 0.
         name, ms, y = random_datasets()[3]
         half_pi = math.pi / 2
         starts = {
-            2: [(0.0, 0.0), (half_pi, 0.0), (half_pi, 0.3), (0.0, 1e-5), (2.0, 0.1),
-                (-0.1, -0.2), (half_pi * (1 - 1e-17), 0.0)],
+            2: [(0.0, 0.0, 0.0), (half_pi, 0.0, 0.0), (half_pi, 0.0, 0.3), (0.0, 0.0, 1e-5),
+                (2.0, 0.4, 0.1), (-0.1, -0.5, -0.2), (half_pi * (1 - 1e-17), -0.0, 0.0)],
             3: [(0.0, 0.0, 0.0), (half_pi, 0.0, 0.0), (half_pi, -math.pi, 0.0),
                 (0.0, math.pi, 0.5), (2.0, 4.0, -1.0), (-0.0, -0.0, -0.0)],
-        }[len(space(kind))]
+        }[fitting._FAMILIES[kind].free()]
         results = refined(kind, ms, y, starts)
         assert all(converged for *_, converged in results)
 
@@ -323,8 +392,7 @@ class TestRefinement:
         points = gaussian_points(0.6, 0.0, 0.0, range(12))
         ms = np.array([pt.m for pt in points], dtype=float)
         y = np.array([pt.p1_hat for pt in points])
-        n = len(space(kind))
-        starts = [[0.6, -0.0, -0.0][:n], [0.6, 0.0, -0.0][:n], [-0.0, -0.0, 0.01][:n]]
+        starts = [[0.6, -0.0, -0.0], [0.6, 0.0, -0.0], [-0.0, -0.0, 0.01]]
         results = refined(kind, ms, y, starts)
         for sse, x, converged in results[:2]:
             assert (sse, x[0], x[-1].hex(), converged) == (0.0, 0.6, (0.0).hex(), True)
@@ -340,7 +408,7 @@ class TestRefinement:
         monkeypatch.setattr(fitting, "_LM_MAX_ITER", 2)
         name, ms, y = device_input()
         for kind in SEARCH_KINDS:
-            starts = [x0 for _, x0 in fitting._grid_search(space(kind), ms, y)]
+            starts = [x0 for _, x0 in grid_search(kind, ms, y)]
             assert not any(converged for *_, converged in refined(kind, ms, y, starts))
 
 
@@ -377,23 +445,23 @@ def reference_step(x, jtj, jtr, damping, bounds):
 
 
 def random_steps(kind, count, seed):
-    """``count`` random step inputs ``(x, J^T J, J^T r, damping)`` in ``kind``'s space.
+    """``count`` random step inputs ``(x, J^T J, J^T r, damping)`` in ``kind``'s bounds.
 
     Some parameters sit on a bound, some diagonals of J^T J are 0 or
     subnormal, and the damping spans 1e-12 to 1e6.
     """
     rng = np.random.default_rng(seed)
-    bounds = [fitting._PARAMS[name][1] for name in space(kind)]
-    n = len(bounds)
+    kind_bounds = bounds(kind)
+    n = len(kind_bounds)
     cases = []
     for _ in range(count):
         jacobian = rng.normal(size=(n, 41)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
         x = [lo if rng.random() < 0.2 else hi if rng.random() < 0.1 and hi < math.inf
-             else rng.uniform(max(lo, -1.0), min(hi, 1.5)) for lo, hi in bounds]
+             else rng.uniform(max(lo, -1.0), min(hi, 1.5)) for lo, hi in kind_bounds]
         j = rng.integers(n)
         jacobian[j] *= rng.choice([1.0, 0.0, 1e-160])  # 1e-160 squares below the normal range
         jtj, jtr = (jacobian @ jacobian.T).tolist(), (jacobian @ rng.normal(size=41)).tolist()
-        cases.append((x, jtj, jtr, 10.0 ** rng.uniform(-12, 6), bounds))
+        cases.append((x, jtj, jtr, 10.0 ** rng.uniform(-12, 6), kind_bounds))
     return cases
 
 
@@ -404,8 +472,8 @@ def hexed_step(result):
 class TestStep:
     @pytest.mark.parametrize("kind", SEARCH_KINDS)
     def test_random_steps_match_the_reference_bit_for_bit(self, kind):
-        cases = random_steps(kind, 2000, seed=len(space(kind)))
-        held = sum(any(v in bound for v, bound in zip(x, bounds)) for x, *_, bounds in cases)
+        cases = random_steps(kind, 2000, seed=fitting._FAMILIES[kind].free())
+        held = sum(any(v in bound for v, bound in zip(x, b)) for x, *_, b in cases)
         assert held > 500
         for case in cases:
             assert hexed_step(fitting._step(*case)) == hexed_step(reference_step(*case))
@@ -413,17 +481,18 @@ class TestStep:
     @pytest.mark.parametrize("kind", SEARCH_KINDS)
     def test_bounds_and_tiny_diagonals_match_the_reference(self, kind):
         # Each parameter on each bound, its descent direction pointing out of
-        # the bound and into it, beside a diagonal of 1, 0 or a subnormal.
-        bounds = [fitting._PARAMS[name][1] for name in space(kind)]
-        n = len(bounds)
+        # the bound, into it and along it, beside a diagonal of 1, 0 or a
+        # subnormal.  A held k_mu is on both ends of its closed bound.
+        kind_bounds = bounds(kind)
+        n = len(kind_bounds)
         jacobian = np.random.default_rng(8).normal(size=(n, 41))
-        base_x = [min(max(0.4, lo), hi) for lo, hi in bounds]
+        base_x = [min(max(0.4, lo), hi) for lo, hi in kind_bounds]
         cases = []
-        for j, (lo, hi) in enumerate(bounds):
+        for j, (lo, hi) in enumerate(kind_bounds):
             for edge, outward in ((lo, -1.0), (hi, 1.0)):
                 if math.isinf(edge):
                     continue
-                for sign in (1.0, -1.0):  # out of the bound, then into it
+                for sign in (1.0, -1.0, 0.0):  # out of the bound, into it, along it
                     for scale in (1.0, 0.0, 1e-160):
                         jac = jacobian.copy()
                         jac[(j + 1) % n] *= scale
@@ -432,21 +501,39 @@ class TestStep:
                         jtj = (jac @ jac.T).tolist()
                         jtr = (jac @ jac[j]).tolist()
                         jtr[j] = sign * outward * abs(jtr[j])
-                        cases.append((x, jtj, jtr, 1e-3, bounds))
+                        cases.append((x, jtj, jtr, 1e-3, kind_bounds))
         for case in cases:
             assert hexed_step(fitting._step(*case)) == hexed_step(reference_step(*case))
 
+    @pytest.mark.parametrize("gradient", [1.0, -1.0, 0.0])
+    def test_closed_bound_holds_at_every_gradient(self, gradient):
+        # k_mu on a closed bound (0, 0) stays +0.0 whatever its gradient, and
+        # theta and rate take the step that a vector without k_mu takes.
+        jacobian = np.random.default_rng(9).normal(size=(3, 41))
+        jtj = (jacobian @ jacobian.T).tolist()
+        jtr = (jacobian @ jacobian[0]).tolist()
+        jtr[1] = gradient * abs(jtr[1])
+        case = ([0.4, 0.0, 0.1], jtj, jtr, 1e-3, bounds("gaussian_zero_mean"))
+        step = fitting._step(*case)
+        assert hexed_step(step) == hexed_step(reference_step(*case))
+        assert step[0][1].hex() == (0.0).hex()
+        without_k_mu = ([0.4, 0.1], [[jtj[i][j] for j in (0, 2)] for i in (0, 2)],
+                        [jtr[0], jtr[2]], 1e-3, [fitting._THETA[1], fitting._RATE[1]])
+        trial, drop = reference_step(*without_k_mu)
+        assert hexed_step(((step[0][0], step[0][2]), step[1])) == hexed_step((trial, drop))
+
     @pytest.mark.parametrize("kind", SEARCH_KINDS)
     def test_all_held_and_converged_runs_are_done(self, kind):
-        bounds = [fitting._PARAMS[name][1] for name in space(kind)]
-        n = len(bounds)
+        kind_bounds = bounds(kind)
+        n = len(kind_bounds)
         jtj = np.eye(n).tolist()
+        inside = [min(max(0.4, lo), hi) for lo, hi in kind_bounds]
         # Every parameter held: each on its lower bound with J^T r pointing
         # out of it, or with a zero diagonal.
-        on_lower = ([lo for lo, _ in bounds], jtj, [-1.0] * n, 1e-3, bounds)
-        flat = ([0.4] * n, np.zeros((n, n)).tolist(), [1.0] * n, 1e-3, bounds)
+        on_lower = ([lo for lo, _ in kind_bounds], jtj, [-1.0] * n, 1e-3, kind_bounds)
+        flat = (inside, np.zeros((n, n)).tolist(), [1.0] * n, 1e-3, kind_bounds)
         # Converged: a step below the tolerance in every parameter.
-        converged = ([0.4] * n, jtj, [1e-14] * n, 1e-3, bounds)
+        converged = (inside, jtj, [1e-14] * n, 1e-3, kind_bounds)
         for case in (on_lower, flat, converged):
             assert fitting._step(*case) is None
             assert reference_step(*case) is None
@@ -454,19 +541,17 @@ class TestStep:
 
 def whole_mesh_sse(kind, ms, y):
     """The coarse grid's SSEs in one whole-mesh evaluation."""
-    axes = [fitting._PARAMS[name][0] for name in space(kind)]
-    mesh = [ax.reshape((-1,) + (1,) * (len(axes) - i)) for i, ax in enumerate(axes)]
-    residuals = y - fitting._predict(space(kind), mesh, ms)
+    mesh = [ax.reshape((-1,) + (1,) * (3 - i)) for i, ax in enumerate(axes(kind))]
+    residuals = y - predict(mesh, ms)
     return np.einsum("...l,...l->...", residuals, residuals)
 
 
 def whole_mesh_starts(kind, ms, y, count):
     """The coarse grid in one whole-mesh evaluation: its ``count`` best starts."""
-    axes = [fitting._PARAMS[name][0] for name in space(kind)]
     sse = whole_mesh_sse(kind, ms, y)
     order = np.argsort(sse, axis=None, kind="stable")[:count]
     index = np.unravel_index(order, sse.shape)
-    return [(float(v), tuple(float(ax[i]) for ax, i in zip(axes, idx)))
+    return [(float(v), tuple(float(ax[i]) for ax, i in zip(axes(kind), idx)))
             for v, idx in zip(sse[index].tolist(), zip(*(i.tolist() for i in index)))]
 
 
@@ -482,7 +567,7 @@ def near_ties():
     theta grid node nearly fit every small rate at that node.
     """
     ms = np.arange(41.0)
-    node = fitting._PARAMS["theta"][0][20]
+    node = fitting._THETA[0][20]
     on_node = np.array([pt.p1_hat for pt in gaussian_points(node, 0.0, 0.0, range(41))])
     return [("half", ms, np.full(ms.size, 0.5)), ("on_node", ms, on_node)]
 
@@ -517,7 +602,7 @@ class TestGridSearch:
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_slabs_give_the_whole_mesh_starts(self, name, ms, y, kind):
-        got = fitting._grid_search(space(kind), ms, y)
+        got = grid_search(kind, ms, y)
         assert hexed_starts(got) == hexed_starts(
             whole_mesh_starts(kind, ms, y, fitting._REFINE_STARTS))
 
@@ -527,9 +612,9 @@ class TestGridSearch:
     )
     def test_slabs_give_the_whole_mesh_sse(self, monkeypatch, name, ms, y, kind):
         # Every grid point, in rank order: the whole SSE array, bit for bit.
-        size = math.prod(len(fitting._PARAMS[p][0]) for p in space(kind))
+        size = math.prod(len(ax) for ax in axes(kind))
         monkeypatch.setattr(fitting, "_REFINE_STARTS", size)
-        got = fitting._grid_search(space(kind), ms, y)
+        got = grid_search(kind, ms, y)
         assert hexed_starts(got) == hexed_starts(whole_mesh_starts(kind, ms, y, size))
 
     @pytest.mark.parametrize(
@@ -539,7 +624,7 @@ class TestGridSearch:
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_screen_gives_the_whole_mesh_starts(self, name, ms, y, kind):
-        got = fitting._grid_search(space(kind), ms, y)
+        got = grid_search(kind, ms, y)
         assert hexed_starts(got) == hexed_starts(
             whole_mesh_starts(kind, ms, y, fitting._REFINE_STARTS))
 
@@ -550,7 +635,7 @@ class TestGridSearch:
         # splits one: the member left out must have been scored exactly too.
         name, ms, y = near_ties()[0]
         monkeypatch.setattr(fitting, "_REFINE_STARTS", count)
-        got = fitting._grid_search(space(kind), ms, y)
+        got = grid_search(kind, ms, y)
         assert hexed_starts(got) == hexed_starts(whole_mesh_starts(kind, ms, y, count))
 
     @pytest.mark.parametrize(
@@ -561,8 +646,8 @@ class TestGridSearch:
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_screen_is_within_its_bound(self, name, ms, y, kind):
-        rates = fitting._PARAMS["rate"][0]
-        screen = fitting._screen(space(kind), ms, y, models._decay(rates[:, None], ms))
+        _, k_mu, rates = axes(kind)
+        screen = fitting._screen(k_mu, ms, y, models._decay(rates[:, None], ms))
         error = np.max(np.abs(screen - whole_mesh_sse(kind, ms, y)))
         assert error <= fitting._screen_delta(ms)
 
@@ -575,21 +660,21 @@ class TestGridSearch:
         rows = []
         decayed = fitting._p1_gaussian_decayed
 
-        def spy(theta, ms, k_mu, decay):
-            rows.append(len(theta))
-            return decayed(theta, ms, k_mu, decay)
+        def spy(psi, decay):
+            rows.append(len(psi))
+            return decayed(psi, decay)
 
         monkeypatch.setattr(fitting, "_p1_gaussian_decayed", spy)
         name, ms, y = data()
-        fitting._grid_search(space(kind), ms, y)
+        grid_search(kind, ms, y)
         assert fitting._REFINE_STARTS <= sum(rows) <= 32
 
 
 class TestOneSearchPerSpace:
     def test_search_kinds_cover_every_search(self):
-        spaces = [space(kind) for kind in SEARCH_KINDS]
-        assert len(set(spaces)) == len(spaces)
-        assert {space(kind) for kind in fitting.MODEL_KINDS} == set(spaces)
+        searches = [id(fitting._FAMILIES[kind].k_mu) for kind in SEARCH_KINDS]
+        assert len(set(searches)) == len(searches)
+        assert {id(fitting._FAMILIES[kind].k_mu) for kind in fitting.MODEL_KINDS} == set(searches)
 
     @pytest.mark.parametrize(
         "name, ms, y",
@@ -614,9 +699,9 @@ class TestOneSearchPerSpace:
         calls = []
         grid_search = fitting._grid_search
 
-        def spy(params, ms, y):
-            calls.append(params)
-            return grid_search(params, ms, y)
+        def spy(k_mu, ms, y):
+            calls.append(id(k_mu))
+            return grid_search(k_mu, ms, y)
 
         monkeypatch.setattr(fitting, "_grid_search", spy)
         path = INPUTS / "labeled.csv"

@@ -18,6 +18,7 @@ from naqae import (
     p1_gaussian_closed,
     p1_gaussian_quadrature,
     p_diff_gaussian_closed,
+    sample_shots,
 )
 from naqae.errors import InternalConsistencyError, QuadratureError
 from naqae.models import _as_probability, _check_depth
@@ -403,3 +404,63 @@ class TestOneDecayPath:
             dev = SimulatedDevice(Amplitude(0.0), DepolParams(p))
             expected = [(1.0 - c) / 2.0 for c in _coherent(depths, DepolParams(p))]
             assert [dev.p1(m) for m in depths] == expected
+
+
+def depol_kernel(theta, m, p_coh_tilde):
+    """The depolarizing p(1) as its own formula, ``c sin^2(k theta) + (1 - c) / 2``."""
+    coherent = models._coherent_fraction(p_coh_tilde, m)
+    return coherent * np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2 + (1.0 - coherent) / 2.0
+
+
+def noiseless_kernel(theta, m):
+    """The noiseless p(1) as its own formula, ``sin^2(k theta)``."""
+    return np.sin((2.0 * np.asarray(m) + 1.0) * theta) ** 2
+
+
+class TestOneKernel:
+    # Every noise kind's p(1) is the Gaussian kernel at that kind's decay and
+    # drift; these compare it with each kind's own textbook formula.
+    CASES = 2000
+
+    @staticmethod
+    def cases(seed):
+        rng = np.random.default_rng(seed)
+        thetas = rng.uniform(0.0, math.pi / 2, TestOneKernel.CASES).tolist()
+        depths = rng.integers(0, 4097, TestOneKernel.CASES).tolist()
+        p_cohs = rng.uniform(0.0, 1.0, TestOneKernel.CASES).tolist()
+        return zip(thetas, depths, p_cohs)
+
+    def test_depolarizing_matches_its_own_formula(self):
+        for theta, m, p in self.cases(11):
+            got = SimulatedDevice(Amplitude(theta), DepolParams(p)).p1(m)
+            assert abs(got - float(depol_kernel(theta, m, p))) <= 1e-15
+        for p in (0.0, 1.0):
+            for theta, m, _ in self.cases(12):
+                got = SimulatedDevice(Amplitude(theta), DepolParams(p)).p1(m)
+                assert abs(got - float(depol_kernel(theta, m, p))) <= 1e-15
+
+    def test_noiseless_matches_its_own_formula(self):
+        for theta, m, _ in self.cases(13):
+            got = SimulatedDevice(Amplitude(theta)).p1(m)
+            assert abs(got - float(noiseless_kernel(theta, m))) <= 1e-15
+
+    def test_decay_and_drift_of_each_kind(self):
+        depths = np.arange(41.0)
+        gaussian = GaussianNoiseParams(0.02, 0.015)
+        decay, drift = models._decay_drift(gaussian, depths)
+        assert (decay.tolist(), drift) == (models._decay(0.015, depths).tolist(), 0.02)
+        decay, drift = models._decay_drift(DepolParams(0.9), depths)
+        assert (decay.tolist(), drift) == (models._coherent_fraction(0.9, depths).tolist(), 0.0)
+        assert models._decay_drift(None, depths) == (1.0, 0.0)
+
+    def test_certain_depths_keep_their_tallies(self):
+        # theta = pi/6 measures 1 with certainty at m = 1, 4, 7 and pi/3
+        # measures 0 at m = 1, 4; a certain depth reads no Philox word.
+        a1 = SimulatedDevice(Amplitude(math.pi / 6), seed=5)
+        a2 = SimulatedDevice(Amplitude(math.pi / 3), seed=5)
+        for m in (1, 4, 7):
+            assert a1.p1(m) == 1.0
+            assert sample_shots(a1, m, 1000).ones == 1000
+        for m in (1, 4):
+            assert a2.p1(m) <= 1e-30
+            assert sample_shots(a2, m, 1000).ones == 0
